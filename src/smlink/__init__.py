@@ -9,7 +9,7 @@ Modules:
 * :mod:`smlink.rxchain`  -- sync, SNR/FO/channel estimation, demodulation.
 * :mod:`smlink.analysis` -- ABER union bound, Rice fitting, CDF tools.
 * :mod:`smlink.harness`  -- Monte Carlo driver, configs, CSV persistence.
-* :mod:`smlink.kernels`  -- compiled/vectorized detection hot paths.
+* :mod:`smlink.kernels`  -- chunked numpy ML detection kernels.
 """
 
 __version__ = "0.1.0"

@@ -146,18 +146,11 @@ def _cmd_encode(args):
     scheme, nt, order, frame_layout, tx_layout = _load_chain_config(args.config)
     constellation = modem.build_constellation(order)
     m = modem.bits_per_vector(scheme, nt, order)
-    bits_per_frame = m * frame_layout.data_symbols_per_frame
-    n_bits = bits_per_frame * tx_layout.n_frames
+    n_bits = m * frame_layout.data_symbols_per_frame * tx_layout.n_frames
     bits = _read_bit_file(args.bits, n_bits)
-    frames = []
-    for f in range(tx_layout.n_frames):
-        chunk = bits[f * bits_per_frame : (f + 1) * bits_per_frame]
-        if scheme == "sm":
-            _, vectors = modem.sm_modulate(chunk, nt, constellation)
-        else:
-            vectors = modem.smx_modulate(chunk, nt, constellation)
-        frames.append(txchain.build_frame(vectors, frame_layout, nt))
-    tx = txchain.assemble_transmission(frames, tx_layout)
+    tx = txchain.build_transmission(
+        bits, scheme, nt, constellation, frame_layout, tx_layout
+    )
     sidecar = txchain.write_waveform(
         args.out, tx,
         extra_meta={"scheme": scheme, "modulation_order": order, "n_bits": n_bits},

@@ -259,16 +259,9 @@ def _waveform_trial(config, constellation, rng, snr_db):
         n_frames=n_frames, snr_block_symbols=config.snr_block_symbols
     )
     bits = rng.integers(0, 2, size=config.bits_per_trial, dtype=np.uint8)
-    bits_per_frame = m * config.block_symbols
-    frames = []
-    for f in range(n_frames):
-        chunk = bits[f * bits_per_frame : (f + 1) * bits_per_frame]
-        if config.scheme == "sm":
-            _, vectors = modem.sm_modulate(chunk, config.nt, constellation)
-        else:
-            vectors = modem.smx_modulate(chunk, config.nt, constellation)
-        frames.append(txchain.build_frame(vectors, frame_layout, config.nt))
-    tx = txchain.assemble_transmission(frames, tx_layout)
+    tx = txchain.build_transmission(
+        bits, config.scheme, config.nt, constellation, frame_layout, tx_layout
+    )
 
     h = channel_mod.draw_channel(
         config.nr, config.nt, config.fading(), config.imbalance(), rng

@@ -1,38 +1,31 @@
-"""Hot detection kernels.
+"""Hot detection kernels (numpy).
 
-Both kernels exist twice: a numba ``@njit`` build and a pure-numpy build.
-The numba path is used when numba imports cleanly and the environment
-variable ``SMLINK_DISABLE_NUMBA`` is not set to ``1``; ``BACKEND`` records
-which one is active.  Both paths scan candidates in enumeration order and
-keep the first minimum, so ties resolve identically.
+Both kernels scan candidates in enumeration order and keep the first
+minimum, so ties resolve to the lowest index. Both work through the
+received vectors in chunks whose largest metric temporary holds at most
+``_CHUNK_ELEMENTS`` complex entries, so memory stays bounded for any
+batch size.
 """
-
-import os
 
 import numpy as np
 
 __all__ = [
     "BACKEND",
-    "HAVE_NUMBA",
     "detect_min_indices",
-    "detect_min_indices_numpy",
     "sm_detect_min_indices",
-    "sm_detect_min_indices_numpy",
 ]
 
-_DISABLED = os.environ.get("SMLINK_DISABLE_NUMBA", "0") == "1"
+BACKEND = "numpy"
 
-try:
-    if _DISABLED:
-        raise ImportError("numba disabled via SMLINK_DISABLE_NUMBA")
-    from numba import njit, prange
-
-    HAVE_NUMBA = True
-except ImportError:
-    HAVE_NUMBA = False
+# 64 MiB of complex128 per chunk.
+_CHUNK_ELEMENTS = 4_000_000
 
 
-def detect_min_indices_numpy(y, hx):
+def _chunk_rows(per_row):
+    return max(1, _CHUNK_ELEMENTS // max(1, per_row))
+
+
+def detect_min_indices(y, hx):
     """Index of the minimum-distance candidate for each received vector.
 
     Parameters
@@ -47,8 +40,7 @@ def detect_min_indices_numpy(y, hx):
     y = np.ascontiguousarray(y)
     hx = np.ascontiguousarray(hx)
     out = np.empty(y.shape[0], dtype=np.int64)
-    # chunk to keep the (chunk, n_cand, nr) temporary small
-    chunk = max(1, int(4e6) // max(1, hx.size))
+    chunk = _chunk_rows(hx.size)
     for s in range(0, y.shape[0], chunk):
         d = y[s : s + chunk, None, :] - hx[None, :, :]
         metrics = np.einsum("skr,skr->sk", d, d.conj()).real
@@ -56,7 +48,7 @@ def detect_min_indices_numpy(y, hx):
     return out
 
 
-def sm_detect_min_indices_numpy(y, h, points):
+def sm_detect_min_indices(y, h, points):
     """Single-active-antenna ML search over (antenna, constellation point).
 
     Uses the per-column metric sum_r |y_r - h[r, a] * s|^2 rather than a
@@ -66,74 +58,10 @@ def sm_detect_min_indices_numpy(y, h, points):
     h = np.asarray(h)
     points = np.asarray(points)
     ref = h[None, :, :, None] * points[None, None, None, :]  # (1, nr, nt, M)
-    d = y[:, :, None, None] - ref
-    metrics = (d.real**2 + d.imag**2).sum(axis=1)  # (n, nt, M)
-    n, nt, m_ord = metrics.shape
-    return np.argmin(metrics.reshape(n, nt * m_ord), axis=1).astype(np.int64)
-
-
-if HAVE_NUMBA:
-
-    @njit(parallel=True, cache=True)
-    def _detect_min_indices_numba(y, hx):
-        n = y.shape[0]
-        n_cand = hx.shape[0]
-        nr = y.shape[1]
-        out = np.empty(n, dtype=np.int64)
-        for s in prange(n):
-            best = np.inf
-            best_k = 0
-            for k in range(n_cand):
-                acc = 0.0
-                for r in range(nr):
-                    d = y[s, r] - hx[k, r]
-                    acc += d.real * d.real + d.imag * d.imag
-                if acc < best:
-                    best = acc
-                    best_k = k
-            out[s] = best_k
-        return out
-
-    @njit(parallel=True, cache=True)
-    def _sm_detect_min_indices_numba(y, h, points):
-        n = y.shape[0]
-        nr = h.shape[0]
-        nt = h.shape[1]
-        m_ord = points.shape[0]
-        out = np.empty(n, dtype=np.int64)
-        for s in prange(n):
-            best = np.inf
-            best_k = 0
-            for a in range(nt):
-                for p in range(m_ord):
-                    acc = 0.0
-                    for r in range(nr):
-                        d = y[s, r] - h[r, a] * points[p]
-                        acc += d.real * d.real + d.imag * d.imag
-                    if acc < best:
-                        best = acc
-                        best_k = a * m_ord + p
-            out[s] = best_k
-        return out
-
-    def detect_min_indices(y, hx):
-        return _detect_min_indices_numba(
-            np.ascontiguousarray(y), np.ascontiguousarray(hx)
-        )
-
-    detect_min_indices.__doc__ = detect_min_indices_numpy.__doc__
-
-    def sm_detect_min_indices(y, h, points):
-        return _sm_detect_min_indices_numba(
-            np.ascontiguousarray(y),
-            np.ascontiguousarray(h),
-            np.ascontiguousarray(points),
-        )
-
-    sm_detect_min_indices.__doc__ = sm_detect_min_indices_numpy.__doc__
-
-    BACKEND = "numba"
-else:
-    detect_min_indices = detect_min_indices_numpy
-    sm_detect_min_indices = sm_detect_min_indices_numpy
-    BACKEND = "numpy"
+    out = np.empty(y.shape[0], dtype=np.int64)
+    chunk = _chunk_rows(ref.size)
+    for s in range(0, y.shape[0], chunk):
+        d = y[s : s + chunk, :, None, None] - ref
+        metrics = (d.real**2 + d.imag**2).sum(axis=1)  # (chunk, nt, M)
+        out[s : s + chunk] = np.argmin(metrics.reshape(metrics.shape[0], -1), axis=1)
+    return out

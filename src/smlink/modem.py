@@ -29,6 +29,7 @@ __all__ = [
     "bits_to_indices",
     "indices_to_bits",
     "bits_per_vector",
+    "modulate",
     "sm_modulate",
     "sm_demap",
     "smx_modulate",
@@ -155,6 +156,16 @@ def bits_per_vector(scheme, nt, order):
     raise ConfigurationError(f"unknown scheme {scheme!r}")
 
 
+def modulate(bits, scheme, nt, constellation):
+    """Map bits to the (n, nt) transmit vectors of either scheme."""
+    if scheme == "sm":
+        ant_idx, sym_idx = sm_map_indices(bits, nt, constellation)
+        return sm_vectors(ant_idx, sym_idx, nt, constellation)
+    if scheme == "smx":
+        return smx_modulate(bits, nt, constellation)
+    raise ConfigurationError(f"unknown scheme {scheme!r}")
+
+
 def sm_modulate(bits, nt, constellation):
     """Map bits to spatial-modulation symbols.
 
@@ -234,11 +245,7 @@ def candidate_vectors(scheme, nt, constellation):
     ``b``; detectors and the union bound all share this ordering.
     """
     m = bits_per_vector(scheme, nt, constellation.order)
-    blocks = indices_to_bits(np.arange(2**m), m)
-    if scheme == "sm":
-        _, vectors = sm_modulate(blocks, nt, constellation)
-        return vectors
-    return smx_modulate(blocks, nt, constellation)
+    return modulate(indices_to_bits(np.arange(2**m), m), scheme, nt, constellation)
 
 
 def ml_detect(y, h, candidates):

@@ -13,6 +13,9 @@ turn, 5 alternating on/off constant-amplitude blocks). The shaped data
 stream is scaled so its peak amplitude equals ``power_factor``; the
 sync pulses stay at the quantizer full scale, which pins the
 peak-to-data amplitude ratio (about 21.1 dB at the default factor).
+
+:func:`build_transmission` runs the whole chain from a bit array:
+modulate, split into frames, assemble.
 """
 
 import json
@@ -21,6 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import modem
 from .errors import (
     ConfigurationError,
     DegenerateInputError,
@@ -40,6 +44,7 @@ __all__ = [
     "build_frame",
     "pulse_shape",
     "assemble_transmission",
+    "build_transmission",
     "quantize_i16",
     "dequantize_i16",
     "write_waveform",
@@ -321,6 +326,27 @@ def assemble_transmission(frames, layout):
         symbol_scale=symbol_scale,
         x_max=x_max,
     )
+
+
+def build_transmission(bits, scheme, nt, constellation, frame_layout, layout):
+    """Modulate bits, split them into frames and assemble the transmission.
+
+    ``bits`` must fill exactly ``layout.n_frames`` frames of
+    ``frame_layout.data_symbols_per_frame`` vectors each; anything else
+    raises :class:`FramingError`.
+    """
+    vectors = modem.modulate(bits, scheme, nt, constellation)
+    per_frame = frame_layout.data_symbols_per_frame
+    if vectors.shape[0] != per_frame * layout.n_frames:
+        raise FramingError(
+            f"{vectors.shape[0]} data vectors do not fill {layout.n_frames} "
+            f"frames of {per_frame}"
+        )
+    frames = [
+        build_frame(vectors[f * per_frame : (f + 1) * per_frame], frame_layout, nt)
+        for f in range(layout.n_frames)
+    ]
+    return assemble_transmission(frames, layout)
 
 
 def quantize_i16(waveform):

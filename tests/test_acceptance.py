@@ -83,14 +83,18 @@ def test_criterion_2_single_stream_coding_gain(capsys):
     scheme (tolerance +-1 dB, >= 1e7 bits per point)."""
     level = 1e-3
     crossings = {}
-    for scheme in ("sm", "smx"):
-        ref = bound_on_grid(scheme, 2, 2, 2, np.arange(34.0, 50.0),
-                            k_db=33.0, n_channels=4000)
-        center = int(np.floor(crossing_snr(np.arange(34.0, 50.0), ref, level)))
-        grid = [center - 1.0, center, center + 1.0, center + 2.0]
-        records = run_sweep(grid, 10_000_000, scheme=scheme, k_factor_db=33.0)
-        assert all(r.bits >= 10_000_000 for r in records)
-        crossings[scheme] = crossing_snr(grid, [r.aber for r in records], level)
+    try:
+        for scheme in ("sm", "smx"):
+            ref = bound_on_grid(scheme, 2, 2, 2, np.arange(34.0, 50.0),
+                                k_db=33.0, n_channels=4000)
+            center = int(np.floor(crossing_snr(np.arange(34.0, 50.0), ref, level)))
+            grid = [center - 1.0, center, center + 1.0, center + 2.0]
+            records = run_sweep(grid, 10_000_000, scheme=scheme, k_factor_db=33.0)
+            assert all(r.bits >= 10_000_000 for r in records)
+            crossings[scheme] = crossing_snr(grid, [r.aber for r in records], level)
+    except AssertionError:  # a curve left its grid: still print the verdict
+        _report(capsys, 2, False)
+        raise
     gap = crossings["sm"] - crossings["smx"]
     ok = abs(gap - 3.0) <= 1.0
     _report(capsys, 2, ok)
@@ -247,11 +251,15 @@ def test_criterion_4_equal_rate_scheme_ordering(capsys):
         "smx4": ("smx", 4, 4),
     }
     crossings, expected = {}, {}
-    for name, (scheme, nt, order) in configs.items():
-        vals = bound_on_grid(scheme, nt, 4, order, grid, n_channels=4000,
-                             seed=101)
-        crossings[name] = crossing_snr(grid, vals, level)
-        expected[name] = _oracle_crossing(scheme, nt, order, 4, level)
+    try:
+        for name, (scheme, nt, order) in configs.items():
+            vals = bound_on_grid(scheme, nt, 4, order, grid, n_channels=4000,
+                                 seed=101)
+            crossings[name] = crossing_snr(grid, vals, level)
+            expected[name] = _oracle_crossing(scheme, nt, order, 4, level)
+    except AssertionError:  # a curve left its grid: still print the verdict
+        _report(capsys, 4, False)
+        raise
 
     problems = []
     for name in configs:

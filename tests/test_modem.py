@@ -1,5 +1,6 @@
 """Tests for bit mapping, constellations and maximum-likelihood detection."""
 
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -228,6 +229,33 @@ class TestMlDetection:
         assert modem.ml_detect(y, h, cands)[0] == 0
         batch = modem.ml_detect_batch(np.zeros((5, 2), dtype=complex), h, cands)
         assert np.array_equal(batch, np.zeros(5))
+
+    def test_sm_kernel_memory_bounded(self):
+        """A 4000-vector call at nt=64, 16-QAM, nr=4 stays under 256 MiB.
+
+        The unchunked kernel built the whole (n, nr, nt, M) difference
+        tensor, 500 MiB here and growing with n.
+        """
+        rng = np.random.default_rng(41)
+        nt, nr, n = 64, 4, 4000
+        c = modem.build_constellation(16)
+        cands = modem.candidate_vectors("sm", nt, c)
+        h = random_channel(rng, nr, nt)
+        sent = rng.integers(len(cands), size=n)
+        noise = 0.3 * (rng.standard_normal((n, nr)) + 1j * rng.standard_normal((n, nr)))
+        y = cands[sent] @ h.T + noise
+        tracemalloc.start()
+        try:
+            det = modem.sm_ml_detect_batch(y, h, c)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 256 * 2**20
+        # the explicit scan walks 1024 candidates a row: check a stride of rows
+        rows = np.r_[np.arange(0, n, 37), n - 1]
+        assert [int(det[i]) for i in rows] == [
+            brute_force_detect(y[i], h, cands) for i in rows
+        ]
 
 
 class TestComplexity:

@@ -242,6 +242,52 @@ class TestAssembleTransmission:
             txchain.assemble_transmission(frames[:1], self.tx_layout)
 
 
+class TestBuildTransmission:
+    tx_layout = txchain.TransmissionLayout(n_frames=3, snr_block_symbols=200)
+
+    @staticmethod
+    def per_frame_loop(bits, scheme, nt, c, layout, tx_layout):
+        """Reference: modulate and frame each bit chunk on its own."""
+        per_frame = modem.bits_per_vector(scheme, nt, c.order) * layout.data_symbols_per_frame
+        frames = []
+        for f in range(tx_layout.n_frames):
+            chunk = bits[f * per_frame : (f + 1) * per_frame]
+            if scheme == "sm":
+                _, vectors = modem.sm_modulate(chunk, nt, c)
+            else:
+                vectors = modem.smx_modulate(chunk, nt, c)
+            frames.append(txchain.build_frame(vectors, layout, nt))
+        return txchain.assemble_transmission(frames, tx_layout)
+
+    @pytest.mark.parametrize("scheme,nt,order,data_symbols", [
+        ("sm", 2, 2, 1000), ("sm", 4, 4, 1000), ("smx", 4, 16, 500),
+    ])
+    def test_matches_per_frame_loop(self, scheme, nt, order, data_symbols):
+        c = modem.build_constellation(order)
+        layout = txchain.FrameLayout(data_symbols_per_frame=data_symbols)
+        n_bits = modem.bits_per_vector(scheme, nt, order) * data_symbols * 3
+        bits = np.random.default_rng(17).integers(0, 2, n_bits).astype(np.uint8)
+        tx = txchain.build_transmission(bits, scheme, nt, c, layout, self.tx_layout)
+        ref = self.per_frame_loop(bits, scheme, nt, c, layout, self.tx_layout)
+        assert np.array_equal(tx.samples, ref.samples)
+        assert tx.sections == ref.sections
+        assert tx.symbol_scale == ref.symbol_scale
+
+    @pytest.mark.parametrize("n_vectors", [2999, 2000, 4000])
+    def test_bits_must_fill_the_frames(self, n_vectors):
+        c = modem.build_constellation(2)
+        bits = np.zeros(2 * n_vectors, dtype=np.uint8)
+        with pytest.raises(FramingError):
+            txchain.build_transmission(
+                bits, "sm", 2, c, txchain.FrameLayout(), self.tx_layout
+            )
+
+    def test_unknown_scheme(self):
+        c = modem.build_constellation(2)
+        with pytest.raises(ConfigurationError):
+            modem.modulate(np.zeros(2, dtype=np.uint8), "osm", 2, c)
+
+
 class TestQuantization:
     def test_roundtrip_within_half_lsb(self):
         rng = np.random.default_rng(33)
