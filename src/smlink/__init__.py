@@ -10,6 +10,7 @@ Modules:
 * :mod:`smlink.analysis` -- ABER union bound, Rice fitting, CDF tools.
 * :mod:`smlink.harness`  -- Monte Carlo driver, configs, CSV persistence.
 * :mod:`smlink.kernels`  -- chunked numpy ML detection kernels.
+* :mod:`smlink.fileio`   -- the JSON reader and field checker.
 """
 
 __version__ = "0.1.0"

@@ -13,7 +13,6 @@ Subcommands:
 """
 
 import argparse
-import csv
 import json
 import sys
 from pathlib import Path
@@ -23,12 +22,16 @@ import numpy as np
 from . import __version__, analysis, harness, modem, rxchain, txchain
 from .channel import FadingModel, imbalance_profile
 from .errors import ConfigurationError, SmlinkError
+from .fileio import build, check_fields, read_json
 
 BOUND_COLUMNS = ("snr_db", "aber_bound", "n_h", "scheme", "nt", "nr", "m")
-
-
-def _fmt(value):
-    return f"{value:.10g}" if isinstance(value, float) else str(value)
+COMPLEXITY_COLUMNS = ("nt", "nr", "m", "sm_mults", "smx_mults", "reduction_percent")
+PLOT_COLUMNS = ("figure", "curve", "kind", "snr_db", "aber", "bits", "bit_errors")
+_BOUND_FIELDS = {"scheme": str, "nt": int, "nr": int, "modulation_order": int,
+                 "snr_grid_db": tuple, "k_factor_db": float, "pi_profile": str,
+                 "n_channels": int, "seed": int}
+_CHAIN_FIELDS = {"scheme": str, "nt": int, "modulation_order": int,
+                 "frame_layout": dict, "transmission_layout": dict}
 
 
 def _cmd_simulate(args):
@@ -41,42 +44,22 @@ def _cmd_simulate(args):
     print(f"wrote {path}")
 
 
-def _load_bound_config(path):
-    data = json.loads(Path(path).read_text())
-    required = {"scheme", "nt", "nr", "modulation_order", "snr_grid_db"}
-    missing = sorted(required - data.keys())
-    if missing:
-        raise ConfigurationError(f"bound config missing: {', '.join(missing)}")
-    k_db = data.get("k_factor_db")
-    fading = FadingModel(float("-inf") if k_db is None else float(k_db))
-    imbalance = imbalance_profile(data.get("pi_profile", "none"), data["nr"], data["nt"])
-    cfg = analysis.BoundConfig(
-        scheme=data["scheme"],
-        nt=data["nt"],
-        nr=data["nr"],
-        modulation_order=data["modulation_order"],
-        fading=fading,
-        imbalance=imbalance,
-        snr_grid_db=tuple(data["snr_grid_db"]),
-        n_channels=int(data.get("n_channels", 10_000)),
-    )
-    return cfg, int(data.get("seed", 0))
-
-
-def _write_bound_csv(path, cfg, values):
-    m = modem.bits_per_vector(cfg.scheme, cfg.nt, cfg.modulation_order)
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(BOUND_COLUMNS)
-        for snr, val in zip(cfg.snr_grid_db, values):
-            writer.writerow([_fmt(float(snr)), _fmt(float(val)), cfg.n_channels,
-                             cfg.scheme, cfg.nt, cfg.nr, m])
-
-
 def _cmd_bound(args):
-    cfg, seed = _load_bound_config(args.config)
-    values = analysis.union_bound_aber(cfg, rng=np.random.default_rng(seed))
-    _write_bound_csv(args.out, cfg, values)
+    data = check_fields(read_json(args.config, "bound config"), _BOUND_FIELDS,
+                        ("scheme", "nt", "nr", "modulation_order", "snr_grid_db"),
+                        "bound config")
+    cfg = analysis.BoundConfig(
+        scheme=data["scheme"], nt=data["nt"], nr=data["nr"],
+        modulation_order=data["modulation_order"],
+        fading=FadingModel(float(data.get("k_factor_db", float("-inf")))),
+        imbalance=imbalance_profile(data.get("pi_profile", "none"), data["nr"], data["nt"]),
+        snr_grid_db=data["snr_grid_db"], n_channels=data.get("n_channels", 10_000),
+    )
+    values = analysis.union_bound_aber(cfg, rng=np.random.default_rng(data.get("seed", 0)))
+    m = modem.bits_per_vector(cfg.scheme, cfg.nt, cfg.modulation_order)
+    rows = ([float(snr), float(val), cfg.n_channels, cfg.scheme, cfg.nt, cfg.nr, m]
+            for snr, val in zip(cfg.snr_grid_db, values))
+    harness.write_csv(args.out, BOUND_COLUMNS, rows)
     for snr, val in zip(cfg.snr_grid_db, values):
         print(f"snr={snr:g} dB  bound={val:.4e}")
     print(f"wrote {args.out}")
@@ -91,21 +74,19 @@ def _cmd_complexity(args):
               f"{rep.sm_real_multiplications}  {rep.smx_real_multiplications}  "
               f"{float(pct):.4f} (= {pct})")
     if args.out:
-        with Path(args.out).open("w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["nt", "nr", "m", "sm_mults", "smx_mults",
-                             "reduction_percent"])
-            for rep in rows:
-                writer.writerow([
-                    rep.nt, rep.nr, rep.bits_per_symbol,
-                    rep.sm_real_multiplications, rep.smx_real_multiplications,
-                    _fmt(float(rep.relative_reduction_percent)),
-                ])
+        harness.write_csv(args.out, COMPLEXITY_COLUMNS, (
+            [rep.nt, rep.nr, rep.bits_per_symbol, rep.sm_real_multiplications,
+             rep.smx_real_multiplications, float(rep.relative_reduction_percent)]
+            for rep in rows
+        ))
         print(f"wrote {args.out}")
 
 
 def _cmd_fit_channel(args):
-    samples = np.loadtxt(args.samples).reshape(-1)
+    try:
+        samples = np.loadtxt(args.samples).reshape(-1)
+    except ValueError as exc:
+        raise ConfigurationError(f"samples file {args.samples}: {exc}") from exc
     fit = analysis.fit_rician(samples)
     payload = {
         "k_factor_db": fit.k_factor_db,
@@ -121,17 +102,6 @@ def _cmd_fit_channel(args):
     print(f"wrote {args.out}")
 
 
-def _load_chain_config(path):
-    data = json.loads(Path(path).read_text())
-    for key in ("scheme", "nt", "modulation_order"):
-        if key not in data:
-            raise ConfigurationError(f"chain config missing field {key!r}")
-    frame_layout = txchain.FrameLayout(**data.get("frame_layout", {}))
-    tx_layout = txchain.TransmissionLayout(**data.get("transmission_layout", {}))
-    return data["scheme"], int(data["nt"]), int(data["modulation_order"]), \
-        frame_layout, tx_layout
-
-
 def _read_bit_file(path, n_bits):
     packed = np.fromfile(path, dtype=np.uint8)
     bits = np.unpackbits(packed)
@@ -143,7 +113,12 @@ def _read_bit_file(path, n_bits):
 
 
 def _cmd_encode(args):
-    scheme, nt, order, frame_layout, tx_layout = _load_chain_config(args.config)
+    data = check_fields(read_json(args.config, "chain config"), _CHAIN_FIELDS,
+                        ("scheme", "nt", "modulation_order"), "chain config")
+    scheme, nt, order = data["scheme"], data["nt"], data["modulation_order"]
+    frame_layout = build(txchain.FrameLayout, data.get("frame_layout", {}), "frame_layout")
+    tx_layout = build(txchain.TransmissionLayout, data.get("transmission_layout", {}),
+                      "transmission_layout")
     constellation = modem.build_constellation(order)
     m = modem.bits_per_vector(scheme, nt, order)
     n_bits = m * frame_layout.data_symbols_per_frame * tx_layout.n_frames
@@ -159,12 +134,10 @@ def _cmd_encode(args):
 
 
 def _cmd_decode(args):
-    meta = json.loads(Path(args.meta).read_text())
+    meta, frame_layout, tx_layout = txchain.read_sidecar(args.meta)
     for key in ("scheme", "modulation_order"):
         if key not in meta:
             raise ConfigurationError(f"sidecar missing field {key!r}")
-    frame_layout = txchain.FrameLayout(**meta["frame_layout"])
-    tx_layout = txchain.TransmissionLayout(**meta["transmission_layout"])
     constellation = modem.build_constellation(meta["modulation_order"])
     streams = np.stack([
         txchain.dequantize_i16(np.fromfile(p, dtype="<i2")) for p in args.capture
@@ -243,8 +216,6 @@ _FIGURES = {
 
 def _cmd_plotdata(args):
     recipe = _FIGURES[args.figure]
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     trials = 2 if args.quick else args.trials
     n_channels = 500 if args.quick else 5000
     rows = []
@@ -255,8 +226,7 @@ def _cmd_plotdata(args):
             target_bit_errors=100, master_seed=args.seed, **params,
         )
         for record in harness.run_symbol_sim(config):
-            rows.append([args.figure, label, "sim",
-                         _fmt(record.snr_db_target), _fmt(record.aber),
+            rows.append([args.figure, label, "sim", record.snr_db_target, record.aber,
                          record.bits, record.bit_errors])
         if recipe["bound"]:
             bound_cfg = analysis.BoundConfig(
@@ -271,14 +241,9 @@ def _cmd_plotdata(args):
             for snr, val in zip(recipe["grid"], values):
                 # Reporting layer clips the bound at the 0.5 ceiling.
                 rows.append([args.figure, label, "bound",
-                             _fmt(float(snr)), _fmt(min(float(val), 0.5)), "", ""])
+                             float(snr), min(float(val), 0.5), None, None])
         print(f"{args.figure}: finished curve {label}", flush=True)
-    out = out_dir / f"{args.figure}.csv"
-    with out.open("w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["figure", "curve", "kind", "snr_db", "aber",
-                         "bits", "bit_errors"])
-        writer.writerows(rows)
+    out = harness.write_csv(Path(args.out_dir) / f"{args.figure}.csv", PLOT_COLUMNS, rows)
     print(f"wrote {out}  ({recipe['description']})")
 
 
@@ -346,7 +311,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         args.func(args)
-    except SmlinkError as exc:
+    except (SmlinkError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

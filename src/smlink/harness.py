@@ -12,9 +12,10 @@ Experiments sweep an SNR grid at one of two fidelities:
 Each (SNR point, trial) pair owns an independent RNG seeded from
 (master_seed, round(1000*snr_db), trial), so results are reproducible,
 common random numbers are shared across schemes, and trials could be
-distributed without changing any number. Trials run until the error
-target is met or the trial cap is reached. Records export to a fixed,
-versioned CSV schema with deterministic formatting.
+distributed without changing any number; a negative SNR key k becomes
+2**64 - k, which no key below 2**32 (4e6 dB) matches in SeedSequence.
+Trials run until the error target is met or the trial cap is reached.
+Records export to a fixed, versioned CSV schema.
 """
 
 import csv
@@ -26,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import channel as channel_mod
-from . import modem, rxchain, txchain
+from . import fileio, modem, rxchain, txchain
 from .errors import ConfigurationError, SyncRejection
 
 __all__ = [
@@ -38,6 +39,7 @@ __all__ = [
     "run_symbol_sim",
     "run_waveform_sim",
     "export_csv",
+    "write_csv",
     "read_csv",
     "save_config",
     "load_config",
@@ -163,7 +165,8 @@ class BerRecord:
 
 
 def _trial_rng(master_seed, snr_db, trial):
-    key = (int(master_seed), int(round(1000.0 * float(snr_db))), int(trial))
+    snr_key = int(round(1000.0 * float(snr_db)))
+    key = (int(master_seed), snr_key if snr_key >= 0 else 2**64 - snr_key, int(trial))
     return np.random.default_rng(np.random.SeedSequence(key))
 
 
@@ -339,42 +342,24 @@ def _new_record(config, snr_db):
 def _format_cell(value):
     if value is None:
         return ""
-    if isinstance(value, float):
-        if math.isnan(value):
-            return "nan"
-        if math.isinf(value):
-            return "inf" if value > 0 else "-inf"
-        return f"{value:.10g}"
-    return str(value)
+    return f"{value:.10g}" if isinstance(value, float) else str(value)
 
 
-def export_csv(records, path):
-    """Write records to the fixed, versioned CSV schema."""
+def write_csv(path, columns, rows):
+    """Write ``columns`` and ``rows`` as CSV, creating the parent directory."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CSV_COLUMNS)
-        for r in records:
-            row = {
-                "schema_version": CSV_SCHEMA_VERSION,
-                "scheme": r.scheme,
-                "fidelity": r.fidelity,
-                "nt": r.nt,
-                "nr": r.nr,
-                "m": r.m,
-                "k_factor_db": r.k_factor_db,
-                "pi_profile": r.pi_profile,
-                "snr_db_target": r.snr_db_target,
-                "snr_db_estimated": r.snr_db_estimated,
-                "bits": r.bits,
-                "bit_errors": r.bit_errors,
-                "aber": r.aber,
-                "rejected_vectors": r.rejected_vectors,
-                "seed": r.seed,
-            }
-            writer.writerow([_format_cell(row[c]) for c in CSV_COLUMNS])
+        writer.writerow(columns)
+        writer.writerows([_format_cell(v) for v in row] for row in rows)
     return path
+
+
+def export_csv(records, path):
+    """Write records to the fixed, versioned CSV schema."""
+    rows = ([CSV_SCHEMA_VERSION] + [getattr(r, c) for c in CSV_COLUMNS[1:]] for r in records)
+    return write_csv(path, CSV_COLUMNS, rows)
 
 
 def read_csv(path):
@@ -417,21 +402,4 @@ def save_config(config, path):
 
 def load_config(path):
     """Parse a SimConfig from JSON with named schema errors."""
-    try:
-        data = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigurationError(f"config is not valid JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ConfigurationError("config must be a JSON object")
-    required = {"scheme", "nt", "nr", "modulation_order", "snr_grid_db"}
-    missing = sorted(required - data.keys())
-    if missing:
-        raise ConfigurationError(f"config missing required field(s): {', '.join(missing)}")
-    valid = {f for f in SimConfig.__dataclass_fields__}
-    unknown = sorted(data.keys() - valid)
-    if unknown:
-        raise ConfigurationError(f"config has unknown field(s): {', '.join(unknown)}")
-    if data.get("k_factor_db") is None:
-        data["k_factor_db"] = float("-inf")
-    data["snr_grid_db"] = tuple(data["snr_grid_db"])
-    return SimConfig(**data)
+    return fileio.build(SimConfig, fileio.read_json(path, "config"), "config")

@@ -295,6 +295,9 @@ def sm_ml_detect_batch(y, h, constellation):
 
 def receiver_complexity(scheme, nt, nr, bits_per_symbol):
     """Real multiplications per detected symbol of the ML receiver."""
+    if nt < 1 or nt & (nt - 1) or nr < 1 or bits_per_symbol < 1:
+        raise ConfigurationError(
+            f"need power-of-two nt, nr >= 1, m >= 1; got {nt}, {nr}, {bits_per_symbol}")
     if scheme == "sm":
         return 8 * nr * 2**bits_per_symbol
     if scheme == "smx":

@@ -32,6 +32,7 @@ from .errors import (
     FramingError,
     RangeError,
 )
+from .fileio import build, check_fields, read_json
 
 __all__ = [
     "FrameLayout",
@@ -48,11 +49,15 @@ __all__ = [
     "quantize_i16",
     "dequantize_i16",
     "write_waveform",
+    "read_sidecar",
     "read_waveform",
 ]
 
 FULL_SCALE = 32767
 SIDECAR_SCHEMA_VERSION = "1"
+# Sidecar keys the readers check (``cli encode`` adds the last two); others pass.
+_SIDECAR_FIELDS = {"nt": int, "symbol_scale": float, "files": list, "frame_layout": dict,
+                   "transmission_layout": dict, "scheme": str, "modulation_order": int}
 _COHERENCE_LIMIT_S = 7e-3
 
 
@@ -405,14 +410,21 @@ def write_waveform(prefix, tx, extra_meta=None):
     return sidecar
 
 
+def read_sidecar(sidecar_path):
+    """Check a sidecar and its two layouts; returns ``(meta, frame_layout, layout)``."""
+    meta = read_json(sidecar_path, "sidecar")
+    if meta.get("schema_version") != SIDECAR_SCHEMA_VERSION:
+        raise ConfigurationError(f"unsupported sidecar schema {meta.get('schema_version')!r}")
+    check_fields({k: v for k, v in meta.items() if k in _SIDECAR_FIELDS}, _SIDECAR_FIELDS,
+                 ("nt", "files", "frame_layout", "transmission_layout"), "sidecar")
+    return (meta, build(FrameLayout, meta["frame_layout"], "frame_layout"),
+            build(TransmissionLayout, meta["transmission_layout"], "transmission_layout"))
+
+
 def read_waveform(sidecar_path):
     """Load a sidecar plus its I16 files back into complex streams."""
     sidecar_path = Path(sidecar_path)
-    meta = json.loads(sidecar_path.read_text())
-    if meta.get("schema_version") != SIDECAR_SCHEMA_VERSION:
-        raise ConfigurationError(
-            f"unsupported sidecar schema {meta.get('schema_version')!r}"
-        )
+    meta = read_sidecar(sidecar_path)[0]
     streams = []
     for name in meta["files"]:
         codes = np.fromfile(sidecar_path.parent / name, dtype="<i2")

@@ -1,15 +1,115 @@
 """End-to-end tests of the command-line interface."""
 
+import contextlib
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from smlink import analysis, channel, cli, harness, modem
 
 
 def run_cli(*argv):
     return cli.main([str(a) for a in argv])
+
+
+BOUND = {"scheme": "sm", "nt": 2, "nr": 2, "modulation_order": 2, "snr_grid_db": [10.0],
+         "n_channels": 10}
+SIM = {"scheme": "sm", "nt": 2, "nr": 2, "modulation_order": 2, "snr_grid_db": [10.0],
+       "bits_per_trial": 200, "trials_per_snr": 1}
+CHAIN = {"scheme": "sm", "nt": 2, "modulation_order": 2,
+         "transmission_layout": {"n_frames": 1, "snr_block_symbols": 50}}
+
+
+def _write(path, payload):
+    path.write_text(payload if isinstance(payload, str) else json.dumps(payload))
+    return path
+
+
+def _bound(tmp, payload):
+    return ["bound", "--config", _write(tmp / "b.json", payload), "--out", tmp / "b.csv"]
+
+
+def _simulate(tmp, payload):
+    return ["simulate", "--config", _write(tmp / "s.json", payload), "--out", tmp / "s.csv"]
+
+
+def _encode(tmp, bits=None, **changes):
+    if bits is None:
+        bits = tmp / "tx.bits"
+        np.packbits(np.zeros(2000, dtype=np.uint8)).tofile(bits)
+    return ["encode", "--config", _write(tmp / "c.json", {**CHAIN, **changes}),
+            "--bits", bits, "--out", tmp / "cap"]
+
+
+def _decode(tmp, mutate=None, capture=None, meta=None):
+    """Encode a one-frame capture, let ``mutate`` edit its sidecar, decode."""
+    assert run_cli(*_encode(tmp)) == 0
+    sidecar = json.loads((tmp / "cap_meta.json").read_text())
+    if mutate:
+        mutate(sidecar)
+    _write(tmp / "cap_meta.json", sidecar)
+    captures = [capture] if capture else [tmp / "cap_ant1.bin", tmp / "cap_ant2.bin"]
+    return ["decode", "--capture", *captures, "--meta", meta or tmp / "cap_meta.json",
+            "--out", tmp / "rx.bits", "--report", tmp / "report.json"]
+
+
+MALFORMED = {
+    "bound-bad-json": lambda t: _bound(t, "{"),
+    "bound-json-list": lambda t: _bound(t, [BOUND]),
+    "bound-k-factor-string": lambda t: _bound(t, {**BOUND, "k_factor_db": "abc"}),
+    "bound-grid-scalar": lambda t: _bound(t, {**BOUND, "snr_grid_db": 10}),
+    "bound-nt-string": lambda t: _bound(t, {**BOUND, "nt": "2"}),
+    "bound-unknown-key": lambda t: _bound(t, {**BOUND, "n_chanels": 10}),
+    "bound-missing-file": lambda t: ["bound", "--config", t / "absent.json",
+                                     "--out", t / "b.csv"],
+    "simulate-nt-string": lambda t: _simulate(t, {**SIM, "nt": "2"}),
+    "simulate-bool-int": lambda t: _simulate(t, {**SIM, "trials_per_snr": True}),
+    "simulate-missing-file": lambda t: ["simulate", "--config", t / "absent.json",
+                                        "--out", t / "s.csv"],
+    "encode-unknown-frame-key": lambda t: _encode(t, frame_layout={"bogus": 1}),
+    "encode-n-frames-string": lambda t: _encode(t, transmission_layout={"n_frames": "x"}),
+    "encode-unknown-key": lambda t: _encode(t, order=2),
+    "encode-missing-bits": lambda t: _encode(t, bits=t / "absent.bits"),
+    "decode-sidecar-without-nt": lambda t: _decode(t, lambda m: m.pop("nt")),
+    "decode-frame-layout-extra-key": lambda t: _decode(
+        t, lambda m: m["frame_layout"].update(bogus=1)),
+    "decode-schema-9": lambda t: _decode(t, lambda m: m.update(schema_version="9")),
+    "decode-binary-sidecar": lambda t: _decode(t, meta=t / "cap_ant1.bin"),
+    "decode-missing-capture": lambda t: _decode(t, capture=t / "absent.bin"),
+    "fit-channel-missing-samples": lambda t: ["fit-channel", "--samples", t / "absent.txt",
+                                              "--out", t / "f.json"],
+    "fit-channel-non-numeric": lambda t: ["fit-channel", "--samples",
+                                          _write(t / "amps.txt", "0.5\nabc\n"),
+                                          "--out", t / "f.json"],
+    "complexity-zero-nr-and-m": lambda t: ["complexity", "--nt", "4",
+                                           "--nr", "0", "--m", "0"],
+    "complexity-zero-nt": lambda t: ["complexity", "--nt", "0"],
+    "complexity-nt-not-power-of-two": lambda t: ["complexity", "--nt", "3"],
+}
+
+
+@pytest.mark.parametrize("make_argv", [pytest.param(f, id=k) for k, f in MALFORMED.items()])
+def test_malformed_input_exits_2_with_one_error_line(tmp_path, capsys, make_argv):
+    argv = make_argv(tmp_path)
+    capsys.readouterr()
+    assert run_cli(*argv) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+@settings(max_examples=30, deadline=None)
+@given(key=st.text(min_size=1).filter(lambda k: k not in cli._BOUND_FIELDS))
+def test_bound_rejects_any_unknown_key(tmp_path_factory, key):
+    tmp = tmp_path_factory.mktemp("bound")
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        assert run_cli(*_bound(tmp, {**BOUND, key: 1})) == 2
+    assert "unknown field(s)" in err.getvalue()
 
 
 class TestComplexityCommand:
@@ -52,6 +152,18 @@ class TestBoundCommand:
             assert float(cells[0]) == snr
             assert float(cells[1]) == pytest.approx(val, rel=1e-9)
             assert cells[2:] == ["400", "sm", "2", "2", "2"]
+
+    def test_int_values_in_float_fields(self, tmp_path):
+        """Ints are accepted where floats are expected and give the same CSV;
+        the writer creates the output directory."""
+        as_float = {**BOUND, "k_factor_db": 33.0, "snr_grid_db": [30.0, 40.0], "seed": 2}
+        as_int = {**as_float, "k_factor_db": 33, "snr_grid_db": [30, 40]}
+        a, b = tmp_path / "float" / "b.csv", tmp_path / "int" / "b.csv"
+        assert run_cli("bound", "--config", _write(tmp_path / "f.json", as_float),
+                       "--out", a) == 0
+        assert run_cli("bound", "--config", _write(tmp_path / "i.json", as_int),
+                       "--out", b) == 0
+        assert a.read_bytes() == b.read_bytes()
 
     def test_missing_fields_fail_with_exit_2(self, tmp_path, capsys):
         cfg_path = tmp_path / "bad.json"

@@ -1,11 +1,15 @@
 """Tests for the Monte Carlo harness: configs, reproducibility, CSV."""
 
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from smlink import harness
+from smlink import harness, modem
 from smlink.errors import ConfigurationError
 
 
@@ -86,6 +90,66 @@ class TestConfigIo:
         path.write_text(json.dumps(good))
         assert harness.load_config(path).snr_grid_db == (10.0,)
 
+    @pytest.mark.parametrize("field, value", [
+        ("nt", "2"), ("nt", 2.0), ("trials_per_snr", True), ("snr_grid_db", 10),
+        ("snr_grid_db", [10, "x"]), ("snr_grid_db", [float("nan")]), ("k_factor_db", "abc"),
+        ("target_bit_errors", 1.5), ("pi_profile", 1),
+    ])
+    def test_wrong_types_named(self, tmp_path, field, value):
+        good = {"scheme": "sm", "nt": 2, "nr": 2, "modulation_order": 2,
+                "snr_grid_db": [10.0]}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**good, field: value}))
+        with pytest.raises(ConfigurationError, match=f"field {field!r} must be"):
+            harness.load_config(path)
+
+    def test_ints_accepted_in_float_fields(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"scheme": "sm", "nt": 2, "nr": 2, "modulation_order": 2,
+                                    "snr_grid_db": [10, 12], "k_factor_db": 33,
+                                    "target_bit_errors": None}))
+        cfg = harness.load_config(path)
+        assert cfg.snr_grid_db == (10.0, 12.0)
+        assert cfg.k_factor_db == 33 and cfg.target_bit_errors is None
+
+    def test_missing_file_is_a_configuration_error(self, tmp_path):
+        with pytest.raises(ConfigurationError, match="cannot read config"):
+            harness.load_config(tmp_path / "absent.json")
+
+
+@st.composite
+def sim_configs(draw):
+    """Any valid SimConfig, Rayleigh (K = -inf) included."""
+    scheme = draw(st.sampled_from(["sm", "smx"]))
+    nt = draw(st.sampled_from([1, 2, 4, 8]))
+    order = draw(st.sampled_from([2, 4, 16]))
+    block = draw(st.integers(1, 2000))
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    return harness.SimConfig(
+        scheme=scheme, nt=nt, nr=draw(st.integers(1, 8)), modulation_order=order,
+        snr_grid_db=tuple(draw(st.lists(finite, min_size=1, max_size=4))),
+        k_factor_db=draw(st.just(float("-inf")) | finite),
+        pi_profile=draw(st.sampled_from(["none", "rx_config_1", "rx_config_2"])),
+        fidelity=draw(st.sampled_from(["symbol", "waveform"])),
+        csi_mode=draw(st.sampled_from(["perfect", "pilot"])),
+        bits_per_trial=modem.bits_per_vector(scheme, nt, order) * block
+        * draw(st.integers(1, 50)),
+        trials_per_snr=draw(st.integers(1, 10**9)),
+        target_bit_errors=draw(st.none() | st.integers(1, 10**9)),
+        master_seed=draw(st.integers(0, 2**128)),
+        fo_cycles_per_sample=draw(finite),
+        block_symbols=block,
+        snr_block_symbols=draw(st.integers(1, 10**6)),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(cfg=sim_configs())
+def test_save_load_roundtrip_property(cfg):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = harness.save_config(cfg, Path(tmp) / "cfg.json")
+        assert harness.load_config(path) == cfg
+
 
 class TestSymbolSim:
     def test_runs_are_deterministic(self):
@@ -103,6 +167,23 @@ class TestSymbolSim:
         full = harness.run_simulation(small_config(snr_grid_db=(8.0, 12.0)))
         only = harness.run_simulation(small_config(snr_grid_db=(12.0,)))
         assert full[1].trial_errors == only[0].trial_errors
+
+    def test_negative_snr_runs_on_its_own_stream(self):
+        cfg = small_config(snr_grid_db=(-2.0, 2.0), trials_per_snr=2)
+        low, high = harness.run_simulation(cfg)
+        assert low.aber > high.aber > 0
+        assert low.trial_errors != high.trial_errors
+        draws = [harness._trial_rng(4, snr, 0).integers(0, 2**62, 8)
+                 for snr in (-2.0, 2.0, 0.0)]
+        assert not np.array_equal(draws[0], draws[1])
+        assert not np.array_equal(draws[0], draws[2])
+
+    def test_non_negative_seed_keys_unchanged(self):
+        """Published seeds: (master, round(1000*snr_db), trial) as before."""
+        for snr, key in ((0.0, 0), (2.0, 2000), (10.25, 10250)):
+            expected = np.random.default_rng(np.random.SeedSequence((7, key, 3)))
+            assert np.array_equal(harness._trial_rng(7, snr, 3).integers(0, 2**62, 8),
+                                  expected.integers(0, 2**62, 8))
 
     def test_huge_snr_is_error_free(self):
         cfg = small_config(snr_grid_db=(200.0,), bits_per_trial=10_000,
@@ -196,6 +277,11 @@ class TestCsv:
         # byte-identical on a rerun of the same campaign
         p2 = harness.export_csv(harness.run_simulation(cfg), tmp_path / "b.csv")
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_write_csv_cell_format(self, tmp_path):
+        path = harness.write_csv(tmp_path / "new" / "t.csv", ("a", "b", "c", "d", "e", "f"),
+                                 [[None, float("nan"), float("inf"), -float("inf"), 1 / 3, 7]])
+        assert path.read_text() == "a,b,c,d,e,f\n,nan,inf,-inf,0.3333333333,7\n"
 
     def test_rayleigh_k_written_as_minus_inf(self, tmp_path):
         records = harness.run_simulation(small_config(trials_per_snr=1))

@@ -282,3 +282,9 @@ class TestComplexity:
     def test_unknown_scheme(self):
         with pytest.raises(ConfigurationError):
             modem.receiver_complexity("osm", 2, 2, 2)
+
+    @pytest.mark.parametrize("nt, nr, m", [(0, 2, 4), (3, 2, 4), (-4, 2, 4),
+                                           (4, 0, 4), (4, 2, 0)])
+    def test_bad_sizes_rejected(self, nt, nr, m):
+        with pytest.raises(ConfigurationError):
+            modem.complexity_report(nt, nr, m)
