@@ -120,6 +120,8 @@ class BoundConfig:
     n_channels: int = 10_000
 
     def __post_init__(self):
+        if self.nr < 1:
+            raise ConfigurationError("nr must be >= 1")
         if self.n_channels < 1:
             raise ConfigurationError("n_channels must be >= 1")
         grid = tuple(float(s) for s in self.snr_grid_db)

@@ -131,6 +131,11 @@ def draw_channel(nr, nt, fading, imbalance=None, rng=None):
     return draw_channels(1, nr, nt, fading, imbalance, rng)[0]
 
 
+def _interleaved_normal(rng, shape):
+    """Complex array whose (re, im) pairs are one (*shape, 2) standard normal draw."""
+    return rng.standard_normal(shape + (2,)).view(np.complex128)[..., 0]
+
+
 def draw_channels(n, nr, nt, fading, imbalance=None, rng=None):
     """Draw an (n, nr, nt) stack of independent channel matrices."""
     if rng is None:
@@ -139,18 +144,20 @@ def draw_channels(n, nr, nt, fading, imbalance=None, rng=None):
         raise DimensionError(
             f"imbalance profile shape {imbalance.shape} does not match ({nr}, {nt})"
         )
-    w = rng.standard_normal((n, nr, nt, 2))
-    diffuse = (w[..., 0] + 1j * w[..., 1]) / np.sqrt(2.0)
-    h = fading.los_amplitude + fading.diffuse_std * diffuse
+    h = _interleaved_normal(rng, (n, nr, nt))
+    h /= np.sqrt(2.0)
+    h *= fading.diffuse_std
+    h += fading.los_amplitude
     if imbalance is not None:
-        h = h * imbalance.amplitude_scale()[None, :, :]
+        h *= imbalance.amplitude_scale()[None, :, :]
     return h
 
 
 def awgn(shape, noise_var, rng):
     """Circular complex Gaussian noise with total variance noise_var."""
-    w = rng.standard_normal(shape + (2,))
-    return np.sqrt(noise_var / 2.0) * (w[..., 0] + 1j * w[..., 1])
+    w = _interleaved_normal(rng, shape)
+    w *= np.sqrt(noise_var / 2.0)
+    return w
 
 
 def propagate_symbols(vectors, h, noise_var, rng):

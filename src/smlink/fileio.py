@@ -7,7 +7,7 @@ from pathlib import Path
 
 from .errors import ConfigurationError
 
-_KINDS = {int: "an integer", float: "a number", tuple: "a list of finite numbers"}
+_KINDS = {int: "an integer", float: "a finite number", tuple: "a list of finite numbers"}
 
 
 def read_json(path, what):
@@ -25,17 +25,18 @@ def read_json(path, what):
 
 def _accepts(kind, value):
     if kind is tuple:
-        return isinstance(value, list) and all(
-            _accepts(float, v) and math.isfinite(v) for v in value)
-    kind = (int, float) if kind is float else kind
+        return isinstance(value, list) and all(_accepts(float, v) for v in value)
+    if kind is float:
+        return _accepts(int, value) or (isinstance(value, float) and math.isfinite(value))
     return isinstance(value, kind) and not isinstance(value, bool)
 
 
 def check_fields(data, kinds, required, what):
     """Check a JSON object against a name -> type table; returns the values.
 
-    A float field takes an int, a ``tuple`` field a list of finite numbers,
-    and a null ``k_factor_db`` means Rayleigh (as ``save_config`` writes it).
+    A float field takes a finite number (an int too; NaN and infinities
+    are refused), a ``tuple`` field a list of finite numbers, and a null
+    ``k_factor_db`` means Rayleigh (as ``save_config`` writes it).
     """
     for problem, names in (("missing required", set(required) - data.keys()),
                            ("has unknown", data.keys() - kinds.keys())):

@@ -97,6 +97,8 @@ class SimConfig:
             raise ConfigurationError(f"fidelity must be one of {_FIDELITIES}")
         if self.csi_mode not in _CSI_MODES:
             raise ConfigurationError(f"csi_mode must be one of {_CSI_MODES}")
+        if self.nr < 1:
+            raise ConfigurationError("nr must be >= 1")
         if not self.snr_grid_db:
             raise ConfigurationError("snr_grid_db must be nonempty")
         object.__setattr__(self, "snr_grid_db", tuple(float(s) for s in self.snr_grid_db))

@@ -274,8 +274,10 @@ def ml_detect_batch(y, h, candidates):
 def sm_ml_detect(y, h, constellation):
     """Single-stream ML detector specialised to one active antenna.
 
-    Scans metric sum_r |y_r - h[r, a] s|^2 over antennas (outer) and
-    points (inner); ties resolve to the lowest (antenna, point) pair.
+    Minimises sum_r |y_r - h[r, a] s|^2 over the nt * M single-antenna
+    images h[:, a] * s, built straight from the channel columns and
+    searched by the shared metric kernel of :mod:`smlink.kernels` in flat
+    order a * M + p, so ties resolve to the lowest (antenna, point) pair.
     Returns an :class:`SmSymbol`.
     """
     flat = int(sm_ml_detect_batch(np.asarray(y)[None, :], h, constellation)[0])

@@ -66,8 +66,12 @@ MALFORMED = {
     "bound-unknown-key": lambda t: _bound(t, {**BOUND, "n_chanels": 10}),
     "bound-missing-file": lambda t: ["bound", "--config", t / "absent.json",
                                      "--out", t / "b.csv"],
+    "bound-zero-nr": lambda t: _bound(t, {**BOUND, "nr": 0}),
     "simulate-nt-string": lambda t: _simulate(t, {**SIM, "nt": "2"}),
     "simulate-bool-int": lambda t: _simulate(t, {**SIM, "trials_per_snr": True}),
+    "simulate-zero-nr": lambda t: _simulate(t, {**SIM, "nr": 0}),
+    "simulate-k-factor-nan": lambda t: _simulate(t, {**SIM, "k_factor_db": float("nan")}),
+    "simulate-fo-infinity": lambda t: _simulate(t, {**SIM, "fo_cycles_per_sample": float("inf")}),
     "simulate-missing-file": lambda t: ["simulate", "--config", t / "absent.json",
                                         "--out", t / "s.csv"],
     "encode-unknown-frame-key": lambda t: _encode(t, frame_layout={"bogus": 1}),
