@@ -8,13 +8,20 @@ Monte Carlo channel draws. ``gamma_ex`` is half the linear SNR under
 unit-energy transmit vectors and a unit-power reference path.
 
 Also provided: a maximum-likelihood Rice amplitude fit with a
-chi-squared goodness-of-fit test, and an empirical CDF helper.
+chi-squared goodness-of-fit test, and an empirical CDF helper. The fit
+solves the one-dimensional profile score in nu (sigma follows from nu
+through the second moment) by a coarse K grid and ``brentq``, and takes
+the global likelihood maximum among its roots and the Rayleigh boundary
+nu = 0, which it reports as K = -inf dB. ``RicianFit.iterations`` counts
+score evaluations, ``max_iterations`` caps them, and
+``RicianFit.converged`` says whether every root refinement finished.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import special, stats
+from scipy import optimize, special, stats
 
 from . import channel as channel_mod
 from . import modem
@@ -144,7 +151,13 @@ def union_bound_aber(config, rng=None):
 
 @dataclass(frozen=True)
 class RicianFit:
-    """Rice amplitude fit: K factor, fitted parameters and GOF p-value."""
+    """Rice amplitude fit: K factor, fitted parameters and GOF p-value.
+
+    ``k_factor_db`` is -inf and ``nu`` 0 when the Rayleigh boundary is
+    the maximum-likelihood answer. ``iterations`` counts score
+    evaluations; ``converged`` is False when the evaluation cap cut a
+    root refinement short.
+    """
 
     k_factor_db: float
     mean_amplitude: float
@@ -152,16 +165,62 @@ class RicianFit:
     sigma: float
     gof_p_value: float
     iterations: int
+    converged: bool
 
 
-def fit_rician(amplitude_samples, tol=1e-9, max_iterations=2000, gof_bins=20):
+# Coarse K grid (dB) on which the score's sign changes are found. It is
+# extended in 30 dB steps downwards while the score is negative (a root
+# may lie between the boundary and the grid) and upwards while positive.
+_K_GRID_DB = np.linspace(-30.0, 60.0, 7)
+_K_STEP_DB = 30.0
+_K_FLOOR_DB = -90.0
+_K_CEILING_DB = 300.0
+
+
+def _rice_curve(k_db):
+    """(nu, sigma^2) at K dB on the unit-power curve nu^2 + 2 sigma^2 = 1."""
+    k = 10.0 ** (k_db / 10.0)
+    return math.sqrt(k / (1.0 + k)), 0.5 / (1.0 + k)
+
+
+def _rice_log_likelihood(u, nu, sigma_sq):
+    """Mean Rice log-likelihood of the samples ``u``, less mean(log u).
+
+    log I0(r) = log i0e(r) + r, and r - (u^2 + nu^2) / (2 sigma^2) is
+    -(u - nu)^2 / (2 sigma^2), which does not cancel at large K.
+    """
+    r = u * (nu / sigma_sq)
+    return float(np.mean(np.log(special.i0e(r)) - (u - nu) ** 2 / (2.0 * sigma_sq))
+                 - np.log(sigma_sq))
+
+
+def fit_rician(amplitude_samples, tol=1e-9, max_iterations=200, gof_bins=20):
     """Maximum-likelihood Rice fit of nonnegative amplitude samples.
 
-    Solves the ML stationarity conditions by fixed-point iteration on
-    (nu, sigma) to ``tol``, reports K = nu^2 / (2 sigma^2) in dB, and
-    attaches a chi-squared goodness-of-fit p-value computed from
-    ``gof_bins`` equal-probability bins of the fitted distribution
-    (bins merged if an expected count would fall below 5).
+    The samples are scaled to unit RMS (divided by their maximum first,
+    so no square overflows); the answer does not depend on their unit.
+    At a stationary point of the likelihood sigma^2 = (1 - nu^2) / 2, so
+    one score equation in nu is left (Talukdar & Lawing, JASA 1991;
+    Koay & Basser, J. Magn. Reson. 2006):
+
+        s(nu) = mean(u I1(u nu / sigma^2) / I0(u nu / sigma^2)) - nu,
+
+    whose sign is the sign of the log-likelihood's slope along that
+    curve. It is parametrised by K = nu^2 / (2 sigma^2) in dB. Each
+    change of sign from + to - on a coarse K grid is refined with
+    ``scipy.optimize.brentq`` to ``tol`` dB (K in dB is unit-free; nu and
+    sigma then hold to about 0.12 * tol relative), and the candidate with
+    the largest log-likelihood is returned. The boundary nu = 0, where
+    the Rayleigh ML sigma^2 is 1 / 2, is always a candidate: s vanishes
+    there like nu^3, and when the boundary wins the fit reports
+    K = -inf dB as its answer, not as a failure.
+
+    ``max_iterations`` caps the score evaluations (the coarse grid, 7 to
+    17 of them, is always evaluated in full) and ``iterations`` counts
+    them; ``converged`` is False when the cap cut a refinement short.
+    The p-value is a chi-squared goodness-of-fit test over ``gof_bins``
+    equal-probability bins of the fitted distribution (merged while an
+    expected count would fall below 5).
     """
     x = np.asarray(amplitude_samples, dtype=np.float64)
     if x.ndim != 1 or x.size < 1000:
@@ -170,32 +229,54 @@ def fit_rician(amplitude_samples, tol=1e-9, max_iterations=2000, gof_bins=20):
         raise DegenerateInputError("amplitude samples must be finite and >= 0")
     if np.ptp(x) == 0.0:
         raise DegenerateInputError("samples are all equal; no distribution to fit")
+    if not tol > 0 or max_iterations < 1:
+        raise ConfigurationError("tol must be > 0 and max_iterations >= 1")
 
-    power = float(np.mean(x**2))
-    nu = float(np.mean(x))
-    sigma_sq = max((power - nu**2) / 2.0, 1e-300)
-    iterations = 0
-    for iterations in range(1, max_iterations + 1):
-        r = x * nu / sigma_sq
+    peak = float(x.max())
+    scale = peak * float(np.sqrt(np.mean((x / peak) ** 2)))
+    u = x / scale
+    evaluations = 0
+
+    def score(k_db):
+        nonlocal evaluations
+        evaluations += 1
+        nu, sigma_sq = _rice_curve(k_db)
+        r = u * (nu / sigma_sq)
         # i1e/i0e keeps the Bessel ratio finite for large arguments.
-        ratio = special.i1e(r) / special.i0e(r)
-        nu_new = float(np.mean(x * ratio))
-        sigma_sq_new = max((power - nu_new**2) / 2.0, 1e-300)
-        moved = max(abs(nu_new - nu), abs(np.sqrt(sigma_sq_new) - np.sqrt(sigma_sq)))
-        nu, sigma_sq = nu_new, sigma_sq_new
-        if moved < tol:
-            break
-    sigma = float(np.sqrt(sigma_sq))
-    k_linear = nu**2 / (2.0 * sigma_sq)
-    k_db = float(10.0 * np.log10(k_linear)) if k_linear > 0 else float("-inf")
-    p_value = _rice_gof_p_value(x, nu, sigma, gof_bins)
+        return float(np.mean(u * (special.i1e(r) / special.i0e(r)))) - nu
+
+    grid = list(_K_GRID_DB)
+    values = [score(k) for k in grid]
+    while values[0] < 0 and grid[0] > _K_FLOOR_DB:
+        grid.insert(0, grid[0] - _K_STEP_DB)
+        values.insert(0, score(grid[0]))
+    while values[-1] > 0 and grid[-1] < _K_CEILING_DB:
+        grid.append(grid[-1] + _K_STEP_DB)
+        values.append(score(grid[-1]))
+
+    candidates = [float("-inf")]
+    converged = True
+    for lo, hi, s_lo, s_hi in zip(grid, grid[1:], values, values[1:]):
+        if not s_lo > 0 >= s_hi:
+            continue
+        # brentq evaluates both ends again before it iterates.
+        k_db, result = optimize.brentq(
+            score, lo, hi, xtol=tol, maxiter=max(max_iterations - evaluations - 2, 0),
+            full_output=True, disp=False,
+        )
+        converged = converged and result.converged
+        candidates.append(k_db)
+    k_db = max(candidates, key=lambda k: _rice_log_likelihood(u, *_rice_curve(k)))
+    nu_unit, sigma_sq_unit = _rice_curve(k_db)
+    sigma_unit = math.sqrt(sigma_sq_unit)
     return RicianFit(
         k_factor_db=k_db,
-        mean_amplitude=float(np.mean(x)),
-        nu=nu,
-        sigma=sigma,
-        gof_p_value=p_value,
-        iterations=iterations,
+        mean_amplitude=float(np.mean(u)) * scale,
+        nu=nu_unit * scale,
+        sigma=sigma_unit * scale,
+        gof_p_value=_rice_gof_p_value(u, nu_unit, sigma_unit, gof_bins),
+        iterations=evaluations,
+        converged=converged,
     )
 
 

@@ -14,6 +14,7 @@ Subcommands:
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -89,12 +90,14 @@ def _cmd_fit_channel(args):
         raise ConfigurationError(f"samples file {args.samples}: {exc}") from exc
     fit = analysis.fit_rician(samples)
     payload = {
-        "k_factor_db": fit.k_factor_db,
+        # JSON has no -Infinity: null means Rayleigh, as in save_config.
+        "k_factor_db": fit.k_factor_db if math.isfinite(fit.k_factor_db) else None,
         "mean_amplitude": fit.mean_amplitude,
         "nu": fit.nu,
         "sigma": fit.sigma,
         "gof_p_value": fit.gof_p_value,
         "iterations": fit.iterations,
+        "converged": fit.converged,
         "n_samples": int(samples.size),
     }
     Path(args.out).write_text(json.dumps(payload, indent=2, sort_keys=True))

@@ -1,7 +1,11 @@
 """Tests for the Q function, the ABER union bound and the Rice fit."""
 
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from smlink import analysis, channel, modem
@@ -177,8 +181,63 @@ class TestUnionBoundMonteCarlo:
             )
 
 
+def rayleigh_ml_log_likelihood(x):
+    """Log-likelihood at nu = 0 with the Rayleigh ML sigma^2 = mean(x^2) / 2."""
+    return stats.rayleigh.logpdf(x, scale=np.sqrt(np.mean(x**2) / 2.0)).sum()
+
+
+def rice_profile_log_likelihood(x, nus, steps=30):
+    """max over sigma of sum(rice.logpdf(x, nu / sigma, scale=sigma)), per nu.
+
+    A golden-section search in log sigma over [1e-3, 2] x RMS(x), run
+    for all ``nus`` at once; returns the best value it evaluated, so each
+    entry is the log-likelihood of a feasible (nu, sigma).
+    """
+    rms = np.sqrt(np.mean(x**2))
+    lo = np.full(nus.size, np.log(1e-3 * rms))
+    hi = np.full(nus.size, np.log(2.0 * rms))
+    g = (np.sqrt(5.0) - 1.0) / 2.0
+
+    def ll(log_sigma):
+        sigma = np.exp(log_sigma)[:, None]
+        return stats.rice.logpdf(x, nus[:, None] / sigma, scale=sigma).sum(axis=1)
+
+    a, b = hi - g * (hi - lo), lo + g * (hi - lo)
+    fa, fb = ll(a), ll(b)
+    for _ in range(steps):
+        left = fa >= fb
+        hi, lo = np.where(left, b, hi), np.where(left, lo, a)
+        new = np.where(left, hi - g * (hi - lo), lo + g * (hi - lo))
+        f_new = ll(new)
+        a, b, fa, fb = (np.where(left, new, b), np.where(left, a, new),
+                        np.where(left, f_new, fb), np.where(left, fa, f_new))
+    return np.maximum(fa, fb)
+
+
+def grid_oracle_log_likelihood(x, points=17, zooms=4):
+    """Best profile log-likelihood on a nu grid over [0, RMS(x)], zoomed
+    ``zooms`` times to the neighbours of its best point."""
+    lo, hi = 0.0, np.sqrt(np.mean(x**2))
+    best = -np.inf
+    for _ in range(zooms):
+        nus = np.linspace(lo, hi, points)
+        ll = rice_profile_log_likelihood(x, nus)
+        i = int(np.argmax(ll))
+        best = max(best, ll[i])
+        lo, hi = nus[max(i - 1, 0)], nus[min(i + 1, points - 1)]
+    return best
+
+
+@functools.lru_cache(maxsize=None)
+def unit_scale_fit(k_db):
+    """2e4 amplitudes at K dB (seed 21) and their fit at unit scale."""
+    x = TestRicianFit.draw_amplitudes(k_db, 20_000, 21)
+    return x, analysis.fit_rician(x)
+
+
 class TestRicianFit:
-    def draw_amplitudes(self, k_db, n, seed):
+    @staticmethod
+    def draw_amplitudes(k_db, n, seed):
         fm = channel.FadingModel(k_db)
         rng = np.random.default_rng(seed)
         return np.abs(channel.draw_channels(n, 1, 1, fm, rng=rng)).reshape(-1)
@@ -196,9 +255,10 @@ class TestRicianFit:
     def test_rayleigh_reports_low_k(self):
         """Rayleigh data fits far below any K factor of interest.
 
-        The ML nu estimate converges slowly toward the K = 0 boundary,
-        so a finite sample reports a small but nonzero K (about -14 dB
-        at 1e5 samples) -- still 40+ dB away from the Rician regimes.
+        On a finite sample the likelihood peaks either at the nu = 0
+        boundary (K = -inf dB, the answer for this draw) or at a small
+        interior K (the nu estimate shrinks only as n**-0.25) -- either
+        way 40+ dB away from the Rician regimes.
         """
         x = self.draw_amplitudes(float("-inf"), 100_000, 22)
         fit = analysis.fit_rician(x)
@@ -223,6 +283,46 @@ class TestRicianFit:
             errs.append(abs(analysis.fit_rician(x).k_factor_db - 20.0))
         assert errs[1] < errs[0]
 
+    @pytest.mark.parametrize("k_db", [float("-inf"), 0.0, 10.0, 33.0])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_global_maximum_against_grid_oracle(self, k_db, seed):
+        """The fit's log-likelihood beats a (nu, sigma) search with scipy's Rice pdf."""
+        x = self.draw_amplitudes(k_db, 1000, 40 + seed)
+        fit = analysis.fit_rician(x)
+        assert fit.converged and fit.iterations < 200  # 200 = the max_iterations default
+        fitted = stats.rice.logpdf(x, fit.nu / fit.sigma, scale=fit.sigma).sum()
+        # The slack covers rounding in summing 1000 log densities.
+        assert fitted >= rayleigh_ml_log_likelihood(x) - 1e-9
+        assert fitted >= grid_oracle_log_likelihood(x) - 1e-9
+
+    @pytest.mark.parametrize("seed", [439, 2009])
+    def test_root_below_the_coarse_grid(self, seed):
+        """These Rayleigh draws peak inside (-90, -30) dB, below the coarse
+        grid; the interior root beats the boundary by about 2e-9 nats of
+        log-likelihood, far above the rounding of the sums (1e-13)."""
+        x = self.draw_amplitudes(float("-inf"), 1000, seed)
+        fit = analysis.fit_rician(x)
+        assert -90.0 < fit.k_factor_db < -30.0
+        fitted = stats.rice.logpdf(x, fit.nu / fit.sigma, scale=fit.sigma).sum()
+        assert fitted > rayleigh_ml_log_likelihood(x)
+
+    def test_k_above_the_coarse_grid(self):
+        """K = 70 dB lies above the coarse grid's 60 dB top."""
+        fit = analysis.fit_rician(self.draw_amplitudes(70.0, 10_000, 3))
+        assert fit.k_factor_db == pytest.approx(70.0, abs=1.0)
+        assert fit.converged
+
+    @settings(max_examples=40, deadline=None)
+    @given(k_db=st.sampled_from([0.0, 10.0, 33.0]),
+           exponent=st.floats(min_value=-150.0, max_value=150.0))
+    def test_fit_does_not_depend_on_amplitude_unit(self, k_db, exponent):
+        x, ref = unit_scale_fit(k_db)
+        scale = 10.0**exponent
+        fit = analysis.fit_rician(x * scale)
+        assert fit.k_factor_db == pytest.approx(ref.k_factor_db, abs=1e-6)
+        assert fit.nu == pytest.approx(ref.nu * scale, rel=1e-6)
+        assert fit.sigma == pytest.approx(ref.sigma * scale, rel=1e-6)
+
     def test_input_validation(self):
         with pytest.raises(DegenerateInputError):
             analysis.fit_rician(np.ones(10))  # too few samples
@@ -232,6 +332,11 @@ class TestRicianFit:
             analysis.fit_rician(bad)  # negative amplitude
         with pytest.raises(DegenerateInputError):
             analysis.fit_rician(np.ones(2000))  # zero spread
+        x = self.draw_amplitudes(10.0, 2000, 5)
+        with pytest.raises(ConfigurationError):
+            analysis.fit_rician(x, tol=0.0)
+        with pytest.raises(ConfigurationError):
+            analysis.fit_rician(x, max_iterations=0)
 
 
 class TestEmpiricalCdf:

@@ -263,6 +263,23 @@ class TestFitChannelCommand:
         assert fit["n_samples"] == 20_000
         assert "K =" in capsys.readouterr().out
 
+    def test_rayleigh_fit_writes_valid_json(self, tmp_path):
+        """K = -inf dB (this draw's ML answer) is written as null, not -Infinity."""
+        fm = channel.FadingModel(float("-inf"))
+        x = np.abs(channel.draw_channels(5_000, 1, 1, fm, rng=np.random.default_rng(10))).reshape(-1)
+        samples = tmp_path / "amps.txt"
+        np.savetxt(samples, x)
+        out = tmp_path / "fit.json"
+        assert run_cli("fit-channel", "--samples", samples, "--out", out) == 0
+
+        def refuse(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        fit = json.loads(out.read_text(), parse_constant=refuse)
+        assert fit["k_factor_db"] is None
+        assert fit["nu"] == 0.0
+        assert fit["converged"] is True
+
 
 class TestPlotdataCommand:
     def test_quick_bundle_structure(self, tmp_path, capsys):
