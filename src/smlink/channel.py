@@ -11,7 +11,7 @@ sqrt(10**(alpha_db[r, t] / 10)), expressing each path's average power
 relative to the reference path (0, 0).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,7 +20,6 @@ from .errors import ConfigurationError, DimensionError
 __all__ = [
     "FadingModel",
     "PowerImbalance",
-    "ChannelRealization",
     "imbalance_profile",
     "draw_channel",
     "draw_channels",
@@ -107,23 +106,6 @@ def imbalance_profile(name, nr=2, nt=2):
             f"profile {name!r} is for a {pi.shape} array, requested ({nr}, {nt})"
         )
     return pi
-
-
-@dataclass(frozen=True)
-class ChannelRealization:
-    """One drawn channel matrix and the model that produced it."""
-
-    h: np.ndarray
-    fading: FadingModel
-    imbalance: PowerImbalance | None = field(default=None)
-
-    @property
-    def nr(self):
-        return self.h.shape[0]
-
-    @property
-    def nt(self):
-        return self.h.shape[1]
 
 
 def draw_channel(nr, nt, fading, imbalance=None, rng=None):

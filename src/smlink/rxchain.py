@@ -1,25 +1,28 @@
-"""Receiver chain: sync, SNR estimation, matched filtering, frequency
-offset correction, least-squares channel estimation and demodulation.
+"""Receiver chain: sync, SNR estimation, frequency offset correction,
+matched filtering, least-squares channel estimation and demodulation.
 
 The decode pipeline mirrors the transmit structure: locate the 20
 synchronization pulses (relative threshold, reject the capture if fewer
-are found), measure SNR from the on/off section, matched-filter and
-downsample the data section, then per frame estimate the carrier
-frequency offset from the constant-symbol preamble, derotate, estimate
-the channel from both pilot signals and detect each half of the data
-symbols with its nearer estimate.
+are found), measure SNR from the on/off section, estimate each frame's
+carrier frequency offset from its matched-filtered constant-symbol
+preamble, derotate the data section at sample rate, matched-filter and
+downsample it once, then per frame estimate the channel from both pilot
+signals and detect each half of the data symbols with its nearer
+estimate. Derotating before the matched filter keeps the combined
+transmit+receive response Nyquist under carrier offset.
 
-Channel estimates are formed per pilot sequence as (1/N) Theta^H Y,
-averaged over the interior sequences of a pilot signal (their
-neighborhoods are still pilot-periodic despite pulse-shaping memory),
-and divided by the known combined transmit+receive filter response
-sampled at symbol lags -- which makes the noiseless estimate exact to
-machine precision instead of plateauing at the filter sidelobe level.
+Channel estimates are formed as (1/N) Theta^H Y over the mean of the
+interior sequences of a pilot signal (their neighborhoods are still
+pilot-periodic despite pulse-shaping memory), and divided by the known
+combined transmit+receive filter response sampled at symbol lags --
+which makes the noiseless estimate exact to machine precision instead of
+plateauing at the filter sidelobe level.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import modem
 from .errors import (
@@ -46,6 +49,8 @@ __all__ = [
     "decode_transmission",
 ]
 
+# Preamble symbols left out at each end of the offset estimate, where the
+# filter memory mixes in the neighbouring pilot and data symbols.
 FO_EDGE_MARGIN = 12
 
 
@@ -84,7 +89,7 @@ class DecodeResult:
     fo_cycles_per_sample: np.ndarray
     channel_estimates: list
     sync: SyncResult
-    symbol_scale: float = field(default=1.0)
+    symbol_scale: float = 1.0
 
 
 def detect_sync(waveform, pulse_period_samples, n_pulses=20, threshold_fraction=0.70,
@@ -171,59 +176,66 @@ def estimate_snr(snr_section, nt, n_blocks, block_len_samples):
 
 
 def matched_filter_downsample(samples, taps, upsample_factor, n_symbols=None):
-    """Receive filter plus symbol-rate sampling.
+    """Receive filter evaluated at the symbol instants only.
 
-    Convolves each stream with ``taps`` and samples every
-    ``upsample_factor``-th output starting at offset len(taps)-1, which
-    compensates the combined transmit+receive group delay.
+    Output k of each stream (last axis of an (..., n) input) is its full
+    convolution with ``taps`` at sample k*upsample_factor + len(taps)-1,
+    which compensates the combined transmit+receive group delay. Streams
+    are zero-extended past their end, as in the full convolution.
     """
     y = np.atleast_2d(np.asarray(samples, dtype=np.complex128))
-    if y.shape[1] < len(taps):
+    n_taps = len(taps)
+    if y.shape[-1] < n_taps:
         raise DimensionError("input shorter than the receive filter")
-    z = np.stack([np.convolve(row, taps) for row in y])
-    sym = z[:, len(taps) - 1 :: upsample_factor]
+    n_out = -(-y.shape[-1] // upsample_factor)
     if n_symbols is not None:
-        sym = sym[:, :n_symbols]
-    return sym
+        n_out = min(n_out, n_symbols)
+    pad = max((n_out - 1) * upsample_factor + n_taps - y.shape[-1], 0)
+    y = np.pad(y, [(0, 0)] * (y.ndim - 1) + [(0, pad)]) if pad else y
+    windows = sliding_window_view(y, n_taps, axis=-1)[..., ::upsample_factor, :]
+    return windows[..., :n_out, :] @ np.asarray(taps, dtype=np.complex128)[::-1]
 
 
 def estimate_fo(section):
-    """Frequency offset of a constant-modulus run, in cycles per index.
+    """Frequency offset of constant-modulus runs, in cycles per index.
 
-    Unwraps the instantaneous phase and divides the total phase travel
-    by the index span: (phi_last - phi_first) / (2*pi*(n-1)).
+    Unwraps the instantaneous phase along the last axis and divides the
+    total phase travel by the index span: (phi_last - phi_first) /
+    (2*pi*(n-1)). A 1-D run gives a float, an (..., n) stack one slope
+    per run.
     """
-    x = np.asarray(section).reshape(-1)
-    if x.size < 2:
+    x = np.atleast_1d(np.asarray(section))
+    if x.shape[-1] < 2:
         raise DegenerateInputError("need at least two samples to estimate a slope")
     if (np.abs(x) == 0).any():
         raise DegenerateInputError("zero-valued samples carry no phase")
-    phase = np.unwrap(np.angle(x))
-    return float((phase[-1] - phase[0]) / (2.0 * np.pi * (x.size - 1)))
+    phase = np.unwrap(np.angle(x), axis=-1)
+    slope = (phase[..., -1] - phase[..., 0]) / (2.0 * np.pi * (x.shape[-1] - 1))
+    return float(slope) if x.ndim == 1 else slope
 
 
-def correct_fo(frame, delta_per_index):
-    """Counter-rotate by exp(-2j*pi*delta*i), i counted along the last axis."""
-    x = np.asarray(frame, dtype=np.complex128)
-    ramp = np.exp(-2j * np.pi * delta_per_index * np.arange(x.shape[-1]))
-    return x * ramp
+def correct_fo(samples, delta_per_index, first_index=0):
+    """Counter-rotate by exp(-2j*pi*delta*i), i counted along the last axis.
+
+    ``i`` starts at ``first_index``; ``delta_per_index`` may hold one offset per index.
+    """
+    x = np.asarray(samples, dtype=np.complex128)
+    i = first_index + np.arange(x.shape[-1])
+    return x * np.exp(-2j * np.pi * np.asarray(delta_per_index) * i)
 
 
-def pulse_gain_compensation(taps, upsample_factor, fo_cycles_per_symbol, n_theta, nt):
+def pulse_gain_compensation(taps, upsample_factor, n_theta, nt):
     """Per-antenna gain of the combined Tx+Rx filter on periodic pilots.
 
-    The matched filter of an offset-rotated stream equals filtering with
-    phase-rotated taps, so the effective symbol-spaced response is
-    g(d) = (taps * conv * rotated taps) sampled at symbol lags around
-    the sampling instant. On a pilot train of period ``n_theta`` the
-    whole response collapses to one complex gain per antenna:
-    G_t = sum_d g(d) exp(-2j*pi*t*d/n_theta).
+    The symbol-spaced combined response g(d) = (taps * conv * taps)
+    sampled at symbol lags around the sampling instant is Nyquist up to
+    the truncated filter's sidelobes. On a pilot train of period
+    ``n_theta`` the whole response collapses to one complex gain per
+    antenna: G_t = sum_d g(d) exp(-2j*pi*t*d/n_theta). The receive chain
+    derotates before filtering, so this holds at any carrier offset.
     """
     taps = np.asarray(taps)
-    rot = taps * np.exp(
-        -2j * np.pi * (fo_cycles_per_symbol / upsample_factor) * np.arange(len(taps))
-    )
-    gtil = np.convolve(taps, rot)
+    gtil = np.convolve(taps, taps)
     center = len(taps) - 1
     lo = -(center // upsample_factor)
     hi = (len(gtil) - 1 - center) // upsample_factor
@@ -237,11 +249,11 @@ def ls_channel_estimate(pilot_block, pilots, gain=None, which_half="first"):
     """Least-squares channel estimate from one received pilot signal.
 
     ``pilot_block`` is (nr, n_seq * n_theta); ``pilots`` the (n_theta,
-    nt) transmitted matrix with orthogonal columns. Each sequence gives
-    (1/n_theta) Theta^H Y; sequences whose filter-memory neighborhood
-    stays pilot-periodic (all but the first and last when there are at
-    least three) are averaged. ``gain`` optionally divides per transmit
-    antenna to undo the combined pulse-shaping response.
+    nt) transmitted matrix with orthogonal columns. The estimate is
+    (1/n_theta) Theta^H Y over the mean of the sequences whose
+    filter-memory neighborhood stays pilot-periodic (all but the first
+    and last when there are at least three). ``gain`` optionally divides
+    per transmit antenna to undo the combined pulse-shaping response.
     """
     theta = np.asarray(pilots)
     n_theta, nt = theta.shape
@@ -249,15 +261,13 @@ def ls_channel_estimate(pilot_block, pilots, gain=None, which_half="first"):
     if not np.allclose(gram, n_theta * np.eye(nt), atol=1e-9 * n_theta):
         raise ConfigurationError("pilot columns must be orthogonal")
     y = np.atleast_2d(np.asarray(pilot_block))
-    if y.shape[1] % n_theta:
-        raise DimensionError("pilot block length must be a multiple of the sequence length")
-    n_seq = y.shape[1] // n_theta
-    seqs = range(1, n_seq - 1) if n_seq >= 3 else range(n_seq)
-    h_sum = np.zeros((y.shape[0], nt), dtype=np.complex128)
-    for s in seqs:
-        block = y[:, s * n_theta : (s + 1) * n_theta]
-        h_sum += (theta.conj().T @ block.T).T / n_theta
-    h_hat = h_sum / len(list(seqs))
+    n_seq, rest = divmod(y.shape[1], n_theta)
+    if rest or n_seq == 0:
+        raise DimensionError("pilot block must hold one or more whole sequences")
+    seqs = y.reshape(y.shape[0], n_seq, n_theta)
+    if n_seq >= 3:
+        seqs = seqs[:, 1:-1]
+    h_hat = seqs.mean(axis=1) @ theta.conj() / n_theta
     if gain is not None:
         h_hat = h_hat / np.asarray(gain)[None, :]
     return ChannelEstimate(h_hat=h_hat, which_half=which_half)
@@ -290,8 +300,12 @@ def demodulate_frame(data_symbols, h_first, h_second, scheme, constellation):
 
 
 def decode_transmission(rx_samples, frame_layout, tx_layout, nt, scheme,
-                        constellation, symbol_scale=None, fo_margin=FO_EDGE_MARGIN):
+                        constellation, symbol_scale=None):
     """Run the full receive pipeline on captured per-antenna streams.
+
+    Each frame's offset is estimated from its preamble; the data section
+    is derotated once at sample rate, phase referenced to the
+    transmission start, and matched-filtered once.
 
     Returns a :class:`DecodeResult`; raises :class:`SyncRejection` when
     the synchronization search fails. ``symbol_scale``, when given (from
@@ -317,45 +331,48 @@ def decode_transmission(rx_samples, frame_layout, tx_layout, nt, scheme,
     snr = estimate_snr(snr_section, nt, tx_layout.snr_blocks,
                        tx_layout.snr_block_symbols * u)
 
+    n_frames = tx_layout.n_frames
     f_syms = frame_layout.frame_symbols
-    n_sym = tx_layout.n_frames * f_syms
+    n_sym = n_frames * f_syms
     data = y[:, sync.data_start_index :][:, : n_sym * u + len(taps) - 1]
     if data.shape[1] < n_sym * u:
         raise DimensionError("capture truncated before the end of the data section")
-    symbols = matched_filter_downsample(data, taps, u, n_symbols=n_sym)
-
     sections = frame_layout.sections()
+
+    fo = sections["fo"]
+    n_fo = fo.stop - fo.start - 2 * FO_EDGE_MARGIN
+    if n_fo < 2:
+        raise ConfigurationError(f"offset preamble needs {2 * FO_EDGE_MARGIN + 2} or more symbols")
+    start = (fo.start + FO_EDGE_MARGIN) * u
+    frames = data[:, : n_sym * u].reshape(y.shape[0], n_frames, f_syms * u)
+    preamble = matched_filter_downsample(
+        frames[..., start : start + (n_fo - 1) * u + len(taps)], taps, u, n_fo
+    )
+    usable = np.abs(preamble).min(axis=-1) > 0
+    if not usable.any(axis=0).all():
+        raise DegenerateInputError("frequency-offset preamble carries no phase")
+    per_ant = np.zeros(usable.shape)
+    per_ant[usable] = estimate_fo(preamble[usable])
+    power = np.mean(np.abs(preamble) ** 2, axis=-1) * usable
+    fo_per_frame = np.average(per_ant, axis=0, weights=power) / u
+
+    frame_of_sample = np.minimum(np.arange(data.shape[1]) // (f_syms * u), n_frames - 1)
+    derotated = correct_fo(data, fo_per_frame[frame_of_sample],
+                           sync.data_start_index - sync.tx_start_index)
+    symbols = matched_filter_downsample(derotated, taps, u, n_sym)
+
     pilots = pilot_matrix(nt, frame_layout.pilot_seq_len)
+    gain = pulse_gain_compensation(taps, u, frame_layout.pilot_seq_len, nt)
     bits = []
-    fo_per_frame = np.empty(tx_layout.n_frames)
     estimates = []
-    for f in range(tx_layout.n_frames):
-        frame = symbols[:, f * f_syms : (f + 1) * f_syms]
-        fo_sec = frame[:, sections["fo"]][:, fo_margin:-fo_margin]
-        usable = [r for r in range(y.shape[0]) if np.abs(fo_sec[r]).min() > 0]
-        if not usable:
-            raise DegenerateInputError("frequency-offset preamble carries no phase")
-        per_ant = np.array([estimate_fo(fo_sec[r]) for r in usable])
-        power = np.mean(np.abs(fo_sec[usable]) ** 2, axis=1)
-        d_sym = float(np.average(per_ant, weights=power))
-        fo_per_frame[f] = d_sym / u
-        corrected = correct_fo(frame, d_sym)
-        # Unwind the offset's phase accumulated before this frame's first
-        # sampling instant (it sits a filter group delay past the frame
-        # start), referencing the estimates to the transmission start.
-        first_instant = (
-            sync.data_start_index - sync.tx_start_index
-            + f * f_syms * u + len(taps) - 1
-        )
-        corrected = corrected * np.exp(-2j * np.pi * (d_sym / u) * first_instant)
-        gain = pulse_gain_compensation(taps, u, d_sym, frame_layout.pilot_seq_len, nt)
+    for frame in np.split(symbols, n_frames, axis=1):
         est = [
-            ls_channel_estimate(corrected[:, sections[sec]], pilots, gain, half)
+            ls_channel_estimate(frame[:, sections[sec]], pilots, gain, half)
             for sec, half in (("pilot_first", "first"), ("pilot_second", "second"))
         ]
         bits.append(
             demodulate_frame(
-                corrected[:, sections["data"]],
+                frame[:, sections["data"]],
                 est[0].h_hat,
                 est[1].h_hat,
                 scheme,

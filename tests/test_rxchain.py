@@ -160,6 +160,19 @@ class TestMatchedFilter:
         with pytest.raises(DimensionError):
             rxchain.matched_filter_downsample(np.ones((1, 10), dtype=complex), taps, 4)
 
+    @pytest.mark.parametrize("n_symbols", [None, 5, 14, 30])
+    def test_stack_matches_full_convolution(self, n_symbols):
+        """Each stream of an (..., n) stack is its full convolution at the
+        symbol instants, zero-extended past the end."""
+        rng = np.random.default_rng(8)
+        taps = txchain.rrc_taps()
+        x = rng.standard_normal((2, 3, 57)) + 1j * rng.standard_normal((2, 3, 57))
+        out = rxchain.matched_filter_downsample(x, taps, 4, n_symbols)
+        ref = np.array([[np.convolve(row, taps)[39::4] for row in block] for block in x])
+        ref = ref[..., :n_symbols]
+        assert out.shape == ref.shape
+        assert np.max(np.abs(out - ref)) < 1e-13
+
 
 class TestFoEstimation:
     def test_pure_ramp_is_exact(self):
@@ -185,6 +198,27 @@ class TestFoEstimation:
         with pytest.raises(DegenerateInputError):
             rxchain.estimate_fo(x)
 
+    def test_stack_gives_one_slope_per_run(self):
+        n = np.arange(400)
+        deltas = np.array([[0.001, -0.02, 0.3], [0.0, 0.1, -0.25]])
+        x = 0.5 * np.exp(2j * np.pi * deltas[..., None] * n)
+        slopes = rxchain.estimate_fo(x)
+        assert slopes.shape == (2, 3)
+        assert np.max(np.abs(slopes - deltas)) < 1e-12
+        assert isinstance(rxchain.estimate_fo(x[0, 0]), float)
+        rows = [[rxchain.estimate_fo(run) for run in block] for block in x]
+        assert np.array_equal(slopes, rows)
+
+    def test_correct_fo_per_sample_offsets_from_a_start_index(self):
+        """Offsets given per sample rotate each sample by its own ramp,
+        counted from ``first_index``."""
+        rng = np.random.default_rng(5)
+        x = rng.standard_normal((2, 200)) + 1j * rng.standard_normal((2, 200))
+        delta = np.repeat([0.002, -0.004], 100)
+        i = 37 + np.arange(200)
+        rotated = x * np.exp(2j * np.pi * delta * i)
+        assert np.max(np.abs(rxchain.correct_fo(rotated, delta, 37) - x)) < 1e-12
+
     def test_correct_fo_inverts_ramp(self):
         rng = np.random.default_rng(6)
         x = rng.standard_normal((2, 300)) + 1j * rng.standard_normal((2, 300))
@@ -209,6 +243,27 @@ class TestLsChannelEstimate:
         est = rxchain.ls_channel_estimate(y, self.pilots, which_half="second")
         assert np.max(np.abs(est.h_hat - h)) < 1e-10
         assert est.which_half == "second"
+
+    @staticmethod
+    def per_sequence_reference(y, theta):
+        """(1/n_theta) Theta^H Y per sequence, averaged over the interior ones."""
+        n_theta = theta.shape[0]
+        n_seq = y.shape[1] // n_theta
+        seqs = range(1, n_seq - 1) if n_seq >= 3 else range(n_seq)
+        parts = [theta.conj().T @ y[:, s * n_theta : (s + 1) * n_theta].T / n_theta
+                 for s in seqs]
+        return np.mean(parts, axis=0).T
+
+    @pytest.mark.parametrize("nt,n_theta", [(2, 10), (4, 10), (8, 16)])
+    @pytest.mark.parametrize("n_seq", [1, 2, 3, 10])
+    def test_matches_per_sequence_loop(self, nt, n_theta, n_seq):
+        rng = np.random.default_rng(n_seq * 100 + nt)
+        theta = txchain.pilot_matrix(nt, n_theta)
+        y = rng.standard_normal((3, n_seq * n_theta)) + 1j * rng.standard_normal(
+            (3, n_seq * n_theta))
+        est = rxchain.ls_channel_estimate(y, theta).h_hat
+        ref = self.per_sequence_reference(y, theta)
+        assert np.max(np.abs(est - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     def test_zero_block_gives_zero(self):
         est = rxchain.ls_channel_estimate(
@@ -253,6 +308,8 @@ class TestLsChannelEstimate:
             rxchain.ls_channel_estimate(
                 np.ones((2, 15), dtype=complex), self.pilots
             )
+        with pytest.raises(DimensionError):
+            rxchain.ls_channel_estimate(np.ones((2, 0), dtype=complex), self.pilots)
 
 
 class TestDemodulateFrame:
@@ -306,6 +363,46 @@ class TestDecodeTransmission:
         for pair in result.channel_estimates:
             for est in pair:
                 assert np.max(np.abs(est.h_hat - h)) <= 1e-6
+
+    @pytest.mark.parametrize("fo", [1e-3, 5e-3])
+    def test_offset_with_close_channel_columns(self, loopback, fo):
+        """Carrier offset leaves no intersymbol interference on the data.
+
+        The columns of this line-of-sight-like channel are only 0.027
+        apart, so interference from a receive filter that the offset has
+        rotated flips the antenna-index bit. At 60 dB every bit is right.
+        """
+        layout, tx_layout, c, bits, tx, _ = loopback
+        h = np.array([[1.0 + 0.01j, 1.012 - 0.008j], [1.03 - 0.005j, 1.041 + 0.006j]])
+        assert np.linalg.norm(h[:, 0] - h[:, 1]) == pytest.approx(0.0266, abs=1e-3)
+        rng = np.random.default_rng(31)
+        noise_var = tx.symbol_scale**2 * 10.0 ** (-60 / 10)
+        rx = channel.propagate_waveform(tx.samples.T, h, fo, noise_var, rng)
+        result = rxchain.decode_transmission(
+            rx.T, layout, tx_layout, 2, "sm", c, symbol_scale=tx.symbol_scale
+        )
+        assert np.count_nonzero(result.bits != bits) == 0
+
+    def test_dead_receive_antenna_left_out_of_offset_estimate(self, loopback):
+        """A receive antenna with an all-zero preamble carries no phase; the
+        offset comes from the other one."""
+        layout, tx_layout, c, bits, tx, _ = loopback
+        h = np.array([[1.0 + 0.1j, 0.35 + 0.2j], [0.0, 0.0]])
+        rx = channel.propagate_waveform(tx.samples.T, h, fo_cycles_per_sample=2e-3)
+        result = rxchain.decode_transmission(
+            rx.T, layout, tx_layout, 2, "sm", c, symbol_scale=tx.symbol_scale
+        )
+        assert np.array_equal(result.bits, bits)
+        assert np.max(np.abs(result.fo_cycles_per_sample - 2e-3)) <= 1e-9
+
+    def test_short_offset_preamble_rejected(self):
+        layout = txchain.FrameLayout(fo_seq_len=25)
+        tx_layout = txchain.TransmissionLayout(n_frames=1, snr_block_symbols=50)
+        c = modem.build_constellation(2)
+        bits = np.zeros(2 * layout.data_symbols_per_frame, dtype=np.uint8)
+        tx = txchain.build_transmission(bits, "sm", 2, c, layout, tx_layout)
+        with pytest.raises(ConfigurationError):
+            rxchain.decode_transmission(tx.samples, layout, tx_layout, 2, "sm", c)
 
     def test_unscaled_estimates_carry_symbol_scale(self, loopback):
         layout, tx_layout, c, bits, tx, h = loopback
