@@ -25,12 +25,11 @@ from .channel import FadingModel, imbalance_profile
 from .errors import ConfigurationError, SmlinkError
 from .fileio import build, check_fields, read_json
 
-BOUND_COLUMNS = ("snr_db", "aber_bound", "n_h", "scheme", "nt", "nr", "m")
+BOUND_COLUMNS = ("snr_db", "aber_bound", "scheme", "nt", "nr", "m")
 COMPLEXITY_COLUMNS = ("nt", "nr", "m", "sm_mults", "smx_mults", "reduction_percent")
 PLOT_COLUMNS = ("figure", "curve", "kind", "snr_db", "aber", "bits", "bit_errors")
 _BOUND_FIELDS = {"scheme": str, "nt": int, "nr": int, "modulation_order": int,
-                 "snr_grid_db": tuple, "k_factor_db": float, "pi_profile": str,
-                 "n_channels": int, "seed": int}
+                 "snr_grid_db": tuple, "k_factor_db": float, "pi_profile": str}
 _CHAIN_FIELDS = {"scheme": str, "nt": int, "modulation_order": int,
                  "frame_layout": dict, "transmission_layout": dict}
 
@@ -54,11 +53,11 @@ def _cmd_bound(args):
         modulation_order=data["modulation_order"],
         fading=FadingModel(float(data.get("k_factor_db", float("-inf")))),
         imbalance=imbalance_profile(data.get("pi_profile", "none"), data["nr"], data["nt"]),
-        snr_grid_db=data["snr_grid_db"], n_channels=data.get("n_channels", 10_000),
+        snr_grid_db=data["snr_grid_db"],
     )
-    values = analysis.union_bound_aber(cfg, rng=np.random.default_rng(data.get("seed", 0)))
+    values = analysis.union_bound_aber(cfg)
     m = modem.bits_per_vector(cfg.scheme, cfg.nt, cfg.modulation_order)
-    rows = ([float(snr), float(val), cfg.n_channels, cfg.scheme, cfg.nt, cfg.nr, m]
+    rows = ([float(snr), float(val), cfg.scheme, cfg.nt, cfg.nr, m]
             for snr, val in zip(cfg.snr_grid_db, values))
     harness.write_csv(args.out, BOUND_COLUMNS, rows)
     for snr, val in zip(cfg.snr_grid_db, values):
@@ -220,7 +219,6 @@ _FIGURES = {
 def _cmd_plotdata(args):
     recipe = _FIGURES[args.figure]
     trials = 2 if args.quick else args.trials
-    n_channels = 500 if args.quick else 5000
     rows = []
     for label, params in recipe["curves"]:
         config = harness.SimConfig(
@@ -236,11 +234,9 @@ def _cmd_plotdata(args):
                 scheme=config.scheme, nt=config.nt, nr=config.nr,
                 modulation_order=config.modulation_order,
                 fading=config.fading(), imbalance=config.imbalance(),
-                snr_grid_db=recipe["grid"], n_channels=n_channels,
+                snr_grid_db=recipe["grid"],
             )
-            values = analysis.union_bound_aber(
-                bound_cfg, rng=np.random.default_rng(args.seed)
-            )
+            values = analysis.union_bound_aber(bound_cfg)
             for snr, val in zip(recipe["grid"], values):
                 # Reporting layer clips the bound at the 0.5 ceiling.
                 rows.append([args.figure, label, "bound",
@@ -301,7 +297,7 @@ def build_parser():
     p.add_argument("--figure", required=True, choices=sorted(_FIGURES))
     p.add_argument("--out-dir", required=True)
     p.add_argument("--quick", action="store_true",
-                   help="reduced bit and channel-draw budgets")
+                   help="reduced bit budget")
     p.add_argument("--trials", type=int, default=200,
                    help="trial cap per SNR point (default 200)")
     p.add_argument("--seed", type=int, default=0)

@@ -144,19 +144,19 @@ def estimate_snr(snr_section, nt, n_blocks, block_len_samples):
         raise DimensionError(
             f"SNR section has {y.shape[1]} samples, layout wants {need}"
         )
-    if not np.abs(y).any():
+    if not y.any():
         raise DegenerateInputError("SNR section is identically zero")
+    # (nr, antenna, block, on/off, sample) view of the sounding runs.
+    blocks = y[:, :need].reshape(nr, nt, n_blocks, 2, block_len_samples)
     raw = np.empty((nt, n_blocks))
     saturated = False
     for t in range(nt):
-        base = t * 2 * n_blocks * block_len_samples
         for b in range(n_blocks):
-            on = y[:, base + 2 * b * block_len_samples :][:, :block_len_samples]
-            off = y[:, base + (2 * b + 1) * block_len_samples :][:, :block_len_samples]
-            p_on = float(np.mean(np.sum(np.abs(on) ** 2, axis=0)))
-            p_off = float(np.mean(np.sum(np.abs(off) ** 2, axis=0)))
+            on, off = blocks[:, t, b, 0], blocks[:, t, b, 1]
+            p_on = _power_sum(on) / block_len_samples
+            p_off = _power_sum(off) / block_len_samples
             centered = off - off.mean(axis=1, keepdims=True)
-            noise_var = float(np.mean(np.abs(centered) ** 2))
+            noise_var = _power_sum(centered) / centered.size
             signal = max(p_on - p_off, 0.0)
             if noise_var == 0.0:
                 if signal == 0.0:
@@ -173,6 +173,11 @@ def estimate_snr(snr_section, nt, n_blocks, block_len_samples):
         per_antenna_per_block=raw,
         valid=mean > 0,
     )
+
+
+def _power_sum(rows):
+    """Sum of |x|^2 over a (nr, n) block, one BLAS dot product per row."""
+    return float(sum(np.vdot(row, row).real for row in rows))
 
 
 def matched_filter_downsample(samples, taps, upsample_factor, n_symbols=None):
@@ -308,9 +313,11 @@ def decode_transmission(rx_samples, frame_layout, tx_layout, nt, scheme,
     transmission start, and matched-filtered once.
 
     Returns a :class:`DecodeResult`; raises :class:`SyncRejection` when
-    the synchronization search fails. ``symbol_scale``, when given (from
-    the transmission sidecar), converts the reported channel estimates
-    to the true channel's amplitude scale; detection is unaffected.
+    the synchronization search fails or places the transmission start
+    before the first sample or the data section past the capture's end.
+    ``symbol_scale``, when given (from the transmission sidecar),
+    converts the reported channel estimates to the true channel's
+    amplitude scale; detection is unaffected.
     """
     y = np.atleast_2d(np.asarray(rx_samples, dtype=np.complex128))
     u = frame_layout.upsample_factor
@@ -326,17 +333,22 @@ def decode_transmission(rx_samples, frame_layout, tx_layout, nt, scheme,
         n_pulses=tx_layout.sync_pulses,
         data_offset_samples=sync_len + snr_len,
     )
+    n_frames = tx_layout.n_frames
+    f_syms = frame_layout.frame_symbols
+    n_sym = n_frames * f_syms
+    # Peaks that are noise can anchor the transmission outside the capture.
+    if sync.tx_start_index < 0 or sync.data_start_index + n_sym * u > y.shape[1]:
+        raise SyncRejection(
+            f"sync places the transmission at samples {sync.tx_start_index} to "
+            f"{sync.data_start_index + n_sym * u}, outside the {y.shape[1]}-sample "
+            "capture; capture discarded"
+        )
 
     snr_section = y[:, sync.tx_start_index + sync_len :][:, :snr_len]
     snr = estimate_snr(snr_section, nt, tx_layout.snr_blocks,
                        tx_layout.snr_block_symbols * u)
 
-    n_frames = tx_layout.n_frames
-    f_syms = frame_layout.frame_symbols
-    n_sym = n_frames * f_syms
     data = y[:, sync.data_start_index :][:, : n_sym * u + len(taps) - 1]
-    if data.shape[1] < n_sym * u:
-        raise DimensionError("capture truncated before the end of the data section")
     sections = frame_layout.sections()
 
     fo = sections["fo"]

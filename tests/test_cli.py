@@ -16,8 +16,7 @@ def run_cli(*argv):
     return cli.main([str(a) for a in argv])
 
 
-BOUND = {"scheme": "sm", "nt": 2, "nr": 2, "modulation_order": 2, "snr_grid_db": [10.0],
-         "n_channels": 10}
+BOUND = {"scheme": "sm", "nt": 2, "nr": 2, "modulation_order": 2, "snr_grid_db": [10.0]}
 SIM = {"scheme": "sm", "nt": 2, "nr": 2, "modulation_order": 2, "snr_grid_db": [10.0],
        "bits_per_trial": 200, "trials_per_snr": 1}
 CHAIN = {"scheme": "sm", "nt": 2, "modulation_order": 2,
@@ -67,6 +66,8 @@ MALFORMED = {
     "bound-missing-file": lambda t: ["bound", "--config", t / "absent.json",
                                      "--out", t / "b.csv"],
     "bound-zero-nr": lambda t: _bound(t, {**BOUND, "nr": 0}),
+    "bound-n-channels": lambda t: _bound(t, {**BOUND, "n_channels": 10}),
+    "bound-seed": lambda t: _bound(t, {**BOUND, "seed": 0}),
     "simulate-nt-string": lambda t: _simulate(t, {**SIM, "nt": "2"}),
     "simulate-bool-int": lambda t: _simulate(t, {**SIM, "trials_per_snr": True}),
     "simulate-zero-nr": lambda t: _simulate(t, {**SIM, "nr": 0}),
@@ -134,7 +135,6 @@ class TestBoundCommand:
         cfg = {
             "scheme": "sm", "nt": 2, "nr": 2, "modulation_order": 2,
             "k_factor_db": 33.0, "snr_grid_db": [30.0, 40.0],
-            "n_channels": 400, "seed": 9,
         }
         cfg_path = tmp_path / "bound.json"
         cfg_path.write_text(json.dumps(cfg))
@@ -145,22 +145,21 @@ class TestBoundCommand:
             analysis.BoundConfig(
                 scheme="sm", nt=2, nr=2, modulation_order=2,
                 fading=channel.FadingModel(33.0),
-                snr_grid_db=(30.0, 40.0), n_channels=400,
+                snr_grid_db=(30.0, 40.0),
             ),
-            rng=np.random.default_rng(9),
         )
         lines = out.read_text().splitlines()
-        assert lines[0] == "snr_db,aber_bound,n_h,scheme,nt,nr,m"
+        assert lines[0] == "snr_db,aber_bound,scheme,nt,nr,m"
         for line, snr, val in zip(lines[1:], (30.0, 40.0), direct):
             cells = line.split(",")
             assert float(cells[0]) == snr
             assert float(cells[1]) == pytest.approx(val, rel=1e-9)
-            assert cells[2:] == ["400", "sm", "2", "2", "2"]
+            assert cells[2:] == ["sm", "2", "2", "2"]
 
     def test_int_values_in_float_fields(self, tmp_path):
         """Ints are accepted where floats are expected and give the same CSV;
         the writer creates the output directory."""
-        as_float = {**BOUND, "k_factor_db": 33.0, "snr_grid_db": [30.0, 40.0], "seed": 2}
+        as_float = {**BOUND, "k_factor_db": 33.0, "snr_grid_db": [30.0, 40.0]}
         as_int = {**as_float, "k_factor_db": 33, "snr_grid_db": [30, 40]}
         a, b = tmp_path / "float" / "b.csv", tmp_path / "int" / "b.csv"
         assert run_cli("bound", "--config", _write(tmp_path / "f.json", as_float),
@@ -168,6 +167,14 @@ class TestBoundCommand:
         assert run_cli("bound", "--config", _write(tmp_path / "i.json", as_int),
                        "--out", b) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("key", ["n_channels", "seed"])
+    def test_sampling_keys_refused_by_name(self, tmp_path, capsys, key):
+        """The bound is exact: a channel-draw count or seed has no meaning."""
+        capsys.readouterr()
+        assert run_cli(*_bound(tmp_path, {**BOUND, key: 1})) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: ") and key in err
 
     def test_missing_fields_fail_with_exit_2(self, tmp_path, capsys):
         cfg_path = tmp_path / "bad.json"

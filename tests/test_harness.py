@@ -246,6 +246,19 @@ class TestWaveformSim:
         assert rec.snr_db_estimated is not None
         assert rec.snr_db_estimated == pytest.approx(20.0, abs=0.5)
 
+    def test_sync_on_noise_peaks_counts_as_rejected(self):
+        """At 0 dB noise peaks pass the sync threshold and anchor the
+        transmission outside the capture: those trials are rejected
+        captures, and the sweep still returns."""
+        cfg = harness.SimConfig(
+            scheme="smx", nt=2, nr=2, modulation_order=2, snr_grid_db=(0.0,),
+            fidelity="waveform", bits_per_trial=40_000, trials_per_snr=3,
+            snr_block_symbols=2000, target_bit_errors=None, master_seed=11,
+        )
+        rec = harness.run_simulation(cfg)[0]
+        assert rec.rejected_vectors > 0
+        assert rec.bits == 40_000 * (3 - rec.rejected_vectors)
+
     def test_agrees_with_symbol_fidelity(self):
         """Full-chain ABER matches the pilot-CSI symbol shortcut."""
         shared = dict(k_factor_db=33.0, pi_profile="rx_config_1",

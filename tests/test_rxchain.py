@@ -412,6 +412,23 @@ class TestDecodeTransmission:
         assert np.max(np.abs(est / tx.symbol_scale - h)) <= 1e-6
         assert result.symbol_scale == 1.0
 
+    def test_anchor_before_capture_start_rejected(self, loopback):
+        """A copy of the sync peak 120 samples ahead of the transmission
+        becomes the first of 20 peaks, so the start lands at sample -84."""
+        layout, tx_layout, c, bits, tx, h = loopback
+        rx = channel.propagate_waveform(tx.samples.T, h).T
+        capture = np.concatenate([np.zeros((2, 120), dtype=complex), rx], axis=1)
+        capture[:, 0] = rx[:, np.argmax(np.sum(np.abs(rx) ** 2, axis=0))]
+        with pytest.raises(SyncRejection, match="-84"):
+            rxchain.decode_transmission(capture, layout, tx_layout, 2, "sm", c)
+
+    def test_capture_cut_before_data_end_rejected(self, loopback):
+        layout, tx_layout, c, bits, tx, h = loopback
+        rx = channel.propagate_waveform(tx.samples.T, h).T
+        with pytest.raises(SyncRejection):
+            rxchain.decode_transmission(rx[:, : rx.shape[1] * 9 // 10], layout,
+                                        tx_layout, 2, "sm", c)
+
     def test_noisy_decode_still_syncs(self, loopback):
         layout, tx_layout, c, bits, tx, h = loopback
         rng = np.random.default_rng(21)
