@@ -7,8 +7,9 @@ Modules:
 * :mod:`smlink.txchain`  -- frames, pulse shaping, transmission format.
 * :mod:`smlink.channel`  -- Rician/Rayleigh fading with power imbalance.
 * :mod:`smlink.rxchain`  -- sync, SNR/FO/channel estimation, demodulation.
-* :mod:`smlink.analysis` -- ABER union bound, Rice fitting, CDF tools.
-* :mod:`smlink.harness`  -- Monte Carlo driver, configs, CSV persistence.
+* :mod:`smlink.analysis` -- ABER union bound, Rice fitting.
+* :mod:`smlink.harness`  -- Monte Carlo sweep (``run_simulation``, the one
+  sweep entry for both fidelities), configs, CSV persistence.
 * :mod:`smlink.kernels`  -- chunked numpy ML detection kernels.
 * :mod:`smlink.fileio`   -- the JSON reader and field checker.
 """

@@ -12,11 +12,11 @@ integrated by Gauss-Legendre quadrature); ``union_bound_aber_for_channels``
 averages over an explicit stack of channel matrices.
 
 Also provided: a maximum-likelihood Rice amplitude fit with a
-chi-squared goodness-of-fit test, and an empirical CDF helper. The fit
-solves the one-dimensional profile score in nu (sigma follows from nu
-through the second moment) by a coarse K grid and ``brentq``, and takes
-the global likelihood maximum among its roots and the Rayleigh boundary
-nu = 0, which it reports as K = -inf dB. ``RicianFit.iterations`` counts
+chi-squared goodness-of-fit test. The fit solves the one-dimensional
+profile score in nu (sigma follows from nu through the second moment)
+by a coarse K grid and ``brentq``, and takes the global likelihood
+maximum among its roots and the Rayleigh boundary nu = 0, which it
+reports as K = -inf dB. ``RicianFit.iterations`` counts
 score evaluations, ``max_iterations`` caps them, and
 ``RicianFit.converged`` says whether every root refinement finished.
 """
@@ -35,12 +35,10 @@ __all__ = [
     "BoundConfig",
     "RicianFit",
     "q_function",
-    "pairwise_error_probability",
     "bit_weight_matrix",
     "union_bound_aber_for_channels",
     "union_bound_aber",
     "fit_rician",
-    "empirical_cdf",
 ]
 
 MAX_CANDIDATES = 2**16
@@ -51,23 +49,10 @@ def q_function(w):
     return 0.5 * special.erfc(np.asarray(w, dtype=np.float64) / np.sqrt(2.0))
 
 
-def pairwise_error_probability(x_t, x, h, gamma_ex):
-    """Probability of deciding x when x_t was sent, conditioned on H."""
-    if gamma_ex < 0:
-        raise ConfigurationError("gamma_ex must be nonnegative")
-    d = np.asarray(h) @ (np.asarray(x_t) - np.asarray(x))
-    return float(q_function(np.sqrt(gamma_ex * np.vdot(d, d).real)))
-
-
 def bit_weight_matrix(m):
     """W[i, j] = Hamming distance between the m-bit labels of i and j."""
     idx = np.arange(2**m, dtype=np.int64)
-    x = idx[:, None] ^ idx[None, :]
-    w = np.zeros(x.shape, dtype=np.int64)
-    while x.any():
-        w += x & 1
-        x >>= 1
-    return w
+    return np.bitwise_count(idx[:, None] ^ idx[None, :]).astype(np.int64)
 
 
 def _pairwise_sq_distances(candidates, h_stack):
@@ -444,14 +429,3 @@ def _rice_gof_p_value(x, nu, sigma, n_bins):
     dof = n_bins - 1 - 2
     return float(stats.chi2.sf(statistic, dof))
 
-
-def empirical_cdf(samples):
-    """Empirical CDF: (sorted unique support, cumulative fractions).
-
-    The returned step function is right-continuous and ends at 1.
-    """
-    x = np.asarray(samples, dtype=np.float64)
-    if x.size == 0:
-        raise DegenerateInputError("empirical CDF of an empty sample set")
-    support, counts = np.unique(x, return_counts=True)
-    return support, np.cumsum(counts) / x.size

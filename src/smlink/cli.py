@@ -226,7 +226,7 @@ def _cmd_plotdata(args):
             bits_per_trial=100_000, trials_per_snr=trials,
             target_bit_errors=100, master_seed=args.seed, **params,
         )
-        for record in harness.run_symbol_sim(config):
+        for record in harness.run_simulation(config):
             rows.append([args.figure, label, "sim", record.snr_db_target, record.aber,
                          record.bits, record.bit_errors])
         if recipe["bound"]:

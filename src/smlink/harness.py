@@ -1,6 +1,7 @@
 """Monte Carlo experiment driver, configuration and persistence.
 
-Experiments sweep an SNR grid at one of two fidelities:
+:func:`run_simulation` is the one sweep entry. It sweeps an SNR grid at
+one of two fidelities, which differ only in how one trial runs:
 
 * ``symbol`` -- vectors go straight through y = Hx + n with the channel
   redrawn every ``block_symbols`` vectors (one frame's worth), detected
@@ -19,6 +20,7 @@ Records export to a fixed, versioned CSV schema.
 """
 
 import csv
+import functools
 import json
 import math
 from dataclasses import asdict, dataclass, field
@@ -36,8 +38,6 @@ __all__ = [
     "CSV_SCHEMA_VERSION",
     "CSV_COLUMNS",
     "run_simulation",
-    "run_symbol_sim",
-    "run_waveform_sim",
     "export_csv",
     "write_csv",
     "read_csv",
@@ -177,16 +177,56 @@ def _popcount_errors(sent_idx, detected_idx):
 
 
 def run_simulation(config):
-    """Dispatch on fidelity; returns one BerRecord per SNR point."""
+    """Sweep ``config.snr_grid_db``; returns one BerRecord per SNR point.
+
+    Trials at each point run until the error target is met or the trial
+    cap is reached. A rejected capture counts in ``rejected_vectors`` and
+    adds no bits; the SNR estimates of the accepted trials are averaged
+    in the linear domain.
+    """
+    constellation = modem.build_constellation(config.modulation_order)
+    fading, imbalance = config.fading(), config.imbalance()
     if config.fidelity == "symbol":
-        return run_symbol_sim(config)
-    return run_waveform_sim(config)
+        candidates = modem.candidate_vectors(config.scheme, config.nt, constellation)
+        trial = functools.partial(
+            _symbol_trial, config, constellation, candidates, fading, imbalance)
+    else:
+        trial = functools.partial(_waveform_trial, config, constellation, fading, imbalance)
+    records = []
+    for snr_db in config.snr_grid_db:
+        record = _new_record(config, snr_db)
+        est_values = []
+        for t in range(config.trials_per_snr):
+            errs, bits, est, rejected = trial(_trial_rng(config.master_seed, snr_db, t), snr_db)
+            if rejected:
+                record.rejected_vectors += 1
+                continue
+            record.bit_errors += errs
+            record.bits += bits
+            record.trial_errors.append(errs)
+            record.trial_bits.append(bits)
+            if est is not None:
+                est_values.append(est)
+            if (
+                config.target_bit_errors is not None
+                and record.bit_errors >= config.target_bit_errors
+            ):
+                break
+        if est_values:
+            record.snr_db_estimated = float(10.0 * np.log10(np.mean(est_values)))
+        records.append(record)
+    return records
 
 
-def _symbol_trial(config, constellation, candidates, h_draws, rng, noise_var):
-    """One symbol-fidelity trial; returns (bit_errors,)."""
+def _symbol_trial(config, constellation, candidates, fading, imbalance, rng, snr_db):
+    """One symbol-fidelity trial.
+
+    Returns (bit_errors, bits_counted, None, False): symbol fidelity has
+    no SNR estimate and no capture to reject.
+    """
     m = config.bits_per_vector
     n_vec = config.bits_per_trial // m
+    noise_var = 10.0 ** (-snr_db / 10.0)
     bits = rng.integers(0, 2, size=config.bits_per_trial, dtype=np.uint8)
     sent_idx = modem.bits_to_indices(bits, m)
     vectors = candidates[sent_idx]
@@ -199,9 +239,7 @@ def _symbol_trial(config, constellation, candidates, h_draws, rng, noise_var):
     )
     for start in range(0, n_vec, config.block_symbols):
         stop = min(start + config.block_symbols, n_vec)
-        h = channel_mod.draw_channel(
-            config.nr, config.nt, h_draws["fading"], h_draws["imbalance"], rng
-        )
+        h = channel_mod.draw_channel(config.nr, config.nt, fading, imbalance, rng)
         y = channel_mod.propagate_symbols(vectors[start:stop], h, noise_var, rng)
         if config.csi_mode == "perfect":
             h_halves = (h, h)
@@ -221,37 +259,10 @@ def _symbol_trial(config, constellation, candidates, h_draws, rng, noise_var):
             else:
                 det = modem.ml_detect_batch(block, h_det, candidates)
             errors += _popcount_errors(sent_idx[start:stop][sl], det)
-    return errors
+    return errors, config.bits_per_trial, None, False
 
 
-def run_symbol_sim(config):
-    """Symbol-fidelity Monte Carlo sweep."""
-    if config.fidelity != "symbol":
-        raise ConfigurationError("config.fidelity must be 'symbol'")
-    constellation = modem.build_constellation(config.modulation_order)
-    candidates = modem.candidate_vectors(config.scheme, config.nt, constellation)
-    h_draws = {"fading": config.fading(), "imbalance": config.imbalance()}
-    records = []
-    for snr_db in config.snr_grid_db:
-        noise_var = 10.0 ** (-snr_db / 10.0)
-        record = _new_record(config, snr_db)
-        for trial in range(config.trials_per_snr):
-            rng = _trial_rng(config.master_seed, snr_db, trial)
-            errs = _symbol_trial(config, constellation, candidates, h_draws, rng, noise_var)
-            record.bit_errors += errs
-            record.bits += config.bits_per_trial
-            record.trial_errors.append(errs)
-            record.trial_bits.append(config.bits_per_trial)
-            if (
-                config.target_bit_errors is not None
-                and record.bit_errors >= config.target_bit_errors
-            ):
-                break
-        records.append(record)
-    return records
-
-
-def _waveform_trial(config, constellation, rng, snr_db):
+def _waveform_trial(config, constellation, fading, imbalance, rng, snr_db):
     """One waveform-fidelity trial.
 
     Returns (bit_errors, bits_counted, estimated_snr_linear or None,
@@ -268,9 +279,7 @@ def _waveform_trial(config, constellation, rng, snr_db):
         bits, config.scheme, config.nt, constellation, frame_layout, tx_layout
     )
 
-    h = channel_mod.draw_channel(
-        config.nr, config.nt, config.fading(), config.imbalance(), rng
-    )
+    h = channel_mod.draw_channel(config.nr, config.nt, fading, imbalance, rng)
     noise_var = tx.symbol_scale**2 * 10.0 ** (-snr_db / 10.0)
     rx = channel_mod.propagate_waveform(
         tx.samples.T, h, config.fo_cycles_per_sample, noise_var, rng
@@ -289,38 +298,6 @@ def _waveform_trial(config, constellation, rng, snr_db):
         # back to the unit-energy symbol scale for comparability.
         est_linear = 10.0 ** (result.snr.snr_db / 10.0) / (tx.x_max / tx.symbol_scale) ** 2
     return errors, config.bits_per_trial, est_linear, False
-
-
-def run_waveform_sim(config):
-    """Waveform-fidelity Monte Carlo sweep (full Tx/Rx chain per trial)."""
-    if config.fidelity != "waveform":
-        raise ConfigurationError("config.fidelity must be 'waveform'")
-    constellation = modem.build_constellation(config.modulation_order)
-    records = []
-    for snr_db in config.snr_grid_db:
-        record = _new_record(config, snr_db)
-        est_values = []
-        for trial in range(config.trials_per_snr):
-            rng = _trial_rng(config.master_seed, snr_db, trial)
-            errs, bits, est, rejected = _waveform_trial(config, constellation, rng, snr_db)
-            if rejected:
-                record.rejected_vectors += 1
-                continue
-            record.bit_errors += errs
-            record.bits += bits
-            record.trial_errors.append(errs)
-            record.trial_bits.append(bits)
-            if est is not None:
-                est_values.append(est)
-            if (
-                config.target_bit_errors is not None
-                and record.bit_errors >= config.target_bit_errors
-            ):
-                break
-        if est_values:
-            record.snr_db_estimated = float(10.0 * np.log10(np.mean(est_values)))
-        records.append(record)
-    return records
 
 
 def _new_record(config, snr_db):

@@ -23,7 +23,6 @@ from .errors import ConfigurationError, DimensionError, FramingError
 
 __all__ = [
     "Constellation",
-    "SmSymbol",
     "ComplexityReport",
     "build_constellation",
     "bits_to_indices",
@@ -31,13 +30,9 @@ __all__ = [
     "bits_per_vector",
     "modulate",
     "sm_modulate",
-    "sm_demap",
     "smx_modulate",
-    "smx_demap",
     "candidate_vectors",
-    "ml_detect",
     "ml_detect_batch",
-    "sm_ml_detect",
     "sm_ml_detect_batch",
     "receiver_complexity",
     "complexity_report",
@@ -62,19 +57,6 @@ class Constellation:
     @property
     def bits_per_symbol(self):
         return self.order.bit_length() - 1
-
-
-@dataclass(frozen=True)
-class SmSymbol:
-    """One spatial-modulation symbol: active antenna plus drawn point.
-
-    Indices are 1-based: ``antenna_index`` in 1..nt, ``constellation_index``
-    in 1..M.
-    """
-
-    antenna_index: int
-    constellation_index: int
-    value: complex
 
 
 @dataclass(frozen=True)
@@ -159,53 +141,26 @@ def bits_per_vector(scheme, nt, order):
 def modulate(bits, scheme, nt, constellation):
     """Map bits to the (n, nt) transmit vectors of either scheme."""
     if scheme == "sm":
-        ant_idx, sym_idx = sm_map_indices(bits, nt, constellation)
-        return sm_vectors(ant_idx, sym_idx, nt, constellation)
+        return sm_modulate(bits, nt, constellation)[1]
     if scheme == "smx":
         return smx_modulate(bits, nt, constellation)
     raise ConfigurationError(f"unknown scheme {scheme!r}")
 
 
 def sm_modulate(bits, nt, constellation):
-    """Map bits to spatial-modulation symbols.
+    """Map bits to spatial-modulation vectors.
 
-    Returns ``(symbols, vectors)`` where ``symbols`` is a list of
-    :class:`SmSymbol` and ``vectors`` is the (n, nt) complex array with a
-    single nonzero entry per row.
+    Returns ``(antenna, vectors)``: the (n,) 0-based active-antenna
+    indices and the (n, nt) complex array with that antenna's
+    constellation point as the single nonzero entry of each row.
     """
-    ant_idx, sym_idx = sm_map_indices(bits, nt, constellation)
-    vectors = sm_vectors(ant_idx, sym_idx, nt, constellation)
-    symbols = [
-        SmSymbol(int(a) + 1, int(s) + 1, complex(constellation.points[s]))
-        for a, s in zip(ant_idx, sym_idx)
-    ]
-    return symbols, vectors
-
-
-def sm_map_indices(bits, nt, constellation):
-    """Bit blocks -> (antenna index, point index), both 0-based arrays."""
     m = bits_per_vector("sm", nt, constellation.order)
     blocks = bits_to_indices(bits, m)
-    k = constellation.bits_per_symbol
-    return blocks >> k, blocks & (constellation.order - 1)
-
-
-def sm_vectors(ant_idx, sym_idx, nt, constellation):
-    n = len(ant_idx)
-    vectors = np.zeros((n, nt), dtype=np.complex128)
-    vectors[np.arange(n), ant_idx] = constellation.points[sym_idx]
-    return vectors
-
-
-def sm_demap(symbols, nt, constellation):
-    """Bits back out of a sequence of :class:`SmSymbol`."""
-    m = bits_per_vector("sm", nt, constellation.order)
-    k = constellation.bits_per_symbol
-    blocks = np.array(
-        [((s.antenna_index - 1) << k) | (s.constellation_index - 1) for s in symbols],
-        dtype=np.int64,
-    )
-    return indices_to_bits(blocks, m)
+    antenna = blocks >> constellation.bits_per_symbol
+    points = constellation.points[blocks & (constellation.order - 1)]
+    vectors = np.zeros((blocks.size, nt), dtype=np.complex128)
+    vectors[np.arange(blocks.size), antenna] = points
+    return antenna, vectors
 
 
 def smx_modulate(bits, nt, constellation):
@@ -226,18 +181,6 @@ def smx_map_indices(bits, nt, constellation):
     return b.reshape(-1, nt, k).astype(np.int64) @ weights
 
 
-def smx_demap(vectors, constellation):
-    """Nearest-point demapping per antenna; exact inverse of smx_modulate."""
-    v = np.asarray(vectors)
-    nt = v.shape[1]
-    d = v[:, :, None] * np.sqrt(nt) - constellation.points[None, None, :]
-    idx = np.argmin(d.real**2 + d.imag**2, axis=2)
-    k = constellation.bits_per_symbol
-    shifts = np.arange(k - 1, -1, -1, dtype=np.int64)
-    bits = ((idx[:, :, None] >> shifts) & 1).astype(np.uint8)
-    return bits.reshape(-1)
-
-
 def candidate_vectors(scheme, nt, constellation):
     """All 2**m transmit vectors in bit-block enumeration order.
 
@@ -248,18 +191,12 @@ def candidate_vectors(scheme, nt, constellation):
     return modulate(indices_to_bits(np.arange(2**m), m), scheme, nt, constellation)
 
 
-def ml_detect(y, h, candidates):
-    """Brute-force ML over an explicit candidate set.
-
-    Returns ``(index, vector)`` minimizing ||y - H x||^2; ties go to the
-    lowest candidate index.
-    """
-    idx = int(ml_detect_batch(np.asarray(y)[None, :], h, candidates)[0])
-    return idx, candidates[idx]
-
-
 def ml_detect_batch(y, h, candidates):
-    """Vectorized :func:`ml_detect` over (n, nr) received rows."""
+    """Brute-force ML over an explicit candidate set, one decision per row.
+
+    ``y`` is (n, nr). Row i's decision is the candidate index minimizing
+    ||y_i - H x||^2; ties go to the lowest candidate index.
+    """
     y = np.asarray(y, dtype=np.complex128)
     h = np.asarray(h, dtype=np.complex128)
     x = np.asarray(candidates, dtype=np.complex128)
@@ -271,23 +208,15 @@ def ml_detect_batch(y, h, candidates):
     return kernels.detect_min_indices(y, hx)
 
 
-def sm_ml_detect(y, h, constellation):
-    """Single-stream ML detector specialised to one active antenna.
+def sm_ml_detect_batch(y, h, constellation):
+    """ML detector specialised to one active antenna, one decision per row.
 
     Minimises sum_r |y_r - h[r, a] s|^2 over the nt * M single-antenna
     images h[:, a] * s, built straight from the channel columns and
     searched by the shared metric kernel of :mod:`smlink.kernels` in flat
     order a * M + p, so ties resolve to the lowest (antenna, point) pair.
-    Returns an :class:`SmSymbol`.
+    Returns the flat indices a * M + p, which equal the bit-block values.
     """
-    flat = int(sm_ml_detect_batch(np.asarray(y)[None, :], h, constellation)[0])
-    m_ord = constellation.order
-    a, p = divmod(flat, m_ord)
-    return SmSymbol(a + 1, p + 1, complex(constellation.points[p]))
-
-
-def sm_ml_detect_batch(y, h, constellation):
-    """Vectorized :func:`sm_ml_detect`; returns flat antenna*M+point indices."""
     y = np.asarray(y, dtype=np.complex128)
     h = np.asarray(h, dtype=np.complex128)
     if y.ndim != 2 or y.shape[1] != h.shape[0]:

@@ -131,11 +131,13 @@ def estimate_snr(snr_section, nt, n_blocks, block_len_samples):
 
     ``snr_section`` is (nr, n_samples) laid out as ``nt`` sequential
     per-antenna runs of ``n_blocks`` alternating on/off blocks. Per
-    block: signal power = max(mean on-power - mean off-power, 0) where
-    powers sum over receive antennas; the noise variance is the
-    per-component variance of the mean-removed off samples; their ratio
-    (divided by nr) is one raw estimate. Estimates are averaged in the
-    linear domain over all blocks and antennas.
+    block, the off block's mean (per receive antenna) is removed from
+    both blocks, so a receive DC offset cancels: signal power =
+    max(mean on-power - mean off-power, 0) where powers sum over receive
+    antennas; the noise variance is the per-component variance of the
+    off samples; their ratio (divided by nr) is one raw estimate.
+    Estimates are averaged in the linear domain over all blocks and
+    antennas.
     """
     y = np.atleast_2d(np.asarray(snr_section))
     nr = y.shape[0]
@@ -153,11 +155,10 @@ def estimate_snr(snr_section, nt, n_blocks, block_len_samples):
     for t in range(nt):
         for b in range(n_blocks):
             on, off = blocks[:, t, b, 0], blocks[:, t, b, 1]
-            p_on = _power_sum(on) / block_len_samples
-            p_off = _power_sum(off) / block_len_samples
-            centered = off - off.mean(axis=1, keepdims=True)
-            noise_var = _power_sum(centered) / centered.size
-            signal = max(p_on - p_off, 0.0)
+            dc = off.mean(axis=1, keepdims=True)
+            off_energy = _power_sum(off - dc)
+            noise_var = off_energy / off.size
+            signal = max(_power_sum(on - dc) - off_energy, 0.0) / block_len_samples
             if noise_var == 0.0:
                 if signal == 0.0:
                     raise DegenerateInputError("on/off blocks are both silent")

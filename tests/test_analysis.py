@@ -72,20 +72,13 @@ class TestQFunction:
 
 class TestPairwiseErrorProbability:
     def test_identity_channel_example(self):
-        x_t = np.array([1.0, 0.0])
-        x = np.array([-1.0, 0.0])
-        pep = analysis.pairwise_error_probability(x_t, x, np.eye(2), 1.0)
-        assert pep == pytest.approx(Q_ORACLE[2.0], rel=1e-12)
-
-    def test_same_vector_is_half(self):
-        x = np.array([1.0, 0.0])
-        assert analysis.pairwise_error_probability(x, x, np.eye(2), 5.0) == 0.5
-
-    def test_negative_gamma_rejected(self):
-        with pytest.raises(ConfigurationError):
-            analysis.pairwise_error_probability(
-                np.ones(2), np.zeros(2), np.eye(2), -1.0
-            )
+        """Two candidates one bit apart: the bound is their one pairwise
+        error probability, Q(sqrt(gamma_ex) * ||x_t - x||) = Q(2) at
+        gamma_ex = 1."""
+        cands = np.array([[1.0, 0.0], [-1.0, 0.0]])
+        snr_db = 10.0 * math.log10(2.0)  # gamma_ex = 1
+        bound = analysis.union_bound_aber_for_channels(cands, np.eye(2), [snr_db])
+        assert bound[0] == pytest.approx(Q_ORACLE[2.0], rel=1e-12)
 
 
 class TestBitWeightMatrix:
@@ -447,14 +440,3 @@ class TestRicianFit:
         with pytest.raises(ConfigurationError):
             analysis.fit_rician(x, max_iterations=0)
 
-
-class TestEmpiricalCdf:
-    def test_small_example(self):
-        xs, f = analysis.empirical_cdf(np.array([3.0, 1.0, 2.0, 2.0]))
-        assert xs.tolist() == [1.0, 2.0, 3.0]
-        assert f.tolist() == [0.25, 0.75, 1.0]
-
-    def test_uniform_agreement(self):
-        rng = np.random.default_rng(17)
-        xs, f = analysis.empirical_cdf(rng.uniform(0, 1, 100_000))
-        assert np.max(np.abs(f - xs)) < 0.01

@@ -4,13 +4,17 @@
 renaming or removing one of them breaks the benchmark's ``--trace`` runs
 without failing any package test. This test imports the tracer (read
 only) and checks that installing it wraps every traced attribute and
-that uninstalling restores the original objects.
+that uninstalling restores the original objects, and that a count hook
+sees the calls the package makes through module attributes.
 """
 
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from smlink import modem, txchain
 
 LAYERTRACE = Path(__file__).resolve().parents[1] / "perfbench" / "layertrace.py"
 
@@ -39,3 +43,23 @@ def test_every_traced_attribute_is_wrapped_and_restored(layertrace):
         tracer.uninstall()
     for module, attr, original in originals:
         assert getattr(module, attr) is original
+
+
+def test_sm_modulation_is_counted_through_build_transmission(layertrace):
+    """The SM vectors built by the one bits->frames path land in the
+    tracer's ``modem.sm_modulate.vectors`` count."""
+    frame_layout = txchain.FrameLayout(data_symbols_per_frame=100)
+    tx_layout = txchain.TransmissionLayout(n_frames=2, snr_block_symbols=50)
+    n_vectors = frame_layout.data_symbols_per_frame * tx_layout.n_frames
+    c = modem.build_constellation(4)
+    bits = np.random.default_rng(1).integers(
+        0, 2, n_vectors * modem.bits_per_vector("sm", 2, 4), dtype=np.uint8)
+    tracer = layertrace.Tracer("test")
+    tracer.install()
+    try:
+        tracer.iteration = 0
+        txchain.build_transmission(bits, "sm", 2, c, frame_layout, tx_layout)
+    finally:
+        tracer.iteration = None
+        tracer.uninstall()
+    assert tracer.counts["modem.sm_modulate.vectors"] == n_vectors

@@ -110,26 +110,26 @@ class TestSmMapping:
     def test_antenna_bits_lead(self):
         """Leading bit block selects the antenna: 00 -> +1 on antenna 1."""
         bpsk = modem.build_constellation(2)
-        symbols, vectors = modem.sm_modulate(np.array([0, 0], dtype=np.uint8), 2, bpsk)
-        assert symbols[0].antenna_index == 1
-        assert symbols[0].value == 1.0
-        assert np.allclose(vectors[0], [1.0, 0.0])
-
-        symbols, vectors = modem.sm_modulate(np.array([1, 1], dtype=np.uint8), 2, bpsk)
-        assert symbols[0].antenna_index == 2
-        assert symbols[0].value == -1.0
-        assert np.allclose(vectors[0], [0.0, -1.0])
+        for bits, active, vector in (([0, 0], 0, [1.0, 0.0]), ([1, 1], 1, [0.0, -1.0])):
+            bits = np.array(bits, dtype=np.uint8)
+            antenna, vectors = modem.sm_modulate(bits, 2, bpsk)
+            assert antenna.tolist() == [active]
+            assert np.array_equal(vectors, [vector])
+            assert np.array_equal(modem.modulate(bits, "sm", 2, bpsk), vectors)
+            detected = modem.sm_ml_detect_batch(vectors, np.eye(2), bpsk)
+            assert np.array_equal(modem.indices_to_bits(detected, 2), bits)
 
     @pytest.mark.parametrize("nt,order", [(2, 2), (2, 4), (4, 2), (4, 4), (8, 4)])
     def test_exhaustive_bijectivity(self, nt, order):
         c = modem.build_constellation(order)
         m = modem.bits_per_vector("sm", nt, order)
         bits = modem.indices_to_bits(np.arange(2**m), m)
-        symbols, vectors = modem.sm_modulate(bits, nt, c)
-        # one active antenna, all vectors distinct, demap restores the bits
+        antenna, vectors = modem.sm_modulate(bits, nt, c)
+        # one active antenna, all vectors distinct, detection restores the bits
         assert np.all(np.count_nonzero(vectors, axis=1) == 1)
+        assert np.array_equal(np.flatnonzero(vectors) % nt, antenna)
         assert len({tuple(np.round(v, 12)) for v in vectors}) == 2**m
-        back = modem.sm_demap(symbols, nt, c)
+        back = modem.indices_to_bits(modem.sm_ml_detect_batch(vectors, np.eye(nt), c), m)
         assert np.array_equal(back, bits)
 
     def test_unit_vector_energy(self):
@@ -170,7 +170,9 @@ class TestSmxMapping:
         m = modem.bits_per_vector("smx", 4, 16)
         bits = rng.integers(0, 2, size=m * 500).astype(np.uint8)
         vectors = modem.smx_modulate(bits, 4, c)
-        assert np.array_equal(modem.smx_demap(vectors, c), bits)
+        cands = modem.candidate_vectors("smx", 4, c)
+        back = modem.indices_to_bits(modem.ml_detect_batch(vectors, np.eye(4), cands), m)
+        assert np.array_equal(back, bits)
 
     def test_candidate_rows_follow_bit_blocks(self):
         c = modem.build_constellation(2)
@@ -210,13 +212,8 @@ class TestMlDetection:
             y = h @ cands[k] + noise
             expected = brute_force_detect(y, h, cands)
             if scheme == "sm":
-                sym = modem.sm_ml_detect(y, h, c)
-                flat = (sym.antenna_index - 1) * order + (sym.constellation_index - 1)
-                assert flat == expected
-            else:
-                idx, vector = modem.ml_detect(y, h, cands)
-                assert idx == expected
-                assert np.array_equal(vector, cands[expected])
+                assert modem.sm_ml_detect_batch(y[None, :], h, c)[0] == expected
+            assert modem.ml_detect_batch(y[None, :], h, cands)[0] == expected
 
     def test_batch_matches_single(self):
         rng = np.random.default_rng(3)
@@ -225,13 +222,10 @@ class TestMlDetection:
         h = random_channel(rng, 2, 4)
         y = rng.standard_normal((200, 2)) + 1j * rng.standard_normal((200, 2))
         batch = modem.sm_ml_detect_batch(y, h, c)
-        singles = [
-            (s.antenna_index - 1) * c.order + (s.constellation_index - 1)
-            for s in (modem.sm_ml_detect(row, h, c) for row in y)
-        ]
+        singles = [modem.sm_ml_detect_batch(y[i:i + 1], h, c)[0] for i in range(len(y))]
         assert np.array_equal(batch, singles)
         batch = modem.ml_detect_batch(y, h, cands)
-        singles = [modem.ml_detect(row, h, cands)[0] for row in y]
+        singles = [modem.ml_detect_batch(y[i:i + 1], h, cands)[0] for i in range(len(y))]
         assert np.array_equal(batch, singles)
 
     def test_tie_breaks_on_first_minimum(self):
@@ -239,10 +233,9 @@ class TestMlDetection:
         c = modem.build_constellation(2)
         cands = modem.candidate_vectors("sm", 2, c)
         h = np.eye(2, dtype=complex)
-        y = np.zeros(2, dtype=complex)
-        sym = modem.sm_ml_detect(y, h, c)
-        assert (sym.antenna_index, sym.constellation_index) == (1, 1)
-        assert modem.ml_detect(y, h, cands)[0] == 0
+        y = np.zeros((1, 2), dtype=complex)
+        assert modem.sm_ml_detect_batch(y, h, c).tolist() == [0]  # antenna 1, point 1
+        assert modem.ml_detect_batch(y, h, cands).tolist() == [0]
         batch = modem.ml_detect_batch(np.zeros((5, 2), dtype=complex), h, cands)
         assert np.array_equal(batch, np.zeros(5))
 
@@ -253,7 +246,7 @@ class TestMlDetection:
     def test_detectors_match_first_minimum_property(self, scheme, nt, order, nr,
                                                     noise_var, seed):
         """Both batch detectors equal the explicit first-minimum scan, and a
-        batch call equals single-row calls row by row (matrix-matrix and
+        batch call equals one-row calls on its row slices (matrix-matrix and
         matrix-vector products of the metric kernel agree)."""
         assume(modem.bits_per_vector(scheme, nt, order) <= 12)
         rng = np.random.default_rng(seed)
@@ -266,13 +259,12 @@ class TestMlDetection:
         expected = first_minimum(y, cands @ h.T)
         generic = modem.ml_detect_batch(y, h, cands)
         assert np.array_equal(generic, expected)
-        assert [modem.ml_detect(row, h, cands)[0] for row in y] == list(generic)
+        rows = [y[i:i + 1] for i in range(n)]
+        assert [modem.ml_detect_batch(r, h, cands)[0] for r in rows] == list(generic)
         if scheme == "sm":
             flat = modem.sm_ml_detect_batch(y, h, c)
             assert np.array_equal(flat, expected)
-            singles = [(s.antenna_index - 1) * order + (s.constellation_index - 1)
-                       for s in (modem.sm_ml_detect(row, h, c) for row in y)]
-            assert singles == list(flat)
+            assert [modem.sm_ml_detect_batch(r, h, c)[0] for r in rows] == list(flat)
 
     def test_smx_kernel_memory_bounded(self):
         """2000 vectors against 65536 SMX candidates (nt=4, 16-QAM, nr=4)

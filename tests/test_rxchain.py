@@ -109,6 +109,22 @@ class TestEstimateSnr:
             assert est.per_antenna_per_block.shape == (2, 5)
             assert abs(est.snr_db - snr_db) <= 0.5
 
+    def test_receive_dc_offset_cancels(self):
+        """A constant receive offset leaves the estimate unchanged: each
+        block's off-section mean is removed from its on samples too."""
+        rng = np.random.default_rng(0)
+        nr, nt, blocks, block_len = 2, 2, 20, 10_000
+        shape = (nr, nt, blocks, 2, block_len)
+        y = 0.1 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        y[:, :, :, 0, :] += 1.0 + 0.5j
+        y = y.reshape(nr, -1)
+        # signal 2 * |1 + 0.5j|^2 = 2.5 over nr * complex noise variance 0.02
+        truth_db = 10.0 * np.log10(2.5 / (nr * 0.02))
+        clean = rxchain.estimate_snr(y, nt, blocks, block_len)
+        offset = rxchain.estimate_snr(y + (5.0 - 3.0j), nt, blocks, block_len)
+        assert clean.snr_db == pytest.approx(truth_db, abs=0.05)
+        assert offset.snr_db == pytest.approx(clean.snr_db, abs=1e-9)
+
     def test_noiseless_is_flagged_invalid(self):
         """Silent off-blocks saturate the probe: +inf sentinel, valid=False."""
         h = np.eye(2, dtype=complex)
