@@ -141,11 +141,11 @@ def _cmd_decode(args):
         if key not in meta:
             raise ConfigurationError(f"sidecar missing field {key!r}")
     constellation = modem.build_constellation(meta["modulation_order"])
-    streams = np.stack([
-        txchain.dequantize_i16(np.fromfile(p, dtype="<i2")) for p in args.capture
-    ])
+    streams = [txchain.dequantize_i16(np.fromfile(p, dtype="<i2")) for p in args.capture]
+    if len({s.size for s in streams}) > 1:
+        raise ConfigurationError(f"captures differ in length: {[s.size for s in streams]}")
     result = rxchain.decode_transmission(
-        streams, frame_layout, tx_layout, meta["nt"], meta["scheme"],
+        np.stack(streams), frame_layout, tx_layout, meta["nt"], meta["scheme"],
         constellation, symbol_scale=meta.get("symbol_scale"),
     )
     np.packbits(result.bits).tofile(args.out)
@@ -156,7 +156,8 @@ def _cmd_decode(args):
         "n_bits": int(result.bits.size),
         "sync_tx_start": int(result.sync.tx_start_index),
         "channel_estimates": [
-            {e.which_half: [[c.real, c.imag] for c in e.h_hat.reshape(-1)] for e in pair}
+            {half: [[c.real, c.imag] for c in h.reshape(-1)]
+             for half, h in zip(("first", "second"), pair)}
             for pair in result.channel_estimates
         ],
     }

@@ -6,10 +6,11 @@ synchronization pulses (relative threshold, reject the capture if fewer
 are found), measure SNR from the on/off section, estimate each frame's
 carrier frequency offset from its matched-filtered constant-symbol
 preamble, derotate the data section at sample rate, matched-filter and
-downsample it once, then per frame estimate the channel from both pilot
-signals and detect each half of the data symbols with its nearer
-estimate. Derotating before the matched filter keeps the combined
-transmit+receive response Nyquist under carrier offset.
+downsample it once, estimate the channel from both pilot signals of
+every frame in one batch, then per frame detect each half of the data
+symbols with its nearer estimate. Derotating before the matched filter
+keeps the combined transmit+receive response Nyquist under carrier
+offset.
 
 Channel estimates are formed as (1/N) Theta^H Y over the mean of the
 interior sequences of a pilot signal (their neighborhoods are still
@@ -31,12 +32,11 @@ from .errors import (
     DimensionError,
     SyncRejection,
 )
-from .txchain import FrameLayout, TransmissionLayout, pilot_matrix, rrc_taps
+from .txchain import pilot_matrix, rrc_taps
 
 __all__ = [
     "SyncResult",
     "SnrEstimate",
-    "ChannelEstimate",
     "DecodeResult",
     "detect_sync",
     "estimate_snr",
@@ -73,21 +73,17 @@ class SnrEstimate:
 
 
 @dataclass(frozen=True)
-class ChannelEstimate:
-    """LS channel estimate from one pilot signal."""
-
-    h_hat: np.ndarray
-    which_half: str
-
-
-@dataclass(frozen=True)
 class DecodeResult:
-    """Everything recovered from one captured transmission."""
+    """Everything recovered from one captured transmission.
+
+    ``channel_estimates`` is (n_frames, 2, nr, nt): per frame, the
+    estimates from the first and the second pilot signal.
+    """
 
     bits: np.ndarray
     snr: SnrEstimate
     fo_cycles_per_sample: np.ndarray
-    channel_estimates: list
+    channel_estimates: np.ndarray
     sync: SyncResult
     symbol_scale: float = 1.0
 
@@ -251,11 +247,12 @@ def pulse_gain_compensation(taps, upsample_factor, n_theta, nt):
     return np.exp(-2j * np.pi * np.outer(ants, lags) / n_theta) @ g_sym
 
 
-def ls_channel_estimate(pilot_block, pilots, gain=None, which_half="first"):
-    """Least-squares channel estimate from one received pilot signal.
+def ls_channel_estimate(pilot_block, pilots, gain=None):
+    """Least-squares channel estimates from received pilot signals.
 
-    ``pilot_block`` is (nr, n_seq * n_theta); ``pilots`` the (n_theta,
-    nt) transmitted matrix with orthogonal columns. The estimate is
+    ``pilot_block`` is (..., nr, n_seq * n_theta), one pilot signal per
+    leading index; ``pilots`` the (n_theta, nt) transmitted matrix with
+    orthogonal columns. Returns the (..., nr, nt) estimates. Each is
     (1/n_theta) Theta^H Y over the mean of the sequences whose
     filter-memory neighborhood stays pilot-periodic (all but the first
     and last when there are at least three). ``gain`` optionally divides
@@ -267,16 +264,16 @@ def ls_channel_estimate(pilot_block, pilots, gain=None, which_half="first"):
     if not np.allclose(gram, n_theta * np.eye(nt), atol=1e-9 * n_theta):
         raise ConfigurationError("pilot columns must be orthogonal")
     y = np.atleast_2d(np.asarray(pilot_block))
-    n_seq, rest = divmod(y.shape[1], n_theta)
+    n_seq, rest = divmod(y.shape[-1], n_theta)
     if rest or n_seq == 0:
         raise DimensionError("pilot block must hold one or more whole sequences")
-    seqs = y.reshape(y.shape[0], n_seq, n_theta)
+    seqs = y.reshape(*y.shape[:-1], n_seq, n_theta)
     if n_seq >= 3:
-        seqs = seqs[:, 1:-1]
-    h_hat = seqs.mean(axis=1) @ theta.conj() / n_theta
+        seqs = seqs[..., 1:-1, :]
+    h_hat = seqs.mean(axis=-2) @ theta.conj() / n_theta
     if gain is not None:
-        h_hat = h_hat / np.asarray(gain)[None, :]
-    return ChannelEstimate(h_hat=h_hat, which_half=which_half)
+        h_hat = h_hat / np.asarray(gain)
+    return h_hat
 
 
 def demodulate_frame(data_symbols, h_first, h_second, scheme, constellation):
@@ -286,23 +283,19 @@ def demodulate_frame(data_symbols, h_first, h_second, scheme, constellation):
     same amplitude scale as the symbols. Returns the demapped bits.
     """
     y = np.asarray(data_symbols)
-    n = y.shape[1]
-    split = n // 2
+    nt = h_first.shape[1]
+    m = modem.bits_per_vector(scheme, nt, constellation.order)
+    if scheme == "smx":
+        cands = modem.candidate_vectors("smx", nt, constellation)
+    split = y.shape[1] // 2
     parts = []
     for y_half, h in ((y[:, :split], h_first), (y[:, split:], h_second)):
-        if y_half.shape[1] == 0:
-            continue
         if scheme == "sm":
             idx = modem.sm_ml_detect_batch(y_half.T, h, constellation)
-            m = modem.bits_per_vector("sm", h.shape[1], constellation.order)
-        elif scheme == "smx":
-            cands = modem.candidate_vectors("smx", h.shape[1], constellation)
-            idx = modem.ml_detect_batch(y_half.T, h, cands)
-            m = modem.bits_per_vector("smx", h.shape[1], constellation.order)
         else:
-            raise ConfigurationError(f"unknown scheme {scheme!r}")
+            idx = modem.ml_detect_batch(y_half.T, h, cands)
         parts.append(modem.indices_to_bits(idx, m))
-    return np.concatenate(parts) if parts else np.zeros(0, dtype=np.uint8)
+    return np.concatenate(parts)
 
 
 def decode_transmission(rx_samples, frame_layout, tx_layout, nt, scheme,
@@ -313,13 +306,16 @@ def decode_transmission(rx_samples, frame_layout, tx_layout, nt, scheme,
     is derotated once at sample rate, phase referenced to the
     transmission start, and matched-filtered once.
 
-    Returns a :class:`DecodeResult`; raises :class:`SyncRejection` when
-    the synchronization search fails or places the transmission start
+    Returns a :class:`DecodeResult`. Raises :class:`ConfigurationError`
+    before reading the samples when ``scheme`` is unknown or ``nt`` is
+    not a power of two, and :class:`SyncRejection` when the
+    synchronization search fails or places the transmission start
     before the first sample or the data section past the capture's end.
     ``symbol_scale``, when given (from the transmission sidecar),
     converts the reported channel estimates to the true channel's
     amplitude scale; detection is unaffected.
     """
+    modem.bits_per_vector(scheme, nt, constellation.order)
     y = np.atleast_2d(np.asarray(rx_samples, dtype=np.complex128))
     u = frame_layout.upsample_factor
     taps = rrc_taps(frame_layout.rrc_num_taps, frame_layout.rrc_rolloff, u)
@@ -374,34 +370,24 @@ def decode_transmission(rx_samples, frame_layout, tx_layout, nt, scheme,
                            sync.data_start_index - sync.tx_start_index)
     symbols = matched_filter_downsample(derotated, taps, u, n_sym)
 
-    pilots = pilot_matrix(nt, frame_layout.pilot_seq_len)
-    gain = pulse_gain_compensation(taps, u, frame_layout.pilot_seq_len, nt)
-    bits = []
-    estimates = []
-    for frame in np.split(symbols, n_frames, axis=1):
-        est = [
-            ls_channel_estimate(frame[:, sections[sec]], pilots, gain, half)
-            for sec, half in (("pilot_first", "first"), ("pilot_second", "second"))
-        ]
-        bits.append(
-            demodulate_frame(
-                frame[:, sections["data"]],
-                est[0].h_hat,
-                est[1].h_hat,
-                scheme,
-                constellation,
-            )
-        )
-        if symbol_scale:
-            est = [
-                ChannelEstimate(e.h_hat / symbol_scale, e.which_half) for e in est
-            ]
-        estimates.append(tuple(est))
+    by_frame = symbols.reshape(y.shape[0], n_frames, f_syms).transpose(1, 0, 2)
+    pilot_signals = np.stack(
+        [by_frame[..., sections["pilot_first"]], by_frame[..., sections["pilot_second"]]],
+        axis=1,
+    )
+    estimates = ls_channel_estimate(
+        pilot_signals,
+        pilot_matrix(nt, frame_layout.pilot_seq_len),
+        pulse_gain_compensation(taps, u, frame_layout.pilot_seq_len, nt),
+    )
     return DecodeResult(
-        bits=np.concatenate(bits) if bits else np.zeros(0, dtype=np.uint8),
+        bits=np.concatenate([
+            demodulate_frame(frame[:, sections["data"]], h[0], h[1], scheme, constellation)
+            for frame, h in zip(by_frame, estimates)
+        ]),
         snr=snr,
         fo_cycles_per_sample=fo_per_frame,
-        channel_estimates=estimates,
+        channel_estimates=estimates / symbol_scale if symbol_scale else estimates,
         sync=sync,
         symbol_scale=symbol_scale if symbol_scale else 1.0,
     )

@@ -5,7 +5,8 @@ repetitions of length-10 orthogonal pilot sequences, all antennas
 simultaneously), a constant-valued frequency-offset preamble on antenna
 1 only, the data vectors, a second pilot signal and a trailing zero pad.
 
-Frames are upsampled, root-raised-cosine shaped and concatenated into
+The frames of a transmission form one (nt, n_frames * frame_symbols)
+symbol stream, which is upsampled and root-raised-cosine shaped into
 the data section of a transmission that is prefixed by a synchronization
 section (20 full-scale single-sample pulses on antenna 1, spaced 51
 symbol durations apart) and an SNR-estimation section (per antenna in
@@ -15,7 +16,7 @@ sync pulses stay at the quantizer full scale, which pins the
 peak-to-data amplitude ratio (about 21.1 dB at the default factor).
 
 :func:`build_transmission` runs the whole chain from a bit array:
-modulate, split into frames, assemble.
+modulate, frame, assemble.
 """
 
 import json
@@ -37,7 +38,6 @@ from .fileio import build, check_fields, read_json
 __all__ = [
     "FrameLayout",
     "TransmissionLayout",
-    "Frame",
     "TransmissionVector",
     "pilot_sequence",
     "pilot_matrix",
@@ -149,18 +149,6 @@ class TransmissionLayout:
 
 
 @dataclass(frozen=True)
-class Frame:
-    """One symbol-domain frame: (nt, frame_symbols) complex matrix."""
-
-    symbols: np.ndarray
-    layout: FrameLayout
-
-    @property
-    def nt(self):
-        return self.symbols.shape[0]
-
-
-@dataclass(frozen=True)
 class TransmissionVector:
     """Per-antenna sample streams plus the bookkeeping to parse them back.
 
@@ -229,29 +217,30 @@ def rrc_taps(num_taps=40, rolloff=0.75, upsample_factor=4):
     return h / np.sqrt(np.sum(h**2))
 
 
-def build_frame(data_vectors, layout, nt=None):
-    """Assemble one frame around a block of (n, nt) data vectors."""
+def build_frame(data_vectors, layout):
+    """Build the frames around (n_frames, data_symbols_per_frame, nt) data vectors.
+
+    Returns the (nt, n_frames * frame_symbols) symbol stream, frames back to back.
+    """
     x = np.asarray(data_vectors, dtype=np.complex128)
-    if x.ndim != 2:
-        raise DimensionError("data vectors must form an (n, nt) matrix")
-    if nt is None:
-        nt = x.shape[1]
-    elif x.shape[1] != nt:
-        raise DimensionError(f"data vectors have {x.shape[1]} antennas, expected {nt}")
-    if x.shape[0] != layout.data_symbols_per_frame:
+    if x.ndim != 3:
+        raise DimensionError("data vectors must form an (n_frames, n, nt) array")
+    n_frames, n, nt = x.shape
+    if n != layout.data_symbols_per_frame:
         raise FramingError(
-            f"got {x.shape[0]} data vectors, layout wants {layout.data_symbols_per_frame}"
+            f"got {n} data vectors per frame, layout wants {layout.data_symbols_per_frame}"
         )
-    symbols = np.zeros((nt, layout.frame_symbols), dtype=np.complex128)
+    stream = np.zeros((nt, n_frames * layout.frame_symbols), dtype=np.complex128)
+    frames = stream.reshape(nt, n_frames, layout.frame_symbols)
     sections = layout.sections()
     pilots = np.tile(
         pilot_matrix(nt, layout.pilot_seq_len).T, (1, layout.pilot_sequences_per_signal)
-    )
-    symbols[:, sections["pilot_first"]] = pilots
-    symbols[:, sections["pilot_second"]] = pilots
-    symbols[0, sections["fo"]] = 1.0
-    symbols[:, sections["data"]] = x.T
-    return Frame(symbols=symbols, layout=layout)
+    )[:, None]
+    frames[..., sections["pilot_first"]] = pilots
+    frames[..., sections["pilot_second"]] = pilots
+    frames[0, :, sections["fo"]] = 1.0
+    frames[..., sections["data"]] = x.transpose(2, 0, 1)
+    return stream
 
 
 def pulse_shape(symbols, taps, upsample_factor):
@@ -266,29 +255,27 @@ def pulse_shape(symbols, taps, upsample_factor):
     return np.stack([np.convolve(row, taps) for row in up])
 
 
-def assemble_transmission(frames, layout):
-    """Concatenate frames into the full per-antenna sample streams.
+def assemble_transmission(stream, frame_layout, layout):
+    """Shape a frame stream and prefix the sync and SNR sections.
 
-    ``frames`` is a nonempty sequence of equal-layout :class:`Frame`;
-    ``layout`` a :class:`TransmissionLayout`. The shaped frame stream is
+    ``stream`` is :func:`build_frame`'s (nt, n_frames * frame_symbols)
+    output; one that does not hold ``layout.n_frames`` frames of
+    ``frame_layout`` raises :class:`FramingError`. The shaped stream is
     scaled by symbol_scale = power_factor / (its peak amplitude); SNR
     on-blocks run at the resulting data maximum; sync pulses stay at
     amplitude 1 (full scale). Any sample magnitude above full scale
     raises :class:`RangeError`.
     """
-    if not frames:
-        raise FramingError("need at least one frame")
-    if len(frames) != layout.n_frames:
-        raise FramingError(f"got {len(frames)} frames, layout wants {layout.n_frames}")
-    frame_layout = frames[0].layout
-    nt = frames[0].nt
-    for f in frames:
-        if f.layout != frame_layout or f.nt != nt:
-            raise FramingError("all frames must share one layout and antenna count")
+    stream = np.asarray(stream)
+    if stream.ndim != 2 or stream.shape[1] != layout.n_frames * frame_layout.frame_symbols:
+        raise FramingError(
+            f"stream of shape {stream.shape} does not hold {layout.n_frames} frames "
+            f"of {frame_layout.frame_symbols} symbols"
+        )
+    nt = stream.shape[0]
     u = frame_layout.upsample_factor
     taps = rrc_taps(frame_layout.rrc_num_taps, frame_layout.rrc_rolloff, u)
 
-    stream = np.concatenate([f.symbols for f in frames], axis=1)
     data_wave = pulse_shape(stream, taps, u)
     peak = float(np.max(np.abs(data_wave)))
     if layout.power_factor > 0 and peak == 0.0:
@@ -306,12 +293,11 @@ def assemble_transmission(frames, layout):
     period = (1 + layout.sync_gap_symbols) * u
     samples[0, 0 : layout.sync_pulses * period : period] = 1.0
 
-    block = layout.snr_block_symbols * u
-    for t in range(nt):
-        base = sync_len + t * 2 * layout.snr_blocks * block
-        for b in range(layout.snr_blocks):
-            start = base + 2 * b * block
-            samples[t, start : start + block] = x_max
+    # The (antenna, run, block, on/off, sample) view rxchain.estimate_snr reads.
+    sounding = samples[:, sync_len : sync_len + snr_len].reshape(
+        nt, nt, layout.snr_blocks, 2, layout.snr_block_symbols * u
+    )
+    sounding[np.arange(nt), np.arange(nt), :, 0] = x_max
 
     samples[:, sync_len + snr_len :] = data_wave
 
@@ -334,7 +320,7 @@ def assemble_transmission(frames, layout):
 
 
 def build_transmission(bits, scheme, nt, constellation, frame_layout, layout):
-    """Modulate bits, split them into frames and assemble the transmission.
+    """Modulate bits, frame them and assemble the transmission.
 
     ``bits`` must fill exactly ``layout.n_frames`` frames of
     ``frame_layout.data_symbols_per_frame`` vectors each; anything else
@@ -347,11 +333,8 @@ def build_transmission(bits, scheme, nt, constellation, frame_layout, layout):
             f"{vectors.shape[0]} data vectors do not fill {layout.n_frames} "
             f"frames of {per_frame}"
         )
-    frames = [
-        build_frame(vectors[f * per_frame : (f + 1) * per_frame], frame_layout, nt)
-        for f in range(layout.n_frames)
-    ]
-    return assemble_transmission(frames, layout)
+    stream = build_frame(vectors.reshape(layout.n_frames, per_frame, nt), frame_layout)
+    return assemble_transmission(stream, frame_layout, layout)
 
 
 def quantize_i16(waveform):

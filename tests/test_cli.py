@@ -56,6 +56,13 @@ def _decode(tmp, mutate=None, capture=None, meta=None):
             "--out", tmp / "rx.bits", "--report", tmp / "report.json"]
 
 
+def _cut_second_capture(tmp):
+    argv = _decode(tmp)
+    capture = tmp / "cap_ant2.bin"
+    capture.write_bytes(capture.read_bytes()[:1000])
+    return argv
+
+
 MALFORMED = {
     "bound-bad-json": lambda t: _bound(t, "{"),
     "bound-json-list": lambda t: _bound(t, [BOUND]),
@@ -85,6 +92,9 @@ MALFORMED = {
     "decode-schema-9": lambda t: _decode(t, lambda m: m.update(schema_version="9")),
     "decode-binary-sidecar": lambda t: _decode(t, meta=t / "cap_ant1.bin"),
     "decode-missing-capture": lambda t: _decode(t, capture=t / "absent.bin"),
+    "decode-captures-unequal-length": _cut_second_capture,
+    "decode-sidecar-nt-minus-one": lambda t: _decode(t, lambda m: m.update(nt=-1)),
+    "decode-sidecar-nt-zero": lambda t: _decode(t, lambda m: m.update(nt=0)),
     "fit-channel-missing-samples": lambda t: ["fit-channel", "--samples", t / "absent.txt",
                                               "--out", t / "f.json"],
     "fit-channel-non-numeric": lambda t: ["fit-channel", "--samples",

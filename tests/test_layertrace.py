@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from smlink import modem, txchain
+from smlink import channel, modem, rxchain, txchain
 
 LAYERTRACE = Path(__file__).resolve().parents[1] / "perfbench" / "layertrace.py"
 
@@ -63,3 +63,28 @@ def test_sm_modulation_is_counted_through_build_transmission(layertrace):
         tracer.iteration = None
         tracer.uninstall()
     assert tracer.counts["modem.sm_modulate.vectors"] == n_vectors
+
+
+def test_link_round_trip_is_traced(layertrace):
+    """One encode -> channel -> decode round trip records the framing, LS
+    estimation and detection spans, and the data-section count."""
+    frame_layout = txchain.FrameLayout(data_symbols_per_frame=100)
+    tx_layout = txchain.TransmissionLayout(n_frames=2, snr_block_symbols=50)
+    c = modem.build_constellation(2)
+    bits = np.random.default_rng(2).integers(0, 2, 2 * 200, dtype=np.uint8)
+    tracer = layertrace.Tracer("test")
+    tracer.install()
+    try:
+        tracer.iteration = 0
+        tx = txchain.build_transmission(bits, "sm", 2, c, frame_layout, tx_layout)
+        rx = channel.propagate_waveform(tx.samples.T, np.eye(2))
+        result = rxchain.decode_transmission(rx.T, frame_layout, tx_layout, 2, "sm", c)
+    finally:
+        tracer.iteration = None
+        tracer.uninstall()
+    assert np.array_equal(result.bits, bits)
+    names = {span[0] for span in tracer.spans}
+    for name in ("txchain.build_frame", "txchain.assemble_transmission",
+                 "rxchain.ls_channel_estimate", "rxchain.demodulate_frame"):
+        assert name in names
+    assert tracer.counts["txchain.data_samples"] == tx.sections["data"][1]

@@ -19,15 +19,8 @@ def loopback():
     tx_layout = txchain.TransmissionLayout(n_frames=2, snr_block_symbols=200)
     rng = np.random.default_rng(77)
     c = modem.build_constellation(2)
-    per_frame = 2 * layout.data_symbols_per_frame
-    bits = rng.integers(0, 2, 2 * per_frame).astype(np.uint8)
-    frames = []
-    for f in range(2):
-        _, vectors = modem.sm_modulate(
-            bits[f * per_frame : (f + 1) * per_frame], 2, c
-        )
-        frames.append(txchain.build_frame(vectors, layout, 2))
-    tx = txchain.assemble_transmission(frames, tx_layout)
+    bits = rng.integers(0, 2, 2 * 2 * layout.data_symbols_per_frame).astype(np.uint8)
+    tx = txchain.build_transmission(bits, "sm", 2, c, layout, tx_layout)
     h = np.array([[1.0 + 0.1j, 0.35 + 0.2j], [0.1 - 0.4j, 0.9 - 0.05j]])
     return layout, tx_layout, c, bits, tx, h
 
@@ -256,9 +249,21 @@ class TestLsChannelEstimate:
         rng = np.random.default_rng(4)
         h = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         y = h @ self.pilot_stream()
-        est = rxchain.ls_channel_estimate(y, self.pilots, which_half="second")
-        assert np.max(np.abs(est.h_hat - h)) < 1e-10
-        assert est.which_half == "second"
+        est = rxchain.ls_channel_estimate(y, self.pilots)
+        assert est.shape == (2, 2)
+        assert np.max(np.abs(est - h)) < 1e-10
+
+    def test_batch_matches_single_calls(self):
+        """A (frames, signals, nr, n) stack gives each block's own estimate."""
+        rng = np.random.default_rng(5)
+        y = rng.standard_normal((3, 2, 2, 100)) + 1j * rng.standard_normal((3, 2, 2, 100))
+        gain = np.array([0.9 + 0.1j, 1.1])
+        est = rxchain.ls_channel_estimate(y, self.pilots, gain)
+        assert est.shape == (3, 2, 2, 2)
+        for f in range(3):
+            for k in range(2):
+                single = rxchain.ls_channel_estimate(y[f, k], self.pilots, gain)
+                assert np.array_equal(est[f, k], single)
 
     @staticmethod
     def per_sequence_reference(y, theta):
@@ -277,7 +282,7 @@ class TestLsChannelEstimate:
         theta = txchain.pilot_matrix(nt, n_theta)
         y = rng.standard_normal((3, n_seq * n_theta)) + 1j * rng.standard_normal(
             (3, n_seq * n_theta))
-        est = rxchain.ls_channel_estimate(y, theta).h_hat
+        est = rxchain.ls_channel_estimate(y, theta)
         ref = self.per_sequence_reference(y, theta)
         assert np.max(np.abs(est - ref)) <= 1e-12 * np.max(np.abs(ref))
 
@@ -285,15 +290,14 @@ class TestLsChannelEstimate:
         est = rxchain.ls_channel_estimate(
             np.zeros((2, 100), dtype=complex), self.pilots
         )
-        assert not est.h_hat.any()
+        assert not est.any()
 
     def test_gain_divides_per_antenna(self):
         rng = np.random.default_rng(9)
         h = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         y = h @ self.pilot_stream()
-        plain = rxchain.ls_channel_estimate(y, self.pilots).h_hat
-        gained = rxchain.ls_channel_estimate(y, self.pilots,
-                                             gain=np.array([2.0, 4.0])).h_hat
+        plain = rxchain.ls_channel_estimate(y, self.pilots)
+        gained = rxchain.ls_channel_estimate(y, self.pilots, gain=np.array([2.0, 4.0]))
         assert np.allclose(gained, plain / np.array([2.0, 4.0])[None, :])
 
     def test_noise_averaging_gain(self):
@@ -309,7 +313,7 @@ class TestLsChannelEstimate:
                 rng.standard_normal(x.shape) + 1j * rng.standard_normal(x.shape)
             )
             est = rxchain.ls_channel_estimate(h @ x + noise, self.pilots)
-            sq += np.mean(np.abs(est.h_hat - h) ** 2)
+            sq += np.mean(np.abs(est - h) ** 2)
         expected = noise_var / (10 * 8)  # 10-long sequences, 8 interior ones
         assert sq / trials == pytest.approx(expected, rel=0.2)
 
@@ -351,6 +355,20 @@ class TestDemodulateFrame:
         out = rxchain.demodulate_frame((vectors @ h.T).T, h, h, "smx", c)
         assert np.array_equal(out, bits)
 
+    def test_smx_candidates_built_once_per_call(self, monkeypatch):
+        calls = []
+        build = modem.candidate_vectors
+
+        def counting(*args):
+            calls.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(modem, "candidate_vectors", counting)
+        c = modem.build_constellation(2)
+        y = np.ones((2, 10), dtype=complex)
+        rxchain.demodulate_frame(y, np.eye(2), np.eye(2), "smx", c)
+        assert len(calls) == 1
+
 
 class TestDecodeTransmission:
     def decode(self, loopback, fo=0.0):
@@ -365,9 +383,8 @@ class TestDecodeTransmission:
         bits, h, result = self.decode(loopback)
         assert np.array_equal(result.bits, bits)
         assert np.max(np.abs(result.fo_cycles_per_sample)) <= 1e-9
-        for pair in result.channel_estimates:
-            for est in pair:
-                assert np.max(np.abs(est.h_hat - h)) <= 1e-6
+        assert result.channel_estimates.shape == (2, 2, 2, 2)
+        assert np.max(np.abs(result.channel_estimates - h)) <= 1e-6
         assert not result.snr.valid  # noiseless capture saturates the probe
         assert result.snr.snr_db == np.inf
 
@@ -376,9 +393,7 @@ class TestDecodeTransmission:
         bits, h, result = self.decode(loopback, fo=fo)
         assert np.array_equal(result.bits, bits)
         assert np.max(np.abs(result.fo_cycles_per_sample - fo)) <= 1e-9
-        for pair in result.channel_estimates:
-            for est in pair:
-                assert np.max(np.abs(est.h_hat - h)) <= 1e-6
+        assert np.max(np.abs(result.channel_estimates - h)) <= 1e-6
 
     @pytest.mark.parametrize("fo", [1e-3, 5e-3])
     def test_offset_with_close_channel_columns(self, loopback, fo):
@@ -420,11 +435,19 @@ class TestDecodeTransmission:
         with pytest.raises(ConfigurationError):
             rxchain.decode_transmission(tx.samples, layout, tx_layout, 2, "sm", c)
 
+    @pytest.mark.parametrize("nt,scheme", [(-1, "sm"), (0, "sm"), (3, "smx"), (2, "osm")])
+    def test_antenna_count_and_scheme_checked_first(self, loopback, nt, scheme):
+        """The sidecar's nt and scheme are refused before any sample is read."""
+        layout, tx_layout, c, _, _, _ = loopback
+        with pytest.raises(ConfigurationError):
+            rxchain.decode_transmission(np.zeros((2, 10), dtype=complex), layout,
+                                        tx_layout, nt, scheme, c)
+
     def test_unscaled_estimates_carry_symbol_scale(self, loopback):
         layout, tx_layout, c, bits, tx, h = loopback
         rx = channel.propagate_waveform(tx.samples.T, h)
         result = rxchain.decode_transmission(rx.T, layout, tx_layout, 2, "sm", c)
-        est = result.channel_estimates[0][0].h_hat
+        est = result.channel_estimates[0, 0]
         assert np.max(np.abs(est / tx.symbol_scale - h)) <= 1e-6
         assert result.symbol_scale == 1.0
 

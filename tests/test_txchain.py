@@ -16,15 +16,12 @@ from smlink.errors import (
 
 
 def random_bpsk_frames(layout, tx_layout, nt=2, seed=0):
-    rng = np.random.default_rng(seed)
-    c = modem.build_constellation(2)
-    m = modem.bits_per_vector("sm", nt, 2)
-    frames = []
-    for _ in range(tx_layout.n_frames):
-        bits = rng.integers(0, 2, m * layout.data_symbols_per_frame).astype(np.uint8)
-        _, vectors = modem.sm_modulate(bits, nt, c)
-        frames.append(txchain.build_frame(vectors, layout, nt))
-    return frames
+    """The (nt, n_frames * frame_symbols) stream of random SM/BPSK frames."""
+    n = tx_layout.n_frames * layout.data_symbols_per_frame
+    bits = np.random.default_rng(seed).integers(
+        0, 2, modem.bits_per_vector("sm", nt, 2) * n).astype(np.uint8)
+    vectors = modem.modulate(bits, "sm", nt, modem.build_constellation(2))
+    return txchain.build_frame(vectors.reshape(tx_layout.n_frames, -1, nt), layout)
 
 
 class TestRrcTaps:
@@ -100,29 +97,30 @@ class TestFrameLayout:
     def test_build_frame_contents(self):
         layout = txchain.FrameLayout()
         rng = np.random.default_rng(1)
-        x = rng.choice([1.0, -1.0], size=(1000, 2)) * np.eye(2)[
-            rng.integers(0, 2, 1000)
+        x = rng.choice([1.0, -1.0], size=(3, 1000, 2)) * np.eye(2)[
+            rng.integers(0, 2, (3, 1000))
         ]
-        frame = txchain.build_frame(x, layout)
+        stream = txchain.build_frame(x, layout)
+        assert stream.shape == (2, 3 * 2300)
         s = layout.sections()
-        assert frame.symbols.shape == (2, 2300)
-        assert not frame.symbols[:, s["zeros_head"]].any()
-        assert not frame.symbols[:, s["zeros_tail"]].any()
-        # constant preamble on the first antenna only
-        assert np.all(frame.symbols[0, s["fo"]] == 1.0)
-        assert not frame.symbols[1, s["fo"]].any()
-        # both pilot signals tile the orthogonal sequences
         pilots = np.tile(txchain.pilot_matrix(2, 10).T, (1, 10))
-        assert np.allclose(frame.symbols[:, s["pilot_first"]], pilots)
-        assert np.allclose(frame.symbols[:, s["pilot_second"]], pilots)
-        assert np.allclose(frame.symbols[:, s["data"]], x.T)
+        for f, frame in enumerate(np.split(stream, 3, axis=1)):
+            assert not frame[:, s["zeros_head"]].any()
+            assert not frame[:, s["zeros_tail"]].any()
+            # constant preamble on the first antenna only
+            assert np.all(frame[0, s["fo"]] == 1.0)
+            assert not frame[1, s["fo"]].any()
+            # both pilot signals tile the orthogonal sequences
+            assert np.allclose(frame[:, s["pilot_first"]], pilots)
+            assert np.allclose(frame[:, s["pilot_second"]], pilots)
+            assert np.array_equal(frame[:, s["data"]], x[f].T)
 
     def test_build_frame_validation(self):
         layout = txchain.FrameLayout()
         with pytest.raises(FramingError):
-            txchain.build_frame(np.zeros((999, 2), dtype=complex), layout)
+            txchain.build_frame(np.zeros((1, 999, 2), dtype=complex), layout)
         with pytest.raises(DimensionError):
-            txchain.build_frame(np.zeros((1000, 2), dtype=complex), layout, nt=4)
+            txchain.build_frame(np.zeros((1000, 2), dtype=complex), layout)
 
 
 class TestPulseShape:
@@ -157,8 +155,8 @@ class TestAssembleTransmission:
     tx_layout = txchain.TransmissionLayout(n_frames=2, snr_block_symbols=200)
 
     def build(self):
-        frames = random_bpsk_frames(self.layout, self.tx_layout)
-        return txchain.assemble_transmission(frames, self.tx_layout)
+        stream = random_bpsk_frames(self.layout, self.tx_layout)
+        return txchain.assemble_transmission(stream, self.layout, self.tx_layout)
 
     def test_section_bookkeeping(self):
         tx = self.build()
@@ -210,8 +208,8 @@ class TestAssembleTransmission:
         tx_layout = txchain.TransmissionLayout(
             n_frames=1, snr_block_symbols=50, power_factor=0.0
         )
-        frames = random_bpsk_frames(self.layout, tx_layout)
-        tx = txchain.assemble_transmission(frames, tx_layout)
+        stream = random_bpsk_frames(self.layout, tx_layout)
+        tx = txchain.assemble_transmission(stream, self.layout, tx_layout)
         assert tx.symbol_scale == 0.0
         assert tx.x_max == 0.0
         start, _ = tx.sections["data"]
@@ -221,25 +219,21 @@ class TestAssembleTransmission:
         tx_layout = txchain.TransmissionLayout(
             n_frames=1, snr_block_symbols=50, power_factor=1.5
         )
-        frames = random_bpsk_frames(self.layout, tx_layout)
+        stream = random_bpsk_frames(self.layout, tx_layout)
         with pytest.raises(RangeError):
-            txchain.assemble_transmission(frames, tx_layout)
+            txchain.assemble_transmission(stream, self.layout, tx_layout)
 
     def test_all_zero_frames_rejected(self):
         tx_layout = txchain.TransmissionLayout(n_frames=1, snr_block_symbols=50)
-        frame = txchain.build_frame(
-            np.zeros((1000, 2), dtype=complex), txchain.FrameLayout()
-        )
-        silent = txchain.Frame(
-            symbols=np.zeros_like(frame.symbols), layout=frame.layout
-        )
+        silent = np.zeros((2, self.layout.frame_symbols), dtype=complex)
         with pytest.raises(DegenerateInputError):
-            txchain.assemble_transmission([silent], tx_layout)
+            txchain.assemble_transmission(silent, self.layout, tx_layout)
 
     def test_frame_count_mismatch(self):
-        frames = random_bpsk_frames(self.layout, self.tx_layout)
-        with pytest.raises(FramingError):
-            txchain.assemble_transmission(frames[:1], self.tx_layout)
+        stream = random_bpsk_frames(self.layout, self.tx_layout)
+        for wrong in (stream[:, : self.layout.frame_symbols], stream[:, :-1], stream[0]):
+            with pytest.raises(FramingError):
+                txchain.assemble_transmission(wrong, self.layout, self.tx_layout)
 
 
 class TestBuildTransmission:
@@ -249,15 +243,15 @@ class TestBuildTransmission:
     def per_frame_loop(bits, scheme, nt, c, layout, tx_layout):
         """Reference: modulate and frame each bit chunk on its own."""
         per_frame = modem.bits_per_vector(scheme, nt, c.order) * layout.data_symbols_per_frame
-        frames = []
+        streams = []
         for f in range(tx_layout.n_frames):
             chunk = bits[f * per_frame : (f + 1) * per_frame]
             if scheme == "sm":
                 _, vectors = modem.sm_modulate(chunk, nt, c)
             else:
                 vectors = modem.smx_modulate(chunk, nt, c)
-            frames.append(txchain.build_frame(vectors, layout, nt))
-        return txchain.assemble_transmission(frames, tx_layout)
+            streams.append(txchain.build_frame(vectors[None], layout))
+        return txchain.assemble_transmission(np.concatenate(streams, axis=1), layout, tx_layout)
 
     @pytest.mark.parametrize("scheme,nt,order,data_symbols", [
         ("sm", 2, 2, 1000), ("sm", 4, 4, 1000), ("smx", 4, 16, 500),
@@ -316,8 +310,8 @@ class TestWaveformIo:
     def test_write_read_roundtrip(self, tmp_path):
         layout = txchain.FrameLayout()
         tx_layout = txchain.TransmissionLayout(n_frames=1, snr_block_symbols=50)
-        frames = random_bpsk_frames(layout, tx_layout)
-        tx = txchain.assemble_transmission(frames, tx_layout)
+        tx = txchain.assemble_transmission(random_bpsk_frames(layout, tx_layout), layout,
+                                           tx_layout)
         sidecar = txchain.write_waveform(tmp_path / "cap", tx,
                                          extra_meta={"note": "loopback"})
         assert sidecar == tmp_path / "cap_meta.json"
@@ -337,9 +331,8 @@ class TestWaveformIo:
     def test_unknown_schema_rejected(self, tmp_path):
         layout = txchain.FrameLayout()
         tx_layout = txchain.TransmissionLayout(n_frames=1, snr_block_symbols=50)
-        tx = txchain.assemble_transmission(
-            random_bpsk_frames(layout, tx_layout), tx_layout
-        )
+        tx = txchain.assemble_transmission(random_bpsk_frames(layout, tx_layout), layout,
+                                           tx_layout)
         sidecar = txchain.write_waveform(tmp_path / "cap", tx)
         meta = json.loads(sidecar.read_text())
         meta["schema_version"] = "0"
