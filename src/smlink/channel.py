@@ -12,6 +12,7 @@ relative to the reference path (0, 0).
 """
 
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -43,10 +44,12 @@ class FadingModel:
 
     k_factor_db: float = float("-inf")
 
+    def __post_init__(self):
+        if not (isinstance(self.k_factor_db, Real) and -np.inf <= self.k_factor_db < np.inf):
+            raise ConfigurationError(f"K must be finite or -inf dB, got {self.k_factor_db!r}")
+
     @property
     def k_linear(self):
-        if self.k_factor_db == float("-inf"):
-            return 0.0
         return float(10.0 ** (self.k_factor_db / 10.0))
 
     @property

@@ -102,6 +102,9 @@ class SimConfig:
         if not self.snr_grid_db:
             raise ConfigurationError("snr_grid_db must be nonempty")
         object.__setattr__(self, "snr_grid_db", tuple(float(s) for s in self.snr_grid_db))
+        if not np.isfinite([self.fo_cycles_per_sample, *self.snr_grid_db]).all():
+            raise ConfigurationError("fo_cycles_per_sample and snr_grid_db must be finite")
+        self.fading()
         m = self.bits_per_vector
         if self.bits_per_trial < m or self.bits_per_trial % m:
             raise ConfigurationError(

@@ -3,14 +3,14 @@ matched filtering, least-squares channel estimation and demodulation.
 
 The decode pipeline mirrors the transmit structure: locate the 20
 synchronization pulses (relative threshold, reject the capture if fewer
-are found), measure SNR from the on/off section, estimate each frame's
-carrier frequency offset from its matched-filtered constant-symbol
-preamble, derotate the data section at sample rate, matched-filter and
-downsample it once, estimate the channel from both pilot signals of
-every frame in one batch, then per frame detect each half of the data
-symbols with its nearer estimate. Derotating before the matched filter
-keeps the combined transmit+receive response Nyquist under carrier
-offset.
+are found), measure SNR from the on/off section, take each frame's
+carrier offset as the maximiser of its matched-filtered preamble's
+periodogram summed over receive antennas, derotate the data section at
+sample rate, matched-filter and downsample it once, estimate the channel
+from both pilot signals of every frame in one batch, then per frame
+detect each half of the data symbols with its nearer estimate.
+Derotating before the matched filter keeps the combined transmit+receive
+response Nyquist under carrier offset.
 
 Channel estimates are formed as (1/N) Theta^H Y over the mean of the
 interior sequences of a pilot signal (their neighborhoods are still
@@ -147,7 +147,6 @@ def estimate_snr(snr_section, nt, n_blocks, block_len_samples):
     # (nr, antenna, block, on/off, sample) view of the sounding runs.
     blocks = y[:, :need].reshape(nr, nt, n_blocks, 2, block_len_samples)
     raw = np.empty((nt, n_blocks))
-    saturated = False
     for t in range(nt):
         for b in range(n_blocks):
             on, off = blocks[:, t, b, 0], blocks[:, t, b, 1]
@@ -159,16 +158,13 @@ def estimate_snr(snr_section, nt, n_blocks, block_len_samples):
                 if signal == 0.0:
                     raise DegenerateInputError("on/off blocks are both silent")
                 raw[t, b] = np.inf
-                saturated = True
             else:
                 raw[t, b] = signal / (nr * noise_var)
     mean = float(np.mean(raw))
-    if saturated or not np.isfinite(mean):
-        return SnrEstimate(snr_db=float("inf"), per_antenna_per_block=raw, valid=False)
     return SnrEstimate(
         snr_db=float(10.0 * np.log10(mean)) if mean > 0 else float("-inf"),
         per_antenna_per_block=raw,
-        valid=mean > 0,
+        valid=0 < mean < np.inf,
     )
 
 
@@ -198,22 +194,26 @@ def matched_filter_downsample(samples, taps, upsample_factor, n_symbols=None):
     return windows[..., :n_out, :] @ np.asarray(taps, dtype=np.complex128)[::-1]
 
 
-def estimate_fo(section):
-    """Frequency offset of constant-modulus runs, in cycles per index.
-
-    Unwraps the instantaneous phase along the last axis and divides the
-    total phase travel by the index span: (phi_last - phi_first) /
-    (2*pi*(n-1)). A 1-D run gives a float, an (..., n) stack one slope
-    per run.
+def estimate_fo(preamble):
+    """Per-frame carrier offset, cycles/symbol in [-0.5, 0.5), of an
+    (nr, n_frames, n) matched-filtered preamble stack: the maximiser of
+    the periodogram summed over receive antennas, the ML estimate for one
+    tone with an unknown gain per antenna (Rife & Boorstyn 1974). Three
+    Newton steps on the DTFT refine the peak of an FFT zero-padded to >= 4n
+    (which lands within 1/(8n) of it); a step whose curvature is not
+    negative is skipped, so an all-zero frame gives 0.
     """
-    x = np.atleast_1d(np.asarray(section))
-    if x.shape[-1] < 2:
-        raise DegenerateInputError("need at least two samples to estimate a slope")
-    if (np.abs(x) == 0).any():
-        raise DegenerateInputError("zero-valued samples carry no phase")
-    phase = np.unwrap(np.angle(x), axis=-1)
-    slope = (phase[..., -1] - phase[..., 0]) / (2.0 * np.pi * (x.shape[-1] - 1))
-    return float(slope) if x.ndim == 1 else slope
+    x = np.asarray(preamble, dtype=np.complex128)
+    n_fft = 1 << (4 * x.shape[-1] - 1).bit_length()
+    f = np.argmax(sum(np.abs(np.fft.fft(xr, n_fft)) ** 2 for xr in x), axis=-1) / n_fft
+    w = 2.0 * np.pi * (np.arange(x.shape[-1]) - (x.shape[-1] - 1) / 2)
+    for _ in range(3):
+        xe = x * np.exp(-1j * f[:, None] * w)
+        a, a1, a2 = xe.sum(axis=-1), xe @ (-1j * w), xe @ -(w**2)
+        slope = np.sum((a.conj() * a1).real, axis=0)
+        curve = np.sum(np.abs(a1) ** 2 + (a.conj() * a2).real, axis=0)
+        f -= np.divide(slope, curve, out=np.zeros_like(slope), where=curve < 0)
+    return (f + 0.5) % 1.0 - 0.5
 
 
 def correct_fo(samples, delta_per_index, first_index=0):
@@ -357,13 +357,7 @@ def decode_transmission(rx_samples, frame_layout, tx_layout, nt, scheme,
     preamble = matched_filter_downsample(
         frames[..., start : start + (n_fo - 1) * u + len(taps)], taps, u, n_fo
     )
-    usable = np.abs(preamble).min(axis=-1) > 0
-    if not usable.any(axis=0).all():
-        raise DegenerateInputError("frequency-offset preamble carries no phase")
-    per_ant = np.zeros(usable.shape)
-    per_ant[usable] = estimate_fo(preamble[usable])
-    power = np.mean(np.abs(preamble) ** 2, axis=-1) * usable
-    fo_per_frame = np.average(per_ant, axis=0, weights=power) / u
+    fo_per_frame = estimate_fo(preamble) / u
 
     frame_of_sample = np.minimum(np.arange(data.shape[1]) // (f_syms * u), n_frames - 1)
     derotated = correct_fo(data, fo_per_frame[frame_of_sample],

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from smlink import harness, modem
+from smlink import channel, harness, modem, rxchain
 from smlink.errors import ConfigurationError
 
 
@@ -39,6 +39,23 @@ class TestSimConfig:
             small_config(trials_per_snr=0)
         with pytest.raises(ConfigurationError):
             small_config(target_bit_errors=0)
+
+    @pytest.mark.parametrize("make", [
+        lambda: channel.FadingModel(float("nan")),
+        lambda: channel.FadingModel(float("inf")),
+        lambda: channel.FadingModel(None),
+        lambda: small_config(k_factor_db=float("nan")),
+        lambda: small_config(fo_cycles_per_sample=float("nan")),
+        lambda: small_config(fo_cycles_per_sample=float("-inf")),
+        lambda: small_config(snr_grid_db=(10.0, float("nan"))),
+        lambda: small_config(snr_grid_db=(float("inf"),)),
+    ], ids=["fading-k-nan", "fading-k-inf", "fading-k-none", "config-k-nan",
+            "config-fo-nan", "config-fo-inf", "config-snr-nan", "config-snr-inf"])
+    def test_non_finite_values_refused(self, make):
+        """K takes a real number that is finite or -inf (Rayleigh); the
+        offset and every SNR point must be finite."""
+        with pytest.raises(ConfigurationError):
+            make()
 
     def test_waveform_needs_whole_frames(self):
         with pytest.raises(ConfigurationError):
@@ -258,6 +275,21 @@ class TestWaveformSim:
         rec = harness.run_simulation(cfg)[0]
         assert rec.rejected_vectors > 0
         assert rec.bits == 40_000 * (3 - rec.rejected_vectors)
+
+    def test_low_snr_rayleigh_sweep_matches_true_offset(self, monkeypatch):
+        """At 4 to 12 dB on Rayleigh channels the estimated offsets cost no
+        more bit errors than the true offset (0), within Poisson spread."""
+        cfg = harness.SimConfig(
+            scheme="sm", nt=2, nr=2, modulation_order=2, snr_grid_db=(4.0, 8.0, 12.0),
+            fidelity="waveform", bits_per_trial=40_000, trials_per_snr=3,
+            snr_block_symbols=2000, target_bit_errors=None, master_seed=11,
+        )
+        estimated = [r.bit_errors for r in harness.run_simulation(cfg)]
+        monkeypatch.setattr(rxchain, "estimate_fo", lambda p: np.zeros(p.shape[-2]))
+        true_offset = [r.bit_errors for r in harness.run_simulation(cfg)]
+        assert min(true_offset) > 100
+        for got, want in zip(estimated, true_offset):
+            assert abs(got - want) <= 3 * np.sqrt(want)
 
     def test_agrees_with_symbol_fidelity(self):
         """Full-chain ABER matches the pilot-CSI symbol shortcut."""

@@ -184,39 +184,58 @@ class TestMatchedFilter:
 
 
 class TestFoEstimation:
+    @staticmethod
+    def tones(deltas, n, gains):
+        """(len(gains), len(deltas), n) stack: frame f carries tone deltas[f]."""
+        ramp = np.exp(2j * np.pi * np.asarray(deltas)[:, None] * np.arange(n))
+        return np.asarray(gains)[:, None, None] * ramp
+
     def test_pure_ramp_is_exact(self):
-        n = np.arange(1000)
-        x = np.exp(2j * np.pi * 0.003 * n)
-        assert rxchain.estimate_fo(x) == pytest.approx(0.003, abs=1e-12)
+        est = rxchain.estimate_fo(self.tones([0.003], 1000, gains=[1.0]))
+        assert est.shape == (1,)
+        assert est[0] == pytest.approx(0.003, abs=1e-12)
 
     def test_phase_wrap_handled(self):
-        """Ramps whose phase crosses +-pi still come out exact."""
-        n = np.arange(500)
-        for delta in (-0.2, 0.35):
-            x = 0.7 * np.exp(1j * (2.9 + 2 * np.pi * delta * n))
-            assert rxchain.estimate_fo(x) == pytest.approx(delta, abs=1e-12)
+        """Tones whose phase crosses +-pi, up to +-0.49 cycles/symbol,
+        come back exact, on one antenna and on two with unequal gains."""
+        deltas = np.array([0.003, -0.2, 0.35, 0.49, -0.49])
+        for gains in ([0.7 * np.exp(2.9j)], [0.2 - 0.9j, 0.05 + 0.01j]):
+            est = rxchain.estimate_fo(self.tones(deltas, 976, gains))
+            assert np.max(np.abs(est - deltas)) < 1e-12
 
     def test_constant_input_is_zero(self):
-        assert rxchain.estimate_fo(np.full(100, 0.3 + 0.4j)) == 0.0
+        assert np.array_equal(rxchain.estimate_fo(np.full((2, 3, 100), 0.3 + 0.4j)),
+                              np.zeros(3))
 
-    def test_degenerate_inputs(self):
-        with pytest.raises(DegenerateInputError):
-            rxchain.estimate_fo(np.ones(1))
-        x = np.exp(2j * np.pi * 0.01 * np.arange(50))
-        x[20] = 0.0
-        with pytest.raises(DegenerateInputError):
-            rxchain.estimate_fo(x)
+    def test_all_zero_stack_gives_zero(self):
+        """No curvature anywhere: every Newton step is skipped, nothing raises."""
+        assert np.array_equal(rxchain.estimate_fo(np.zeros((2, 4, 976), dtype=complex)),
+                              np.zeros(4))
 
-    def test_stack_gives_one_slope_per_run(self):
-        n = np.arange(400)
-        deltas = np.array([[0.001, -0.02, 0.3], [0.0, 0.1, -0.25]])
-        x = 0.5 * np.exp(2j * np.pi * deltas[..., None] * n)
-        slopes = rxchain.estimate_fo(x)
-        assert slopes.shape == (2, 3)
-        assert np.max(np.abs(slopes - deltas)) < 1e-12
-        assert isinstance(rxchain.estimate_fo(x[0, 0]), float)
-        rows = [[rxchain.estimate_fo(run) for run in block] for block in x]
-        assert np.array_equal(slopes, rows)
+    def test_stack_gives_one_offset_per_frame(self):
+        rng = np.random.default_rng(8)
+        deltas = np.array([0.001, -0.02, 0.3, 0.0, 0.1, -0.25])
+        x = self.tones(deltas, 400, rng.standard_normal(3) + 1j * rng.standard_normal(3))
+        est = rxchain.estimate_fo(x)
+        assert est.shape == (6,)
+        assert np.max(np.abs(est - deltas)) < 1e-12
+        singles = [rxchain.estimate_fo(x[:, f : f + 1])[0] for f in range(6)]
+        assert np.max(np.abs(est - singles)) < 1e-15
+
+    @pytest.mark.parametrize("noise_only_antennas", [0, 1])
+    def test_mean_square_error_near_cramer_rao_bound(self, noise_only_antennas):
+        """200 preambles of 976 symbols at 10 dB: the MSE stays within 2x
+        of var >= 6 / ((2 pi)^2 SNR N (N^2 - 1)) (Rife & Boorstyn 1974),
+        also when an antenna that sees only noise joins the sum."""
+        rng = np.random.default_rng(2024)
+        n, frames, snr = 976, 200, 10.0
+        deltas = rng.uniform(-0.5, 0.5, frames)
+        x = self.tones(deltas, n, [1.0] + [0.0] * noise_only_antennas)
+        x = x * np.exp(2j * np.pi * rng.uniform(size=(frames, 1)))
+        x += np.sqrt(0.5 / snr) * (rng.standard_normal(x.shape) + 1j * rng.standard_normal(x.shape))
+        err = (rxchain.estimate_fo(x) - deltas + 0.5) % 1.0 - 0.5
+        crb = 6.0 / ((2 * np.pi) ** 2 * snr * n * (n**2 - 1))
+        assert np.mean(err**2) <= 2.0 * crb
 
     def test_correct_fo_per_sample_offsets_from_a_start_index(self):
         """Offsets given per sample rotate each sample by its own ramp,
@@ -415,8 +434,8 @@ class TestDecodeTransmission:
         assert np.count_nonzero(result.bits != bits) == 0
 
     def test_dead_receive_antenna_left_out_of_offset_estimate(self, loopback):
-        """A receive antenna with an all-zero preamble carries no phase; the
-        offset comes from the other one."""
+        """A receive antenna with an all-zero preamble adds nothing to the
+        summed periodogram, so the offset comes from the other one."""
         layout, tx_layout, c, bits, tx, _ = loopback
         h = np.array([[1.0 + 0.1j, 0.35 + 0.2j], [0.0, 0.0]])
         rx = channel.propagate_waveform(tx.samples.T, h, fo_cycles_per_sample=2e-3)
@@ -425,6 +444,30 @@ class TestDecodeTransmission:
         )
         assert np.array_equal(result.bits, bits)
         assert np.max(np.abs(result.fo_cycles_per_sample - 2e-3)) <= 1e-9
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_noise_only_antenna_decodes_at_true_offset_ber(self, monkeypatch, seed):
+        """H = I at 10 dB: the preamble leaves transmit antenna 1 only, so
+        receive antenna 2 sees noise alone during it. The decode still
+        loses nothing to a decode handed the true offset (0)."""
+        layout = txchain.FrameLayout()
+        tx_layout = txchain.TransmissionLayout(n_frames=10, snr_block_symbols=200)
+        c = modem.build_constellation(2)
+        rng = np.random.default_rng(seed)
+        bits = rng.integers(0, 2, 2 * 10 * layout.data_symbols_per_frame, dtype=np.uint8)
+        tx = txchain.build_transmission(bits, "sm", 2, c, layout, tx_layout)
+        rx = channel.propagate_waveform(tx.samples.T, np.eye(2), 0.0,
+                                        0.1 * tx.symbol_scale**2, rng).T
+
+        def bit_errors():
+            result = rxchain.decode_transmission(rx, layout, tx_layout, 2, "sm", c)
+            return np.count_nonzero(result.bits != bits)
+
+        errors = bit_errors()
+        monkeypatch.setattr(rxchain, "estimate_fo", lambda p: np.zeros(p.shape[-2]))
+        true_offset_errors = bit_errors()
+        assert 0 < true_offset_errors < 100
+        assert abs(errors - true_offset_errors) <= 3 * np.sqrt(true_offset_errors)
 
     def test_short_offset_preamble_rejected(self):
         layout = txchain.FrameLayout(fo_seq_len=25)
