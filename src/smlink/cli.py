@@ -141,12 +141,9 @@ def _cmd_decode(args):
         if key not in meta:
             raise ConfigurationError(f"sidecar missing field {key!r}")
     constellation = modem.build_constellation(meta["modulation_order"])
-    streams = [txchain.dequantize_i16(np.fromfile(p, dtype="<i2")) for p in args.capture]
-    if len({s.size for s in streams}) > 1:
-        raise ConfigurationError(f"captures differ in length: {[s.size for s in streams]}")
     result = rxchain.decode_transmission(
-        np.stack(streams), frame_layout, tx_layout, meta["nt"], meta["scheme"],
-        constellation, symbol_scale=meta.get("symbol_scale"),
+        txchain.read_captures(args.capture), frame_layout, tx_layout, meta["nt"],
+        meta["scheme"], constellation, symbol_scale=meta.get("symbol_scale"),
     )
     np.packbits(result.bits).tofile(args.out)
     report = {

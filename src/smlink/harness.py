@@ -104,6 +104,8 @@ class SimConfig:
         object.__setattr__(self, "snr_grid_db", tuple(float(s) for s in self.snr_grid_db))
         if not np.isfinite([self.fo_cycles_per_sample, *self.snr_grid_db]).all():
             raise ConfigurationError("fo_cycles_per_sample and snr_grid_db must be finite")
+        for snr_db in self.snr_grid_db:
+            channel_mod.db_to_linear(-snr_db, f"the noise variance at {snr_db!r} dB SNR")
         self.fading()
         m = self.bits_per_vector
         if self.bits_per_trial < m or self.bits_per_trial % m:
@@ -285,8 +287,8 @@ def _waveform_trial(config, constellation, fading, imbalance, rng, snr_db):
     h = channel_mod.draw_channel(config.nr, config.nt, fading, imbalance, rng)
     noise_var = tx.symbol_scale**2 * 10.0 ** (-snr_db / 10.0)
     rx = channel_mod.propagate_waveform(
-        tx.samples.T, h, config.fo_cycles_per_sample, noise_var, rng
-    ).T
+        tx.samples, h, config.fo_cycles_per_sample, noise_var, rng
+    )
     try:
         result = rxchain.decode_transmission(
             rx, frame_layout, tx_layout, config.nt, config.scheme,

@@ -16,8 +16,8 @@ Dropping a per-row constant changes no row's ordering of candidates, so
 ``np.argmin`` over the metric still returns the first minimum in
 enumeration order and ties resolve to the lowest index. The received
 vectors are worked through in chunks whose (chunk, n_cand) metric holds
-at most ``_CHUNK_ELEMENTS`` float64 entries, so memory stays bounded for
-any batch size.
+at most ``_CHUNK_ELEMENTS`` float64 entries (or ``_MIN_CHUNK_ROWS`` rows),
+so memory stays bounded for any batch size.
 """
 
 import numpy as np
@@ -30,8 +30,12 @@ __all__ = [
 
 BACKEND = "numpy"
 
-# 32 MiB of float64 metric per chunk.
-_CHUNK_ELEMENTS = 4_000_000
+# 1 MiB of float64 metric per chunk, small enough to stay in cache; 512
+# rows of 256 candidates still fit in one chunk. A chunk takes at least
+# _MIN_CHUNK_ROWS rows all the same, so that each product amortises its
+# read of the (2 nr, n_cand) candidate matrix when n_cand is large.
+_CHUNK_ELEMENTS = 1 << 17
+_MIN_CHUNK_ROWS = 16
 
 
 def _real_pairs(a):
@@ -46,7 +50,7 @@ def _argmin_metric(y, hx):
     energy = np.einsum("kr,kr->k", hx2, hx2)
     cross = -2.0 * hx2.T  # exact scaling, so the products equal -2 times the dot
     out = np.empty(y2.shape[0], dtype=np.int64)
-    chunk = max(1, _CHUNK_ELEMENTS // max(1, hx2.shape[0]))
+    chunk = max(_MIN_CHUNK_ROWS, _CHUNK_ELEMENTS // max(1, hx2.shape[0]))
     for s in range(0, y2.shape[0], chunk):
         metrics = y2[s : s + chunk] @ cross
         metrics += energy

@@ -26,6 +26,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import modem
+from .channel import carrier_ramp
 from .errors import (
     ConfigurationError,
     DegenerateInputError,
@@ -216,14 +217,24 @@ def estimate_fo(preamble):
     return (f + 0.5) % 1.0 - 0.5
 
 
-def correct_fo(samples, delta_per_index, first_index=0):
-    """Counter-rotate by exp(-2j*pi*delta*i), i counted along the last axis.
+def correct_fo(samples, delta, first_index=0, frame_len=None):
+    """Counter-rotate by exp(-2j*pi*delta*i), i = first_index + position on the last axis.
 
-    ``i`` starts at ``first_index``; ``delta_per_index`` may hold one offset per index.
+    ``delta`` is one offset, or one per run of ``frame_len`` samples
+    (default: the whole axis); the last run also takes the samples past
+    the last whole run. Returns a new array.
     """
-    x = np.asarray(samples, dtype=np.complex128)
-    i = first_index + np.arange(x.shape[-1])
-    return x * np.exp(-2j * np.pi * np.asarray(delta_per_index) * i)
+    x = np.array(samples, dtype=np.complex128)
+    delta = np.atleast_1d(np.asarray(delta, dtype=np.float64))
+    n = x.shape[-1]
+    frame_len = n if frame_len is None else frame_len
+    head = len(delta) * frame_len
+    if delta.ndim != 1 or not delta.size or head > n:
+        raise DimensionError(f"{delta.size} runs of {frame_len} samples exceed {n} samples")
+    runs = x[..., :head].reshape(*x.shape[:-1], len(delta), frame_len)
+    runs *= carrier_ramp(-delta, frame_len, first_index + frame_len * np.arange(len(delta)))
+    x[..., head:] *= carrier_ramp(-delta[-1], n - head, first_index + head)
+    return x
 
 
 def pulse_gain_compensation(taps, upsample_factor, n_theta, nt):
@@ -300,7 +311,7 @@ def demodulate_frame(data_symbols, h_first, h_second, scheme, constellation):
 
 def decode_transmission(rx_samples, frame_layout, tx_layout, nt, scheme,
                         constellation, symbol_scale=None):
-    """Run the full receive pipeline on captured per-antenna streams.
+    """Run the full receive pipeline on the (nr, n) captured streams.
 
     Each frame's offset is estimated from its preamble; the data section
     is derotated once at sample rate, phase referenced to the
@@ -323,7 +334,13 @@ def decode_transmission(rx_samples, frame_layout, tx_layout, nt, scheme,
     snr_len = tx_layout.snr_samples(nt, u)
     period = (1 + tx_layout.sync_gap_symbols) * u
 
-    combined = np.sqrt(np.sum(np.abs(y) ** 2, axis=0))
+    # Receive magnitude over antennas, one row at a time: no (nr, n) temporaries.
+    combined = np.zeros(y.shape[1])
+    for row in y:
+        power = np.abs(row)
+        power *= power
+        combined += power
+    np.sqrt(combined, out=combined)
     sync = detect_sync(
         combined,
         period,
@@ -359,9 +376,8 @@ def decode_transmission(rx_samples, frame_layout, tx_layout, nt, scheme,
     )
     fo_per_frame = estimate_fo(preamble) / u
 
-    frame_of_sample = np.minimum(np.arange(data.shape[1]) // (f_syms * u), n_frames - 1)
-    derotated = correct_fo(data, fo_per_frame[frame_of_sample],
-                           sync.data_start_index - sync.tx_start_index)
+    derotated = correct_fo(data, fo_per_frame, sync.data_start_index - sync.tx_start_index,
+                           f_syms * u)
     symbols = matched_filter_downsample(derotated, taps, u, n_sym)
 
     by_frame = symbols.reshape(y.shape[0], n_frames, f_syms).transpose(1, 0, 2)

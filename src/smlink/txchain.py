@@ -20,6 +20,7 @@ modulate, frame, assemble.
 """
 
 import json
+import os
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -48,6 +49,7 @@ __all__ = [
     "build_transmission",
     "quantize_i16",
     "dequantize_i16",
+    "read_captures",
     "write_waveform",
     "read_sidecar",
     "read_waveform",
@@ -283,6 +285,11 @@ def assemble_transmission(stream, frame_layout, layout):
     symbol_scale = layout.power_factor / peak if peak > 0 else 0.0
     data_wave *= symbol_scale
     x_max = layout.power_factor if peak > 0 else 0.0
+    # The sync pulses sit at full scale and the SNR blocks at x_max, so the
+    # data section and x_max are the only places a component can exceed it.
+    components = data_wave.view(np.float64)
+    if x_max > 1.0 or components.max() > 1.0 or components.min() < -1.0:
+        raise RangeError("scaled transmission exceeds quantizer full scale")
 
     sync_len = layout.sync_samples(u)
     snr_len = layout.snr_samples(nt, u)
@@ -300,9 +307,6 @@ def assemble_transmission(stream, frame_layout, layout):
     sounding[np.arange(nt), np.arange(nt), :, 0] = x_max
 
     samples[:, sync_len + snr_len :] = data_wave
-
-    if np.max(np.abs(samples.real)) > 1.0 or np.max(np.abs(samples.imag)) > 1.0:
-        raise RangeError("scaled transmission exceeds quantizer full scale")
 
     sections = {
         "sync": (0, sync_len),
@@ -338,26 +342,48 @@ def build_transmission(bits, scheme, nt, constellation, frame_layout, layout):
 
 
 def quantize_i16(waveform):
-    """Map complex samples to interleaved I,Q int16 at full scale 32767.
+    """Map complex samples to interleaved I,Q little-endian int16 at full scale 32767.
 
-    Rounds to nearest; magnitudes above 1.0 raise :class:`RangeError`.
+    Rounds to nearest, ties to even; components above 1.0 in magnitude
+    raise :class:`RangeError`.
     """
-    w = np.asarray(waveform, dtype=np.complex128).reshape(-1)
-    flat = np.empty(2 * w.size)
-    flat[0::2] = w.real
-    flat[1::2] = w.imag
-    if flat.size and np.max(np.abs(flat)) > 1.0:
+    flat = np.ascontiguousarray(waveform, dtype=np.complex128).reshape(-1).view(np.float64)
+    if flat.size and (flat.max() > 1.0 or flat.min() < -1.0):
         raise RangeError("sample magnitude above full scale; rescale before quantizing")
-    return np.round(flat * FULL_SCALE).astype(np.int16)
+    codes = np.empty(flat.size, dtype="<i2")
+    np.rint(flat * FULL_SCALE, out=codes, casting="unsafe")
+    return codes
 
 
 def dequantize_i16(codes):
-    """Inverse of :func:`quantize_i16` (up to the 0.5 LSB rounding)."""
+    """Inverse of :func:`quantize_i16` (up to the 0.5 LSB rounding).
+
+    Interleaved I,Q codes along the last axis give complex samples along it.
+    """
     c = np.asarray(codes)
-    if c.size % 2:
+    if c.ndim == 0 or c.shape[-1] % 2:
         raise FramingError("interleaved I,Q buffer must have even length")
-    flat = c.astype(np.float64) / FULL_SCALE
-    return flat[0::2] + 1j * flat[1::2]
+    flat = c.astype(np.float64)
+    flat /= FULL_SCALE
+    return flat.view(np.complex128)
+
+
+def read_captures(paths):
+    """Dequantize equal-length int16 I,Q capture files into one (n_files, n) array.
+
+    The codes go straight from each file into one int16 buffer; a list of
+    files that differ in length raises :class:`ConfigurationError`.
+    """
+    n_codes = [os.path.getsize(p) // 2 for p in paths]
+    if not n_codes or len(set(n_codes)) > 1:
+        raise ConfigurationError(
+            f"need captures of equal length, got {[n // 2 for n in n_codes]} samples"
+        )
+    codes = np.empty((len(paths), n_codes[0]), dtype="<i2")
+    for row, path in zip(codes, paths):
+        with open(path, "rb") as fh:
+            fh.readinto(row)
+    return dequantize_i16(codes)
 
 
 def write_waveform(prefix, tx, extra_meta=None):
@@ -371,7 +397,7 @@ def write_waveform(prefix, tx, extra_meta=None):
     files = []
     for t in range(tx.nt):
         path = prefix.parent / f"{prefix.name}_ant{t + 1}.bin"
-        quantize_i16(tx.samples[t]).astype("<i2").tofile(path)
+        quantize_i16(tx.samples[t]).tofile(path)
         files.append(path.name)
     meta = {
         "schema_version": SIDECAR_SCHEMA_VERSION,
@@ -405,11 +431,7 @@ def read_sidecar(sidecar_path):
 
 
 def read_waveform(sidecar_path):
-    """Load a sidecar plus its I16 files back into complex streams."""
+    """Load a sidecar plus its I16 files back into one (nt, n) complex array."""
     sidecar_path = Path(sidecar_path)
     meta = read_sidecar(sidecar_path)[0]
-    streams = []
-    for name in meta["files"]:
-        codes = np.fromfile(sidecar_path.parent / name, dtype="<i2")
-        streams.append(dequantize_i16(codes))
-    return np.stack(streams), meta
+    return read_captures([sidecar_path.parent / name for name in meta["files"]]), meta

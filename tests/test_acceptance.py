@@ -327,9 +327,9 @@ def test_criterion_6_full_chain_loopback(capsys):
 
     problems = []
     for fo in (0.0, 0.005):
-        rx = channel.propagate_waveform(tx.samples.T, h, fo_cycles_per_sample=fo)
+        rx = channel.propagate_waveform(tx.samples, h, fo_cycles_per_sample=fo)
         result = rxchain.decode_transmission(
-            rx.T, layout, tx_layout, 2, "sm", c, symbol_scale=tx.symbol_scale
+            rx, layout, tx_layout, 2, "sm", c, symbol_scale=tx.symbol_scale
         )
         errors = int(np.count_nonzero(result.bits != bits))
         fo_err = float(np.max(np.abs(result.fo_cycles_per_sample - fo)))

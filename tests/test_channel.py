@@ -1,5 +1,7 @@
 """Tests for the power-imbalanced Rician channel and propagation."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -124,24 +126,48 @@ class TestPropagation:
     def test_waveform_matches_explicit_loop(self):
         rng = np.random.default_rng(4)
         h = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        x = rng.standard_normal((200, 2)) + 1j * rng.standard_normal((200, 2))
+        x = rng.standard_normal((2, 200)) + 1j * rng.standard_normal((2, 200))
         fo = 0.013
         y = channel.propagate_waveform(x, h, fo_cycles_per_sample=fo)
         ref = np.stack(
-            [np.exp(2j * np.pi * fo * k) * (h @ x[k]) for k in range(200)]
+            [np.exp(2j * np.pi * fo * k) * (h @ x[:, k]) for k in range(200)], axis=1
         )
         assert np.max(np.abs(y - ref)) < 1e-12
 
     def test_waveform_zero_offset_is_plain_mix(self):
         rng = np.random.default_rng(4)
         h = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        x = rng.standard_normal((50, 2)) + 1j * rng.standard_normal((50, 2))
-        assert np.array_equal(
-            channel.propagate_waveform(x, h), x @ h.T
-        )
+        x = rng.standard_normal((2, 50)) + 1j * rng.standard_normal((2, 50))
+        assert np.array_equal(channel.propagate_waveform(x, h), h @ x)
+
+    def test_waveform_noise_is_one_sample_major_draw(self):
+        """The noise is the transpose of one (n, nr) awgn draw, so the
+        seeded numbers land on the samples in sample-major order."""
+        rng = np.random.default_rng(4)
+        x = rng.standard_normal((2, 300)) + 1j * rng.standard_normal((2, 300))
+        h = np.array([[1.0, 0.5j], [0.2, -1.0]])
+        y = channel.propagate_waveform(x, h, 0.01, 0.3, np.random.default_rng(9))
+        noise = channel.awgn((300, 2), 0.3, np.random.default_rng(9)).T
+        ramp = np.exp(2j * np.pi * 0.01 * np.arange(300))
+        assert np.max(np.abs(y - (h @ x * ramp + noise))) < 1e-12
+
+    def test_waveform_peak_memory_is_about_two_outputs(self):
+        """Mix, carrier ramp and noise work in place: the peak traced
+        allocation of a (2, 2**20) call stays within 2.25 outputs (the
+        output plus the noise draw, with the ramp freed before the draw)."""
+        x = np.ones((2, 1 << 20), dtype=complex)
+        h = np.array([[1.0, 0.5j], [0.2, -1.0]])
+        rng = np.random.default_rng(3)
+        tracemalloc.start()
+        try:
+            y = channel.propagate_waveform(x, h, 1e-4, 0.1, rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.25 * y.nbytes
 
     def test_waveform_noise_needs_rng(self):
-        x = np.ones((10, 2), dtype=complex)
+        x = np.ones((2, 10), dtype=complex)
         with pytest.raises(ConfigurationError):
             channel.propagate_waveform(x, np.eye(2), noise_var=0.1)
 
@@ -149,7 +175,7 @@ class TestPropagation:
         with pytest.raises(DimensionError):
             channel.propagate_symbols(np.ones((5, 3), dtype=complex), np.eye(2), 0.0, None)
         with pytest.raises(DimensionError):
-            channel.propagate_waveform(np.ones((5, 3), dtype=complex), np.eye(2))
+            channel.propagate_waveform(np.ones((3, 5), dtype=complex), np.eye(2))
 
     def test_seeded_draws_are_deterministic(self):
         fm = channel.FadingModel(10.0)
@@ -158,3 +184,30 @@ class TestPropagation:
         c = channel.draw_channels(10, 2, 3, fm, rng=np.random.default_rng(56))
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
+
+
+class TestCarrierRamp:
+    @staticmethod
+    def reference(delta, n, first_index=0):
+        return np.exp(2j * np.pi * delta * (first_index + np.arange(n)))
+
+    def test_long_ramp_matches_exp(self):
+        n = 5_000_000
+        ramp = channel.carrier_ramp(1e-4, n)
+        assert ramp.shape == (n,)
+        assert np.max(np.abs(ramp - self.reference(1e-4, n))) <= 1e-12
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 10, 99, 1001, 9973])
+    @pytest.mark.parametrize("delta,first_index", [(0.013, 0), (-0.037, 1234), (0.0, 7)])
+    def test_lengths_off_the_block_grid(self, n, delta, first_index):
+        ramp = channel.carrier_ramp(delta, n, first_index)
+        assert ramp.shape == (n,)
+        assert np.max(np.abs(ramp - self.reference(delta, n, first_index)), initial=0.0) <= 1e-12
+
+    def test_one_ramp_per_offset_and_start(self):
+        deltas = np.array([1e-3, -2e-3, 5e-4])
+        starts = np.array([0, 500, 1000])
+        ramps = channel.carrier_ramp(deltas, 500, starts)
+        assert ramps.shape == (3, 500)
+        for ramp, d, s in zip(ramps, deltas, starts):
+            assert np.max(np.abs(ramp - self.reference(d, 500, s))) <= 1e-12

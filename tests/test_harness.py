@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from smlink import channel, harness, modem, rxchain
+from smlink import analysis, channel, harness, modem, rxchain
 from smlink.errors import ConfigurationError
 
 
@@ -56,6 +56,29 @@ class TestSimConfig:
         offset and every SNR point must be finite."""
         with pytest.raises(ConfigurationError):
             make()
+
+    @pytest.mark.parametrize("make", [
+        lambda: channel.FadingModel(4000.0),
+        lambda: small_config(k_factor_db=4000.0),
+        lambda: small_config(snr_grid_db=(10.0, -4000.0)),
+    ], ids=["fading-k-4000", "config-k-4000", "config-snr-minus-4000"])
+    def test_values_overflowing_linear_units_refused(self, make):
+        """K and the noise variance 10**(-SNR/10) must fit a float in
+        linear units; beyond about 3082 dB they raise a named error, not
+        a bare OverflowError."""
+        with pytest.raises(ConfigurationError, match="overflows"):
+            make()
+
+    def test_k_400_db_still_runs(self):
+        """K = 400 dB is an all-ones channel: SM loses the antenna bit and
+        keeps the BPSK bit, so the simulated ABER and the bound are 1/4."""
+        cfg = small_config(k_factor_db=400.0, snr_grid_db=(30.0,), bits_per_trial=4000,
+                           trials_per_snr=5)
+        assert harness.run_simulation(cfg)[0].aber == pytest.approx(0.25, abs=0.02)
+        bound = analysis.BoundConfig(scheme="sm", nt=2, nr=2, modulation_order=2,
+                                     fading=cfg.fading(), imbalance=None,
+                                     snr_grid_db=(30.0,))
+        assert analysis.union_bound_aber(bound)[0] == pytest.approx(0.25, rel=1e-9)
 
     def test_waveform_needs_whole_frames(self):
         with pytest.raises(ConfigurationError):
@@ -142,10 +165,12 @@ def sim_configs(draw):
     order = draw(st.sampled_from([2, 4, 16]))
     block = draw(st.integers(1, 2000))
     finite = st.floats(allow_nan=False, allow_infinity=False)
+    # dB values whose linear form a float holds (|x| below about 3082 dB)
+    decibels = st.floats(-3000.0, 3000.0)
     return harness.SimConfig(
         scheme=scheme, nt=nt, nr=draw(st.integers(1, 8)), modulation_order=order,
-        snr_grid_db=tuple(draw(st.lists(finite, min_size=1, max_size=4))),
-        k_factor_db=draw(st.just(float("-inf")) | finite),
+        snr_grid_db=tuple(draw(st.lists(decibels, min_size=1, max_size=4))),
+        k_factor_db=draw(st.just(float("-inf")) | decibels),
         pi_profile=draw(st.sampled_from(["none", "rx_config_1", "rx_config_2"])),
         fidelity=draw(st.sampled_from(["symbol", "waveform"])),
         csi_mode=draw(st.sampled_from(["perfect", "pilot"])),

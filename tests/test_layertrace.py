@@ -77,8 +77,8 @@ def test_link_round_trip_is_traced(layertrace):
     try:
         tracer.iteration = 0
         tx = txchain.build_transmission(bits, "sm", 2, c, frame_layout, tx_layout)
-        rx = channel.propagate_waveform(tx.samples.T, np.eye(2))
-        result = rxchain.decode_transmission(rx.T, frame_layout, tx_layout, 2, "sm", c)
+        rx = channel.propagate_waveform(tx.samples, np.eye(2))
+        result = rxchain.decode_transmission(rx, frame_layout, tx_layout, 2, "sm", c)
     finally:
         tracer.iteration = None
         tracer.uninstall()

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from smlink import modem
+from smlink import kernels, modem
 from smlink.errors import ConfigurationError, FramingError
 
 
@@ -316,6 +316,26 @@ class TestMlDetection:
         assert [int(det[i]) for i in rows] == [
             brute_force_detect(y[i], h, cands) for i in rows
         ]
+
+    @pytest.mark.parametrize("min_rows", [1, 16])
+    @pytest.mark.parametrize("n", [1, 2, 101])
+    def test_multi_chunk_batch_matches_brute_force(self, monkeypatch, n, min_rows):
+        """A batch split into many chunks of 40 metric entries (2 rows of
+        the 16 SMX candidates, 5 of the 8 SM ones), or of the 16-row
+        floor, with the last chunk short, gives the brute-force indices."""
+        monkeypatch.setattr(kernels, "_CHUNK_ELEMENTS", 40)
+        monkeypatch.setattr(kernels, "_MIN_CHUNK_ROWS", min_rows)
+        rng = np.random.default_rng(47)
+        c = modem.build_constellation(4)
+        h = random_channel(rng, 2, 2)
+        noise = rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))
+        for scheme in ("sm", "smx"):
+            cands = modem.candidate_vectors(scheme, 2, c)
+            y = cands[rng.integers(len(cands), size=n)] @ h.T + 0.5 * noise
+            expected = first_minimum(y, cands @ h.T)
+            assert np.array_equal(modem.ml_detect_batch(y, h, cands), expected)
+            if scheme == "sm":
+                assert np.array_equal(modem.sm_ml_detect_batch(y, h, c), expected)
 
 
 class TestComplexity:

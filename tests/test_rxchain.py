@@ -237,15 +237,23 @@ class TestFoEstimation:
         crb = 6.0 / ((2 * np.pi) ** 2 * snr * n * (n**2 - 1))
         assert np.mean(err**2) <= 2.0 * crb
 
-    def test_correct_fo_per_sample_offsets_from_a_start_index(self):
-        """Offsets given per sample rotate each sample by its own ramp,
-        counted from ``first_index``."""
+    def test_correct_fo_per_frame_offsets_from_a_start_index(self):
+        """One offset per run of ``frame_len`` samples rotates each run by
+        its own ramp, counted from ``first_index``; the last offset also
+        covers the samples past the last whole run."""
         rng = np.random.default_rng(5)
-        x = rng.standard_normal((2, 200)) + 1j * rng.standard_normal((2, 200))
-        delta = np.repeat([0.002, -0.004], 100)
-        i = 37 + np.arange(200)
-        rotated = x * np.exp(2j * np.pi * delta * i)
-        assert np.max(np.abs(rxchain.correct_fo(rotated, delta, 37) - x)) < 1e-12
+        x = rng.standard_normal((2, 230)) + 1j * rng.standard_normal((2, 230))
+        delta = np.array([0.002, -0.004])
+        per_sample = delta[np.minimum(np.arange(230) // 100, 1)]
+        rotated = x * np.exp(2j * np.pi * per_sample * (37 + np.arange(230)))
+        assert np.max(np.abs(rxchain.correct_fo(rotated, delta, 37, 100) - x)) < 1e-12
+
+    def test_correct_fo_runs_must_fit(self):
+        x = np.ones((2, 230), dtype=complex)
+        with pytest.raises(DimensionError):
+            rxchain.correct_fo(x, [0.1, 0.2, 0.3], 0, 100)
+        with pytest.raises(DimensionError):
+            rxchain.correct_fo(x, [0.1, 0.2])
 
     def test_correct_fo_inverts_ramp(self):
         rng = np.random.default_rng(6)
@@ -392,9 +400,9 @@ class TestDemodulateFrame:
 class TestDecodeTransmission:
     def decode(self, loopback, fo=0.0):
         layout, tx_layout, c, bits, tx, h = loopback
-        rx = channel.propagate_waveform(tx.samples.T, h, fo_cycles_per_sample=fo)
+        rx = channel.propagate_waveform(tx.samples, h, fo_cycles_per_sample=fo)
         result = rxchain.decode_transmission(
-            rx.T, layout, tx_layout, 2, "sm", c, symbol_scale=tx.symbol_scale
+            rx, layout, tx_layout, 2, "sm", c, symbol_scale=tx.symbol_scale
         )
         return bits, h, result
 
@@ -427,9 +435,9 @@ class TestDecodeTransmission:
         assert np.linalg.norm(h[:, 0] - h[:, 1]) == pytest.approx(0.0266, abs=1e-3)
         rng = np.random.default_rng(31)
         noise_var = tx.symbol_scale**2 * 10.0 ** (-60 / 10)
-        rx = channel.propagate_waveform(tx.samples.T, h, fo, noise_var, rng)
+        rx = channel.propagate_waveform(tx.samples, h, fo, noise_var, rng)
         result = rxchain.decode_transmission(
-            rx.T, layout, tx_layout, 2, "sm", c, symbol_scale=tx.symbol_scale
+            rx, layout, tx_layout, 2, "sm", c, symbol_scale=tx.symbol_scale
         )
         assert np.count_nonzero(result.bits != bits) == 0
 
@@ -438,9 +446,9 @@ class TestDecodeTransmission:
         summed periodogram, so the offset comes from the other one."""
         layout, tx_layout, c, bits, tx, _ = loopback
         h = np.array([[1.0 + 0.1j, 0.35 + 0.2j], [0.0, 0.0]])
-        rx = channel.propagate_waveform(tx.samples.T, h, fo_cycles_per_sample=2e-3)
+        rx = channel.propagate_waveform(tx.samples, h, fo_cycles_per_sample=2e-3)
         result = rxchain.decode_transmission(
-            rx.T, layout, tx_layout, 2, "sm", c, symbol_scale=tx.symbol_scale
+            rx, layout, tx_layout, 2, "sm", c, symbol_scale=tx.symbol_scale
         )
         assert np.array_equal(result.bits, bits)
         assert np.max(np.abs(result.fo_cycles_per_sample - 2e-3)) <= 1e-9
@@ -456,8 +464,8 @@ class TestDecodeTransmission:
         rng = np.random.default_rng(seed)
         bits = rng.integers(0, 2, 2 * 10 * layout.data_symbols_per_frame, dtype=np.uint8)
         tx = txchain.build_transmission(bits, "sm", 2, c, layout, tx_layout)
-        rx = channel.propagate_waveform(tx.samples.T, np.eye(2), 0.0,
-                                        0.1 * tx.symbol_scale**2, rng).T
+        rx = channel.propagate_waveform(tx.samples, np.eye(2), 0.0,
+                                        0.1 * tx.symbol_scale**2, rng)
 
         def bit_errors():
             result = rxchain.decode_transmission(rx, layout, tx_layout, 2, "sm", c)
@@ -488,8 +496,8 @@ class TestDecodeTransmission:
 
     def test_unscaled_estimates_carry_symbol_scale(self, loopback):
         layout, tx_layout, c, bits, tx, h = loopback
-        rx = channel.propagate_waveform(tx.samples.T, h)
-        result = rxchain.decode_transmission(rx.T, layout, tx_layout, 2, "sm", c)
+        rx = channel.propagate_waveform(tx.samples, h)
+        result = rxchain.decode_transmission(rx, layout, tx_layout, 2, "sm", c)
         est = result.channel_estimates[0, 0]
         assert np.max(np.abs(est / tx.symbol_scale - h)) <= 1e-6
         assert result.symbol_scale == 1.0
@@ -498,7 +506,7 @@ class TestDecodeTransmission:
         """A copy of the sync peak 120 samples ahead of the transmission
         becomes the first of 20 peaks, so the start lands at sample -84."""
         layout, tx_layout, c, bits, tx, h = loopback
-        rx = channel.propagate_waveform(tx.samples.T, h).T
+        rx = channel.propagate_waveform(tx.samples, h)
         capture = np.concatenate([np.zeros((2, 120), dtype=complex), rx], axis=1)
         capture[:, 0] = rx[:, np.argmax(np.sum(np.abs(rx) ** 2, axis=0))]
         with pytest.raises(SyncRejection, match="-84"):
@@ -506,7 +514,7 @@ class TestDecodeTransmission:
 
     def test_capture_cut_before_data_end_rejected(self, loopback):
         layout, tx_layout, c, bits, tx, h = loopback
-        rx = channel.propagate_waveform(tx.samples.T, h).T
+        rx = channel.propagate_waveform(tx.samples, h)
         with pytest.raises(SyncRejection):
             rxchain.decode_transmission(rx[:, : rx.shape[1] * 9 // 10], layout,
                                         tx_layout, 2, "sm", c)
@@ -516,10 +524,10 @@ class TestDecodeTransmission:
         rng = np.random.default_rng(21)
         noise_var = (tx.symbol_scale * 10 ** (-30 / 20)) ** 2
         rx = channel.propagate_waveform(
-            tx.samples.T, h, noise_var=noise_var, rng=rng
+            tx.samples, h, noise_var=noise_var, rng=rng
         )
         result = rxchain.decode_transmission(
-            rx.T, layout, tx_layout, 2, "sm", c, symbol_scale=tx.symbol_scale
+            rx, layout, tx_layout, 2, "sm", c, symbol_scale=tx.symbol_scale
         )
         assert result.bits.size == bits.size
         assert result.snr.valid

@@ -1,6 +1,10 @@
 """Tests for frame assembly, pulse shaping and the I16 capture format."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -148,6 +152,16 @@ class TestPulseShape:
         out = txchain.pulse_shape(np.zeros((2, 10), dtype=complex),
                                   txchain.rrc_taps(), 4)
         assert not out.any()
+
+    def test_package_import_leaves_scipy_signal_out(self):
+        """Shaping runs on numpy alone: importing scipy.signal (for
+        ``upfirdn``, say) costs about a second over ``import smlink``."""
+        src = Path(txchain.__file__).resolve().parents[1]
+        code = "import sys, smlink, smlink.cli; print('scipy.signal' in sys.modules)"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, timeout=120, check=True)
+        assert out.stdout.strip() == "False"
 
 
 class TestAssembleTransmission:
@@ -305,6 +319,50 @@ class TestQuantization:
         with pytest.raises(FramingError):
             txchain.dequantize_i16(np.zeros(5, dtype=np.int16))
 
+    @staticmethod
+    def reference_quantize(waveform):
+        """Interleave into a float64 buffer, scale, round, cast."""
+        w = np.asarray(waveform, dtype=np.complex128).reshape(-1)
+        flat = np.empty(2 * w.size)
+        flat[0::2] = w.real
+        flat[1::2] = w.imag
+        return np.round(flat * txchain.FULL_SCALE).astype(np.int16)
+
+    @staticmethod
+    def reference_dequantize(codes):
+        flat = codes.astype(np.float64) / txchain.FULL_SCALE
+        return flat[0::2] + 1j * flat[1::2]
+
+    def test_bit_identical_to_interleave_and_round(self):
+        """Full scale, exact half-LSB ties (rounded to even) and a strided
+        input give the codes, and the codes give the samples, of the
+        explicit interleave-and-round formulas bit for bit."""
+        rng = np.random.default_rng(34)
+        k = np.arange(-32767, 32767) + 0.5
+        ties = k / txchain.FULL_SCALE
+        assert np.array_equal(ties * txchain.FULL_SCALE, k)  # every one an exact tie
+        half = ties.size // 2
+        rows = rng.uniform(-1, 1, (3, 4000)) + 1j * rng.uniform(-1, 1, (3, 4000))
+        cases = [
+            np.array([1.0 + 1.0j, -1.0 - 1.0j, 1.0 - 1.0j, 0.0 + 0.0j, -0.0 - 0.0j]),
+            ties[:half] + 1j * ties[half : 2 * half],
+            rows[:, ::3],  # not contiguous
+            rows.T,
+        ]
+        for w in cases:
+            codes = txchain.quantize_i16(w)
+            expected = self.reference_quantize(w)
+            assert codes.dtype == np.dtype("<i2") and np.array_equal(codes, expected)
+            back = txchain.dequantize_i16(codes)
+            assert back.tobytes() == self.reference_dequantize(expected).tobytes()
+
+    def test_dequantize_keeps_leading_axes(self):
+        codes = np.arange(-6, 6, dtype=np.int16).reshape(2, 6)
+        back = txchain.dequantize_i16(codes)
+        assert back.shape == (2, 3)
+        for row, c in zip(back, codes):
+            assert row.tobytes() == self.reference_dequantize(c).tobytes()
+
 
 class TestWaveformIo:
     def test_write_read_roundtrip(self, tmp_path):
@@ -327,6 +385,23 @@ class TestWaveformIo:
         assert meta["frame_layout"]["data_symbols_per_frame"] == 1000
         lsb = 1.0 / txchain.FULL_SCALE
         assert np.max(np.abs(streams - tx.samples)) <= 0.5 * lsb * np.sqrt(2)
+
+    def test_read_captures_stacks_files(self, tmp_path):
+        codes = np.arange(-40, 40, dtype="<i2").reshape(2, 40)
+        paths = [tmp_path / "a.bin", tmp_path / "b.bin"]
+        for row, path in zip(codes, paths):
+            row.tofile(path)
+        streams = txchain.read_captures(paths)
+        assert streams.shape == (2, 20)
+        assert np.array_equal(streams, txchain.dequantize_i16(codes))
+
+    def test_read_captures_unequal_lengths_rejected(self, tmp_path):
+        np.zeros(40, dtype="<i2").tofile(tmp_path / "a.bin")
+        np.zeros(38, dtype="<i2").tofile(tmp_path / "b.bin")
+        with pytest.raises(ConfigurationError, match="20, 19"):
+            txchain.read_captures([tmp_path / "a.bin", tmp_path / "b.bin"])
+        with pytest.raises(ConfigurationError):
+            txchain.read_captures([])
 
     def test_unknown_schema_rejected(self, tmp_path):
         layout = txchain.FrameLayout()
