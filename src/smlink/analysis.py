@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import optimize, special, stats
 
 from . import channel as channel_mod
 from . import modem
@@ -46,6 +45,8 @@ MAX_CANDIDATES = 2**16
 
 def q_function(w):
     """Gaussian tail probability Q(w) = P(N(0,1) > w)."""
+    from scipy import special
+
     return 0.5 * special.erfc(np.asarray(w, dtype=np.float64) / np.sqrt(2.0))
 
 
@@ -129,7 +130,7 @@ class BoundConfig:
             raise ConfigurationError("nr must be >= 1")
         if self.n_channels < 1:
             raise ConfigurationError("n_channels must be >= 1")
-        grid = tuple(float(s) for s in self.snr_grid_db)
+        grid = channel_mod.check_snr_grid(self.snr_grid_db)
         if list(grid) != sorted(grid):
             raise ConfigurationError("snr_grid_db must be sorted ascending")
         object.__setattr__(self, "snr_grid_db", grid)
@@ -317,6 +318,8 @@ def _rice_log_likelihood(u, nu, sigma_sq):
     log I0(r) = log i0e(r) + r, and r - (u^2 + nu^2) / (2 sigma^2) is
     -(u - nu)^2 / (2 sigma^2), which does not cancel at large K.
     """
+    from scipy import special
+
     r = u * (nu / sigma_sq)
     return float(np.mean(np.log(special.i0e(r)) - (u - nu) ** 2 / (2.0 * sigma_sq))
                  - np.log(sigma_sq))
@@ -350,6 +353,8 @@ def fit_rician(amplitude_samples, tol=1e-9, max_iterations=200, gof_bins=20):
     equal-probability bins of the fitted distribution (merged while an
     expected count would fall below 5).
     """
+    from scipy import optimize, special
+
     x = np.asarray(amplitude_samples, dtype=np.float64)
     if x.ndim != 1 or x.size < 1000:
         raise DegenerateInputError("need at least 1000 one-dimensional samples")
@@ -415,17 +420,25 @@ def _rice_gof_p_value(x, nu, sigma, n_bins):
     of freedom and noncentrality (nu/sigma)^2; bin edges are its
     equal-probability quantiles. Two parameters were estimated from the
     data, so the statistic has n_bins - 3 degrees of freedom.
+
+    The quantiles and the tail probability come from the ``scipy.special``
+    functions behind ``scipy.stats.ncx2.ppf`` (``chndtrix``; at nc = 0,
+    the central quantile 2 * gammaincinv(1, q)) and ``scipy.stats.chi2.sf``
+    (``chdtrc``), so ``scipy.stats`` and its import cost stay out.
     """
+    from scipy import special
+
     n = x.size
     while n_bins > 3 and n / n_bins < 5:
         n_bins -= 1
     if n_bins <= 3:
         raise DegenerateInputError("too few samples for a chi-squared GOF")
-    dist = stats.ncx2(df=2, nc=(nu / sigma) ** 2)
-    edges = dist.ppf(np.arange(1, n_bins) / n_bins)
+    nc = (nu / sigma) ** 2
+    q = np.arange(1, n_bins) / n_bins
+    edges = special.chndtrix(q, 2, nc) if nc != 0 else 2.0 * special.gammaincinv(1.0, q)
     counts, _ = np.histogram((x / sigma) ** 2, bins=np.concatenate(([0.0], edges, [np.inf])))
     expected = n / n_bins
     statistic = float(np.sum((counts - expected) ** 2) / expected)
     dof = n_bins - 1 - 2
-    return float(stats.chi2.sf(statistic, dof))
+    return float(special.chdtrc(dof, statistic))
 

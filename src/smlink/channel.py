@@ -21,6 +21,7 @@ from .errors import ConfigurationError, DimensionError
 
 __all__ = [
     "db_to_linear",
+    "check_snr_grid",
     "FadingModel",
     "PowerImbalance",
     "imbalance_profile",
@@ -48,6 +49,24 @@ def db_to_linear(db, what):
         return 10.0 ** (float(db) / 10.0)
     except OverflowError:
         raise ConfigurationError(f"{what} overflows a float in linear units") from None
+
+
+def check_snr_grid(snr_grid_db):
+    """An SNR grid in dB as a tuple of floats. :class:`ConfigurationError`
+    unless it is nonempty and finite and every point's linear SNR and
+    noise variance fit a float (|SNR| below about 3082 dB)."""
+    try:
+        grid = tuple(float(s) for s in snr_grid_db)
+    except (TypeError, ValueError):
+        raise ConfigurationError("snr_grid_db must be a sequence of numbers") from None
+    if not grid:
+        raise ConfigurationError("snr_grid_db must be nonempty")
+    if not np.isfinite(grid).all():
+        raise ConfigurationError(f"snr_grid_db must be finite, got {grid!r}")
+    for snr_db in grid:
+        db_to_linear(snr_db, f"the SNR of {snr_db!r} dB")
+        db_to_linear(-snr_db, f"the noise variance at {snr_db!r} dB SNR")
+    return grid
 
 
 @dataclass(frozen=True)

@@ -99,13 +99,9 @@ class SimConfig:
             raise ConfigurationError(f"csi_mode must be one of {_CSI_MODES}")
         if self.nr < 1:
             raise ConfigurationError("nr must be >= 1")
-        if not self.snr_grid_db:
-            raise ConfigurationError("snr_grid_db must be nonempty")
-        object.__setattr__(self, "snr_grid_db", tuple(float(s) for s in self.snr_grid_db))
-        if not np.isfinite([self.fo_cycles_per_sample, *self.snr_grid_db]).all():
-            raise ConfigurationError("fo_cycles_per_sample and snr_grid_db must be finite")
-        for snr_db in self.snr_grid_db:
-            channel_mod.db_to_linear(-snr_db, f"the noise variance at {snr_db!r} dB SNR")
+        object.__setattr__(self, "snr_grid_db", channel_mod.check_snr_grid(self.snr_grid_db))
+        if not np.isfinite(self.fo_cycles_per_sample):
+            raise ConfigurationError("fo_cycles_per_sample must be finite")
         self.fading()
         m = self.bits_per_vector
         if self.bits_per_trial < m or self.bits_per_trial % m:

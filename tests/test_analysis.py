@@ -1,8 +1,13 @@
 """Tests for the Q function, the ABER union bound and the Rice fit."""
 
 import functools
+import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -282,6 +287,32 @@ class TestExactUnionBound:
         with pytest.raises(DimensionError):
             analysis.union_bound_aber(cfg)
 
+    @pytest.mark.parametrize("grid", [
+        (), (float("nan"),), (5.0, float("nan"), 1.0), (float("inf"),),
+        (float("-inf"), 10.0), (4000.0,), (-4000.0, 10.0), None, ("ten",),
+    ], ids=["empty", "nan", "nan-between-descending", "inf", "minus-inf", "4000-db",
+            "minus-4000-db", "none", "string"])
+    def test_snr_grid_it_cannot_evaluate_refused(self, grid):
+        """The grid is nonempty and finite, and each point's linear SNR and
+        noise variance fit a float; NaN is caught before the order check."""
+        with pytest.raises(ConfigurationError, match="snr_grid_db|overflows"):
+            analysis.BoundConfig(
+                scheme="sm", nt=2, nr=2, modulation_order=2,
+                fading=channel.FadingModel(33.0), snr_grid_db=grid,
+            )
+
+
+def stats_gof_p_value(x, nu, sigma, n_bins):
+    """The Rice chi-squared GOF p-value written with scipy.stats."""
+    n = x.size
+    while n_bins > 3 and n / n_bins < 5:
+        n_bins -= 1
+    edges = stats.ncx2(df=2, nc=(nu / sigma) ** 2).ppf(np.arange(1, n_bins) / n_bins)
+    counts, _ = np.histogram((x / sigma) ** 2, bins=np.concatenate(([0.0], edges, [np.inf])))
+    expected = n / n_bins
+    statistic = float(np.sum((counts - expected) ** 2) / expected)
+    return float(stats.chi2.sf(statistic, n_bins - 3))
+
 
 def rayleigh_ml_log_likelihood(x):
     """Log-likelihood at nu = 0 with the Rayleigh ML sigma^2 = mean(x^2) / 2."""
@@ -425,6 +456,21 @@ class TestRicianFit:
         assert fit.nu == pytest.approx(ref.nu * scale, rel=1e-6)
         assert fit.sigma == pytest.approx(ref.sigma * scale, rel=1e-6)
 
+    @pytest.mark.parametrize("k_db, n, seed", [(float("-inf"), 2000, 1), (33.0, 20_000, 21)],
+                             ids=["rayleigh-boundary", "k33"])
+    @pytest.mark.parametrize("n_bins", [20, 7])
+    def test_gof_p_value_matches_scipy_stats(self, k_db, n, seed, n_bins):
+        """The GOF through scipy.special agrees with its scipy.stats form:
+        ncx2(df=2, nc).ppf bin edges and the chi2 survival function. The
+        first draw fits to the Rayleigh boundary, where nc = 0."""
+        x = self.draw_amplitudes(k_db, n, seed)
+        fit = analysis.fit_rician(x)
+        if k_db == float("-inf"):
+            assert fit.k_factor_db == float("-inf") and fit.nu == 0.0
+        got = analysis._rice_gof_p_value(x, fit.nu, fit.sigma, n_bins)
+        assert got == pytest.approx(stats_gof_p_value(x, fit.nu, fit.sigma, n_bins),
+                                    rel=1e-12, abs=0)
+
     def test_input_validation(self):
         with pytest.raises(DegenerateInputError):
             analysis.fit_rician(np.ones(10))  # too few samples
@@ -440,3 +486,40 @@ class TestRicianFit:
         with pytest.raises(ConfigurationError):
             analysis.fit_rician(x, max_iterations=0)
 
+
+# Run in a fresh interpreter, so that modules the test run already loaded do
+# not count; prints the scipy modules loaded after each step.
+_SCIPY_PROBE = """
+import json, sys
+import numpy as np
+import smlink, smlink.cli
+from smlink import analysis, channel
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.startswith("scipy"))
+
+steps = {"import": scipy_modules()}
+analysis.union_bound_aber(analysis.BoundConfig(
+    scheme="sm", nt=2, nr=2, modulation_order=2,
+    fading=channel.FadingModel(33.0), snr_grid_db=(10.0,)))
+steps["exact bound"] = scipy_modules()
+analysis.fit_rician(np.abs(3.0 + np.random.default_rng(0).standard_normal(2000)))
+steps["fit"] = scipy_modules()
+print(json.dumps(steps))
+"""
+
+
+def test_scipy_loads_only_where_used():
+    """``import smlink.cli`` and the exact bound load no scipy module
+    (importing scipy.stats cost about a second of every start-up), and
+    the Rice fit loads scipy.special and scipy.optimize, never
+    scipy.stats."""
+    src = Path(analysis.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-c", _SCIPY_PROBE], env=env, capture_output=True,
+                         text=True, timeout=120, check=True)
+    steps = json.loads(out.stdout)
+    assert steps["import"] == []
+    assert steps["exact bound"] == []
+    assert {"scipy.special", "scipy.optimize"} <= set(steps["fit"])
+    assert not [m for m in steps["fit"] if m.startswith("scipy.stats")]

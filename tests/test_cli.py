@@ -75,6 +75,8 @@ MALFORMED = {
     "bound-zero-nr": lambda t: _bound(t, {**BOUND, "nr": 0}),
     "bound-n-channels": lambda t: _bound(t, {**BOUND, "n_channels": 10}),
     "bound-seed": lambda t: _bound(t, {**BOUND, "seed": 0}),
+    "bound-empty-grid": lambda t: _bound(t, {**BOUND, "snr_grid_db": []}),
+    "bound-grid-4000-db": lambda t: _bound(t, {**BOUND, "snr_grid_db": [4000.0]}),
     "simulate-nt-string": lambda t: _simulate(t, {**SIM, "nt": "2"}),
     "simulate-bool-int": lambda t: _simulate(t, {**SIM, "trials_per_snr": True}),
     "simulate-zero-nr": lambda t: _simulate(t, {**SIM, "nr": 0}),

@@ -61,11 +61,12 @@ class TestSimConfig:
         lambda: channel.FadingModel(4000.0),
         lambda: small_config(k_factor_db=4000.0),
         lambda: small_config(snr_grid_db=(10.0, -4000.0)),
-    ], ids=["fading-k-4000", "config-k-4000", "config-snr-minus-4000"])
+        lambda: small_config(snr_grid_db=(4000.0,)),
+    ], ids=["fading-k-4000", "config-k-4000", "config-snr-minus-4000", "config-snr-4000"])
     def test_values_overflowing_linear_units_refused(self, make):
-        """K and the noise variance 10**(-SNR/10) must fit a float in
-        linear units; beyond about 3082 dB they raise a named error, not
-        a bare OverflowError."""
+        """K, the linear SNR and the noise variance 10**(-SNR/10) must fit
+        a float; beyond about 3082 dB they raise a named error, not a bare
+        OverflowError."""
         with pytest.raises(ConfigurationError, match="overflows"):
             make()
 

@@ -1,10 +1,6 @@
 """Tests for frame assembly, pulse shaping and the I16 capture format."""
 
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -152,16 +148,6 @@ class TestPulseShape:
         out = txchain.pulse_shape(np.zeros((2, 10), dtype=complex),
                                   txchain.rrc_taps(), 4)
         assert not out.any()
-
-    def test_package_import_leaves_scipy_signal_out(self):
-        """Shaping runs on numpy alone: importing scipy.signal (for
-        ``upfirdn``, say) costs about a second over ``import smlink``."""
-        src = Path(txchain.__file__).resolve().parents[1]
-        code = "import sys, smlink, smlink.cli; print('scipy.signal' in sys.modules)"
-        env = dict(os.environ, PYTHONPATH=str(src))
-        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                             text=True, timeout=120, check=True)
-        assert out.stdout.strip() == "False"
 
 
 class TestAssembleTransmission:
