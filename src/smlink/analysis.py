@@ -21,6 +21,7 @@ score evaluations, ``max_iterations`` caps them, and
 ``RicianFit.converged`` says whether every root refinement finished.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -134,6 +135,18 @@ class BoundConfig:
         if list(grid) != sorted(grid):
             raise ConfigurationError("snr_grid_db must be sorted ascending")
         object.__setattr__(self, "snr_grid_db", grid)
+        # Refuse the points where nr pair statistics, each at most (2 s_max
+        # ||x||_1)^2, times gamma_ex / (2 sin^2 theta) at the smallest node
+        # would overflow and make the bound NaN.
+        modem.bits_per_vector(self.scheme, self.nt, self.modulation_order)
+        peak = np.abs(modem.build_constellation(self.modulation_order).points).max()
+        l1 = peak * (math.sqrt(self.nt) if self.scheme == "smx" else 1.0)
+        s_max = 1.0 if self.imbalance is None else self.imbalance.amplitude_scale().max()
+        scale = self.nr * max((s_max * l1) ** 2, 0.25) / math.sin(_craig_quadrature()[0].min()) ** 2
+        limit_db = 10.0 * math.log10(np.finfo(np.float64).max / scale)
+        if grid[-1] > limit_db:
+            raise ConfigurationError(f"snr_grid_db points {[s for s in grid if s > limit_db]} "
+                                     f"exceed the {limit_db:.1f} dB the bound's quadrature holds")
 
 
 # Gauss-Legendre nodes for Craig's integral over (0, pi/2).
@@ -164,6 +177,13 @@ def _gauss_legendre(n):
         dp = n * (x * p - p_prev) / (x * x - 1.0)
         x = x - p / dp
     return x, 2.0 / ((1.0 - x * x) * dp * dp)
+
+
+@functools.cache
+def _craig_quadrature():
+    """Nodes theta on (0, pi/2) and weights of Craig's integral, 1/pi included."""
+    t, w = _gauss_legendre(_CRAIG_NODES)
+    return np.pi / 4.0 * (t + 1.0), w / 4.0  # dtheta = (pi/4) dt
 
 
 def _craig_mgf_pep(mu_sq, sigma_sq, antennas, gamma_ex, theta, node_weights):
@@ -235,9 +255,7 @@ def union_bound_aber(config, rng=None):
     a_sq = config.fading.los_amplitude**2
     b_sq = config.fading.diffuse_std**2
     gamma_ex = 10.0 ** (np.asarray(config.snr_grid_db) / 10.0) / 2.0
-    t, w = _gauss_legendre(_CRAIG_NODES)
-    theta = np.pi / 4.0 * (t + 1.0)
-    node_weights = w / 4.0  # dtheta = (pi/4) dt, times the 1/pi in front
+    theta, node_weights = _craig_quadrature()
 
     # Real coordinates: row k of xri is (Re x_k, Im x_k), so Re(u conj(v))
     # of two candidates is a real dot product.

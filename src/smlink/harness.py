@@ -5,7 +5,7 @@ one of two fidelities, which differ only in how one trial runs:
 
 * ``symbol`` -- vectors go straight through y = Hx + n with the channel
   redrawn every ``block_symbols`` vectors (one frame's worth), detected
-  with perfect or pilot-estimated CSI;
+  with perfect or pilot-estimated CSI by the receive chain's back end;
 * ``waveform`` -- the full transmit chain is built, propagated at sample
   level with optional carrier frequency offset, and decoded by the full
   receive chain; sync rejections are counted separately from bit errors.
@@ -173,10 +173,6 @@ def _trial_rng(master_seed, snr_db, trial):
     return np.random.default_rng(np.random.SeedSequence(key))
 
 
-def _popcount_errors(sent_idx, detected_idx):
-    return int(np.bitwise_count(np.bitwise_xor(sent_idx, detected_idx)).sum())
-
-
 def run_simulation(config):
     """Sweep ``config.snr_grid_db``; returns one BerRecord per SNR point.
 
@@ -189,8 +185,9 @@ def run_simulation(config):
     fading, imbalance = config.fading(), config.imbalance()
     if config.fidelity == "symbol":
         candidates = modem.candidate_vectors(config.scheme, config.nt, constellation)
+        pilots = np.tile(txchain.pilot_matrix(config.nt, max(config.nt, 10)), (10, 1))
         trial = functools.partial(
-            _symbol_trial, config, constellation, candidates, fading, imbalance)
+            _symbol_trial, config, constellation, candidates, pilots, fading, imbalance)
     else:
         trial = functools.partial(_waveform_trial, config, constellation, fading, imbalance)
     records = []
@@ -219,47 +216,30 @@ def run_simulation(config):
     return records
 
 
-def _symbol_trial(config, constellation, candidates, fading, imbalance, rng, snr_db):
+def _symbol_trial(config, constellation, candidates, pilots, fading, imbalance, rng, snr_db):
     """One symbol-fidelity trial.
 
+    Each block draws its channel, its data noise and, under pilot CSI,
+    two observations of ``pilots`` (ten repetitions of the pilot matrix).
     Returns (bit_errors, bits_counted, None, False): symbol fidelity has
     no SNR estimate and no capture to reject.
     """
-    m = config.bits_per_vector
-    n_vec = config.bits_per_trial // m
     noise_var = 10.0 ** (-snr_db / 10.0)
     bits = rng.integers(0, 2, size=config.bits_per_trial, dtype=np.uint8)
-    sent_idx = modem.bits_to_indices(bits, m)
+    sent_idx = modem.bits_to_indices(bits, config.bits_per_vector)
     vectors = candidates[sent_idx]
-    errors = 0
-    n_theta = max(config.nt, 10)
-    pilots = (
-        np.tile(txchain.pilot_matrix(config.nt, n_theta), (10, 1))
-        if config.csi_mode == "pilot"
-        else None
-    )
-    for start in range(0, n_vec, config.block_symbols):
-        stop = min(start + config.block_symbols, n_vec)
+    blocks, channels, observed = [], [], []
+    for start in range(0, len(vectors), config.block_symbols):
         h = channel_mod.draw_channel(config.nr, config.nt, fading, imbalance, rng)
-        y = channel_mod.propagate_symbols(vectors[start:stop], h, noise_var, rng)
-        if config.csi_mode == "perfect":
-            h_halves = (h, h)
-        else:
-            ests = []
-            for _ in range(2):
-                y_p = channel_mod.propagate_symbols(pilots, h, noise_var, rng)
-                ests.append((y_p.T @ pilots.conj()) / pilots.shape[0])
-            h_halves = tuple(ests)
-        half = (stop - start) // 2
-        for sl, h_det in ((slice(None, half), h_halves[0]), (slice(half, None), h_halves[1])):
-            block = y[sl]
-            if block.shape[0] == 0:
-                continue
-            if config.scheme == "sm":
-                det = modem.sm_ml_detect_batch(block, h_det, constellation)
-            else:
-                det = modem.ml_detect_batch(block, h_det, candidates)
-            errors += _popcount_errors(sent_idx[start:stop][sl], det)
+        blocks.append(channel_mod.propagate_symbols(
+            vectors[start : start + config.block_symbols], h, noise_var, rng))
+        channels.append((h, h))
+        if config.csi_mode == "pilot":
+            observed.append([channel_mod.propagate_symbols(pilots, h, noise_var, rng).T
+                             for _ in range(2)])
+    estimates = rxchain.ls_channel_estimate(observed, pilots) if observed else np.array(channels)
+    detected = rxchain.demodulate_frame(blocks, estimates, config.scheme, constellation)
+    errors = int(np.bitwise_count(sent_idx ^ detected).sum())
     return errors, config.bits_per_trial, None, False
 
 

@@ -105,7 +105,7 @@ def _as_bits(bits):
     b = np.asarray(bits)
     if b.ndim != 1:
         raise DimensionError("bit array must be one-dimensional")
-    if b.size and not np.isin(b, (0, 1)).all():
+    if b.size and not ((b == 0) | (b == 1)).all():
         raise FramingError("bit array may only contain 0 and 1")
     return b.astype(np.uint8)
 

@@ -7,10 +7,10 @@ are found), measure SNR from the on/off section, take each frame's
 carrier offset as the maximiser of its matched-filtered preamble's
 periodogram summed over receive antennas, derotate the data section at
 sample rate, matched-filter and downsample it once, estimate the channel
-from both pilot signals of every frame in one batch, then per frame
-detect each half of the data symbols with its nearer estimate.
-Derotating before the matched filter keeps the combined transmit+receive
-response Nyquist under carrier offset.
+from both pilot signals of every frame in one batch, then detect each
+half of every frame's data with its nearer estimate in one call, as the
+symbol-fidelity trial does. Derotating before the matched filter keeps
+the combined transmit+receive response Nyquist under carrier offset.
 
 Channel estimates are formed as (1/N) Theta^H Y over the mean of the
 interior sequences of a pilot signal (their neighborhoods are still
@@ -54,6 +54,8 @@ __all__ = [
 # filter memory mixes in the neighbouring pilot and data symbols.
 FO_EDGE_MARGIN = 12
 
+SYNC_THRESHOLD_FRACTION = 0.70
+
 
 @dataclass(frozen=True)
 class SyncResult:
@@ -89,11 +91,10 @@ class DecodeResult:
     symbol_scale: float = 1.0
 
 
-def detect_sync(waveform, pulse_period_samples, n_pulses=20, threshold_fraction=0.70,
-                data_offset_samples=0):
+def detect_sync(waveform, pulse_period_samples, n_pulses=20, data_offset_samples=0):
     """Find the sync pulses by relative-threshold peak search.
 
-    Samples above ``threshold_fraction`` of the maximum magnitude are
+    Samples above ``SYNC_THRESHOLD_FRACTION`` of the maximum magnitude are
     grouped (gaps beyond half the pulse period split groups) and each
     group contributes its strongest sample. Fewer than ``n_pulses``
     groups raise :class:`SyncRejection`. The transmission start is
@@ -105,7 +106,7 @@ def detect_sync(waveform, pulse_period_samples, n_pulses=20, threshold_fraction=
     peak = float(w.max())
     if peak == 0.0:
         raise SyncRejection("all-zero capture: found 0 of the expected pulses")
-    above = np.flatnonzero(w >= threshold_fraction * peak)
+    above = np.flatnonzero(w >= SYNC_THRESHOLD_FRACTION * peak)
     merge = max(pulse_period_samples // 2, 1)
     splits = np.flatnonzero(np.diff(above) > merge) + 1
     groups = np.split(above, splits)
@@ -263,11 +264,10 @@ def ls_channel_estimate(pilot_block, pilots, gain=None):
 
     ``pilot_block`` is (..., nr, n_seq * n_theta), one pilot signal per
     leading index; ``pilots`` the (n_theta, nt) transmitted matrix with
-    orthogonal columns. Returns the (..., nr, nt) estimates. Each is
-    (1/n_theta) Theta^H Y over the mean of the sequences whose
-    filter-memory neighborhood stays pilot-periodic (all but the first
-    and last when there are at least three). ``gain`` optionally divides
-    per transmit antenna to undo the combined pulse-shaping response.
+    orthogonal columns. Returns the (..., nr, nt) estimates, each
+    (1/n_theta) Theta^H Y over the mean of all n_seq sequences. ``gain``
+    optionally divides per transmit antenna to undo the combined
+    pulse-shaping response.
     """
     theta = np.asarray(pilots)
     n_theta, nt = theta.shape
@@ -279,34 +279,31 @@ def ls_channel_estimate(pilot_block, pilots, gain=None):
     if rest or n_seq == 0:
         raise DimensionError("pilot block must hold one or more whole sequences")
     seqs = y.reshape(*y.shape[:-1], n_seq, n_theta)
-    if n_seq >= 3:
-        seqs = seqs[..., 1:-1, :]
     h_hat = seqs.mean(axis=-2) @ theta.conj() / n_theta
     if gain is not None:
         h_hat = h_hat / np.asarray(gain)
     return h_hat
 
 
-def demodulate_frame(data_symbols, h_first, h_second, scheme, constellation):
-    """ML-detect a frame's data block, first half with the first estimate.
+def demodulate_frame(blocks, estimates, scheme, constellation):
+    """ML-detect blocks of received vectors, each half with its own estimate.
 
-    ``data_symbols`` is (nr, n); both channel estimates must carry the
-    same amplitude scale as the symbols. Returns the demapped bits.
+    ``blocks`` is a sequence of (n, nr) received vectors, n free per
+    block; ``estimates`` is (len(blocks), 2, nr, nt), on the vectors'
+    amplitude scale. Block i's first n // 2 vectors are detected with
+    ``estimates[i, 0]``, the rest with ``estimates[i, 1]``; a half may be
+    empty. Returns the detected bit-block values of all blocks, in order.
     """
-    y = np.asarray(data_symbols)
-    nt = h_first.shape[1]
-    m = modem.bits_per_vector(scheme, nt, constellation.order)
-    if scheme == "smx":
-        cands = modem.candidate_vectors("smx", nt, constellation)
-    split = y.shape[1] // 2
-    parts = []
-    for y_half, h in ((y[:, :split], h_first), (y[:, split:], h_second)):
-        if scheme == "sm":
-            idx = modem.sm_ml_detect_batch(y_half.T, h, constellation)
-        else:
-            idx = modem.ml_detect_batch(y_half.T, h, cands)
-        parts.append(modem.indices_to_bits(idx, m))
-    return np.concatenate(parts)
+    if len(blocks) != len(estimates):
+        raise DimensionError(f"{len(blocks)} blocks but {len(estimates)} estimate pairs")
+    if scheme == "sm":
+        detect, table = modem.sm_ml_detect_batch, constellation
+    else:
+        detect = modem.ml_detect_batch
+        table = modem.candidate_vectors("smx", estimates.shape[-1], constellation)
+    return np.concatenate([detect(half, h, table)
+                           for y, pair in zip(blocks, estimates)
+                           for half, h in zip((y[: len(y) // 2], y[len(y) // 2 :]), pair)])
 
 
 def decode_transmission(rx_samples, frame_layout, tx_layout, nt, scheme,
@@ -326,7 +323,7 @@ def decode_transmission(rx_samples, frame_layout, tx_layout, nt, scheme,
     converts the reported channel estimates to the true channel's
     amplitude scale; detection is unaffected.
     """
-    modem.bits_per_vector(scheme, nt, constellation.order)
+    m = modem.bits_per_vector(scheme, nt, constellation.order)
     y = np.atleast_2d(np.asarray(rx_samples, dtype=np.complex128))
     u = frame_layout.upsample_factor
     taps = rrc_taps(frame_layout.rrc_num_taps, frame_layout.rrc_rolloff, u)
@@ -381,20 +378,24 @@ def decode_transmission(rx_samples, frame_layout, tx_layout, nt, scheme,
     symbols = matched_filter_downsample(derotated, taps, u, n_sym)
 
     by_frame = symbols.reshape(y.shape[0], n_frames, f_syms).transpose(1, 0, 2)
+    # Filter memory mixes the neighbouring sections into the first and the
+    # last sequence of a pilot signal; the interior ones stay pilot-periodic.
+    n_theta = frame_layout.pilot_seq_len
+    edge = n_theta if frame_layout.pilot_sequences_per_signal >= 3 else 0
     pilot_signals = np.stack(
-        [by_frame[..., sections["pilot_first"]], by_frame[..., sections["pilot_second"]]],
+        [by_frame[..., sections[name].start + edge : sections[name].stop - edge]
+         for name in ("pilot_first", "pilot_second")],
         axis=1,
     )
     estimates = ls_channel_estimate(
         pilot_signals,
-        pilot_matrix(nt, frame_layout.pilot_seq_len),
-        pulse_gain_compensation(taps, u, frame_layout.pilot_seq_len, nt),
+        pilot_matrix(nt, n_theta),
+        pulse_gain_compensation(taps, u, n_theta, nt),
     )
+    detected = demodulate_frame(by_frame[..., sections["data"]].transpose(0, 2, 1),
+                                estimates, scheme, constellation)
     return DecodeResult(
-        bits=np.concatenate([
-            demodulate_frame(frame[:, sections["data"]], h[0], h[1], scheme, constellation)
-            for frame, h in zip(by_frame, estimates)
-        ]),
+        bits=modem.indices_to_bits(detected, m),
         snr=snr,
         fo_cycles_per_sample=fo_per_frame,
         channel_estimates=estimates / symbol_scale if symbol_scale else estimates,

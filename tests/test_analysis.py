@@ -301,6 +301,29 @@ class TestExactUnionBound:
                 fading=channel.FadingModel(33.0), snr_grid_db=grid,
             )
 
+    @pytest.mark.parametrize("k_db", [float("-inf"), 33.0, 3000.0])
+    def test_points_past_quadrature_range_refused(self, k_db):
+        """At the smallest Craig node gamma_ex / (2 sin^2 theta) times a pair
+        statistic overflows above 3014.3 dB on the 2x2 BPSK link, and the
+        bound would come out NaN: those points are refused by value. Up to
+        that edge the bound evaluates without a floating-point warning. At
+        K = 3000 dB the all-ones channel leaves pairs that differ in the
+        antenna alone only the 1e-300 diffuse power, which the SNR resolves
+        towards the edge."""
+        base = dict(scheme="sm", nt=2, nr=2, modulation_order=2,
+                    fading=channel.FadingModel(k_db))
+        bound = analysis.union_bound_aber(
+            analysis.BoundConfig(snr_grid_db=(3000.0, 3014.0), **base))
+        if k_db < 3000.0:
+            assert bound.tolist() == [0.0, 0.0]
+        else:
+            assert bound[0] == pytest.approx(0.0575, abs=1e-4)
+            assert bound[0] > bound[1] > 0.0
+        for grid, named in (((10.0, 3014.5), r"\[3014\.5\]"),
+                            ((3030.0, 3080.0), r"\[3030\.0, 3080\.0\]")):
+            with pytest.raises(ConfigurationError, match=named):
+                analysis.BoundConfig(snr_grid_db=grid, **base)
+
 
 def stats_gof_p_value(x, nu, sigma, n_bins):
     """The Rice chi-squared GOF p-value written with scipy.stats."""

@@ -188,6 +188,12 @@ class TestBoundCommand:
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and err.startswith("error: ") and key in err
 
+    def test_snr_past_quadrature_range_fails_with_exit_2(self, tmp_path, capsys):
+        capsys.readouterr()
+        assert run_cli(*_bound(tmp_path, {**BOUND, "snr_grid_db": [10.0, 3030.0]})) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: ") and "3030.0" in err
+
     def test_missing_fields_fail_with_exit_2(self, tmp_path, capsys):
         cfg_path = tmp_path / "bad.json"
         cfg_path.write_text(json.dumps({"scheme": "sm"}))

@@ -252,6 +252,27 @@ class TestSymbolSim:
             np.std(rates, ddof=1) / np.sqrt(rates.size)
         )
 
+    def test_one_estimate_and_one_detect_call_per_trial(self, monkeypatch):
+        """A pilot-CSI trial (1000 vectors in blocks of 300, the last one
+        ragged) makes one LS call and one detector call."""
+        calls = []
+
+        def counted(name):
+            fn = getattr(rxchain, name)
+
+            def wrapper(*args):
+                calls.append(name)
+                return fn(*args)
+            return wrapper
+
+        for name in ("ls_channel_estimate", "demodulate_frame"):
+            monkeypatch.setattr(rxchain, name, counted(name))
+        cfg = small_config(csi_mode="pilot", snr_grid_db=(6.0, 10.0), bits_per_trial=2000,
+                           block_symbols=300)
+        records = harness.run_simulation(cfg)
+        assert sum(len(r.trial_errors) for r in records) == 6
+        assert sorted(calls) == ["demodulate_frame"] * 6 + ["ls_channel_estimate"] * 6
+
     def test_pilot_csi_degrades_gracefully(self):
         """Pilot-based CSI is noisier than genie CSI but the detector
         still works: the ABER stays within a small factor."""

@@ -294,12 +294,10 @@ class TestLsChannelEstimate:
 
     @staticmethod
     def per_sequence_reference(y, theta):
-        """(1/n_theta) Theta^H Y per sequence, averaged over the interior ones."""
+        """(1/n_theta) Theta^H Y per sequence, averaged over all of them."""
         n_theta = theta.shape[0]
-        n_seq = y.shape[1] // n_theta
-        seqs = range(1, n_seq - 1) if n_seq >= 3 else range(n_seq)
         parts = [theta.conj().T @ y[:, s * n_theta : (s + 1) * n_theta].T / n_theta
-                 for s in seqs]
+                 for s in range(y.shape[1] // n_theta)]
         return np.mean(parts, axis=0).T
 
     @pytest.mark.parametrize("nt,n_theta", [(2, 10), (4, 10), (8, 16)])
@@ -328,7 +326,7 @@ class TestLsChannelEstimate:
         assert np.allclose(gained, plain / np.array([2.0, 4.0])[None, :])
 
     def test_noise_averaging_gain(self):
-        """Estimator noise variance is sigma^2 / (n_theta * n_interior)."""
+        """Estimator noise variance is sigma^2 / (n_theta * n_seq)."""
         rng = np.random.default_rng(11)
         h = np.eye(2, dtype=complex)
         x = self.pilot_stream()
@@ -341,7 +339,7 @@ class TestLsChannelEstimate:
             )
             est = rxchain.ls_channel_estimate(h @ x + noise, self.pilots)
             sq += np.mean(np.abs(est - h) ** 2)
-        expected = noise_var / (10 * 8)  # 10-long sequences, 8 interior ones
+        expected = noise_var / (10 * 10)  # ten 10-long sequences
         assert sq / trials == pytest.approx(expected, rel=0.2)
 
     def test_non_orthogonal_pilots_rejected(self):
@@ -361,17 +359,20 @@ class TestLsChannelEstimate:
 
 class TestDemodulateFrame:
     def test_sm_roundtrip_with_split_channels(self):
+        """Each block's halves go to its own pair of estimates; blocks may
+        differ in length, and a one-vector block has an empty first half."""
         rng = np.random.default_rng(13)
         c = modem.build_constellation(2)
-        bits = rng.integers(0, 2, 2 * 200).astype(np.uint8)
+        bits = rng.integers(0, 2, 2 * 301).astype(np.uint8)
         _, vectors = modem.sm_modulate(bits, 2, c)
-        h1 = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        h2 = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        y = np.concatenate(
-            [vectors[:100] @ h1.T, vectors[100:] @ h2.T], axis=0
-        ).T
-        out = rxchain.demodulate_frame(y, h1, h2, "sm", c)
-        assert np.array_equal(out, bits)
+        h = rng.standard_normal((3, 2, 2, 2)) + 1j * rng.standard_normal((3, 2, 2, 2))
+        halves = [(vectors[:100], h[0, 0]), (vectors[100:200], h[0, 1]),
+                  (vectors[200:250], h[1, 0]), (vectors[250:300], h[1, 1]),
+                  (vectors[300:], h[2, 1])]
+        y = np.concatenate([x @ hh.T for x, hh in halves])
+        blocks = [y[:200], y[200:300], y[300:]]
+        out = rxchain.demodulate_frame(blocks, h, "sm", c)
+        assert np.array_equal(out, modem.bits_to_indices(bits, 2))
 
     def test_smx_roundtrip(self):
         rng = np.random.default_rng(14)
@@ -379,8 +380,8 @@ class TestDemodulateFrame:
         bits = rng.integers(0, 2, 4 * 100).astype(np.uint8)
         vectors = modem.smx_modulate(bits, 2, c)
         h = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        out = rxchain.demodulate_frame((vectors @ h.T).T, h, h, "smx", c)
-        assert np.array_equal(out, bits)
+        out = rxchain.demodulate_frame([vectors @ h.T], np.stack([[h, h]]), "smx", c)
+        assert np.array_equal(out, modem.bits_to_indices(bits, 4))
 
     def test_smx_candidates_built_once_per_call(self, monkeypatch):
         calls = []
@@ -392,8 +393,8 @@ class TestDemodulateFrame:
 
         monkeypatch.setattr(modem, "candidate_vectors", counting)
         c = modem.build_constellation(2)
-        y = np.ones((2, 10), dtype=complex)
-        rxchain.demodulate_frame(y, np.eye(2), np.eye(2), "smx", c)
+        y = np.ones((10, 2), dtype=complex)
+        rxchain.demodulate_frame([y, y, y], np.tile(np.eye(2), (3, 2, 1, 1)), "smx", c)
         assert len(calls) == 1
 
 
