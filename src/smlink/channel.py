@@ -33,6 +33,11 @@ __all__ = [
     "awgn",
 ]
 
+# Samples per block of the sample-path stages: 2**15 complex samples are
+# 512 KiB, small enough to stay in cache, large enough that the per-block
+# Python overhead is negligible next to the arithmetic.
+SAMPLE_BLOCK = 1 << 15
+
 # Measured per-path gain offsets (dB) of two 2x2 receiver placements,
 # rows = receive antenna, columns = transmit antenna.
 _PROFILES = {
@@ -198,9 +203,12 @@ def propagate_waveform(samples, h, fo_cycles_per_sample=0.0, noise_var=0.0, rng=
     ``samples`` is (nt, n_samples); the output (nr, n_samples) is
     (H @ samples) rotated by exp(2j*pi*fo*k) -- a constant carrier
     frequency offset in cycles per sample -- plus complex AWGN of total
-    variance ``noise_var`` per sample. The noise is one (n_samples, nr)
-    :func:`awgn` draw, transposed, so the generator fills it sample by
-    sample. Mix, rotation and noise work in place on the output.
+    variance ``noise_var`` per sample. The noise equals one
+    (n_samples, nr) :func:`awgn` draw, transposed, so the generator
+    fills it sample by sample; it is drawn and added one block of
+    whole :func:`carrier_ramp` blocks (about ``SAMPLE_BLOCK`` samples)
+    at a time, together with that block's segment of the ramp. The
+    output is the only full-length array the call allocates.
     """
     x = np.asarray(samples)
     if x.ndim != 2 or x.shape[0] != h.shape[1]:
@@ -208,11 +216,35 @@ def propagate_waveform(samples, h, fo_cycles_per_sample=0.0, noise_var=0.0, rng=
     if noise_var > 0 and rng is None:
         raise ConfigurationError("rng is required when noise_var > 0")
     y = h @ x
+    nr, n = y.shape
     if fo_cycles_per_sample != 0.0:
-        y *= carrier_ramp(fo_cycles_per_sample, x.shape[1])
-    if noise_var > 0:
-        y += awgn(y.shape[::-1], noise_var, rng).T
+        outer, inner = _ramp_factors(fo_cycles_per_sample, n)
+    elif noise_var <= 0:
+        return y
+    ramp_block = _ramp_block(n)
+    per_block = max(1, SAMPLE_BLOCK // ramp_block)
+    for b in range(0, -(-n // ramp_block), per_block):
+        block = y[:, b * ramp_block : (b + per_block) * ramp_block]
+        if fo_cycles_per_sample != 0.0:
+            block *= (outer[b : b + per_block] * inner).reshape(-1)[: block.shape[1]]
+        if noise_var > 0:
+            block += awgn((block.shape[1], nr), noise_var, rng).T
     return y
+
+
+def _ramp_block(n):
+    """Indices per block of an n-index :func:`carrier_ramp`."""
+    return max(1, math.isqrt(n))
+
+
+def _ramp_factors(delta, n, first_index=0):
+    """The (..., n_blocks, 1) block phasors and (..., block) in-block
+    phasors of :func:`carrier_ramp`, whose products are its entries."""
+    block = _ramp_block(n)
+    n_blocks = -(-n // block)
+    w = 2.0 * np.pi * np.asarray(delta, dtype=np.float64)[..., None, None]
+    start = np.asarray(first_index)[..., None, None] + block * np.arange(n_blocks)[:, None]
+    return np.exp(1j * (w * start)), np.exp(1j * (w * np.arange(block)))
 
 
 def carrier_ramp(delta, n, first_index=0):
@@ -224,9 +256,6 @@ def carrier_ramp(delta, n, first_index=0):
     instead of n, within a few ulps of the largest phase of the direct
     ``np.exp`` (4.5e-13 at 3.1e3 rad).
     """
-    block = max(1, math.isqrt(n))
-    n_blocks = -(-n // block)
-    w = 2.0 * np.pi * np.asarray(delta, dtype=np.float64)[..., None, None]
-    start = np.asarray(first_index)[..., None, None] + block * np.arange(n_blocks)[:, None]
-    ramp = np.exp(1j * (w * start)) * np.exp(1j * (w * np.arange(block)))
-    return ramp.reshape(*ramp.shape[:-2], n_blocks * block)[..., :n]
+    outer, inner = _ramp_factors(delta, n, first_index)
+    ramp = outer * inner
+    return ramp.reshape(*ramp.shape[:-2], ramp.shape[-2] * ramp.shape[-1])[..., :n]

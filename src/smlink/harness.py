@@ -260,15 +260,17 @@ def _waveform_trial(config, constellation, fading, imbalance, rng, snr_db):
         bits, config.scheme, config.nt, constellation, frame_layout, tx_layout
     )
 
+    symbol_scale, x_max = tx.symbol_scale, tx.x_max
     h = channel_mod.draw_channel(config.nr, config.nt, fading, imbalance, rng)
-    noise_var = tx.symbol_scale**2 * 10.0 ** (-snr_db / 10.0)
+    noise_var = symbol_scale**2 * 10.0 ** (-snr_db / 10.0)
     rx = channel_mod.propagate_waveform(
         tx.samples, h, config.fo_cycles_per_sample, noise_var, rng
     )
+    del tx  # the decoder needs only the received samples, not the transmit ones
     try:
         result = rxchain.decode_transmission(
             rx, frame_layout, tx_layout, config.nt, config.scheme,
-            constellation, symbol_scale=tx.symbol_scale,
+            constellation, symbol_scale=symbol_scale,
         )
     except SyncRejection:
         return 0, 0, None, True
@@ -277,7 +279,7 @@ def _waveform_trial(config, constellation, fading, imbalance, rng, snr_db):
     if result.snr.valid and np.isfinite(result.snr.snr_db):
         # The sounding section runs at the data peak; refer the estimate
         # back to the unit-energy symbol scale for comparability.
-        est_linear = 10.0 ** (result.snr.snr_db / 10.0) / (tx.x_max / tx.symbol_scale) ** 2
+        est_linear = 10.0 ** (result.snr.snr_db / 10.0) / (x_max / symbol_scale) ** 2
     return errors, config.bits_per_trial, est_linear, False
 
 

@@ -26,7 +26,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import modem
-from .channel import carrier_ramp
+from .channel import SAMPLE_BLOCK, carrier_ramp
 from .errors import (
     ConfigurationError,
     DegenerateInputError,
@@ -98,11 +98,15 @@ def detect_sync(waveform, pulse_period_samples, n_pulses=20, data_offset_samples
     grouped (gaps beyond half the pulse period split groups) and each
     group contributes its strongest sample. Fewer than ``n_pulses``
     groups raise :class:`SyncRejection`. The transmission start is
-    anchored on the ``n_pulses``-th peak counted from the front.
+    anchored on the ``n_pulses``-th peak counted from the front. A real,
+    nonnegative ``waveform`` (a magnitude, as the decoder passes) is
+    searched as it is, without a copy.
     """
-    w = np.abs(np.asarray(waveform)).reshape(-1)
+    w = np.asarray(waveform).reshape(-1)
     if w.size == 0:
         raise DegenerateInputError("empty waveform")
+    if np.iscomplexobj(w) or w.min() < 0:
+        w = np.abs(w)
     peak = float(w.max())
     if peak == 0.0:
         raise SyncRejection("all-zero capture: found 0 of the expected pulses")
@@ -149,13 +153,16 @@ def estimate_snr(snr_section, nt, n_blocks, block_len_samples):
     # (nr, antenna, block, on/off, sample) view of the sounding runs.
     blocks = y[:, :need].reshape(nr, nt, n_blocks, 2, block_len_samples)
     raw = np.empty((nt, n_blocks))
+    centred = None  # one (nr, block_len) buffer, reused by every block
     for t in range(nt):
         for b in range(n_blocks):
             on, off = blocks[:, t, b, 0], blocks[:, t, b, 1]
             dc = off.mean(axis=1, keepdims=True)
-            off_energy = _power_sum(off - dc)
+            centred = np.subtract(off, dc, out=centred)
+            off_energy = _power_sum(centred)
             noise_var = off_energy / off.size
-            signal = max(_power_sum(on - dc) - off_energy, 0.0) / block_len_samples
+            np.subtract(on, dc, out=centred)
+            signal = max(_power_sum(centred) - off_energy, 0.0) / block_len_samples
             if noise_var == 0.0:
                 if signal == 0.0:
                     raise DegenerateInputError("on/off blocks are both silent")
@@ -232,8 +239,9 @@ def correct_fo(samples, delta, first_index=0, frame_len=None):
     head = len(delta) * frame_len
     if delta.ndim != 1 or not delta.size or head > n:
         raise DimensionError(f"{delta.size} runs of {frame_len} samples exceed {n} samples")
-    runs = x[..., :head].reshape(*x.shape[:-1], len(delta), frame_len)
-    runs *= carrier_ramp(-delta, frame_len, first_index + frame_len * np.arange(len(delta)))
+    for i, d in enumerate(delta):
+        x[..., i * frame_len : (i + 1) * frame_len] *= carrier_ramp(
+            -d, frame_len, first_index + i * frame_len)
     x[..., head:] *= carrier_ramp(-delta[-1], n - head, first_index + head)
     return x
 
@@ -306,6 +314,19 @@ def demodulate_frame(blocks, estimates, scheme, constellation):
                            for half, h in zip((y[: len(y) // 2], y[len(y) // 2 :]), pair)])
 
 
+def _receive_magnitude(y):
+    """sqrt(sum_r |y_r|^2) of (nr, n) streams, one block of one row at a
+    time: the (n,) result is the only full-length array."""
+    magnitude = np.zeros(y.shape[1])
+    for s in range(0, y.shape[1], SAMPLE_BLOCK):
+        block = magnitude[s : s + SAMPLE_BLOCK]
+        for row in y[:, s : s + SAMPLE_BLOCK]:
+            power = np.abs(row)
+            power *= power
+            block += power
+    return np.sqrt(magnitude, out=magnitude)
+
+
 def decode_transmission(rx_samples, frame_layout, tx_layout, nt, scheme,
                         constellation, symbol_scale=None):
     """Run the full receive pipeline on the (nr, n) captured streams.
@@ -331,15 +352,8 @@ def decode_transmission(rx_samples, frame_layout, tx_layout, nt, scheme,
     snr_len = tx_layout.snr_samples(nt, u)
     period = (1 + tx_layout.sync_gap_symbols) * u
 
-    # Receive magnitude over antennas, one row at a time: no (nr, n) temporaries.
-    combined = np.zeros(y.shape[1])
-    for row in y:
-        power = np.abs(row)
-        power *= power
-        combined += power
-    np.sqrt(combined, out=combined)
     sync = detect_sync(
-        combined,
+        _receive_magnitude(y),
         period,
         n_pulses=tx_layout.sync_pulses,
         data_offset_samples=sync_len + snr_len,

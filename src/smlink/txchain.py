@@ -27,6 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import modem
+from .channel import SAMPLE_BLOCK
 from .errors import (
     ConfigurationError,
     DegenerateInputError,
@@ -136,10 +137,12 @@ class TransmissionLayout:
             raise ConfigurationError("sync section needs pulses and gaps")
         if self.snr_blocks < 1 or self.snr_block_symbols < 1:
             raise ConfigurationError("SNR section needs at least one on/off block")
-        if self.power_factor < 0:
-            raise ConfigurationError("power factor must be >= 0")
-        if self.sample_rate <= 0:
-            raise ConfigurationError("sample rate must be positive")
+        if not 0 <= self.power_factor < np.inf:
+            raise ConfigurationError(
+                f"power factor must be finite and >= 0, got {self.power_factor!r}")
+        if not 0 < self.sample_rate < np.inf:
+            raise ConfigurationError(
+                f"sample rate must be finite and positive, got {self.sample_rate!r}")
 
     def sync_samples(self, upsample_factor):
         period = (1 + self.sync_gap_symbols) * upsample_factor
@@ -288,8 +291,8 @@ def assemble_transmission(stream, frame_layout, layout):
     # The sync pulses sit at full scale and the SNR blocks at x_max, so the
     # data section and x_max are the only places a component can exceed it.
     components = data_wave.view(np.float64)
-    if x_max > 1.0 or components.max() > 1.0 or components.min() < -1.0:
-        raise RangeError("scaled transmission exceeds quantizer full scale")
+    if not (x_max <= 1.0 and components.max() <= 1.0 and components.min() >= -1.0):
+        raise RangeError("scaled transmission exceeds quantizer full scale or is NaN")
 
     sync_len = layout.sync_samples(u)
     snr_len = layout.snr_samples(nt, u)
@@ -344,14 +347,16 @@ def build_transmission(bits, scheme, nt, constellation, frame_layout, layout):
 def quantize_i16(waveform):
     """Map complex samples to interleaved I,Q little-endian int16 at full scale 32767.
 
-    Rounds to nearest, ties to even; components above 1.0 in magnitude
-    raise :class:`RangeError`.
+    Rounds to nearest, ties to even, one block of components at a time;
+    components above 1.0 in magnitude or NaN raise :class:`RangeError`.
     """
     flat = np.ascontiguousarray(waveform, dtype=np.complex128).reshape(-1).view(np.float64)
-    if flat.size and (flat.max() > 1.0 or flat.min() < -1.0):
-        raise RangeError("sample magnitude above full scale; rescale before quantizing")
+    if flat.size and not (flat.max() <= 1.0 and flat.min() >= -1.0):
+        raise RangeError("sample magnitude above full scale or NaN; rescale before quantizing")
     codes = np.empty(flat.size, dtype="<i2")
-    np.rint(flat * FULL_SCALE, out=codes, casting="unsafe")
+    for s in range(0, flat.size, 2 * SAMPLE_BLOCK):
+        np.rint(flat[s : s + 2 * SAMPLE_BLOCK] * FULL_SCALE,
+                out=codes[s : s + 2 * SAMPLE_BLOCK], casting="unsafe")
     return codes
 
 

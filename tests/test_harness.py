@@ -2,6 +2,7 @@
 
 import json
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -299,6 +300,32 @@ class TestWaveformSim:
         assert rec.bit_errors == 0
         assert rec.bits == 4000
         assert rec.rejected_vectors == 0
+
+    def test_decoder_runs_without_the_transmit_samples(self, monkeypatch):
+        """The trial drops its transmission once it is propagated: when the
+        decoder starts, the traced heap holds the received samples and
+        little else, not the transmit samples beside them."""
+        decode = rxchain.decode_transmission
+        seen = []
+
+        def spy(rx, *args, **kwargs):
+            seen.append((tracemalloc.get_traced_memory()[0], rx.nbytes))
+            return decode(rx, *args, **kwargs)
+
+        monkeypatch.setattr(rxchain, "decode_transmission", spy)
+        cfg = small_config(
+            fidelity="waveform", snr_grid_db=(30.0,), bits_per_trial=2000,
+            trials_per_snr=1, block_symbols=1000, snr_block_symbols=5000,
+            k_factor_db=33.0,
+        )
+        tracemalloc.start()
+        try:
+            rec = harness.run_simulation(cfg)[0]
+        finally:
+            tracemalloc.stop()
+        (held, rx_bytes), = seen
+        assert rec.bits == 2000 and rec.rejected_vectors == 0
+        assert held <= 1.25 * rx_bytes
 
     def test_snr_estimate_tracks_target(self):
         cfg = small_config(

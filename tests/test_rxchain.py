@@ -1,5 +1,7 @@
 """Tests for the receive pipeline: sync, SNR, FO, LS estimate, decode."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -61,6 +63,17 @@ class TestDetectSync:
         combined[19 * period] = 0.0  # kill the last pulse
         with pytest.raises(SyncRejection):
             rxchain.detect_sync(combined, period)
+
+    def test_complex_and_signed_inputs_take_magnitude(self, loopback):
+        layout, tx_layout, _, _, tx, _ = loopback
+        period = (1 + tx_layout.sync_gap_symbols) * layout.upsample_factor
+        combined = np.sqrt(np.sum(np.abs(tx.samples) ** 2, axis=0))
+        a = rxchain.detect_sync(combined, period)
+        phase = np.exp(1j * np.linspace(0.0, 40.0, combined.size))
+        for other in (combined * phase, -combined):
+            b = rxchain.detect_sync(other, period)
+            assert np.array_equal(a.peak_indices, b.peak_indices)
+            assert a.tx_start_index == b.tx_start_index
 
     def test_lone_spike_rejects(self):
         capture = np.zeros(50_000)
@@ -131,6 +144,31 @@ class TestEstimateSnr:
         est = rxchain.estimate_snr(y, 2, 5, block)
         assert not est.valid
         assert est.snr_db == np.inf
+
+    @staticmethod
+    def reference_raw(y, nt, n_blocks, block_len):
+        """Per-block estimates with fresh off - dc and on - dc arrays."""
+        nr = y.shape[0]
+        blocks = y[:, : nt * n_blocks * 2 * block_len].reshape(nr, nt, n_blocks, 2, block_len)
+        raw = np.empty((nt, n_blocks))
+        for t in range(nt):
+            for b in range(n_blocks):
+                on, off = blocks[:, t, b, 0], blocks[:, t, b, 1]
+                dc = off.mean(axis=1, keepdims=True)
+                off_energy = float(sum(np.vdot(r, r).real for r in off - dc))
+                on_energy = float(sum(np.vdot(r, r).real for r in on - dc))
+                signal = max(on_energy - off_energy, 0.0) / block_len
+                raw[t, b] = signal / (nr * off_energy / off.size)
+        return raw
+
+    def test_bit_identical_to_fresh_temporaries(self):
+        rng = np.random.default_rng(12)
+        h = np.array([[1.0 + 0.2j, 0.8 - 0.1j], [0.4 + 0.5j, 1.1 + 0.0j]])
+        y, _ = self.build_section(h, 12.0, rng, block_len=3000)
+        for section in (y + (0.2 - 0.1j), y.real.copy()):
+            est = rxchain.estimate_snr(section, 2, 5, 3000)
+            assert np.array_equal(est.per_antenna_per_block,
+                                  self.reference_raw(section, 2, 5, 3000))
 
     def test_all_zero_section_rejected(self):
         with pytest.raises(DegenerateInputError):
@@ -519,6 +557,27 @@ class TestDecodeTransmission:
         with pytest.raises(SyncRejection):
             rxchain.decode_transmission(rx[:, : rx.shape[1] * 9 // 10], layout,
                                         tx_layout, 2, "sm", c)
+
+    def test_peak_memory_well_under_capture(self):
+        """Besides its (n,) receive magnitude, a quarter of a 2-antenna
+        capture, the decoder allocates only block- and data-section-sized
+        arrays: its traced peak stays under 0.35 of the capture."""
+        layout = txchain.FrameLayout()
+        tx_layout = txchain.TransmissionLayout(n_frames=1, snr_block_symbols=5000)
+        c = modem.build_constellation(2)
+        bits = np.random.default_rng(5).integers(0, 2, 2 * 1000).astype(np.uint8)
+        tx = txchain.build_transmission(bits, "sm", 2, c, layout, tx_layout)
+        h = np.array([[1.0 + 0.1j, 0.35 + 0.2j], [0.1 - 0.4j, 0.9 - 0.05j]])
+        rx = channel.propagate_waveform(tx.samples, h, 1e-4, (tx.symbol_scale * 0.03) ** 2,
+                                        np.random.default_rng(1))
+        tracemalloc.start()
+        try:
+            result = rxchain.decode_transmission(rx, layout, tx_layout, 2, "sm", c)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(result.bits, bits)
+        assert peak <= 0.35 * rx.nbytes
 
     def test_noisy_decode_still_syncs(self, loopback):
         layout, tx_layout, c, bits, tx, h = loopback

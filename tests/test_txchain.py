@@ -1,11 +1,12 @@
 """Tests for frame assembly, pulse shaping and the I16 capture format."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from smlink import modem, txchain
+from smlink import channel, modem, txchain
 from smlink.errors import (
     ConfigurationError,
     DegenerateInputError,
@@ -123,6 +124,14 @@ class TestFrameLayout:
             txchain.build_frame(np.zeros((1000, 2), dtype=complex), layout)
 
 
+class TestTransmissionLayout:
+    @pytest.mark.parametrize("field", ["power_factor", "sample_rate"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_refused(self, field, value):
+        with pytest.raises(ConfigurationError):
+            txchain.TransmissionLayout(**{field: value})
+
+
 class TestPulseShape:
     def test_impulse_response(self):
         """One unit symbol comes out as the tap sequence itself."""
@@ -223,6 +232,22 @@ class TestAssembleTransmission:
         with pytest.raises(RangeError):
             txchain.assemble_transmission(stream, self.layout, tx_layout)
 
+    def test_nan_data_raises(self):
+        """NaN fails the full-scale check instead of reaching the quantizer."""
+        stream = random_bpsk_frames(self.layout, self.tx_layout)
+        stream[1, 1200] = np.nan
+        with pytest.raises(RangeError):
+            txchain.assemble_transmission(stream, self.layout, self.tx_layout)
+
+    def test_nan_power_factor_raises(self):
+        """A layout that skipped its own validation still cannot put NaN
+        on the air: x_max and the data section both fail the check."""
+        tx_layout = txchain.TransmissionLayout(n_frames=2, snr_block_symbols=200)
+        object.__setattr__(tx_layout, "power_factor", np.nan)
+        stream = random_bpsk_frames(self.layout, tx_layout)
+        with pytest.raises(RangeError):
+            txchain.assemble_transmission(stream, self.layout, tx_layout)
+
     def test_all_zero_frames_rejected(self):
         tx_layout = txchain.TransmissionLayout(n_frames=1, snr_block_symbols=50)
         silent = np.zeros((2, self.layout.frame_symbols), dtype=complex)
@@ -301,6 +326,24 @@ class TestQuantization:
         with pytest.raises(RangeError):
             txchain.quantize_i16(np.array([1.0001 + 0j]))
 
+    @pytest.mark.parametrize("w", [[np.nan, 0.5], [0.5, complex(0.0, np.nan)]])
+    def test_nan_raises(self, w):
+        with pytest.raises(RangeError):
+            txchain.quantize_i16(np.array(w, dtype=complex))
+
+    def test_peak_memory_is_codes_plus_one_block(self):
+        """Rounding goes block by block into the codes: besides them the
+        call allocates O(SAMPLE_BLOCK), not a full-length float copy."""
+        w = np.full(1 << 20, 0.5 - 0.25j)
+        tracemalloc.start()
+        try:
+            codes = txchain.quantize_i16(w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        block_bytes = 2 * channel.SAMPLE_BLOCK * 8  # one block of float64 components
+        assert peak <= codes.nbytes + 2 * block_bytes
+
     def test_odd_buffer_rejected(self):
         with pytest.raises(FramingError):
             txchain.dequantize_i16(np.zeros(5, dtype=np.int16))
@@ -334,6 +377,8 @@ class TestQuantization:
             ties[:half] + 1j * ties[half : 2 * half],
             rows[:, ::3],  # not contiguous
             rows.T,
+            # several rounding blocks and a ragged last one
+            rng.uniform(-1, 1, 3 * channel.SAMPLE_BLOCK + 5) * (1 - 1j) / 2,
         ]
         for w in cases:
             codes = txchain.quantize_i16(w)
