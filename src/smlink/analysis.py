@@ -9,7 +9,8 @@ transmit vectors and a unit-power reference path.
 ``union_bound_aber`` averages over the Rician model exactly (Craig's
 formula and the MGF of each receive antenna's noncentral |CN|^2,
 integrated by Gauss-Legendre quadrature); ``union_bound_aber_for_channels``
-averages over an explicit stack of channel matrices.
+averages over an explicit stack of channel matrices. Both walk each
+unordered candidate pair once, in the same bounded blocks of rows.
 
 Also provided: a maximum-likelihood Rice amplitude fit with a
 chi-squared goodness-of-fit test. The fit solves the one-dimensional
@@ -35,7 +36,6 @@ __all__ = [
     "BoundConfig",
     "RicianFit",
     "q_function",
-    "bit_weight_matrix",
     "union_bound_aber_for_channels",
     "union_bound_aber",
     "fit_rician",
@@ -51,25 +51,6 @@ def q_function(w):
     return 0.5 * special.erfc(np.asarray(w, dtype=np.float64) / np.sqrt(2.0))
 
 
-def bit_weight_matrix(m):
-    """W[i, j] = Hamming distance between the m-bit labels of i and j."""
-    idx = np.arange(2**m, dtype=np.int64)
-    return np.bitwise_count(idx[:, None] ^ idx[None, :]).astype(np.int64)
-
-
-def _pairwise_sq_distances(candidates, h_stack):
-    """||H (x_i - x_j)||_F^2 for every pair, per channel draw.
-
-    candidates: (n_cand, nt); h_stack: (n_draws, nr, nt).
-    Returns (n_draws, n_cand, n_cand) real array.
-    """
-    hx = np.einsum("ct,nrt->ncr", candidates, h_stack)
-    gram = np.einsum("ncr,nkr->nck", hx, hx.conj())
-    nsq = np.einsum("ncc->nc", gram).real
-    d = nsq[:, :, None] + nsq[:, None, :] - 2.0 * gram.real
-    return np.maximum(d, 0.0)
-
-
 def _check_candidate_count(n_cand):
     """log2 of a candidate count that is a power of two in [2, MAX_CANDIDATES]."""
     if n_cand < 2 or n_cand & (n_cand - 1):
@@ -81,32 +62,61 @@ def _check_candidate_count(n_cand):
     return n_cand.bit_length() - 1
 
 
-def union_bound_aber_for_channels(candidates, h_stack, snr_grid_db, batch=64):
+# (row, column) cells per pair block (blocks of 2**16 made the three benchmark
+# bounds take twice as long) and the size of the bounds' per-block temporaries.
+_PAIR_CHUNK = 2**14
+_EVAL_ELEMENTS = 2**20
+
+
+def _pair_blocks(n_cand):
+    """Each unordered candidate pair once, in blocks of rows: yields lo, hi, the
+    mask of pairs j > i in rows lo..hi-1 and their labels' Hamming distances."""
+    idx = np.arange(n_cand)
+    rows = max(_PAIR_CHUNK // n_cand, 1)
+    for lo in range(0, n_cand - 1, rows):
+        hi = min(lo + rows, n_cand - 1)
+        upper = idx[None, :] > idx[lo:hi, None]
+        yield lo, hi, upper, np.bitwise_count(idx[lo:hi, None] ^ idx[None, :])[upper]
+
+
+def union_bound_aber_for_channels(candidates, h_stack, snr_grid_db):
     """Union-bound ABER averaged over an explicit stack of channel draws.
 
-    ``candidates`` must hold all 2**m vectors in bit-label order (row i
-    belongs to bit block i); ``h_stack`` is (n_draws, nr, nt). Returns
-    the raw bound per SNR point -- values above 0.5 are preserved.
+    ``candidates`` (n_cand, nt) must hold all 2**m vectors in bit-label
+    order; ``h_stack`` is a finite (n_draws, nr, nt) stack or one (nr, nt)
+    matrix. Each unordered pair's Q(sqrt(gamma_ex) ||H (x_i - x_j)||) is
+    weighted by its Hamming distance and doubled, as in
+    ``union_bound_aber``. Draws and pairs are walked in bounded blocks, so
+    memory grows with neither. Returns the raw bound per SNR point --
+    values above 0.5 are preserved.
     """
     x = np.asarray(candidates, dtype=np.complex128)
     hs = np.asarray(h_stack, dtype=np.complex128)
     if hs.ndim == 2:
         hs = hs[None, :, :]
+    if x.ndim != 2 or hs.ndim != 3 or hs.shape[2] != x.shape[1] or hs.size == 0:
+        raise DimensionError(f"candidates {x.shape} and channel stack {hs.shape} must be "
+                             "(n_cand, nt) and a nonempty (n_draws, nr, nt) or (nr, nt)")
+    if not (np.isfinite(x).all() and np.isfinite(hs).all()):
+        raise DegenerateInputError("candidates and channels must be finite")
     n_cand = x.shape[0]
     m = _check_candidate_count(n_cand)
-    if hs.shape[2] != x.shape[1]:
-        raise DimensionError("channel stack must be (n_draws, nr, nt) matching candidates")
-    weights = bit_weight_matrix(m) / m
-    snr = np.asarray(snr_grid_db, dtype=np.float64)
-    gamma_ex = 10.0 ** (snr / 10.0) / 2.0
-
-    totals = np.zeros(snr.size)
-    n_draws = hs.shape[0]
-    for start in range(0, n_draws, batch):
-        root_d = np.sqrt(_pairwise_sq_distances(x, hs[start : start + batch]))
-        for s, g in enumerate(gamma_ex):
-            totals[s] += np.einsum("nck,ck->", q_function(np.sqrt(g) * root_d), weights)
-    return totals / (n_draws * n_cand)
+    grid = np.asarray(channel_mod.check_snr_grid(snr_grid_db))
+    root_gamma = np.sqrt(10.0 ** (grid / 10.0) / 2.0)
+    # A block has at most max(_PAIR_CHUNK, n_cand) cells; batches of draws keep
+    # its (draws, nr, rows, n_cand) differences within _EVAL_ELEMENTS.
+    n_draws, nr = hs.shape[:2]
+    cells = min(max(_PAIR_CHUNK, n_cand), n_cand * (n_cand - 1))
+    draws = max(_EVAL_ELEMENTS // (nr * cells), 1)
+    totals = np.zeros(grid.size)
+    for start in range(0, n_draws, draws):
+        hx = np.einsum("ct,nrt->nrc", x, hs[start : start + draws])
+        for lo, hi, upper, hamming in _pair_blocks(n_cand):
+            diff = hx[:, :, lo:hi, None] - hx[:, :, None, :]
+            dist = np.sqrt((diff.real**2 + diff.imag**2).sum(axis=1)[:, upper])
+            for s, root_g in enumerate(root_gamma):
+                totals[s] += (q_function(root_g * dist) @ hamming).sum()
+    return 2.0 * totals / (m * n_draws * n_cand)
 
 
 @dataclass(frozen=True)
@@ -151,12 +161,6 @@ class BoundConfig:
 
 # Gauss-Legendre nodes for Craig's integral over (0, pi/2).
 _CRAIG_NODES = 64
-# Candidate pairs whose statistics are built at once (chunks of 2**16
-# pairs made the three benchmark bounds take twice as long), and the size
-# of the (distinct rows, SNR points, nodes, antenna groups) integrand
-# temporaries.
-_PAIR_CHUNK = 2**14
-_EVAL_ELEMENTS = 2**20
 
 
 def _gauss_legendre(n):
@@ -263,12 +267,8 @@ def union_bound_aber(config, rng=None):
     s_sq = np.concatenate([s, s], axis=1) ** 2
     los_re, los_im = s @ x.real.T, s @ x.imag.T  # (g, n): sum_t s_rt x_t
     energy = s_sq @ (xri**2).T  # (g, n): sum_t s_rt^2 |x_t|^2
-    idx = np.arange(n_cand)
-    rows = max(_PAIR_CHUNK // n_cand, 1)
     totals = np.zeros(gamma_ex.size)
-    for lo in range(0, n_cand - 1, rows):
-        hi = min(lo + rows, n_cand - 1)
-        upper = idx[None, :] > idx[lo:hi, None]
+    for lo, hi, upper, hamming in _pair_blocks(n_cand):
         stats = np.empty((2 * g, hi - lo, n_cand))
         mu_sq, sigma_sq = stats[:g], stats[g:]
         # Per-group Gram rows sum_t s_rt^2 Re(x_it conj(x_jt)), one GEMM.
@@ -283,7 +283,6 @@ def union_bound_aber(config, rng=None):
         mu_sq += d_im * d_im
         mu_sq *= a_sq
         pairs = np.ascontiguousarray(stats[:, upper].T)
-        hamming = np.bitwise_count(idx[lo:hi, None] ^ idx[None, :])[upper]
         distinct, inverse = np.unique(
             pairs.view(np.dtype((np.void, pairs.itemsize * 2 * g))).ravel(),
             return_inverse=True,

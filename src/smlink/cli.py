@@ -16,6 +16,7 @@ import argparse
 import json
 import math
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -84,7 +85,10 @@ def _cmd_complexity(args):
 
 def _cmd_fit_channel(args):
     try:
-        samples = np.loadtxt(args.samples).reshape(-1)
+        with warnings.catch_warnings():
+            # An empty file is refused by fit_rician as too few samples.
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            samples = np.loadtxt(args.samples).reshape(-1)
     except ValueError as exc:
         raise ConfigurationError(f"samples file {args.samples}: {exc}") from exc
     fit = analysis.fit_rician(samples)

@@ -324,8 +324,20 @@ def export_csv(records, path):
     return write_csv(path, CSV_COLUMNS, rows)
 
 
+# Parsers of the numeric CSV cells; an empty snr_db_estimated means no estimate.
+_CSV_NUMBERS = {
+    **dict.fromkeys(("nt", "nr", "m", "bits", "bit_errors", "rejected_vectors", "seed"), int),
+    **dict.fromkeys(("k_factor_db", "snr_db_target", "aber"), float),
+    "snr_db_estimated": lambda cell: float(cell) if cell else None,
+}
+
+
 def read_csv(path):
-    """Read an exported CSV back into a list of per-row dicts."""
+    """Read an exported CSV back into a list of per-row dicts.
+
+    :class:`ConfigurationError` names the line and column of a cell that
+    is missing or does not parse, and the line of a row with extra cells.
+    """
     with Path(path).open(newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames != list(CSV_COLUMNS):
@@ -338,14 +350,16 @@ def read_csv(path):
                 raise ConfigurationError(
                     f"unsupported CSV schema version {raw['schema_version']!r}"
                 )
+            if None in raw:
+                raise ConfigurationError(f"CSV line {reader.line_num} has more cells than columns")
             row = dict(raw)
-            for key in ("nt", "nr", "m", "bits", "bit_errors", "rejected_vectors", "seed"):
-                row[key] = int(row[key])
-            for key in ("k_factor_db", "snr_db_target", "aber"):
-                row[key] = float(row[key])
-            row["snr_db_estimated"] = (
-                float(raw["snr_db_estimated"]) if raw["snr_db_estimated"] else None
-            )
+            for key, parse in _CSV_NUMBERS.items():
+                try:
+                    row[key] = parse(raw[key])
+                except (TypeError, ValueError):
+                    cell = "no cell" if raw[key] is None else f"{raw[key]!r}, not a number"
+                    raise ConfigurationError(
+                        f"CSV line {reader.line_num}, column {key!r}: {cell}") from None
             rows.append(row)
         return rows
 

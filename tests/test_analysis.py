@@ -11,12 +11,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
 from smlink import analysis, channel, modem
-from smlink.errors import ConfigurationError, DegenerateInputError, DimensionError
+from smlink.errors import (ConfigurationError, DegenerateInputError, DimensionError,
+                           SmlinkError)
 
 # Gaussian tail probabilities precomputed with 40-digit arithmetic.
 Q_ORACLE = {
@@ -86,19 +87,6 @@ class TestPairwiseErrorProbability:
         assert bound[0] == pytest.approx(Q_ORACLE[2.0], rel=1e-12)
 
 
-class TestBitWeightMatrix:
-    def test_small_case(self):
-        w = analysis.bit_weight_matrix(2)
-        assert w.tolist() == [[0, 1, 1, 2], [1, 0, 2, 1], [1, 2, 0, 1], [2, 1, 1, 0]]
-
-    def test_row_sums(self):
-        """Each label differs from all others in m * 2**(m-1) total bits."""
-        for m in (1, 3, 5):
-            w = analysis.bit_weight_matrix(m)
-            assert np.all(w.sum(axis=1) == m * 2 ** (m - 1))
-            assert np.array_equal(w, w.T)
-
-
 class TestUnionBoundIdentityChannel:
     def test_matches_frozen_oracle(self):
         cands = sm_bpsk_2x2_candidates()
@@ -122,13 +110,50 @@ class TestUnionBoundIdentityChannel:
         )[0]
         assert val > 0.5  # records keep the raw union-bound value
 
-    def test_batch_size_does_not_matter(self):
+    @pytest.mark.parametrize("scheme, nt, order, n_draws", [("sm", 2, 2, 150), ("sm", 8, 4, 20)])
+    def test_block_budget_does_not_matter(self, monkeypatch, scheme, nt, order, n_draws):
+        """One row and one draw per block give the default blocks' values."""
         rng = np.random.default_rng(12)
-        cands = sm_bpsk_2x2_candidates()
-        hs = channel.draw_channels(150, 2, 2, channel.FadingModel(10.0), rng=rng)
-        a = analysis.union_bound_aber_for_channels(cands, hs, (5.0, 15.0), batch=7)
-        b = analysis.union_bound_aber_for_channels(cands, hs, (5.0, 15.0), batch=150)
-        assert np.allclose(a, b, rtol=1e-13)
+        cands = modem.candidate_vectors(scheme, nt, modem.build_constellation(order))
+        hs = channel.draw_channels(n_draws, 2, nt, channel.FadingModel(10.0), rng=rng)
+        a = analysis.union_bound_aber_for_channels(cands, hs, (5.0, 15.0))
+        monkeypatch.setattr(analysis, "_PAIR_CHUNK", 1)
+        monkeypatch.setattr(analysis, "_EVAL_ELEMENTS", 1)
+        b = analysis.union_bound_aber_for_channels(cands, hs, (5.0, 15.0))
+        assert np.allclose(a, b, rtol=1e-13, atol=0)
+
+    def test_memory_bounded_in_pairs_and_draws(self):
+        """SM nt=64 16-QAM: 1024 candidates, 8 draws of a 2 x 64 channel
+        (the full (draws, n, n) pair expansion took 264 MB)."""
+        cands = modem.candidate_vectors("sm", 64, modem.build_constellation(16))
+        hs = channel.draw_channels(8, 2, 64, channel.FadingModel(), rng=np.random.default_rng(3))
+        tracemalloc.start()
+        try:
+            vals = analysis.union_bound_aber_for_channels(cands, hs, (20.0,))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 0 < vals[0] < 0.5
+        assert peak < 64 * 2**20
+
+    @pytest.mark.parametrize("cands, hs, grid, error", [
+        (None, None, (float("nan"),), ConfigurationError),
+        (None, None, (4000.0,), ConfigurationError),
+        (None, None, (), ConfigurationError),
+        (None, np.full((2, 2), np.nan), (10.0,), DegenerateInputError),
+        (None, np.ones(2), (10.0,), DimensionError),
+        (None, np.ones((1, 1, 2, 2)), (10.0,), DimensionError),
+        (np.ones(4), None, (10.0,), DimensionError),
+        (None, np.ones((0, 2, 2)), (10.0,), DimensionError),
+    ], ids=["nan-snr", "4000-db", "empty-grid", "nan-channel", "1d-stack", "4d-stack",
+            "1d-candidates", "zero-draws"])
+    def test_inputs_it_cannot_evaluate_refused(self, cands, hs, grid, error):
+        """Unchecked, these give NaN, [], a numpy exception or a floating-point
+        warning."""
+        cands = sm_bpsk_2x2_candidates() if cands is None else cands
+        hs = np.eye(2) if hs is None else hs
+        with pytest.raises(error):
+            analysis.union_bound_aber_for_channels(cands, hs, grid)
 
 
 class TestUnionBoundMonteCarlo:
@@ -188,7 +213,8 @@ def rayleigh_union_bound(candidates, nr, snr_db):
     n = len(candidates)
     m = n.bit_length() - 1
     d2 = np.sum(np.abs(candidates[:, None, :] - candidates[None, :, :]) ** 2, axis=2)
-    weight = analysis.bit_weight_matrix(m) / (m * n)
+    i = np.arange(n)
+    weight = np.bitwise_count(i[:, None] ^ i[None, :]) / (m * n)
     out = []
     for snr in snr_db:
         g = 10.0 ** (snr / 10.0) * d2 / 4.0
@@ -323,6 +349,49 @@ class TestExactUnionBound:
                             ((3030.0, 3080.0), r"\[3030\.0, 3080\.0\]")):
             with pytest.raises(ConfigurationError, match=named):
                 analysis.BoundConfig(snr_grid_db=grid, **base)
+
+
+@st.composite
+def bound_configs(draw):
+    """Small links with K factors and SNR grids that may be out of range."""
+    scheme = draw(st.sampled_from(["sm", "smx"]))
+    order = draw(st.sampled_from([2, 4, 16]))
+    profile = draw(st.sampled_from(["none", "rx_config_1"]))
+    if profile == "none":
+        nt, nr = draw(st.sampled_from([1, 2, 4])), draw(st.integers(1, 3))
+    else:
+        nt = nr = 2
+    # SMX 4 x 16-QAM has 65536 candidates, too many pairs for a quick property.
+    assume(not (scheme == "smx" and nt == 4 and order == 16))
+    k_db = draw(st.one_of(st.just(float("-inf")), st.floats(-30.0, 80.0),
+                          st.sampled_from([float("nan"), float("inf")])))
+    grid = draw(st.lists(st.one_of(st.floats(-20.0, 60.0), st.floats(-3100.0, 3100.0)),
+                         min_size=1, max_size=4))
+    if draw(st.integers(0, 3)) == 3:
+        grid.append(float("nan"))
+    return dict(scheme=scheme, nt=nt, nr=nr, modulation_order=order, k_db=k_db,
+                profile=profile, grid=tuple(sorted(grid)))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(link=bound_configs())
+def test_bound_config_refused_or_bound_well_formed(link):
+    """Every small link either raises a named error or gives a bound that is
+    finite, nonnegative and non-increasing along the SNR grid."""
+    try:
+        cfg = analysis.BoundConfig(
+            scheme=link["scheme"], nt=link["nt"], nr=link["nr"],
+            modulation_order=link["modulation_order"],
+            fading=channel.FadingModel(link["k_db"]),
+            imbalance=channel.imbalance_profile(link["profile"], link["nr"], link["nt"]),
+            snr_grid_db=link["grid"],
+        )
+        vals = analysis.union_bound_aber(cfg)
+    except SmlinkError:
+        return
+    assert vals.shape == (len(link["grid"]),)
+    assert np.all(np.isfinite(vals)) and np.all(vals >= 0.0)
+    assert np.all(np.diff(vals) <= 1e-12 * vals[:-1])
 
 
 def stats_gof_p_value(x, nu, sigma, n_bins):

@@ -102,6 +102,8 @@ MALFORMED = {
     "fit-channel-non-numeric": lambda t: ["fit-channel", "--samples",
                                           _write(t / "amps.txt", "0.5\nabc\n"),
                                           "--out", t / "f.json"],
+    "fit-channel-empty-samples": lambda t: ["fit-channel", "--samples", _write(t / "amps.txt", ""),
+                                            "--out", t / "f.json"],
     "complexity-zero-nr-and-m": lambda t: ["complexity", "--nt", "4",
                                            "--nr", "0", "--m", "0"],
     "complexity-zero-nt": lambda t: ["complexity", "--nt", "0"],

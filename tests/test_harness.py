@@ -423,3 +423,29 @@ class TestCsv:
         wrong_ver.write_text("\n".join([lines[0], bad_row]) + "\n")
         with pytest.raises(ConfigurationError, match="schema version"):
             harness.read_csv(wrong_ver)
+
+    @staticmethod
+    def _rewrite_first_row(tmp_path, edit):
+        records = harness.run_simulation(small_config(trials_per_snr=1))
+        path = harness.export_csv(records, tmp_path / "x.csv")
+        header, row, *rest = path.read_text().splitlines()
+        path.write_text("\n".join([header, ",".join(edit(row.split(","))), *rest]) + "\n")
+        return path
+
+    def test_malformed_numeric_cell_named(self, tmp_path):
+        """int('abc') raised a bare ValueError."""
+        bits = harness.CSV_COLUMNS.index("bits")
+        path = self._rewrite_first_row(tmp_path, lambda c: c[:bits] + ["abc"] + c[bits + 1 :])
+        with pytest.raises(ConfigurationError, match="line 2, column 'bits': 'abc'"):
+            harness.read_csv(path)
+
+    def test_short_row_named(self, tmp_path):
+        """int(None) raised a TypeError for the cells a short row lacks."""
+        path = self._rewrite_first_row(tmp_path, lambda c: c[: harness.CSV_COLUMNS.index("bits") + 1])
+        with pytest.raises(ConfigurationError, match="line 2, column 'bit_errors': no cell"):
+            harness.read_csv(path)
+
+    def test_long_row_named(self, tmp_path):
+        path = self._rewrite_first_row(tmp_path, lambda c: c + ["7"])
+        with pytest.raises(ConfigurationError, match="line 2 has more cells"):
+            harness.read_csv(path)
