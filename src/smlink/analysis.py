@@ -13,13 +13,11 @@ averages over an explicit stack of channel matrices. Both walk each
 unordered candidate pair once, in the same bounded blocks of rows.
 
 Also provided: a maximum-likelihood Rice amplitude fit with a
-chi-squared goodness-of-fit test. The fit solves the one-dimensional
-profile score in nu (sigma follows from nu through the second moment)
-by a coarse K grid and ``brentq``, and takes the global likelihood
-maximum among its roots and the Rayleigh boundary nu = 0, which it
-reports as K = -inf dB. ``RicianFit.iterations`` counts
-score evaluations, ``max_iterations`` caps them, and
-``RicianFit.converged`` says whether every root refinement finished.
+chi-squared goodness-of-fit test. The fit takes the Rayleigh boundary
+(K = -inf dB) when the fourth moment says it is the maximum, and
+otherwise solves the profile score's one root in K dB by Newton steps
+from the moment estimate, inside a bisection bracket.
+``RicianFit.iterations`` counts score evaluations.
 """
 
 import functools
@@ -41,25 +39,12 @@ __all__ = [
     "fit_rician",
 ]
 
-MAX_CANDIDATES = 2**16
-
 
 def q_function(w):
     """Gaussian tail probability Q(w) = P(N(0,1) > w)."""
     from scipy import special
 
     return 0.5 * special.erfc(np.asarray(w, dtype=np.float64) / np.sqrt(2.0))
-
-
-def _check_candidate_count(n_cand):
-    """log2 of a candidate count that is a power of two in [2, MAX_CANDIDATES]."""
-    if n_cand < 2 or n_cand & (n_cand - 1):
-        raise ConfigurationError("candidate count must be a power of two >= 2")
-    if n_cand > MAX_CANDIDATES:
-        raise ConfigurationError(
-            f"candidate set of {n_cand} exceeds the {MAX_CANDIDATES} guard"
-        )
-    return n_cand.bit_length() - 1
 
 
 # (row, column) cells per pair block (blocks of 2**16 made the three benchmark
@@ -100,7 +85,7 @@ def union_bound_aber_for_channels(candidates, h_stack, snr_grid_db):
     if not (np.isfinite(x).all() and np.isfinite(hs).all()):
         raise DegenerateInputError("candidates and channels must be finite")
     n_cand = x.shape[0]
-    m = _check_candidate_count(n_cand)
+    m = modem.check_candidate_count(n_cand)
     grid = np.asarray(channel_mod.check_snr_grid(snr_grid_db))
     root_gamma = np.sqrt(10.0 ** (grid / 10.0) / 2.0)
     # A block has at most max(_PAIR_CHUNK, n_cand) cells; batches of draws keep
@@ -244,7 +229,7 @@ def union_bound_aber(config, rng=None):
     x = np.asarray(modem.candidate_vectors(config.scheme, config.nt, constellation),
                    dtype=np.complex128)
     n_cand, nt = x.shape
-    m = _check_candidate_count(n_cand)
+    m = modem.check_candidate_count(n_cand)
     nr = config.nr
     if config.imbalance is None:
         s = np.ones((nr, nt))
@@ -301,8 +286,8 @@ class RicianFit:
 
     ``k_factor_db`` is -inf and ``nu`` 0 when the Rayleigh boundary is
     the maximum-likelihood answer. ``iterations`` counts score
-    evaluations; ``converged`` is False when the evaluation cap cut a
-    root refinement short.
+    evaluations; ``converged`` is False when the evaluation cap cut the
+    root solve short.
     """
 
     k_factor_db: float
@@ -314,32 +299,14 @@ class RicianFit:
     converged: bool
 
 
-# Coarse K grid (dB) on which the score's sign changes are found. It is
-# extended in 30 dB steps downwards while the score is negative (a root
-# may lie between the boundary and the grid) and upwards while positive.
-_K_GRID_DB = np.linspace(-30.0, 60.0, 7)
-_K_STEP_DB = 30.0
 _K_FLOOR_DB = -90.0
-_K_CEILING_DB = 300.0
+_K_CEILING_DB = 130.0
 
 
 def _rice_curve(k_db):
     """(nu, sigma^2) at K dB on the unit-power curve nu^2 + 2 sigma^2 = 1."""
     k = 10.0 ** (k_db / 10.0)
     return math.sqrt(k / (1.0 + k)), 0.5 / (1.0 + k)
-
-
-def _rice_log_likelihood(u, nu, sigma_sq):
-    """Mean Rice log-likelihood of the samples ``u``, less mean(log u).
-
-    log I0(r) = log i0e(r) + r, and r - (u^2 + nu^2) / (2 sigma^2) is
-    -(u - nu)^2 / (2 sigma^2), which does not cancel at large K.
-    """
-    from scipy import special
-
-    r = u * (nu / sigma_sq)
-    return float(np.mean(np.log(special.i0e(r)) - (u - nu) ** 2 / (2.0 * sigma_sq))
-                 - np.log(sigma_sq))
 
 
 def fit_rician(amplitude_samples, tol=1e-9, max_iterations=200, gof_bins=20):
@@ -354,23 +321,28 @@ def fit_rician(amplitude_samples, tol=1e-9, max_iterations=200, gof_bins=20):
         s(nu) = mean(u I1(u nu / sigma^2) / I0(u nu / sigma^2)) - nu,
 
     whose sign is the sign of the log-likelihood's slope along that
-    curve. It is parametrised by K = nu^2 / (2 sigma^2) in dB. Each
-    change of sign from + to - on a coarse K grid is refined with
-    ``scipy.optimize.brentq`` to ``tol`` dB (K in dB is unit-free; nu and
-    sigma then hold to about 0.12 * tol relative), and the candidate with
-    the largest log-likelihood is returned. The boundary nu = 0, where
-    the Rayleigh ML sigma^2 is 1 / 2, is always a candidate: s vanishes
-    there like nu^3, and when the boundary wins the fit reports
-    K = -inf dB as its answer, not as a failure.
+    curve. Near nu = 0, s = nu^3 (1 - mean(u^4) / 2) + O(nu^5), so when
+    mean(u^4) >= 2 the Rayleigh boundary nu = 0 is the maximum: the fit
+    reports K = -inf dB and evaluates no score. Otherwise s has one
+    interior root, the maximum (Carobbi & Cati, IEEE Trans. Instrum.
+    Meas., 2008), solved in K = nu^2 / (2 sigma^2) in dB: from the moment
+    estimate K = w / (1 - w), w = sqrt(2 - mean(u^4)) (Greenstein,
+    Michelson & Erceg, IEEE Commun. Lett., 1999), by Newton steps on the
+    analytic slope (A = I1 / I0 has A' = 1 - A / r - A^2) inside a
+    bisection bracket on [-90, 130] dB that each score's sign narrows,
+    until a Newton step or the bracket is within ``tol`` dB (nu and sigma
+    then hold to about 0.12 * tol relative). A root at the floor is
+    reported as the Rayleigh boundary; one at the ceiling, above which
+    the score cannot resolve K in double precision, raises
+    ``DegenerateInputError``.
 
-    ``max_iterations`` caps the score evaluations (the coarse grid, 7 to
-    17 of them, is always evaluated in full) and ``iterations`` counts
-    them; ``converged`` is False when the cap cut a refinement short.
-    The p-value is a chi-squared goodness-of-fit test over ``gof_bins``
-    equal-probability bins of the fitted distribution (merged while an
-    expected count would fall below 5).
+    ``max_iterations`` caps the score evaluations and ``iterations``
+    counts them; ``converged`` is False when the cap cut the solve
+    short. The p-value is a chi-squared goodness-of-fit test over
+    ``gof_bins`` equal-probability bins of the fitted distribution
+    (merged while an expected count would fall below 5).
     """
-    from scipy import optimize, special
+    from scipy import special
 
     x = np.asarray(amplitude_samples, dtype=np.float64)
     if x.ndim != 1 or x.size < 1000:
@@ -385,38 +357,45 @@ def fit_rician(amplitude_samples, tol=1e-9, max_iterations=200, gof_bins=20):
     peak = float(x.max())
     scale = peak * float(np.sqrt(np.mean((x / peak) ** 2)))
     u = x / scale
-    evaluations = 0
+    v = u * u
+    # mean(u^4) - 1, as a variance: it does not cancel at large K.
+    gamma = float(np.var(v) / np.mean(v) ** 2)
 
     def score(k_db):
-        nonlocal evaluations
-        evaluations += 1
+        """s and ds/dK_dB = nu ln(10) / 10 * ((1 + nu^2) / (2 sigma^2) *
+        mean(u^2 A'(r)) - sigma^2), as c = nu / sigma^2 = 2 sqrt(K (1 + K))."""
         nu, sigma_sq = _rice_curve(k_db)
-        r = u * (nu / sigma_sq)
+        c = nu / sigma_sq
+        r = u * c
         # i1e/i0e keeps the Bessel ratio finite for large arguments.
-        return float(np.mean(u * (special.i1e(r) / special.i0e(r)))) - nu
+        ua = u * (special.i1e(r) / special.i0e(r))
+        # u^2 A'(r). 1 - A/r - A^2 cancels as r grows; past r = 1e4 the series
+        # 1/(2 r^2) + 1/(4 r^3) is closer (7.5e-9 relative there, and falling).
+        v_slope = np.where(r < 1e4, v - ua * ua - ua / c, (0.5 + 0.25 / np.maximum(r, 1e4)) / c**2)
+        slope = (1.0 + nu * nu) / (2.0 * sigma_sq) * float(np.mean(v_slope)) - sigma_sq
+        return float(np.mean(ua)) - nu, nu * slope * math.log(10.0) / 10.0
 
-    grid = list(_K_GRID_DB)
-    values = [score(k) for k in grid]
-    while values[0] < 0 and grid[0] > _K_FLOOR_DB:
-        grid.insert(0, grid[0] - _K_STEP_DB)
-        values.insert(0, score(grid[0]))
-    while values[-1] > 0 and grid[-1] < _K_CEILING_DB:
-        grid.append(grid[-1] + _K_STEP_DB)
-        values.append(score(grid[-1]))
-
-    candidates = [float("-inf")]
-    converged = True
-    for lo, hi, s_lo, s_hi in zip(grid, grid[1:], values, values[1:]):
-        if not s_lo > 0 >= s_hi:
-            continue
-        # brentq evaluates both ends again before it iterates.
-        k_db, result = optimize.brentq(
-            score, lo, hi, xtol=tol, maxiter=max(max_iterations - evaluations - 2, 0),
-            full_output=True, disp=False,
-        )
-        converged = converged and result.converged
-        candidates.append(k_db)
-    k_db = max(candidates, key=lambda k: _rice_log_likelihood(u, *_rice_curve(k)))
+    k_db, evaluations, converged = float("-inf"), 0, True
+    if gamma < 1.0:
+        w = math.sqrt(1.0 - gamma)
+        lo, hi = _K_FLOOR_DB, _K_CEILING_DB
+        t = min(max(10.0 * math.log10(w * (1.0 + w) / gamma), lo), hi) if gamma else hi
+        step, converged = hi - lo, False
+        while evaluations < max_iterations and not converged:
+            evaluations += 1
+            s, slope = score(t)
+            lo, hi = (t, hi) if s > 0 else (lo, t)
+            last, step = step, -s / slope if slope < 0 else math.inf
+            # Bisect where Newton leaves the bracket or does not halve the step.
+            if not lo <= t + step <= hi or abs(step) > 0.5 * abs(last):
+                step = 0.5 * (lo + hi) - t
+            t += step
+            converged = abs(step) < tol
+        if converged and t > _K_CEILING_DB - tol:
+            raise DegenerateInputError(f"K is at or above {_K_CEILING_DB:g} dB, where the "
+                                       "profile score cannot resolve it in double precision")
+        if not (converged and t < _K_FLOOR_DB + tol):
+            k_db = t
     nu_unit, sigma_sq_unit = _rice_curve(k_db)
     sigma_unit = math.sqrt(sigma_sq_unit)
     return RicianFit(
@@ -434,14 +413,17 @@ def _rice_gof_p_value(x, nu, sigma, n_bins):
     """Chi-squared GOF of samples against a fitted Rice(nu, sigma).
 
     Under the fit, (x/sigma)^2 is noncentral chi-squared with 2 degrees
-    of freedom and noncentrality (nu/sigma)^2; bin edges are its
+    of freedom and noncentrality nc = (nu/sigma)^2; bin edges are its
     equal-probability quantiles. Two parameters were estimated from the
     data, so the statistic has n_bins - 3 degrees of freedom.
 
     The quantiles and the tail probability come from the ``scipy.special``
     functions behind ``scipy.stats.ncx2.ppf`` (``chndtrix``; at nc = 0,
     the central quantile 2 * gammaincinv(1, q)) and ``scipy.stats.chi2.sf``
-    (``chdtrc``), so ``scipy.stats`` and its import cost stay out.
+    (``chdtrc``), so ``scipy.stats`` and its import cost stay out. Above
+    nc = 1e6 the quantiles come from the Gaussian limit x/sigma = sqrt(nc)
+    + 1/(2 sqrt(nc)) + N(0, 1), whose bin probabilities are off by about
+    0.06/nc; ``chndtrix`` slows there and returns NaN from nc = 1e11.
     """
     from scipy import special
 
@@ -452,10 +434,12 @@ def _rice_gof_p_value(x, nu, sigma, n_bins):
         raise DegenerateInputError("too few samples for a chi-squared GOF")
     nc = (nu / sigma) ** 2
     q = np.arange(1, n_bins) / n_bins
-    edges = special.chndtrix(q, 2, nc) if nc != 0 else 2.0 * special.gammaincinv(1.0, q)
+    if nc > 1e6:
+        edges = (nu / sigma + 0.5 * sigma / nu + special.ndtri(q)) ** 2
+    else:
+        edges = special.chndtrix(q, 2, nc) if nc != 0 else 2.0 * special.gammaincinv(1.0, q)
     counts, _ = np.histogram((x / sigma) ** 2, bins=np.concatenate(([0.0], edges, [np.inf])))
     expected = n / n_bins
     statistic = float(np.sum((counts - expected) ** 2) / expected)
     dof = n_bins - 1 - 2
     return float(special.chdtrc(dof, statistic))
-

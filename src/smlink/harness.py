@@ -100,10 +100,11 @@ class SimConfig:
         if self.nr < 1:
             raise ConfigurationError("nr must be >= 1")
         object.__setattr__(self, "snr_grid_db", channel_mod.check_snr_grid(self.snr_grid_db))
-        if not np.isfinite(self.fo_cycles_per_sample):
-            raise ConfigurationError("fo_cycles_per_sample must be finite")
+        if not abs(self.fo_cycles_per_sample) <= 0.5:  # beyond, an offset aliases
+            raise ConfigurationError("fo_cycles_per_sample must be in [-0.5, 0.5]")
         self.fading()
-        m = self.bits_per_vector
+        self.imbalance()
+        m = modem.check_candidate_count(2**self.bits_per_vector)
         if self.bits_per_trial < m or self.bits_per_trial % m:
             raise ConfigurationError(
                 f"bits_per_trial must be a positive multiple of m={m}"
@@ -121,6 +122,7 @@ class SimConfig:
                     "waveform fidelity needs bits_per_trial divisible by "
                     f"m*block_symbols = {per_frame}"
                 )
+            self.layouts()
 
     @property
     def bits_per_vector(self):
@@ -131,6 +133,15 @@ class SimConfig:
 
     def imbalance(self):
         return channel_mod.imbalance_profile(self.pi_profile, self.nr, self.nt)
+
+    def layouts(self):
+        """The waveform trial's FrameLayout and TransmissionLayout; raises if
+        their pilots cannot separate the nt antennas."""
+        frame_layout = txchain.FrameLayout(data_symbols_per_frame=self.block_symbols)
+        txchain.pilot_matrix(self.nt, frame_layout.pilot_seq_len)
+        n_frames = self.bits_per_trial // (self.bits_per_vector * self.block_symbols)
+        return frame_layout, txchain.TransmissionLayout(
+            n_frames=n_frames, snr_block_symbols=self.snr_block_symbols)
 
 
 @dataclass
@@ -189,7 +200,8 @@ def run_simulation(config):
         trial = functools.partial(
             _symbol_trial, config, constellation, candidates, pilots, fading, imbalance)
     else:
-        trial = functools.partial(_waveform_trial, config, constellation, fading, imbalance)
+        trial = functools.partial(
+            _waveform_trial, config, constellation, *config.layouts(), fading, imbalance)
     records = []
     for snr_db in config.snr_grid_db:
         record = _new_record(config, snr_db)
@@ -243,18 +255,12 @@ def _symbol_trial(config, constellation, candidates, pilots, fading, imbalance, 
     return errors, config.bits_per_trial, None, False
 
 
-def _waveform_trial(config, constellation, fading, imbalance, rng, snr_db):
+def _waveform_trial(config, constellation, frame_layout, tx_layout, fading, imbalance, rng, snr_db):
     """One waveform-fidelity trial.
 
     Returns (bit_errors, bits_counted, estimated_snr_linear or None,
     rejected_flag).
     """
-    m = config.bits_per_vector
-    frame_layout = txchain.FrameLayout(data_symbols_per_frame=config.block_symbols)
-    n_frames = config.bits_per_trial // (m * config.block_symbols)
-    tx_layout = txchain.TransmissionLayout(
-        n_frames=n_frames, snr_block_symbols=config.snr_block_symbols
-    )
     bits = rng.integers(0, 2, size=config.bits_per_trial, dtype=np.uint8)
     tx = txchain.build_transmission(
         bits, config.scheme, config.nt, constellation, frame_layout, tx_layout

@@ -39,6 +39,7 @@ __all__ = [
 ]
 
 SUPPORTED_ORDERS = (2, 4, 16, 64, 256)
+MAX_CANDIDATES = 2**16
 
 
 @dataclass(frozen=True)
@@ -181,13 +182,22 @@ def smx_map_indices(bits, nt, constellation):
     return b.reshape(-1, nt, k).astype(np.int64) @ weights
 
 
+def check_candidate_count(n_cand):
+    """log2 of a candidate count that is a power of two in [2, MAX_CANDIDATES]."""
+    if n_cand < 2 or n_cand & (n_cand - 1):
+        raise ConfigurationError("candidate count must be a power of two >= 2")
+    if n_cand > MAX_CANDIDATES:
+        raise ConfigurationError(f"candidate set of {n_cand} exceeds the {MAX_CANDIDATES} guard")
+    return n_cand.bit_length() - 1
+
+
 def candidate_vectors(scheme, nt, constellation):
     """All 2**m transmit vectors in bit-block enumeration order.
 
     Row ``b`` is the vector produced by the m-bit block with integer value
     ``b``; detectors and the union bound all share this ordering.
     """
-    m = bits_per_vector(scheme, nt, constellation.order)
+    m = check_candidate_count(2 ** bits_per_vector(scheme, nt, constellation.order))
     return modulate(indices_to_bits(np.arange(2**m), m), scheme, nt, constellation)
 
 

@@ -82,12 +82,7 @@ class FrameLayout:
             raise ConfigurationError("section lengths must be nonnegative")
         if self.pilot_sequences_per_signal < 1 or self.pilot_seq_len < 1:
             raise ConfigurationError("pilot signal needs at least one sequence")
-        if self.upsample_factor < 1:
-            raise ConfigurationError("upsample factor must be >= 1")
-        if self.rrc_num_taps < 2:
-            raise ConfigurationError("need at least 2 filter taps")
-        if not 0.0 < self.rrc_rolloff <= 1.0:
-            raise ConfigurationError("roll-off must be in (0, 1]")
+        _check_filter(self.rrc_num_taps, self.rrc_rolloff, self.upsample_factor)
         duration = self.frame_symbols * self.upsample_factor / 1e7
         if duration >= _COHERENCE_LIMIT_S:
             raise ConfigurationError(
@@ -190,6 +185,15 @@ def pilot_matrix(nt, n_theta):
     return np.stack([pilot_sequence(t, n_theta) for t in range(1, nt + 1)], axis=1)
 
 
+def _check_filter(num_taps, rolloff, upsample_factor):
+    if num_taps < 2:
+        raise ConfigurationError("need at least 2 filter taps")
+    if not 0.0 < rolloff <= 1.0:
+        raise ConfigurationError("roll-off must be in (0, 1]")
+    if upsample_factor < 1:
+        raise ConfigurationError("upsample factor must be >= 1")
+
+
 def rrc_taps(num_taps=40, rolloff=0.75, upsample_factor=4):
     """Unit-energy root-raised-cosine taps at ``upsample_factor`` samples/symbol.
 
@@ -197,12 +201,7 @@ def rrc_taps(num_taps=40, rolloff=0.75, upsample_factor=4):
     singularities at t = 0 and |t| = 1/(4*rolloff) symbol durations use
     their analytic limits.
     """
-    if num_taps < 2:
-        raise ConfigurationError("need at least 2 filter taps")
-    if not 0.0 < rolloff <= 1.0:
-        raise ConfigurationError("roll-off must be in (0, 1]")
-    if upsample_factor < 1:
-        raise ConfigurationError("upsample factor must be >= 1")
+    _check_filter(num_taps, rolloff, upsample_factor)
     beta = float(rolloff)
     t = (np.arange(num_taps) - (num_taps - 1) / 2.0) / upsample_factor
     h = np.empty(num_taps)

@@ -1,17 +1,18 @@
 """Tests for the Monte Carlo harness: configs, reproducibility, CSV."""
 
 import json
+import math
 import tempfile
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from smlink import analysis, channel, harness, modem, rxchain
-from smlink.errors import ConfigurationError
+from smlink.errors import ConfigurationError, SmlinkError
 
 
 def small_config(**overrides):
@@ -25,6 +26,21 @@ def small_config(**overrides):
 
 
 class TestSimConfig:
+    @pytest.mark.parametrize("overrides", [
+        dict(fidelity="waveform", nt=16, bits_per_trial=5000),
+        dict(fidelity="waveform", block_symbols=20_000, bits_per_trial=40_000),
+        dict(fidelity="waveform", snr_block_symbols=0),
+        dict(fidelity="waveform", fo_cycles_per_sample=0.75),
+        dict(scheme="smx", nt=8, modulation_order=16, bits_per_trial=32_000),
+        dict(pi_profile="rx_config_1", nr=1),
+    ], ids=["pilots-16-antennas", "frame-over-coherence", "no-snr-block", "fo-aliased",
+            "2e32-candidates", "profile-shape"])
+    def test_refused_at_construction(self, overrides):
+        """Each of these would fail inside run_simulation (the 2**32-candidate
+        set by exhausting memory), so construction refuses it."""
+        with pytest.raises(SmlinkError):
+            small_config(**overrides)
+
     def test_validation(self):
         with pytest.raises(ConfigurationError):
             small_config(scheme="osm")
@@ -160,31 +176,63 @@ class TestConfigIo:
 
 
 @st.composite
-def sim_configs(draw):
-    """Any valid SimConfig, Rayleigh (K = -inf) included."""
+def sim_config_fields(draw, tiny=False):
+    """SimConfig fields, Rayleigh (K = -inf) included. With ``tiny``, budgets
+    a run finishes in milliseconds, plus sizes the waveform layouts cannot
+    carry: 16 antennas, a frame over the coherence budget, no SNR block."""
     scheme = draw(st.sampled_from(["sm", "smx"]))
-    nt = draw(st.sampled_from([1, 2, 4, 8]))
+    nt = draw(st.sampled_from([1, 2, 4, 8, 16] if tiny else [1, 2, 4, 8]))
     order = draw(st.sampled_from([2, 4, 16]))
-    block = draw(st.integers(1, 2000))
-    finite = st.floats(allow_nan=False, allow_infinity=False)
+    nr = draw(st.integers(1, 3 if tiny else 8))
+    # The named imbalance profiles are for 2x2 links.
+    profiles = ["none", "rx_config_1", "rx_config_2"] if tiny or (nr, nt) == (2, 2) else ["none"]
+    block = draw(st.integers(1, 20) | st.just(20_000) if tiny else st.integers(1, 2000))
     # dB values whose linear form a float holds (|x| below about 3082 dB)
     decibels = st.floats(-3000.0, 3000.0)
-    return harness.SimConfig(
-        scheme=scheme, nt=nt, nr=draw(st.integers(1, 8)), modulation_order=order,
-        snr_grid_db=tuple(draw(st.lists(decibels, min_size=1, max_size=4))),
+    return dict(
+        scheme=scheme, nt=nt, nr=nr, modulation_order=order,
+        snr_grid_db=tuple(draw(st.lists(st.floats(-10.0, 30.0) | decibels if tiny else decibels,
+                                        min_size=1, max_size=2 if tiny else 4))),
         k_factor_db=draw(st.just(float("-inf")) | decibels),
-        pi_profile=draw(st.sampled_from(["none", "rx_config_1", "rx_config_2"])),
+        pi_profile=draw(st.sampled_from(profiles)),
         fidelity=draw(st.sampled_from(["symbol", "waveform"])),
         csi_mode=draw(st.sampled_from(["perfect", "pilot"])),
         bits_per_trial=modem.bits_per_vector(scheme, nt, order) * block
-        * draw(st.integers(1, 50)),
-        trials_per_snr=draw(st.integers(1, 10**9)),
-        target_bit_errors=draw(st.none() | st.integers(1, 10**9)),
+        * draw(st.integers(1, 2 if tiny else 50)),
+        trials_per_snr=draw(st.integers(1, 2 if tiny else 10**9)),
+        target_bit_errors=draw(st.none() | st.integers(1, 10 if tiny else 10**9)),
         master_seed=draw(st.integers(0, 2**128)),
-        fo_cycles_per_sample=draw(finite),
+        fo_cycles_per_sample=draw(st.floats(-0.6, 0.6) if tiny else st.floats(-0.5, 0.5)),
         block_symbols=block,
-        snr_block_symbols=draw(st.integers(1, 10**6)),
+        snr_block_symbols=draw(st.integers(0, 50) if tiny else st.integers(1, 10**6)),
     )
+
+
+@st.composite
+def sim_configs(draw):
+    """Any valid SimConfig."""
+    try:
+        return harness.SimConfig(**draw(sim_config_fields()))
+    except SmlinkError:
+        assume(False)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(fields=sim_config_fields(tiny=True))
+def test_config_refused_or_run_well_formed(fields):
+    """Each drawn config is refused by name at construction, or runs to
+    records whose counts are nonnegative and whose SNR estimate, if any,
+    is finite."""
+    try:
+        cfg = harness.SimConfig(**fields)
+    except SmlinkError:
+        return
+    records = harness.run_simulation(cfg)
+    assert len(records) == len(cfg.snr_grid_db)
+    for r in records:
+        assert 0 <= r.bit_errors <= r.bits and r.rejected_vectors >= 0
+        assert r.bits == sum(r.trial_bits) and r.bit_errors == sum(r.trial_errors)
+        assert r.snr_db_estimated is None or math.isfinite(r.snr_db_estimated)
 
 
 @settings(max_examples=60, deadline=None)
