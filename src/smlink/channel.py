@@ -22,6 +22,7 @@ from .errors import ConfigurationError, DimensionError
 __all__ = [
     "db_to_linear",
     "check_snr_grid",
+    "check_offset",
     "FadingModel",
     "PowerImbalance",
     "imbalance_profile",
@@ -72,6 +73,18 @@ def check_snr_grid(snr_grid_db):
         db_to_linear(snr_db, f"the SNR of {snr_db!r} dB")
         db_to_linear(-snr_db, f"the noise variance at {snr_db!r} dB SNR")
     return grid
+
+
+def check_offset(fo_cycles_per_sample):
+    """:class:`ConfigurationError` unless every carrier offset is a number
+    in [-0.5, 0.5] cycles per sample; beyond, an offset aliases."""
+    try:
+        ok = bool(np.all(np.abs(np.asarray(fo_cycles_per_sample, dtype=np.float64)) <= 0.5))
+    except (TypeError, ValueError):
+        ok = False
+    if not ok:
+        raise ConfigurationError(f"carrier offset fo_cycles_per_sample must be in "
+                                 f"[-0.5, 0.5], got {fo_cycles_per_sample!r}")
 
 
 @dataclass(frozen=True)
@@ -200,31 +213,36 @@ def propagate_symbols(vectors, h, noise_var, rng):
 def propagate_waveform(samples, h, fo_cycles_per_sample=0.0, noise_var=0.0, rng=None):
     """Mix per-antenna sample streams through a flat channel.
 
-    ``samples`` is (nt, n_samples); the output (nr, n_samples) is
-    (H @ samples) rotated by exp(2j*pi*fo*k) -- a constant carrier
-    frequency offset in cycles per sample -- plus complex AWGN of total
-    variance ``noise_var`` per sample. The noise equals one
-    (n_samples, nr) :func:`awgn` draw, transposed, so the generator
-    fills it sample by sample; it is drawn and added one block of
-    whole :func:`carrier_ramp` blocks (about ``SAMPLE_BLOCK`` samples)
-    at a time, together with that block's segment of the ramp. The
-    output is the only full-length array the call allocates.
+    ``samples`` is an (nt, n_samples) array, or a block source with a
+    ``shape`` (nt, n_samples) and a ``segment(start, stop)`` that builds
+    those samples (``txchain.TransmissionVector``). The output
+    (nr, n_samples) is (H @ samples) rotated by exp(2j*pi*fo*k) -- a
+    constant carrier frequency offset in cycles per sample, within
+    [-0.5, 0.5] -- plus complex AWGN of total variance ``noise_var`` per
+    sample. The noise equals one (n_samples, nr) :func:`awgn` draw,
+    transposed, so the generator fills it sample by sample. One loop
+    takes a block of whole :func:`carrier_ramp` blocks (about
+    ``SAMPLE_BLOCK`` samples) at a time: it mixes that block's input
+    into its slice of the output, then rotates it and adds its noise.
+    The output is the only full-length array the call allocates.
     """
-    x = np.asarray(samples)
-    if x.ndim != 2 or x.shape[0] != h.shape[1]:
+    source = samples if hasattr(samples, "segment") else np.asarray(samples)
+    if len(source.shape) != 2 or source.shape[0] != h.shape[1]:
         raise DimensionError("sample block must be (nt, n_samples) matching H")
+    segment = getattr(source, "segment", lambda a, b: source[:, a:b])
+    check_offset(fo_cycles_per_sample)
     if noise_var > 0 and rng is None:
         raise ConfigurationError("rng is required when noise_var > 0")
-    y = h @ x
-    nr, n = y.shape
+    nr, n = h.shape[0], source.shape[1]
+    y = np.empty((nr, n), dtype=np.result_type(h, segment(0, 0)))
     if fo_cycles_per_sample != 0.0:
         outer, inner = _ramp_factors(fo_cycles_per_sample, n)
-    elif noise_var <= 0:
-        return y
     ramp_block = _ramp_block(n)
     per_block = max(1, SAMPLE_BLOCK // ramp_block)
     for b in range(0, -(-n // ramp_block), per_block):
-        block = y[:, b * ramp_block : (b + per_block) * ramp_block]
+        start = b * ramp_block
+        block = y[:, start : start + per_block * ramp_block]
+        np.matmul(h, segment(start, start + block.shape[1]), out=block)
         if fo_cycles_per_sample != 0.0:
             block *= (outer[b : b + per_block] * inner).reshape(-1)[: block.shape[1]]
         if noise_var > 0:
@@ -250,12 +268,15 @@ def _ramp_factors(delta, n, first_index=0):
 def carrier_ramp(delta, n, first_index=0):
     """exp(2j*pi*delta*(first_index + k)) for k = 0..n-1, along a new last axis.
 
-    ``delta`` and ``first_index`` broadcast, giving one ramp per entry.
+    ``delta`` and ``first_index`` broadcast, giving one ramp per entry;
+    an offset outside [-0.5, 0.5] (NaN and infinities included) raises
+    :class:`ConfigurationError`.
     Each ramp is a block phasor (one per run of about sqrt(n) indices)
     times an in-block phasor: about 2 sqrt(n) complex exponentials
     instead of n, within a few ulps of the largest phase of the direct
     ``np.exp`` (4.5e-13 at 3.1e3 rad).
     """
+    check_offset(delta)
     outer, inner = _ramp_factors(delta, n, first_index)
     ramp = outer * inner
     return ramp.reshape(*ramp.shape[:-2], ramp.shape[-2] * ramp.shape[-1])[..., :n]

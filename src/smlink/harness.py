@@ -100,8 +100,7 @@ class SimConfig:
         if self.nr < 1:
             raise ConfigurationError("nr must be >= 1")
         object.__setattr__(self, "snr_grid_db", channel_mod.check_snr_grid(self.snr_grid_db))
-        if not abs(self.fo_cycles_per_sample) <= 0.5:  # beyond, an offset aliases
-            raise ConfigurationError("fo_cycles_per_sample must be in [-0.5, 0.5]")
+        channel_mod.check_offset(self.fo_cycles_per_sample)
         self.fading()
         self.imbalance()
         m = modem.check_candidate_count(2**self.bits_per_vector)
@@ -269,10 +268,8 @@ def _waveform_trial(config, constellation, frame_layout, tx_layout, fading, imba
     symbol_scale, x_max = tx.symbol_scale, tx.x_max
     h = channel_mod.draw_channel(config.nr, config.nt, fading, imbalance, rng)
     noise_var = symbol_scale**2 * 10.0 ** (-snr_db / 10.0)
-    rx = channel_mod.propagate_waveform(
-        tx.samples, h, config.fo_cycles_per_sample, noise_var, rng
-    )
-    del tx  # the decoder needs only the received samples, not the transmit ones
+    rx = channel_mod.propagate_waveform(tx, h, config.fo_cycles_per_sample, noise_var, rng)
+    del tx  # the decoder needs only the received samples, not the data section
     try:
         result = rxchain.decode_transmission(
             rx, frame_layout, tx_layout, config.nt, config.scheme,

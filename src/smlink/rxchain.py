@@ -91,30 +91,45 @@ class DecodeResult:
     symbol_scale: float = 1.0
 
 
-def detect_sync(waveform, pulse_period_samples, n_pulses=20, data_offset_samples=0):
+def detect_sync(capture, pulse_period_samples, n_pulses=20, data_offset_samples=0):
     """Find the sync pulses by relative-threshold peak search.
 
-    Samples above ``SYNC_THRESHOLD_FRACTION`` of the maximum magnitude are
-    grouped (gaps beyond half the pulse period split groups) and each
-    group contributes its strongest sample. Fewer than ``n_pulses``
-    groups raise :class:`SyncRejection`. The transmission start is
-    anchored on the ``n_pulses``-th peak counted from the front. A real,
-    nonnegative ``waveform`` (a magnitude, as the decoder passes) is
-    searched as it is, without a copy.
+    ``capture`` is the (nr, n) received streams; a 1-D input is one
+    antenna. The search runs on the antenna-combined magnitude
+    sqrt(sum_r |y_r|^2), formed one ``SAMPLE_BLOCK`` at a time: a first
+    pass keeps each block's maximum, and a second revisits only the
+    blocks that reach ``SYNC_THRESHOLD_FRACTION`` of the largest. Samples
+    at or above that threshold are grouped (gaps beyond half the pulse
+    period split groups) and each group contributes its strongest
+    sample. Fewer than ``n_pulses`` groups raise :class:`SyncRejection`.
+    The transmission start is anchored on the ``n_pulses``-th peak
+    counted from the front.
     """
-    w = np.asarray(waveform).reshape(-1)
-    if w.size == 0:
+    y = np.asarray(capture)
+    y = y.reshape(1, -1) if y.ndim == 1 else y
+    if y.size == 0:
         raise DegenerateInputError("empty waveform")
-    if np.iscomplexobj(w) or w.min() < 0:
-        w = np.abs(w)
-    peak = float(w.max())
+    starts = range(0, y.shape[1], SAMPLE_BLOCK)
+    block_max = [_magnitude(y[:, s : s + SAMPLE_BLOCK]).max() for s in starts]
+    peak = float(np.max(block_max))
+    if not np.isfinite(peak):
+        raise DegenerateInputError("capture holds NaN or infinite samples")
     if peak == 0.0:
         raise SyncRejection("all-zero capture: found 0 of the expected pulses")
-    above = np.flatnonzero(w >= SYNC_THRESHOLD_FRACTION * peak)
+    threshold = SYNC_THRESHOLD_FRACTION * peak
+    above, values = [], []
+    for s, m in zip(starts, block_max):
+        if m >= threshold:
+            magnitude = _magnitude(y[:, s : s + SAMPLE_BLOCK])
+            hits = np.flatnonzero(magnitude >= threshold)
+            above.append(hits + s)
+            values.append(magnitude[hits])
+    above, values = np.concatenate(above), np.concatenate(values)
     merge = max(pulse_period_samples // 2, 1)
     splits = np.flatnonzero(np.diff(above) > merge) + 1
-    groups = np.split(above, splits)
-    peaks = np.array([g[np.argmax(w[g])] for g in groups], dtype=np.int64)
+    peaks = np.array([g[np.argmax(v)] for g, v in zip(np.split(above, splits),
+                                                      np.split(values, splits))],
+                     dtype=np.int64)
     if peaks.size < n_pulses:
         raise SyncRejection(
             f"found {peaks.size} sync peaks, need {n_pulses}; capture discarded"
@@ -126,6 +141,16 @@ def detect_sync(waveform, pulse_period_samples, n_pulses=20, data_offset_samples
         tx_start_index=tx_start,
         data_start_index=tx_start + int(data_offset_samples),
     )
+
+
+def _magnitude(rows):
+    """sqrt(sum_r |y_r|^2) of an (nr, k) block of streams."""
+    total = np.zeros(rows.shape[1])
+    for row in rows:
+        power = np.abs(row)
+        power *= power
+        total += power
+    return np.sqrt(total, out=total)
 
 
 def estimate_snr(snr_section, nt, n_blocks, block_len_samples):
@@ -314,19 +339,6 @@ def demodulate_frame(blocks, estimates, scheme, constellation):
                            for half, h in zip((y[: len(y) // 2], y[len(y) // 2 :]), pair)])
 
 
-def _receive_magnitude(y):
-    """sqrt(sum_r |y_r|^2) of (nr, n) streams, one block of one row at a
-    time: the (n,) result is the only full-length array."""
-    magnitude = np.zeros(y.shape[1])
-    for s in range(0, y.shape[1], SAMPLE_BLOCK):
-        block = magnitude[s : s + SAMPLE_BLOCK]
-        for row in y[:, s : s + SAMPLE_BLOCK]:
-            power = np.abs(row)
-            power *= power
-            block += power
-    return np.sqrt(magnitude, out=magnitude)
-
-
 def decode_transmission(rx_samples, frame_layout, tx_layout, nt, scheme,
                         constellation, symbol_scale=None):
     """Run the full receive pipeline on the (nr, n) captured streams.
@@ -353,7 +365,7 @@ def decode_transmission(rx_samples, frame_layout, tx_layout, nt, scheme,
     period = (1 + tx_layout.sync_gap_symbols) * u
 
     sync = detect_sync(
-        _receive_magnitude(y),
+        y,
         period,
         n_pulses=tx_layout.sync_pulses,
         data_offset_samples=sync_len + snr_len,

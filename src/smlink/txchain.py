@@ -16,9 +16,15 @@ sync pulses stay at the quantizer full scale, which pins the
 peak-to-data amplitude ratio (about 21.1 dB at the default factor).
 
 :func:`build_transmission` runs the whole chain from a bit array:
-modulate, frame, assemble.
+modulate, frame, assemble. The result is a block source: it stores the
+shaped data section only and builds any run of samples, sync pulses and
+sounding blocks included, on demand (:meth:`TransmissionVector.segment`).
+The channel and the int16 writer take it one ``SAMPLE_BLOCK`` at a time,
+so no full-length transmit array is ever held; at the default layout the
+sounding section is about 90% of the samples.
 """
 
+import contextlib
 import json
 import os
 from dataclasses import asdict, dataclass
@@ -150,14 +156,18 @@ class TransmissionLayout:
 
 @dataclass(frozen=True)
 class TransmissionVector:
-    """Per-antenna sample streams plus the bookkeeping to parse them back.
+    """A transmission as a block source, plus the bookkeeping to parse it back.
 
-    ``sections`` maps section name -> (start, length) in samples;
-    ``symbol_scale`` is the factor applied to the shaped frame stream so
-    that its peak equals ``power_factor`` (the quantized data maximum).
+    ``data`` is the shaped, scaled (nt, data_len) data section, the only
+    stored samples; :meth:`segment` builds any run of the (nt, n) sample
+    streams from it and the layouts. ``sections`` maps section name ->
+    (start, length) in samples; ``symbol_scale`` is the factor applied
+    to the shaped frame stream so that its peak equals ``power_factor``
+    (the quantized data maximum), and ``x_max`` is the sounding
+    on-block level.
     """
 
-    samples: np.ndarray
+    data: np.ndarray
     sections: dict
     frame_layout: FrameLayout
     layout: TransmissionLayout
@@ -166,7 +176,44 @@ class TransmissionVector:
 
     @property
     def nt(self):
-        return self.samples.shape[0]
+        return self.data.shape[0]
+
+    @property
+    def shape(self):
+        """(nt, n) of the whole transmission."""
+        start, length = self.sections["data"]
+        return self.nt, start + length
+
+    @property
+    def samples(self):
+        """The whole (nt, n) transmission as one array, built on each access."""
+        return self.segment(0, self.shape[1])
+
+    def segment(self, start, stop):
+        """Samples ``start`` to ``stop`` of every antenna, a new (nt, stop - start) array."""
+        nt, n = self.shape
+        if not 0 <= start <= stop <= n:
+            raise DimensionError(f"segment [{start}, {stop}) outside the {n}-sample transmission")
+        out = np.zeros((nt, stop - start), dtype=np.complex128)
+        u = self.frame_layout.upsample_factor
+        period = (1 + self.layout.sync_gap_symbols) * u
+        first_pulse = -(-start // period) * period
+        out[0, np.arange(first_pulse, min(stop, self.layout.sync_pulses * period), period)
+            - start] = 1.0
+        # Antenna t's run holds blocks 2*snr_blocks*t onwards; its even blocks are on.
+        snr_start, snr_len = self.sections["snr"]
+        block = self.layout.snr_block_symbols * u
+        lo, hi = max(start, snr_start) - snr_start, min(stop, snr_start + snr_len) - snr_start
+        for b in range(lo // block, -(-hi // block)):
+            if b % 2 == 0:
+                a = snr_start + b * block
+                out[b // (2 * self.layout.snr_blocks),
+                    max(a, start) - start : min(a + block, stop) - start] = self.x_max
+        data_start = self.sections["data"][0]
+        if stop > data_start:
+            lo = max(start, data_start)
+            out[:, lo - start :] = self.data[:, lo - data_start : stop - data_start]
+        return out
 
 
 def pilot_sequence(n_t, n_theta):
@@ -190,8 +237,10 @@ def _check_filter(num_taps, rolloff, upsample_factor):
         raise ConfigurationError("need at least 2 filter taps")
     if not 0.0 < rolloff <= 1.0:
         raise ConfigurationError("roll-off must be in (0, 1]")
-    if upsample_factor < 1:
-        raise ConfigurationError("upsample factor must be >= 1")
+    # The shaped band reaches (1 + rolloff) / 2 cycles per symbol: one
+    # sample per symbol aliases it, and a noiseless round trip fails.
+    if upsample_factor < 2:
+        raise ConfigurationError("upsample factor must be >= 2")
 
 
 def rrc_taps(num_taps=40, rolloff=0.75, upsample_factor=4):
@@ -251,12 +300,31 @@ def pulse_shape(symbols, taps, upsample_factor):
     """Upsample (insert zeros) and filter; full convolution per antenna.
 
     Accepts an (nt, n_symbols) matrix and returns
-    (nt, n_symbols*U + len(taps) - 1).
+    (nt, n_symbols*U + len(taps) - 1). Each row is zero-stuffed and
+    convolved one block of about ``SAMPLE_BLOCK`` samples at a time, the
+    block prefixed with the last len(taps) - 1 upsampled samples before
+    it, so every output is the dot product over the same terms as in one
+    ``np.convolve`` of the whole row; the tests hold the two equal bit
+    for bit.
     """
     s = np.atleast_2d(np.asarray(symbols, dtype=np.complex128))
-    up = np.zeros((s.shape[0], s.shape[1] * upsample_factor), dtype=np.complex128)
-    up[:, ::upsample_factor] = s
-    return np.stack([np.convolve(row, taps) for row in up])
+    u, carry = upsample_factor, len(taps) - 1
+    n_sym = s.shape[1]
+    step = max(1, SAMPLE_BLOCK // u)  # symbols per block
+    shaped = np.empty((s.shape[0], n_sym * u + carry), dtype=np.complex128)
+    for row, out in zip(s, shaped):
+        up = np.zeros(0, dtype=np.complex128)
+        for j in range(0, max(n_sym, 1), step):
+            head = up[max(len(up) - carry, 0) :]
+            block = row[j : j + step]
+            up = np.zeros(len(head) + len(block) * u, dtype=np.complex128)
+            up[: len(head)] = head
+            up[len(head) :: u] = block
+            full = np.convolve(up, taps)
+            # The last block also gives the filter tail.
+            stop = len(full) if j + step >= n_sym else len(up)
+            out[j * u : j * u + stop - len(head)] = full[len(head) : stop]
+    return shaped
 
 
 def assemble_transmission(stream, frame_layout, layout):
@@ -281,7 +349,8 @@ def assemble_transmission(stream, frame_layout, layout):
     taps = rrc_taps(frame_layout.rrc_num_taps, frame_layout.rrc_rolloff, u)
 
     data_wave = pulse_shape(stream, taps, u)
-    peak = float(np.max(np.abs(data_wave)))
+    peak = float(np.max([np.abs(data_wave[:, a : a + SAMPLE_BLOCK]).max()
+                         for a in range(0, data_wave.shape[1], SAMPLE_BLOCK)]))
     if layout.power_factor > 0 and peak == 0.0:
         raise DegenerateInputError("all-zero frame stream cannot be power-scaled")
     symbol_scale = layout.power_factor / peak if peak > 0 else 0.0
@@ -295,28 +364,13 @@ def assemble_transmission(stream, frame_layout, layout):
 
     sync_len = layout.sync_samples(u)
     snr_len = layout.snr_samples(nt, u)
-    data_len = data_wave.shape[1]
-    total = sync_len + snr_len + data_len
-    samples = np.zeros((nt, total), dtype=np.complex128)
-
-    period = (1 + layout.sync_gap_symbols) * u
-    samples[0, 0 : layout.sync_pulses * period : period] = 1.0
-
-    # The (antenna, run, block, on/off, sample) view rxchain.estimate_snr reads.
-    sounding = samples[:, sync_len : sync_len + snr_len].reshape(
-        nt, nt, layout.snr_blocks, 2, layout.snr_block_symbols * u
-    )
-    sounding[np.arange(nt), np.arange(nt), :, 0] = x_max
-
-    samples[:, sync_len + snr_len :] = data_wave
-
     sections = {
         "sync": (0, sync_len),
         "snr": (sync_len, snr_len),
-        "data": (sync_len + snr_len, data_len),
+        "data": (sync_len + snr_len, data_wave.shape[1]),
     }
     return TransmissionVector(
-        samples=samples,
+        data=data_wave,
         sections=sections,
         frame_layout=frame_layout,
         layout=layout,
@@ -375,34 +429,50 @@ def dequantize_i16(codes):
 def read_captures(paths):
     """Dequantize equal-length int16 I,Q capture files into one (n_files, n) array.
 
-    The codes go straight from each file into one int16 buffer; a list of
-    files that differ in length raises :class:`ConfigurationError`.
+    Each file is read one ``SAMPLE_BLOCK`` of samples at a time into one
+    int16 buffer and dequantized into its row of the output. A file whose
+    size is not a whole number of 4-byte I,Q pairs raises
+    :class:`FramingError`; files that differ in length raise
+    :class:`ConfigurationError`.
     """
-    n_codes = [os.path.getsize(p) // 2 for p in paths]
-    if not n_codes or len(set(n_codes)) > 1:
+    sizes = [os.path.getsize(p) for p in paths]
+    for path, size in zip(paths, sizes):
+        if size % 4:
+            raise FramingError(f"capture {path}: {size} bytes is not a whole number of "
+                               "4-byte I,Q pairs")
+    if not sizes or len(set(sizes)) > 1:
         raise ConfigurationError(
-            f"need captures of equal length, got {[n // 2 for n in n_codes]} samples"
+            f"need captures of equal length, got {[n // 4 for n in sizes]} samples"
         )
-    codes = np.empty((len(paths), n_codes[0]), dtype="<i2")
-    for row, path in zip(codes, paths):
+    out = np.empty((len(paths), sizes[0] // 4), dtype=np.complex128)
+    codes = np.empty(2 * min(out.shape[1], SAMPLE_BLOCK), dtype="<i2")
+    for row, path in zip(out, paths):
         with open(path, "rb") as fh:
-            fh.readinto(row)
-    return dequantize_i16(codes)
+            for s in range(0, row.size, SAMPLE_BLOCK):
+                block = row[s : s + SAMPLE_BLOCK]
+                buf = codes[: 2 * block.size]
+                if fh.readinto(buf) != buf.nbytes:
+                    raise FramingError(f"capture {path} ended before its {row.size} samples")
+                block[:] = dequantize_i16(buf)
+    return out
 
 
 def write_waveform(prefix, tx, extra_meta=None):
     """Write per-antenna I16 files plus a JSON sidecar; returns sidecar path.
 
     Files: ``<prefix>_ant<k>.bin`` (little-endian int16, interleaved I,Q)
-    and ``<prefix>_meta.json``.
+    and ``<prefix>_meta.json``. The samples are built, quantized and
+    written one ``SAMPLE_BLOCK`` at a time, to each antenna's file in turn.
     """
     prefix = Path(prefix)
     prefix.parent.mkdir(parents=True, exist_ok=True)
-    files = []
-    for t in range(tx.nt):
-        path = prefix.parent / f"{prefix.name}_ant{t + 1}.bin"
-        quantize_i16(tx.samples[t]).tofile(path)
-        files.append(path.name)
+    files = [f"{prefix.name}_ant{t + 1}.bin" for t in range(tx.nt)]
+    n = tx.shape[1]
+    with contextlib.ExitStack() as stack:
+        handles = [stack.enter_context(open(prefix.parent / name, "wb")) for name in files]
+        for s in range(0, n, SAMPLE_BLOCK):
+            for fh, row in zip(handles, tx.segment(s, min(s + SAMPLE_BLOCK, n))):
+                quantize_i16(row).tofile(fh)
     meta = {
         "schema_version": SIDECAR_SCHEMA_VERSION,
         "sample_rate": tx.layout.sample_rate,

@@ -183,6 +183,17 @@ class TestPropagation:
             tracemalloc.stop()
         assert peak <= 1.1 * y.nbytes
 
+    @pytest.mark.parametrize("fo", [np.nan, np.inf, -np.inf, 0.75, -0.75, 3.07e303])
+    def test_waveform_offset_outside_half_cycle_refused(self, fo):
+        """An offset beyond +-0.5 cycles/sample aliases; NaN would give an
+        all-NaN capture and 3e303 overflows the ramp. All are refused."""
+        with pytest.raises(ConfigurationError, match="fo_cycles_per_sample"):
+            channel.propagate_waveform(np.ones((2, 10), dtype=complex), np.eye(2), fo)
+
+    def test_waveform_offset_at_half_cycle_accepted(self):
+        y = channel.propagate_waveform(np.ones((1, 4), dtype=complex), np.eye(1), -0.5)
+        assert np.allclose(y, [[1, -1, 1, -1]])
+
     def test_waveform_noise_needs_rng(self):
         x = np.ones((2, 10), dtype=complex)
         with pytest.raises(ConfigurationError):
@@ -220,6 +231,12 @@ class TestCarrierRamp:
         ramp = channel.carrier_ramp(delta, n, first_index)
         assert ramp.shape == (n,)
         assert np.max(np.abs(ramp - self.reference(delta, n, first_index)), initial=0.0) <= 1e-12
+
+    @pytest.mark.parametrize("delta", [np.nan, np.inf, -np.inf, 0.75, 3.07e303,
+                                       [0.1, np.nan], [0.2, -0.75]])
+    def test_offset_outside_half_cycle_refused(self, delta):
+        with pytest.raises(ConfigurationError, match="fo_cycles_per_sample"):
+            channel.carrier_ramp(delta, 100)
 
     def test_one_ramp_per_offset_and_start(self):
         deltas = np.array([1e-3, -2e-3, 5e-4])

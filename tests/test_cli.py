@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from smlink import analysis, channel, cli, harness, modem
+from smlink import analysis, channel, cli, harness, modem, txchain
 
 
 def run_cli(*argv):
@@ -56,6 +56,15 @@ def _decode(tmp, mutate=None, capture=None, meta=None):
             "--out", tmp / "rx.bits", "--report", tmp / "report.json"]
 
 
+def _odd_byte_captures(tmp):
+    """Both captures gain one byte: equal lengths, each ending in a partial I,Q pair."""
+    argv = _decode(tmp)
+    for name in ("cap_ant1.bin", "cap_ant2.bin"):
+        with open(tmp / name, "ab") as fh:
+            fh.write(b"\x01")
+    return argv
+
+
 def _cut_second_capture(tmp):
     argv = _decode(tmp)
     capture = tmp / "cap_ant2.bin"
@@ -95,6 +104,7 @@ MALFORMED = {
     "decode-binary-sidecar": lambda t: _decode(t, meta=t / "cap_ant1.bin"),
     "decode-missing-capture": lambda t: _decode(t, capture=t / "absent.bin"),
     "decode-captures-unequal-length": _cut_second_capture,
+    "decode-capture-odd-byte": _odd_byte_captures,
     "decode-sidecar-nt-minus-one": lambda t: _decode(t, lambda m: m.update(nt=-1)),
     "decode-sidecar-nt-zero": lambda t: _decode(t, lambda m: m.update(nt=0)),
     "fit-channel-missing-samples": lambda t: ["fit-channel", "--samples", t / "absent.txt",
@@ -119,6 +129,67 @@ def test_malformed_input_exits_2_with_one_error_line(tmp_path, capsys, make_argv
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
     assert "Traceback" not in err
+
+
+# Small layouts: the frame count and sounding block length are always
+# drawn, any other field is drawn or left at its default. Most drawn
+# values are accepted; the ranges reach just past the accepted ones.
+_FRAME_FIELDS = {
+    "zero_pad_len": st.integers(0, 40),
+    "pilot_sequences_per_signal": st.integers(1, 12),
+    "pilot_seq_len": st.integers(1, 12),
+    "fo_seq_len": st.integers(20, 200),
+    "data_symbols_per_frame": st.integers(0, 200),
+    "upsample_factor": st.integers(1, 8),
+    "rrc_num_taps": st.integers(2, 64),
+    "rrc_rolloff": st.floats(0.05, 1.0),
+}
+_TRANSMISSION_SIZES = {"n_frames": st.integers(1, 3), "snr_block_symbols": st.integers(1, 300)}
+_TRANSMISSION_FIELDS = {
+    "sync_pulses": st.integers(1, 25),
+    "sync_gap_symbols": st.integers(1, 60),
+    "snr_blocks": st.integers(1, 6),
+    "power_factor": st.floats(0.0, 1.05),
+}
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(link=st.sampled_from([("sm", 2, 2), ("sm", 4, 4), ("smx", 2, 2), ("smx", 2, 4)]),
+       frame=st.fixed_dictionaries({}, optional=_FRAME_FIELDS),
+       transmission=st.fixed_dictionaries(_TRANSMISSION_SIZES, optional=_TRANSMISSION_FIELDS),
+       seed=st.integers(0, 2**32 - 1))
+def test_encode_decode_round_trip_or_refused(tmp_path_factory, link, frame, transmission,
+                                             seed):
+    """Noiseless ``encode`` -> ``decode`` over drawn layouts: each command
+    exits 2 with one ``error:`` line, or the decode has 0 bit errors."""
+    tmp = tmp_path_factory.mktemp("roundtrip")
+    scheme, nt, order = link
+    defaults = {**vars(txchain.FrameLayout()), **vars(txchain.TransmissionLayout())}
+    sizes = {**defaults, **frame, **transmission}
+    n_bits = max(modem.bits_per_vector(scheme, nt, order) * sizes["data_symbols_per_frame"]
+                 * sizes["n_frames"], 0)
+    bits = np.random.default_rng(seed).integers(0, 2, n_bits).astype(np.uint8)
+    np.packbits(bits).tofile(tmp / "tx.bits")
+    config = {"scheme": scheme, "nt": nt, "modulation_order": order,
+              "frame_layout": frame, "transmission_layout": transmission}
+    steps = [
+        ["encode", "--config", _write(tmp / "c.json", config), "--bits", tmp / "tx.bits",
+         "--out", tmp / "cap"],
+        ["decode", "--capture", *[tmp / f"cap_ant{t + 1}.bin" for t in range(nt)],
+         "--meta", tmp / "cap_meta.json", "--out", tmp / "rx.bits",
+         "--report", tmp / "report.json", "--reference-bits", tmp / "tx.bits"],
+    ]
+    for argv in steps:
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = run_cli(*argv)
+        err = err.getvalue()
+        if code == 2:
+            assert len(err.splitlines()) == 1 and err.startswith("error: ")
+            return
+        assert code == 0 and not err
+    report = json.loads((tmp / "report.json").read_text())
+    assert report["n_bits"] == n_bits and report["bit_errors"] == 0
 
 
 @settings(max_examples=30, deadline=None)

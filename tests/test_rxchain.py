@@ -75,6 +75,51 @@ class TestDetectSync:
             assert np.array_equal(a.peak_indices, b.peak_indices)
             assert a.tx_start_index == b.tx_start_index
 
+    @staticmethod
+    def reference_peaks(magnitude, period, n_pulses=20):
+        """One pass over the whole magnitude: threshold, group, strongest."""
+        above = np.flatnonzero(magnitude >= rxchain.SYNC_THRESHOLD_FRACTION * magnitude.max())
+        groups = np.split(above, np.flatnonzero(np.diff(above) > period // 2) + 1)
+        return [int(g[np.argmax(magnitude[g])]) for g in groups][:n_pulses]
+
+    def test_capture_rows_combine_as_magnitude(self, loopback):
+        """The (nr, n) capture is searched on sqrt(sum_r |y_r|^2), block by
+        block; its peaks are the ones of that magnitude searched whole."""
+        layout, tx_layout, _, _, tx, h = loopback
+        period = (1 + tx_layout.sync_gap_symbols) * layout.upsample_factor
+        rx = channel.propagate_waveform(tx.samples, h, 1e-4, (tx.symbol_scale * 0.1) ** 2,
+                                        np.random.default_rng(4))
+        combined = np.sqrt(np.sum(np.abs(rx) ** 2, axis=0))
+        res = rxchain.detect_sync(rx, period)
+        assert res.peak_indices.tolist() == self.reference_peaks(combined, period)
+        assert res.peak_indices.tolist() == list(range(0, 20 * period, period))
+        one = rxchain.detect_sync(rx[1], period)
+        assert one.peak_indices.tolist() == self.reference_peaks(np.abs(rx[1]), period)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_groups_across_block_edges(self, seed):
+        """Wide pulses that straddle SAMPLE_BLOCK edges, blocks with no
+        sample above the threshold between them, and a peak in the last,
+        ragged block give the peaks of one whole-capture search."""
+        rng = np.random.default_rng(seed)
+        block = channel.SAMPLE_BLOCK
+        n = 5 * block + 999
+        capture = 0.1 * (rng.standard_normal((2, n)) + 1j * rng.standard_normal((2, n)))
+        period = 3000
+        centres = [block - 7, 2 * block + 3, 2 * block + 3 * period, 4 * block, n - 5]
+        for c in centres:
+            width = np.arange(max(c - 40, 0), min(c + 40, n))
+            capture[0, width] += rng.uniform(0.8, 1.0, width.size)
+        magnitude = np.sqrt(np.sum(np.abs(capture) ** 2, axis=0))
+        res = rxchain.detect_sync(capture, period, n_pulses=len(centres))
+        assert res.peak_indices.tolist() == self.reference_peaks(magnitude, period, len(centres))
+
+    def test_non_finite_capture_rejected(self):
+        capture = np.zeros((2, 1000))
+        capture[1, 500] = np.nan
+        with pytest.raises(DegenerateInputError):
+            rxchain.detect_sync(capture, 204)
+
     def test_lone_spike_rejects(self):
         capture = np.zeros(50_000)
         capture[1234] = 1.0
@@ -559,9 +604,10 @@ class TestDecodeTransmission:
                                         tx_layout, 2, "sm", c)
 
     def test_peak_memory_well_under_capture(self):
-        """Besides its (n,) receive magnitude, a quarter of a 2-antenna
-        capture, the decoder allocates only block- and data-section-sized
-        arrays: its traced peak stays under 0.35 of the capture."""
+        """The decoder forms the sync magnitude one block at a time and
+        otherwise allocates only block- and data-section-sized arrays: its
+        traced peak stays under 0.1 of a 2-antenna capture (measured:
+        0.066) whose sounding section is 97% of the samples."""
         layout = txchain.FrameLayout()
         tx_layout = txchain.TransmissionLayout(n_frames=1, snr_block_symbols=5000)
         c = modem.build_constellation(2)
@@ -577,7 +623,7 @@ class TestDecodeTransmission:
         finally:
             tracemalloc.stop()
         assert np.array_equal(result.bits, bits)
-        assert peak <= 0.35 * rx.nbytes
+        assert peak <= 0.1 * rx.nbytes
 
     def test_noisy_decode_still_syncs(self, loopback):
         layout, tx_layout, c, bits, tx, h = loopback

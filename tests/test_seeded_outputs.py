@@ -8,11 +8,12 @@ relative, everything else is compared exactly.
 """
 
 import hashlib
+import json
 
 import numpy as np
 import pytest
 
-from smlink import channel, harness, modem, rxchain, txchain
+from smlink import channel, cli, harness, modem, rxchain, txchain
 
 # name: (scheme, nt, modulation order, csi_mode, vectors per trial).
 # With 100-vector blocks, 1037 vectors leave a ragged 37-vector last
@@ -48,6 +49,14 @@ EXPECTED = {
                          [6006, 109, [26, 42, 41], 0, None]],
     "waveform": [[8000, 778, [300, 478], 0, 6.610284256494459],
                  [8000, 387, [134, 253], 0, 12.608158567665235]],
+}
+
+# The received array of test_noisy_loopback_decode and the files of test_encode_files.
+RX_SHA256 = "cdb1840b1472d0ec687f03e7eb37053f204c8d0c9604f580345bf0bdd9597bfb"
+ENCODE_SHA256 = {
+    "cap_ant1.bin": "ee04d603374dd9fb34ad80ded19e182e391166e19dc62528319d28efc11f300b",
+    "cap_ant2.bin": "b3c1a6f2cf85857ccfa42346827402b238e80c07b6ecc91bc2160d2655b7fa37",
+    "cap_meta.json": "16c435aa64e3b07657c6512c67d7d24e453727f641541838d3901063ca8d8377",
 }
 
 DECODE_ERRORS = 63
@@ -113,6 +122,7 @@ def test_noisy_loopback_decode():
     h = np.array([[1.0 + 0.1j, 0.35 + 0.2j], [0.1 - 0.4j, 0.9 - 0.05j]])
     noise_var = tx.symbol_scale**2 * 10.0 ** (-8 / 10)
     rx = channel.propagate_waveform(tx.samples, h, 2e-4, noise_var, np.random.default_rng(5))
+    assert hashlib.sha256(rx.tobytes()).hexdigest() == RX_SHA256
     result = rxchain.decode_transmission(rx, layout, tx_layout, 2, "sm", c,
                                          symbol_scale=tx.symbol_scale)
     assert np.count_nonzero(result.bits != bits) == DECODE_ERRORS
@@ -120,3 +130,17 @@ def test_noisy_loopback_decode():
     np.testing.assert_allclose(result.fo_cycles_per_sample, DECODE_FO, rtol=1e-12, atol=0)
     np.testing.assert_allclose(result.channel_estimates.ravel(), DECODE_ESTIMATES,
                                rtol=1e-12, atol=0)
+
+
+def test_encode_files(tmp_path):
+    """``cli encode`` of two SM/BPSK frames writes these exact bytes."""
+    config = {"scheme": "sm", "nt": 2, "modulation_order": 2,
+              "transmission_layout": {"n_frames": 2, "snr_block_symbols": 200}}
+    (tmp_path / "c.json").write_text(json.dumps(config))
+    bits = np.random.default_rng(77).integers(0, 2, 4000).astype(np.uint8)
+    np.packbits(bits).tofile(tmp_path / "tx.bits")
+    assert cli.main(["encode", "--config", str(tmp_path / "c.json"),
+                     "--bits", str(tmp_path / "tx.bits"), "--out", str(tmp_path / "cap")]) == 0
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in ENCODE_SHA256}
+    assert digests == ENCODE_SHA256

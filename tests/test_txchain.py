@@ -1,12 +1,14 @@
 """Tests for frame assembly, pulse shaping and the I16 capture format."""
 
+import contextlib
+import io
 import json
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from smlink import channel, modem, txchain
+from smlink import channel, cli, modem, txchain
 from smlink.errors import (
     ConfigurationError,
     DegenerateInputError,
@@ -59,6 +61,15 @@ class TestRrcTaps:
             txchain.rrc_taps(40, 0.0, 4)
         with pytest.raises(ConfigurationError):
             txchain.rrc_taps(40, 1.5, 4)
+
+    @pytest.mark.parametrize("u", [0, 1])
+    def test_fewer_than_two_samples_per_symbol_refused(self, u):
+        """At one sample per symbol the shaped band aliases: a noiseless
+        2x2 SM/BPSK round trip got 500 of 2000 bits wrong."""
+        with pytest.raises(ConfigurationError, match="upsample factor"):
+            txchain.rrc_taps(40, 0.75, u)
+        with pytest.raises(ConfigurationError, match="upsample factor"):
+            txchain.FrameLayout(upsample_factor=u)
 
 
 class TestPilots:
@@ -157,6 +168,21 @@ class TestPulseShape:
         out = txchain.pulse_shape(np.zeros((2, 10), dtype=complex),
                                   txchain.rrc_taps(), 4)
         assert not out.any()
+
+    @pytest.mark.parametrize("n_frames,u,num_taps", [(50, 4, 40), (1, 4, 40), (3, 3, 17)])
+    def test_blocks_equal_one_full_convolution(self, n_frames, u, num_taps):
+        """Zero-stuffing and filtering block by block, with the tail of
+        upsampled samples carried into the next block, equals one
+        np.convolve of each whole row bit for bit: on the 50-frame stream
+        of the benchmark's waveform trial (14 blocks and a ragged one),
+        on a one-frame stream inside one block and at another rate."""
+        layout = txchain.FrameLayout(upsample_factor=u, rrc_num_taps=num_taps)
+        stream = random_bpsk_frames(layout, txchain.TransmissionLayout(n_frames=n_frames))
+        taps = txchain.rrc_taps(num_taps, layout.rrc_rolloff, u)
+        up = np.zeros((2, stream.shape[1] * u), dtype=complex)
+        up[:, ::u] = stream
+        reference = np.stack([np.convolve(row, taps) for row in up])
+        assert np.array_equal(txchain.pulse_shape(stream, taps, u), reference)
 
 
 class TestAssembleTransmission:
@@ -307,6 +333,89 @@ class TestBuildTransmission:
             modem.modulate(np.zeros(2, dtype=np.uint8), "osm", 2, c)
 
 
+class TestBlockSource:
+    """The transmission is stored as its data section; segments are built."""
+
+    layout = txchain.FrameLayout()
+    tx_layout = txchain.TransmissionLayout(n_frames=2, snr_block_symbols=200)
+
+    def build(self, nt=2, tx_layout=None):
+        tx_layout = tx_layout or self.tx_layout
+        stream = random_bpsk_frames(self.layout, tx_layout, nt=nt)
+        return txchain.assemble_transmission(stream, self.layout, tx_layout)
+
+    @staticmethod
+    def reference_samples(tx):
+        """The whole transmission written section by section."""
+        nt, n = tx.shape
+        u = tx.frame_layout.upsample_factor
+        lay = tx.layout
+        samples = np.zeros((nt, n), dtype=complex)
+        period = (1 + lay.sync_gap_symbols) * u
+        samples[0, 0 : lay.sync_pulses * period : period] = 1.0
+        start, length = tx.sections["snr"]
+        sounding = samples[:, start : start + length].reshape(
+            nt, nt, lay.snr_blocks, 2, lay.snr_block_symbols * u)
+        sounding[np.arange(nt), np.arange(nt), :, 0] = tx.x_max
+        samples[:, tx.sections["data"][0] :] = tx.data
+        return samples
+
+    @pytest.mark.parametrize("nt", [1, 2, 4])
+    def test_segments_tile_the_transmission(self, nt):
+        """Segments cut at any points (inside pulses, sounding blocks and
+        the data section, and empty ones) concatenate to the sections."""
+        tx = self.build(nt)
+        ref = self.reference_samples(tx)
+        assert tx.shape == ref.shape and tx.nt == nt
+        assert np.array_equal(tx.samples, ref)
+        n = tx.shape[1]
+        rng = np.random.default_rng(nt)
+        for cuts in ([0, n], [0, 1, 203, 204, 205, 4080, 4081, 4880, 4880, n - 39, n],
+                     np.unique(np.r_[0, rng.integers(0, n, 40), n])):
+            parts = [tx.segment(a, b) for a, b in zip(cuts, cuts[1:])]
+            assert np.array_equal(np.concatenate(parts, axis=1), ref)
+
+    def test_segment_outside_refused(self):
+        tx = self.build()
+        for start, stop in ((-1, 10), (10, 9), (0, tx.shape[1] + 1)):
+            with pytest.raises(DimensionError):
+                tx.segment(start, stop)
+
+    def test_stores_only_the_data_section(self):
+        tx = self.build()
+        assert tx.data.shape == (2, tx.sections["data"][1])
+        assert tx.sections["data"][1] < tx.shape[1] / 2
+
+    def test_build_and_propagate_peak_is_output_plus_data(self):
+        """The channel takes the transmission one block at a time: the
+        traced peak of building a transmission and propagating it stays
+        within the received array plus the data section plus four blocks
+        (measured: two blocks), with no full transmit array beside them."""
+        c = modem.build_constellation(2)
+        bits = np.random.default_rng(5).integers(0, 2, 2000).astype(np.uint8)
+        tx_layout = txchain.TransmissionLayout(n_frames=1, snr_block_symbols=5000)
+        h = np.array([[1.0 + 0.1j, 0.35 + 0.2j], [0.1 - 0.4j, 0.9 - 0.05j]])
+        tracemalloc.start()
+        try:
+            tx = txchain.build_transmission(bits, "sm", 2, c, self.layout, tx_layout)
+            rx = channel.propagate_waveform(tx, h, 1e-4, (tx.symbol_scale * 0.03) ** 2,
+                                            np.random.default_rng(1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        block = 16 * channel.SAMPLE_BLOCK  # one complex block of one antenna
+        assert rx.shape == tx.shape
+        assert peak <= rx.nbytes + tx.data.nbytes + 4 * block
+
+    def test_propagating_the_source_equals_its_array(self):
+        tx = self.build(tx_layout=txchain.TransmissionLayout(n_frames=1,
+                                                             snr_block_symbols=5000))
+        h = np.array([[1.0 + 0.1j, 0.35 + 0.2j], [0.1 - 0.4j, 0.9 - 0.05j], [0.2, 0.3j]])
+        a = channel.propagate_waveform(tx, h, -3e-4, 0.01, np.random.default_rng(8))
+        b = channel.propagate_waveform(tx.samples, h, -3e-4, 0.01, np.random.default_rng(8))
+        assert np.array_equal(a, b)
+
+
 class TestQuantization:
     def test_roundtrip_within_half_lsb(self):
         rng = np.random.default_rng(33)
@@ -425,6 +534,76 @@ class TestWaveformIo:
         streams = txchain.read_captures(paths)
         assert streams.shape == (2, 20)
         assert np.array_equal(streams, txchain.dequantize_i16(codes))
+
+    def test_files_are_the_quantized_samples(self, tmp_path):
+        """Written block by block, each antenna file holds the codes of its
+        whole row."""
+        layout = txchain.FrameLayout()
+        tx_layout = txchain.TransmissionLayout(n_frames=2, snr_block_symbols=5000)
+        tx = txchain.assemble_transmission(random_bpsk_frames(layout, tx_layout), layout,
+                                           tx_layout)
+        txchain.write_waveform(tmp_path / "cap", tx)
+        for t, row in enumerate(tx.samples):
+            assert (tmp_path / f"cap_ant{t + 1}.bin").read_bytes() == \
+                txchain.quantize_i16(row).tobytes()
+
+    @pytest.mark.parametrize("n_bytes", [1, 2, 9, 4 * channel.SAMPLE_BLOCK + 6])
+    def test_read_captures_partial_pair_rejected(self, tmp_path, n_bytes):
+        """A trailing part of an I,Q pair is refused by file name, not dropped."""
+        good, cut = tmp_path / "good.bin", tmp_path / "cut.bin"
+        good.write_bytes(bytes(n_bytes - n_bytes % 4))
+        cut.write_bytes(bytes(n_bytes))
+        with pytest.raises(FramingError, match="cut.bin"):
+            txchain.read_captures([good, cut])
+
+    def test_read_captures_spans_blocks(self, tmp_path):
+        codes = np.random.default_rng(3).integers(
+            -32767, 32768, (2, 2 * (2 * channel.SAMPLE_BLOCK + 77))).astype("<i2")
+        paths = [tmp_path / "a.bin", tmp_path / "b.bin"]
+        for row, path in zip(codes, paths):
+            row.tofile(path)
+        assert np.array_equal(txchain.read_captures(paths), txchain.dequantize_i16(codes))
+
+    @staticmethod
+    def traced_peak(call):
+        tracemalloc.start()
+        try:
+            result = call()
+            return result, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def encode(self, tmp_path, snr_block_symbols):
+        """``cli encode`` of one SM/BPSK frame; returns its traced peak and file prefix."""
+        out = tmp_path / str(snr_block_symbols)
+        out.mkdir()
+        config = {"scheme": "sm", "nt": 2, "modulation_order": 2,
+                  "transmission_layout": {"n_frames": 1,
+                                          "snr_block_symbols": snr_block_symbols}}
+        (out / "c.json").write_text(json.dumps(config))
+        np.packbits(np.random.default_rng(5).integers(0, 2, 2000).astype(np.uint8)).tofile(
+            out / "tx.bits")
+        argv = ["encode", "--config", str(out / "c.json"), "--bits", str(out / "tx.bits"),
+                "--out", str(out / "cap")]
+        with contextlib.redirect_stdout(io.StringIO()):
+            code, peak = self.traced_peak(lambda: cli.main(argv))
+        assert code == 0
+        return peak, out / "cap"
+
+    def test_encode_and_read_peaks_do_not_grow_with_the_sounding_section(self, tmp_path):
+        """Doubling the sounding section adds 6.4 MB of samples per
+        antenna, but neither ``cli encode`` nor ``read_captures`` beyond
+        its output holds more than before: both work one block at a time
+        (measured: no growth; the bound allows 64 KiB)."""
+        self.encode(tmp_path, 50)  # first-call allocations
+        peaks = {}
+        for symbols in (5000, 10000):
+            encode_peak, prefix = self.encode(tmp_path, symbols)
+            paths = [f"{prefix}_ant1.bin", f"{prefix}_ant2.bin"]
+            streams, read_peak = self.traced_peak(lambda: txchain.read_captures(paths))
+            peaks[symbols] = encode_peak, read_peak - streams.nbytes
+        for before, after in zip(peaks[5000], peaks[10000]):
+            assert after <= before + 2**16
 
     def test_read_captures_unequal_lengths_rejected(self, tmp_path):
         np.zeros(40, dtype="<i2").tofile(tmp_path / "a.bin")
