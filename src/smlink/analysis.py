@@ -306,6 +306,7 @@ class RicianFit:
 
 _K_FLOOR_DB = -90.0
 _K_CEILING_DB = 130.0
+_SCORE_ULPS = 4
 
 
 def _rice_curve(k_db):
@@ -394,10 +395,12 @@ def fit_rician(amplitude_samples, tol=1e-9, max_iterations=200, gof_bins=20):
     power series of I0 and I1 below r = 25 and their Hankel expansions
     above, within 3e-15 relative of scipy's i1e / i0e) inside a
     bisection bracket on [-90, 130] dB that each score's sign narrows,
-    until a Newton step or the bracket is within ``tol`` dB (nu and sigma
-    then hold to about 0.12 * tol relative). A root at the floor is
-    reported as the Rayleigh boundary; one at the ceiling, above which
-    the score cannot resolve K in double precision, raises
+    until a step is within ``tol`` dB (nu and sigma then hold to about
+    0.12 * tol relative) or within what the score resolves, 4 ulps of nu
+    over its slope (about 7.6e-15 * 10^(K/10) dB at large K, above the
+    default ``tol`` past about 51 dB). A root within that of the floor is
+    reported as the Rayleigh boundary; one within it of the ceiling, above
+    which the score cannot resolve K in double precision, raises
     ``DegenerateInputError``.
 
     ``max_iterations`` caps the score evaluations and ``iterations``
@@ -428,8 +431,8 @@ def fit_rician(amplitude_samples, tol=1e-9, max_iterations=200, gof_bins=20):
     gamma = float(np.var(v) / np.mean(v) ** 2)
 
     def score(k_db):
-        """s and ds/dK_dB = nu ln(10) / 10 * ((1 + nu^2) / (2 sigma^2) *
-        mean(u^2 A'(r)) - sigma^2), as c = nu / sigma^2 = 2 sqrt(K (1 + K))."""
+        """s, ds/dK_dB = nu ln(10) / 10 * ((1 + nu^2) / (2 sigma^2) *
+        mean(u^2 A'(r)) - sigma^2) and nu, as c = nu / sigma^2 = 2 sqrt(K (1 + K))."""
         nu, sigma_sq = _rice_curve(k_db)
         c = nu / sigma_sq
         r = u * c
@@ -438,7 +441,7 @@ def fit_rician(amplitude_samples, tol=1e-9, max_iterations=200, gof_bins=20):
         # 1/(2 r^2) + 1/(4 r^3) is closer (7.5e-9 relative there, and falling).
         v_slope = np.where(r < 1e4, v - ua * ua - ua / c, (0.5 + 0.25 / np.maximum(r, 1e4)) / c**2)
         slope = (1.0 + nu * nu) / (2.0 * sigma_sq) * float(np.mean(v_slope)) - sigma_sq
-        return float(np.mean(ua)) - nu, nu * slope * math.log(10.0) / 10.0
+        return float(np.mean(ua)) - nu, nu * slope * math.log(10.0) / 10.0, nu
 
     k_db, evaluations, converged = float("-inf"), 0, True
     if gamma < 1.0:
@@ -448,18 +451,21 @@ def fit_rician(amplitude_samples, tol=1e-9, max_iterations=200, gof_bins=20):
         step, converged = hi - lo, False
         while evaluations < max_iterations and not converged:
             evaluations += 1
-            s, slope = score(t)
+            s, slope, nu = score(t)
             lo, hi = (t, hi) if s > 0 else (lo, t)
             last, step = step, -s / slope if slope < 0 else math.inf
+            # mean(u A) - nu rounds within a few ulps of nu (2.5 measured at
+            # 60-120 dB), and K resolves no finer than that over the slope.
+            stop = max(tol, _SCORE_ULPS * math.ulp(nu) / -slope) if slope < 0 else tol
             # Bisect where Newton leaves the bracket or does not halve the step.
             if not lo <= t + step <= hi or abs(step) > 0.5 * abs(last):
                 step = 0.5 * (lo + hi) - t
             t += step
-            converged = abs(step) < tol
-        if converged and t > _K_CEILING_DB - tol:
+            converged = abs(step) < stop
+        if converged and t > _K_CEILING_DB - stop:
             raise DegenerateInputError(f"K is at or above {_K_CEILING_DB:g} dB, where the "
                                        "profile score cannot resolve it in double precision")
-        if not (converged and t < _K_FLOOR_DB + tol):
+        if not (converged and t < _K_FLOOR_DB + stop):
             k_db = t
     nu_unit, sigma_sq_unit = _rice_curve(k_db)
     sigma_unit = math.sqrt(sigma_sq_unit)

@@ -6,6 +6,8 @@ one of two fidelities, which differ only in how one trial runs:
 * ``symbol`` -- vectors go straight through y = Hx + n with the channel
   redrawn every ``block_symbols`` vectors (one frame's worth), detected
   with perfect or pilot-estimated CSI by the receive chain's back end;
+  the pilot signal and the sequences its estimate averages are
+  ``txchain.FrameLayout``'s, as in the decoder;
 * ``waveform`` -- the full transmit chain is built, propagated at sample
   level with optional carrier frequency offset, and decoded by the full
   receive chain; sync rejections are counted separately from bit errors.
@@ -121,7 +123,8 @@ class SimConfig:
                     "waveform fidelity needs bits_per_trial divisible by "
                     f"m*block_symbols = {per_frame}"
                 )
-            self.layouts()
+        if self.fidelity == "waveform" or self.csi_mode == "pilot":
+            self.layouts()[0].pilot_signal(self.nt)  # raises if it cannot separate nt
 
     @property
     def bits_per_vector(self):
@@ -134,10 +137,11 @@ class SimConfig:
         return channel_mod.imbalance_profile(self.pi_profile, self.nr, self.nt)
 
     def layouts(self):
-        """The waveform trial's FrameLayout and TransmissionLayout; raises if
-        their pilots cannot separate the nt antennas."""
+        """The trial's FrameLayout and TransmissionLayout. A symbol trial reads only
+        the pilot fields, so it gets the default frame and no TransmissionLayout."""
+        if self.fidelity == "symbol":
+            return txchain.FrameLayout(), None
         frame_layout = txchain.FrameLayout(data_symbols_per_frame=self.block_symbols)
-        txchain.pilot_matrix(self.nt, frame_layout.pilot_seq_len)
         n_frames = self.bits_per_trial // (self.bits_per_vector * self.block_symbols)
         return frame_layout, txchain.TransmissionLayout(
             n_frames=n_frames, snr_block_symbols=self.snr_block_symbols)
@@ -195,9 +199,9 @@ def run_simulation(config):
     fading, imbalance = config.fading(), config.imbalance()
     if config.fidelity == "symbol":
         candidates = modem.candidate_vectors(config.scheme, config.nt, constellation)
-        pilots = np.tile(txchain.pilot_matrix(config.nt, max(config.nt, 10)), (10, 1))
+        layout = config.layouts()[0] if config.csi_mode == "pilot" else None
         trial = functools.partial(
-            _symbol_trial, config, constellation, candidates, pilots, fading, imbalance)
+            _symbol_trial, config, constellation, candidates, layout, fading, imbalance)
     else:
         trial = functools.partial(
             _waveform_trial, config, constellation, *config.layouts(), fading, imbalance)
@@ -227,28 +231,30 @@ def run_simulation(config):
     return records
 
 
-def _symbol_trial(config, constellation, candidates, pilots, fading, imbalance, rng, snr_db):
+def _symbol_trial(config, constellation, candidates, layout, fading, imbalance, rng, snr_db):
     """One symbol-fidelity trial.
 
-    Each block draws its channel, its data noise and, under pilot CSI,
-    two observations of ``pilots`` (ten repetitions of the pilot matrix).
-    Returns (bit_errors, bits_counted, None, False): symbol fidelity has
-    no SNR estimate and no capture to reject.
+    Each block draws its channel, its data noise and, under pilot CSI, two
+    observations of ``layout``'s pilot signal, whose ``pilot_window()`` the LS estimate
+    averages as the decoder's does. Returns (bit_errors, bits_counted, None, False):
+    symbol fidelity has no SNR estimate and no capture to reject.
     """
     noise_var = 10.0 ** (-snr_db / 10.0)
     bits = rng.integers(0, 2, size=config.bits_per_trial, dtype=np.uint8)
     sent_idx = modem.bits_to_indices(bits, config.bits_per_vector)
     vectors = candidates[sent_idx]
+    pilots = layout.pilot_signal(config.nt).T if layout else None
     blocks, channels, observed = [], [], []
     for start in range(0, len(vectors), config.block_symbols):
         h = channel_mod.draw_channel(config.nr, config.nt, fading, imbalance, rng)
         blocks.append(channel_mod.propagate_symbols(
             vectors[start : start + config.block_symbols], h, noise_var, rng))
         channels.append((h, h))
-        if config.csi_mode == "pilot":
+        if layout:
             observed.append([channel_mod.propagate_symbols(pilots, h, noise_var, rng).T
                              for _ in range(2)])
-    estimates = rxchain.ls_channel_estimate(observed, pilots) if observed else np.array(channels)
+    estimates = np.array(channels) if not layout else rxchain.ls_channel_estimate(
+        np.array(observed)[..., layout.pilot_window()], pilots[: layout.pilot_seq_len])
     detected = rxchain.demodulate_frame(blocks, estimates, config.scheme, constellation)
     errors = int(np.bitwise_count(sent_idx ^ detected).sum())
     return errors, config.bits_per_trial, None, False

@@ -165,21 +165,16 @@ def sm_modulate(bits, nt, constellation):
 
 
 def smx_modulate(bits, nt, constellation):
-    """Map bits to (n, nt) spatial-multiplexing vectors, unit total energy."""
-    idx = smx_map_indices(bits, nt, constellation)
-    return constellation.points[idx] / np.sqrt(nt)
+    """Map bits to (n, nt) spatial-multiplexing vectors, unit total energy.
 
-
-def smx_map_indices(bits, nt, constellation):
-    """Bit blocks -> (n, nt) per-antenna point indices (antenna 1 first)."""
+    Each vector's bits give its per-antenna point indices, antenna 1 first.
+    """
     k = constellation.bits_per_symbol
-    b = _as_bits(bits)
-    if b.size % (nt * k):
+    if np.size(bits) % (nt * k):
         raise FramingError(
-            f"bit count {b.size} is not a multiple of {nt * k} (nt*log2(M))"
+            f"bit count {np.size(bits)} is not a multiple of {nt * k} (nt*log2(M))"
         )
-    weights = 1 << np.arange(k - 1, -1, -1, dtype=np.int64)
-    return b.reshape(-1, nt, k).astype(np.int64) @ weights
+    return constellation.points[bits_to_indices(bits, k).reshape(-1, nt)] / np.sqrt(nt)
 
 
 def check_candidate_count(n_cand):

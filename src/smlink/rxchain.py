@@ -13,8 +13,7 @@ symbol-fidelity trial does. Derotating before the matched filter keeps
 the combined transmit+receive response Nyquist under carrier offset.
 
 Channel estimates are formed as (1/N) Theta^H Y over the mean of the
-interior sequences of a pilot signal (their neighborhoods are still
-pilot-periodic despite pulse-shaping memory), and divided by the known
+sequences in :meth:`FrameLayout.pilot_window`, and divided by the known
 combined transmit+receive filter response sampled at symbol lags --
 which makes the noiseless estimate exact to machine precision instead of
 plateauing at the filter sidelobe level.
@@ -33,7 +32,7 @@ from .errors import (
     DimensionError,
     SyncRejection,
 )
-from .txchain import pilot_matrix, rrc_taps
+from .txchain import SYNC_THRESHOLD_FRACTION, pilot_matrix, rrc_taps
 
 __all__ = [
     "SyncResult",
@@ -53,8 +52,6 @@ __all__ = [
 # Preamble symbols left out at each end of the offset estimate, where the
 # filter memory mixes in the neighbouring pilot and data symbols.
 FO_EDGE_MARGIN = 12
-
-SYNC_THRESHOLD_FRACTION = 0.70
 
 
 @dataclass(frozen=True)
@@ -295,10 +292,13 @@ def pulse_gain_compensation(taps, upsample_factor, n_theta, nt):
 def ls_channel_estimate(pilot_block, pilots, gain=None):
     """Least-squares channel estimates from received pilot signals.
 
-    ``pilot_block`` is (..., nr, n_seq * n_theta), one pilot signal per
-    leading index; ``pilots`` the (n_theta, nt) transmitted matrix with
-    orthogonal columns. Returns the (..., nr, nt) estimates, each
-    (1/n_theta) Theta^H Y over the mean of all n_seq sequences. ``gain``
+    ``pilot_block`` is (..., nr, n_seq * n_theta), the received sequences
+    to average of one pilot signal per leading index (both fidelities pass
+    its ``FrameLayout.pilot_window()``); ``pilots`` the (n_theta, nt)
+    transmitted matrix with orthogonal columns. Returns the (..., nr, nt)
+    estimates, each (1/n_theta) Theta^H Y over the mean of the n_seq
+    sequences: under white noise of variance sigma^2 each entry's error
+    has variance sigma^2 / (n_seq * n_theta), before ``gain``, which
     optionally divides per transmit antenna to undo the combined
     pulse-shaping response.
     """
@@ -345,7 +345,9 @@ def decode_transmission(rx_samples, frame_layout, tx_layout, nt, scheme,
 
     Each frame's offset is estimated from its preamble; the data section
     is derotated once at sample rate, phase referenced to the
-    transmission start, and matched-filtered once.
+    transmission start, and matched-filtered once. Each frame's two
+    channel estimates average the ``frame_layout.pilot_window()``
+    sequences of its two pilot signals.
 
     Returns a :class:`DecodeResult`. Raises :class:`ConfigurationError`
     before reading the samples when ``scheme`` is unknown or ``nt`` is
@@ -404,15 +406,9 @@ def decode_transmission(rx_samples, frame_layout, tx_layout, nt, scheme,
     symbols = matched_filter_downsample(derotated, taps, u, n_sym)
 
     by_frame = symbols.reshape(y.shape[0], n_frames, f_syms).transpose(1, 0, 2)
-    # Filter memory mixes the neighbouring sections into the first and the
-    # last sequence of a pilot signal; the interior ones stay pilot-periodic.
-    n_theta = frame_layout.pilot_seq_len
-    edge = n_theta if frame_layout.pilot_sequences_per_signal >= 3 else 0
-    pilot_signals = np.stack(
-        [by_frame[..., sections[name].start + edge : sections[name].stop - edge]
-         for name in ("pilot_first", "pilot_second")],
-        axis=1,
-    )
+    n_theta, window = frame_layout.pilot_seq_len, frame_layout.pilot_window()
+    pilot_signals = np.stack([by_frame[..., sections[name]][..., window]
+                              for name in ("pilot_first", "pilot_second")], axis=1)
     estimates = ls_channel_estimate(
         pilot_signals,
         pilot_matrix(nt, n_theta),

@@ -1,9 +1,9 @@
 """Transmitter chain: frames, pulse shaping and the on-air transmission.
 
-Symbol-domain frames carry, in order: a zero pad, a pilot signal (ten
-repetitions of length-10 orthogonal pilot sequences, all antennas
-simultaneously), a constant-valued frequency-offset preamble on antenna
-1 only, the data vectors, a second pilot signal and a trailing zero pad.
+Symbol-domain frames carry, in order: a zero pad, a pilot signal
+(:meth:`FrameLayout.pilot_signal`, all antennas simultaneously), a
+constant-valued frequency-offset preamble on antenna 1 only, the data
+vectors, a second pilot signal and a trailing zero pad.
 
 The frames of a transmission form one (nt, n_frames * frame_symbols)
 symbol stream, which is upsampled and root-raised-cosine shaped into
@@ -63,6 +63,9 @@ __all__ = [
 ]
 
 FULL_SCALE = 32767
+# The sync search keeps samples whose antenna-combined magnitude reaches this
+# fraction of the capture's peak; the full-scale pulses must reach it.
+SYNC_THRESHOLD_FRACTION = 0.70
 SIDECAR_SCHEMA_VERSION = "1"
 # Sidecar keys the readers check (``cli encode`` adds the last two); others pass.
 _SIDECAR_FIELDS = {"nt": int, "symbol_scale": float, "files": list, "frame_layout": dict,
@@ -99,6 +102,17 @@ class FrameLayout:
     @property
     def pilot_signal_len(self):
         return self.pilot_sequences_per_signal * self.pilot_seq_len
+
+    def pilot_signal(self, nt):
+        """The (nt, pilot_signal_len) pilot signal, each antenna's sequence repeated;
+        raises :class:`ConfigurationError` if ``pilot_seq_len`` < nt."""
+        return np.tile(pilot_matrix(nt, self.pilot_seq_len).T, (1, self.pilot_sequences_per_signal))
+
+    def pilot_window(self):
+        """The symbols of a pilot signal the LS estimate averages: with 3 or more sequences
+        the interior ones, as filter memory mixes the neighbouring sections into the outer two."""
+        edge = self.pilot_seq_len if self.pilot_sequences_per_signal >= 3 else 0
+        return slice(edge, self.pilot_signal_len - edge)
 
     @property
     def frame_symbols(self):
@@ -286,11 +300,8 @@ def build_frame(data_vectors, layout):
     stream = np.zeros((nt, n_frames * layout.frame_symbols), dtype=np.complex128)
     frames = stream.reshape(nt, n_frames, layout.frame_symbols)
     sections = layout.sections()
-    pilots = np.tile(
-        pilot_matrix(nt, layout.pilot_seq_len).T, (1, layout.pilot_sequences_per_signal)
-    )[:, None]
-    frames[..., sections["pilot_first"]] = pilots
-    frames[..., sections["pilot_second"]] = pilots
+    for name in ("pilot_first", "pilot_second"):
+        frames[..., sections[name]] = layout.pilot_signal(nt)[:, None]
     frames[0, :, sections["fo"]] = 1.0
     frames[..., sections["data"]] = x.transpose(2, 0, 1)
     return stream
@@ -336,7 +347,9 @@ def assemble_transmission(stream, frame_layout, layout):
     scaled by symbol_scale = power_factor / (its peak amplitude); SNR
     on-blocks run at the resulting data maximum; sync pulses stay at
     amplitude 1 (full scale). Any sample magnitude above full scale
-    raises :class:`RangeError`.
+    raises :class:`RangeError`, and an antenna-combined data magnitude
+    that puts the sync pulses under ``SYNC_THRESHOLD_FRACTION`` of it
+    raises :class:`ConfigurationError`.
     """
     stream = np.asarray(stream)
     if stream.ndim != 2 or stream.shape[1] != layout.n_frames * frame_layout.frame_symbols:
@@ -349,8 +362,13 @@ def assemble_transmission(stream, frame_layout, layout):
     taps = rrc_taps(frame_layout.rrc_num_taps, frame_layout.rrc_rolloff, u)
 
     data_wave = pulse_shape(stream, taps, u)
-    peak = float(np.max([np.abs(data_wave[:, a : a + SAMPLE_BLOCK]).max()
-                         for a in range(0, data_wave.shape[1], SAMPLE_BLOCK)]))
+    # Per block: the largest magnitude of one antenna's samples and of the
+    # antenna-combined sqrt(sum_t |x_t|^2).
+    block_peaks = []
+    for a in range(0, data_wave.shape[1], SAMPLE_BLOCK):
+        magnitude = np.abs(data_wave[:, a : a + SAMPLE_BLOCK])
+        block_peaks.append((magnitude.max(), np.sqrt((magnitude * magnitude).sum(axis=0).max())))
+    peak, combined = (float(v) for v in np.max(block_peaks, axis=0))
     if layout.power_factor > 0 and peak == 0.0:
         raise DegenerateInputError("all-zero frame stream cannot be power-scaled")
     symbol_scale = layout.power_factor / peak if peak > 0 else 0.0
@@ -361,6 +379,11 @@ def assemble_transmission(stream, frame_layout, layout):
     components = data_wave.view(np.float64)
     if not (x_max <= 1.0 and components.max() <= 1.0 and components.min() >= -1.0):
         raise RangeError("scaled transmission exceeds quantizer full scale or is NaN")
+    if SYNC_THRESHOLD_FRACTION * combined * symbol_scale > 1.0:
+        raise ConfigurationError(
+            f"power factor {layout.power_factor:g} puts the antenna-combined data peak at "
+            f"{combined * symbol_scale:.3f} of full scale: the sync pulses would fall under "
+            f"the {SYNC_THRESHOLD_FRACTION:g} sync threshold")
 
     sync_len = layout.sync_samples(u)
     snr_len = layout.snr_samples(nt, u)

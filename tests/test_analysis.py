@@ -620,6 +620,15 @@ class TestRicianFit:
         assert fit.k_factor_db == pytest.approx(100.0, abs=0.5)
         assert fit.converged and fit.gof_p_value >= 1e-3
 
+    @pytest.mark.parametrize("k_db", [70.0, 90.0, 120.0])
+    def test_stops_at_the_score_resolution(self, k_db):
+        """Above about 60 dB the score's rounding over its slope exceeds
+        ``tol``; the solve stops there instead of bisecting its bracket down
+        to ``tol`` (up to 41 evaluations before)."""
+        for seed in range(40):
+            fit = analysis.fit_rician(self.draw_amplitudes(k_db, 10_000, seed))
+            assert fit.converged and fit.iterations <= 10, seed
+
     @pytest.mark.parametrize("k_db", [120.0, 150.0, 180.0])
     @pytest.mark.parametrize("seed", range(3))
     def test_very_large_k_fits_or_is_refused(self, k_db, seed):

@@ -131,6 +131,33 @@ def test_malformed_input_exits_2_with_one_error_line(tmp_path, capsys, make_argv
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("power_factor, refused", [(0.9, True), (0.8, False)])
+def test_encode_refuses_a_power_factor_that_hides_the_sync(tmp_path, capsys, power_factor,
+                                                           refused):
+    """SM nt=4 QPSK: the pilot signals drive all four antennas at once, so
+    the antenna-combined data peak is about 1.77 x the power factor. At 0.9
+    the full-scale sync pulses would fall under the sync threshold of it and
+    ``encode`` exits 2; at 0.8 the capture still decodes without error."""
+    config = {"scheme": "sm", "nt": 4, "modulation_order": 4,
+              "transmission_layout": {"n_frames": 1, "snr_block_symbols": 50,
+                                      "power_factor": power_factor}}
+    bits = np.random.default_rng(3).integers(0, 2, 4000).astype(np.uint8)
+    np.packbits(bits).tofile(tmp_path / "tx.bits")
+    capsys.readouterr()
+    code = run_cli("encode", "--config", _write(tmp_path / "c.json", config),
+                   "--bits", tmp_path / "tx.bits", "--out", tmp_path / "cap")
+    err = capsys.readouterr().err
+    if refused:
+        assert code == 2 and len(err.splitlines()) == 1 and err.startswith("error: ")
+        return
+    assert code == 0
+    assert run_cli("decode", "--capture", *[tmp_path / f"cap_ant{t}.bin" for t in range(1, 5)],
+                   "--meta", tmp_path / "cap_meta.json", "--out", tmp_path / "rx.bits",
+                   "--report", tmp_path / "report.json",
+                   "--reference-bits", tmp_path / "tx.bits") == 0
+    assert json.loads((tmp_path / "report.json").read_text())["bit_errors"] == 0
+
+
 # Small layouts: the frame count and sounding block length are always
 # drawn, any other field is drawn or left at its default. Most drawn
 # values are accepted; the ranges reach just past the accepted ones.

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from smlink import analysis, channel, harness, modem, rxchain
+from smlink import analysis, channel, harness, modem, rxchain, txchain
 from smlink.errors import ConfigurationError, SmlinkError
 
 
@@ -33,8 +33,9 @@ class TestSimConfig:
         dict(fidelity="waveform", fo_cycles_per_sample=0.75),
         dict(scheme="smx", nt=8, modulation_order=16, bits_per_trial=32_000),
         dict(pi_profile="rx_config_1", nr=1),
+        dict(csi_mode="pilot", nt=16, bits_per_trial=5000),
     ], ids=["pilots-16-antennas", "frame-over-coherence", "no-snr-block", "fo-aliased",
-            "2e32-candidates", "profile-shape"])
+            "2e32-candidates", "profile-shape", "symbol-pilots-16-antennas"])
     def test_refused_at_construction(self, overrides):
         """Each of these would fail inside run_simulation (the 2**32-candidate
         set by exhausting memory), so construction refuses it."""
@@ -321,6 +322,60 @@ class TestSymbolSim:
         records = harness.run_simulation(cfg)
         assert sum(len(r.trial_errors) for r in records) == 6
         assert sorted(calls) == ["demodulate_frame"] * 6 + ["ls_channel_estimate"] * 6
+
+    @pytest.mark.parametrize("overrides", [
+        dict(nt=64, modulation_order=4, bits_per_trial=800),
+        dict(csi_mode="pilot", block_symbols=20_000, bits_per_trial=40_000),
+    ], ids=["perfect-csi-64-antennas", "pilot-csi-long-block"])
+    def test_symbol_runs_that_need_no_pilot_frame(self, overrides):
+        """Perfect CSI sends no pilots, so any nt runs; the pilot-CSI trial
+        reads only the pilot fields of its frame, so a block longer than a
+        waveform frame may hold runs too."""
+        (record,) = harness.run_simulation(small_config(trials_per_snr=1, **overrides))
+        assert record.bits == overrides["bits_per_trial"]
+
+    @staticmethod
+    def record_calls(monkeypatch, module, name):
+        """Wrap ``module.name`` to record each call's (args, result)."""
+        calls, fn = [], getattr(module, name)
+
+        def wrapper(*args):
+            calls.append((args, fn(*args)))
+            return calls[-1][1]
+        monkeypatch.setattr(module, name, wrapper)
+        return calls
+
+    def test_pilot_signal_is_the_frames(self, monkeypatch):
+        """The symbol trial sends the pilot signal that build_frame puts in
+        both pilot sections of a frame (two blocks, each followed by its two
+        pilot observations)."""
+        sent = self.record_calls(monkeypatch, channel, "propagate_symbols")
+        harness.run_simulation(small_config(
+            csi_mode="pilot", nt=4, bits_per_trial=150, block_symbols=25, trials_per_snr=1))
+        layout = txchain.FrameLayout()
+        frame = txchain.build_frame(np.zeros((1, layout.data_symbols_per_frame, 4)), layout)
+        sections = layout.sections()
+        pilots = [args[0].T for i, (args, _) in enumerate(sent) if i % 3]
+        assert len(sent) == 6 and len(pilots) == 4
+        for pilot in pilots:
+            np.testing.assert_array_equal(pilot, frame[:, sections["pilot_first"]])
+            np.testing.assert_array_equal(pilot, frame[:, sections["pilot_second"]])
+
+    def test_pilot_estimate_error_variance_is_the_decoders(self, monkeypatch):
+        """Each entry of a pilot estimate averages the 80 interior pilot
+        symbols, so its error variance is sigma^2 / 80 (sigma^2 / 100 when all
+        ten sequences were averaged). 2500 blocks give 4e4 error entries,
+        whose mean |e|^2 has a relative spread of 0.5%: 5% is 10 sigma."""
+        drawn = self.record_calls(monkeypatch, channel, "draw_channel")
+        estimated = self.record_calls(monkeypatch, rxchain, "ls_channel_estimate")
+        harness.run_simulation(small_config(
+            csi_mode="pilot", nr=4, snr_grid_db=(0.0,), bits_per_trial=5000, block_symbols=1,
+            trials_per_snr=1))
+        h = np.array([result for _, result in drawn])
+        [(_, estimates)] = estimated
+        errors = estimates - h[:, None]
+        assert errors.size == 40_000
+        assert np.mean(np.abs(errors) ** 2) == pytest.approx(1.0 / 80, rel=0.05)
 
     def test_pilot_csi_degrades_gracefully(self):
         """Pilot-based CSI is noisier than genie CSI but the detector

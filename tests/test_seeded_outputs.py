@@ -33,20 +33,20 @@ SYMBOL_CASES = {
 EXPECTED = {
     "sm_perfect_ragged": [[12444, 2522, [877, 832, 813], 0, None],
                           [12444, 999, [378, 286, 335], 0, None]],
-    "sm_pilot_ragged": [[12444, 2591, [877, 871, 843], 0, None],
-                        [12444, 1021, [323, 372, 326], 0, None]],
+    "sm_pilot_ragged": [[12444, 2618, [891, 888, 839], 0, None],
+                        [12444, 1036, [329, 374, 333], 0, None]],
     "sm_perfect_single": [[6006, 733, [252, 224, 257], 0, None],
                           [6006, 271, [105, 65, 101], 0, None]],
-    "sm_pilot_single": [[6006, 805, [271, 266, 268], 0, None],
-                        [6006, 199, [71, 54, 74], 0, None]],
+    "sm_pilot_single": [[6006, 820, [276, 270, 274], 0, None],
+                        [6006, 210, [76, 59, 75], 0, None]],
     "smx_perfect_ragged": [[12444, 2374, [740, 812, 822], 0, None],
                            [12444, 644, [192, 229, 223], 0, None]],
-    "smx_pilot_ragged": [[12444, 2147, [679, 752, 716], 0, None],
-                         [12444, 863, [285, 312, 266], 0, None]],
+    "smx_pilot_ragged": [[12444, 2127, [679, 752, 696], 0, None],
+                         [12444, 885, [301, 311, 273], 0, None]],
     "smx_perfect_single": [[6006, 638, [183, 237, 218], 0, None],
                            [6006, 153, [57, 47, 49], 0, None]],
-    "smx_pilot_single": [[6006, 775, [283, 251, 241], 0, None],
-                         [6006, 109, [26, 42, 41], 0, None]],
+    "smx_pilot_single": [[6006, 771, [285, 244, 242], 0, None],
+                         [6006, 111, [30, 43, 38], 0, None]],
     "waveform": [[8000, 778, [300, 478], 0, 6.610284256494459],
                  [8000, 387, [134, 253], 0, 12.608158567665235]],
 }
