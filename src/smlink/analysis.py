@@ -21,7 +21,7 @@ from the moment estimate, inside a bisection bracket.
 
 The module needs numpy and the standard library only: the Q function
 uses ``math.erfc``, and the fit's Bessel ratio, noncentral chi-squared
-quantiles and chi-squared tail are series and closed forms written here.
+CDF and chi-squared tail are series and closed forms written here.
 """
 
 import functools
@@ -307,19 +307,16 @@ class RicianFit:
 _K_FLOOR_DB = -90.0
 _K_CEILING_DB = 130.0
 _SCORE_ULPS = 4
+# The solve's step tolerance in dB, and the GOF's equal-probability classes
+# (each expects at least 50 of the fit's 1000 or more samples).
+_TOL_DB = 1e-9
+_GOF_BINS = 20
 
 
 def _rice_curve(k_db):
     """(nu, sigma^2) at K dB on the unit-power curve nu^2 + 2 sigma^2 = 1."""
     k = 10.0 ** (k_db / 10.0)
     return math.sqrt(k / (1.0 + k)), 0.5 / (1.0 + k)
-
-
-def _check_count(name, value, least):
-    """:class:`ConfigurationError` unless ``value`` is an integer >= ``least``."""
-    if not (isinstance(value, numbers.Integral) and not isinstance(value, bool)
-            and value >= least):
-        raise ConfigurationError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 # Below this argument the Bessel ratio sums the power series of I0 and I1;
@@ -372,7 +369,7 @@ def _bessel_ratio_hankel(r):
     return s1 / s0
 
 
-def fit_rician(amplitude_samples, tol=1e-9, max_iterations=200, gof_bins=20):
+def fit_rician(amplitude_samples, max_iterations=200):
     """Maximum-likelihood Rice fit of nonnegative amplitude samples.
 
     The samples are scaled to unit RMS (divided by their maximum first,
@@ -395,26 +392,24 @@ def fit_rician(amplitude_samples, tol=1e-9, max_iterations=200, gof_bins=20):
     power series of I0 and I1 below r = 25 and their Hankel expansions
     above, within 3e-15 relative of scipy's i1e / i0e) inside a
     bisection bracket on [-90, 130] dB that each score's sign narrows,
-    until a step is within ``tol`` dB (nu and sigma then hold to about
-    0.12 * tol relative) or within what the score resolves, 4 ulps of nu
-    over its slope (about 7.6e-15 * 10^(K/10) dB at large K, above the
-    default ``tol`` past about 51 dB). A root within that of the floor is
+    until a step is within 1e-9 dB (nu and sigma then hold to about
+    1.2e-10 relative) or within what the score resolves, 4 ulps of nu
+    over its slope (about 7.6e-15 * 10^(K/10) dB at large K, above
+    1e-9 dB past about 51 dB). A root within that of the floor is
     reported as the Rayleigh boundary; one within it of the ceiling, above
     which the score cannot resolve K in double precision, raises
     ``DegenerateInputError``.
 
     ``max_iterations`` caps the score evaluations and ``iterations``
     counts them; ``converged`` is False when the cap cut the solve
-    short. The p-value is a chi-squared goodness-of-fit test over
-    ``gof_bins`` equal-probability bins of the fitted distribution (at
-    most n // 5, so each bin expects at least 5 samples). Raises
-    :class:`ConfigurationError` unless ``gof_bins`` is an integer >= 4,
-    ``max_iterations`` an integer >= 1 and ``tol`` a finite number > 0.
+    short. The p-value is a chi-squared goodness-of-fit test over 20
+    equal-probability classes of the fitted distribution, counted
+    through its CDF. Raises :class:`ConfigurationError` unless
+    ``max_iterations`` is an integer >= 1.
     """
-    _check_count("gof_bins", gof_bins, 4)
-    _check_count("max_iterations", max_iterations, 1)
-    if not (isinstance(tol, numbers.Real) and 0.0 < tol < math.inf):
-        raise ConfigurationError(f"tol must be a finite number > 0, got {tol!r}")
+    if not (isinstance(max_iterations, numbers.Integral) and not isinstance(max_iterations, bool)
+            and max_iterations >= 1):
+        raise ConfigurationError(f"max_iterations must be an integer >= 1, got {max_iterations!r}")
     x = np.asarray(amplitude_samples, dtype=np.float64)
     if x.ndim != 1 or x.size < 1000:
         raise DegenerateInputError("need at least 1000 one-dimensional samples")
@@ -456,7 +451,7 @@ def fit_rician(amplitude_samples, tol=1e-9, max_iterations=200, gof_bins=20):
             last, step = step, -s / slope if slope < 0 else math.inf
             # mean(u A) - nu rounds within a few ulps of nu (2.5 measured at
             # 60-120 dB), and K resolves no finer than that over the slope.
-            stop = max(tol, _SCORE_ULPS * math.ulp(nu) / -slope) if slope < 0 else tol
+            stop = max(_TOL_DB, _SCORE_ULPS * math.ulp(nu) / -slope) if slope < 0 else _TOL_DB
             # Bisect where Newton leaves the bracket or does not halve the step.
             if not lo <= t + step <= hi or abs(step) > 0.5 * abs(last):
                 step = 0.5 * (lo + hi) - t
@@ -474,53 +469,71 @@ def fit_rician(amplitude_samples, tol=1e-9, max_iterations=200, gof_bins=20):
         mean_amplitude=float(np.mean(u)) * scale,
         nu=nu_unit * scale,
         sigma=sigma_unit * scale,
-        gof_p_value=_rice_gof_p_value(u, nu_unit, sigma_unit, gof_bins),
+        gof_p_value=_rice_gof_p_value(u, nu_unit, sigma_unit),
         iterations=evaluations,
         converged=converged,
     )
 
 
-def _rice_gof_p_value(x, nu, sigma, n_bins):
+def _rice_gof_p_value(x, nu, sigma):
     """Chi-squared GOF of samples against a fitted Rice(nu, sigma).
 
-    Under the fit, (x/sigma)^2 is noncentral chi-squared with 2 degrees
-    of freedom and noncentrality nc = (nu/sigma)^2; bin edges are its
-    equal-probability quantiles. The bin count is cut to n // 5, so that
-    each bin expects at least 5 samples. Two parameters were estimated
-    from the data, so the statistic has n_bins - 3 degrees of freedom.
-
-    At nc = 0 the quantiles are -2 log(1 - q). Up to nc = 1e6 they invert
-    the Poisson-mixture CDF (``_ncx2_quantiles``). Above, they come from
-    the Gaussian limit x/sigma = sqrt(nc) + 1/(2 sqrt(nc)) + N(0, 1),
-    whose bin probabilities are off by about 0.06/nc. The p-value is the
-    closed-form chi-squared tail ``_chi2_sf``. Both agree with the scipy
-    functions behind ``scipy.stats.ncx2.ppf`` and ``chi2.sf`` (``chndtrix``
-    and ``chdtrc``) to about 1e-13 relative.
+    Under the fit, y = (x/sigma)^2 is noncentral chi-squared with 2
+    degrees of freedom and noncentrality nc = (nu/sigma)^2. Its
+    ``_GOF_BINS`` equal-probability classes (Mann & Wald, Ann. Math.
+    Statist., 1942) are counted without their edges: a sample lies below
+    the edge at level q exactly when the fitted CDF at it is below q, so
+    a bisection over the sorted samples' ranks finds each level's count,
+    in log2(n) rounds of the CDF at one sample per level. Two parameters
+    were estimated from the data, so the statistic has ``_GOF_BINS`` - 3
+    degrees of freedom; the p-value is the closed-form chi-squared tail
+    ``_chi2_sf``.
     """
     n = x.size
-    n_bins = min(n_bins, n // 5)
-    if n_bins <= 3:
-        raise DegenerateInputError("too few samples for a chi-squared GOF")
-    nc = (nu / sigma) ** 2
-    q = np.arange(1, n_bins) / n_bins
-    if nc > 1e6:
-        edges = (nu / sigma + 0.5 * sigma / nu + _normal_quantiles(q)) ** 2
-    elif nc == 0:
-        edges = -2.0 * np.log1p(-q)
-    else:
-        edges = _ncx2_quantiles(q, nc)
-    counts, _ = np.histogram((x / sigma) ** 2, bins=np.concatenate(([0.0], edges, [np.inf])))
-    expected = n / n_bins
+    cdf = _ncx2_cdf((nu / sigma) ** 2)
+    levels = np.arange(1, _GOF_BINS) / _GOF_BINS
+    lo, hi = np.zeros(levels.size, dtype=np.int64), np.full(levels.size, n)
+    y = np.sort((x / sigma) ** 2)
+    for _ in range(n.bit_length()):
+        mid = (lo + hi) // 2
+        below = cdf(y[np.minimum(mid, n - 1)]) < levels
+        lo, hi = np.where(below, np.minimum(mid + 1, hi), lo), np.where(below, hi, mid)
+    counts = np.diff(lo, prepend=0, append=n)
+    expected = n / _GOF_BINS
     statistic = float(np.sum((counts - expected) ** 2) / expected)
-    return _chi2_sf(n_bins - 1 - 2, statistic)
+    return _chi2_sf(_GOF_BINS - 1 - 2, statistic)
 
 
-def _normal_quantiles(q):
-    """Standard normal quantiles at probabilities 0 < q < 1. ``statistics`` is
-    imported here, not with the package: it loads ``decimal`` and ``fractions``."""
-    from statistics import NormalDist
+def _ncx2_cdf(nc):
+    """The CDF of noncentral chi-squared with 2 degrees of freedom and
+    noncentrality nc >= 0, as a function of an array y >= 0.
 
-    return np.array([NormalDist().inv_cdf(p) for p in q])
+    At nc = 0 it is 1 - e^(-y/2). Up to nc = 1e6 it is the Poisson mixture
+    of central laws (Johnson, Kotz & Balakrishnan, Continuous Univariate
+    Distributions vol. 2, ch. 29), F(y) = P(Pois(y/2) > Pois(nc/2)), a sum
+    over Poisson windows; y is clipped at the law's mean + 40 sd, where F
+    is 1, so that no outlier widens them. Above, it is the Gaussian limit
+    sqrt(y) = sqrt(nc) + 1/(2 sqrt(nc)) + N(0, 1), off by about 0.06/nc.
+    """
+    if nc == 0:
+        return lambda y: -np.expm1(-0.5 * y)
+    if nc > 1e6:
+        shift = math.sqrt(nc) + 0.5 / math.sqrt(nc)
+        return lambda y: q_function(shift - np.sqrt(y))
+    rows, starts = _poisson_rows(np.array([0.5 * nc]), _poisson_width(0.5 * nc))
+    lam_size, lam_start = rows.shape[1], starts[0]
+    # P(Pois(nc/2) < i) at position i - lam_start.
+    lam_below = np.concatenate(([0.0], np.cumsum(rows[0])))
+    h_max = 0.5 * (2.0 + nc + 80.0 * math.sqrt(1.0 + nc))
+
+    def cdf(y):
+        # y = 0 gives the point mass at 0, so F(0) = 0.
+        h = np.minimum(0.5 * y, h_max)
+        rows, start = _poisson_rows(h, _poisson_width(h.max()))
+        pos = start[:, None] - lam_start + np.arange(rows.shape[1])
+        return (rows * lam_below[np.clip(pos, 0, lam_size)]).sum(axis=1)
+
+    return cdf
 
 
 def _chi2_sf(dof, x):
@@ -562,17 +575,20 @@ def _poisson_sum(a, count, h):
 
 
 def _poisson_rows(mean, width):
-    """Poisson(mean) pmfs, one row per entry of ``mean`` > 0, on the indices
+    """Poisson(mean) pmfs, one row per entry of ``mean`` >= 0, on the indices
     floor(mean) - width .. floor(mean) + width; returns them and each row's
     first index. Each row is built by the pmf's ratio recurrences outward
     from the mode and normalised to sum 1, which holds all but about 1e-20
-    of the mass for the widths used here; entries at negative indices are 0.
+    of the mass for the widths used here; entries at negative indices are 0,
+    so a zero mean gives the point mass at 0.
     """
     mode = np.floor(mean)[:, None]
     mu = mean[:, None]
     steps = np.arange(1, width + 1)
     up = np.cumprod(mu / (mode + steps), axis=1)
-    down = np.cumprod((mode - steps + 1.0) / mu, axis=1)
+    # P(i - 1) / P(i) = i / mean, which is 0 from i = 0 down.
+    index = mode - steps + 1.0
+    down = np.cumprod(np.divide(index, mu, out=np.zeros_like(index), where=index > 0), axis=1)
     rows = np.concatenate([down[:, ::-1], np.ones_like(mu), up], axis=1)
     rows /= rows.sum(axis=1, keepdims=True)
     return rows, mode[:, 0].astype(np.int64) - width
@@ -581,63 +597,3 @@ def _poisson_rows(mean, width):
 def _poisson_width(mean):
     """Half-width of a window that holds a Poisson(mean) law to about 1e-20."""
     return math.ceil(10.0 * math.sqrt(mean)) + 10
-
-
-def _ncx2_quantiles(q, nc):
-    """Quantiles at probabilities ``q`` of noncentral chi-squared with 2 degrees
-    of freedom and noncentrality 0 < nc <= 1e6.
-
-    As a Poisson mixture of central laws (Johnson, Kotz & Balakrishnan,
-    Continuous Univariate Distributions vol. 2, ch. 29), its CDF is
-    F(x) = P(Pois(x/2) > Pois(nc/2)) and its density
-    f(x) = P(Pois(x/2) = Pois(nc/2)) / 2, both sums over Poisson windows.
-    All quantiles are solved at once by Newton steps inside bisection
-    brackets, from a Patnaik / Wilson-Hilferty start, until each step is
-    below 1e-14 relative (5 to 9 CDF evaluations for 19 to 1999 quantiles).
-    """
-    rows, starts = _poisson_rows(np.array([0.5 * nc]), _poisson_width(0.5 * nc))
-    lam_pmf, lam_start = rows[0], starts[0]
-    # With lam = nc/2: P(Pois(lam) < i) and P(Pois(lam) = i) at padded position
-    # i - lam_start (+ 1).
-    lam_below = np.concatenate(([0.0], np.cumsum(lam_pmf)))
-    lam_at = np.concatenate(([0.0], lam_pmf, [0.0]))
-
-    def cdf_pdf(x):
-        h = 0.5 * x
-        width = _poisson_width(h.max())
-        cdf, pdf = np.empty_like(x), np.empty_like(x)
-        # Blocks of quantiles keep the (quantiles, window) arrays within _EVAL_ELEMENTS.
-        block = max(_EVAL_ELEMENTS // (2 * width + 1), 1)
-        for lo in range(0, x.size, block):
-            rows, start = _poisson_rows(h[lo : lo + block], width)
-            pos = start[:, None] - lam_start + np.arange(2 * width + 1)
-            below = lam_below[np.clip(pos, 0, lam_pmf.size)]
-            at = lam_at[np.clip(pos + 1, 0, lam_pmf.size + 1)]
-            cdf[lo : lo + block] = (rows * below).sum(axis=1)
-            pdf[lo : lo + block] = 0.5 * (rows * at).sum(axis=1)
-        return cdf, pdf
-
-    # Patnaik's c chi^2_nu with the same mean and variance, and Wilson-Hilferty.
-    mean, var = 2.0 + nc, 4.0 + 4.0 * nc
-    c, dof = var / (2.0 * mean), 2.0 * mean**2 / var
-    z = _normal_quantiles(q)
-    lo = np.zeros(q.size)
-    hi = np.full(q.size, mean + 40.0 * math.sqrt(var))
-    wh = np.maximum(1.0 - 2.0 / (9.0 * dof) + z * math.sqrt(2.0 / (9.0 * dof)), 0.0)
-    x = np.clip(c * dof * wh**3, 1e-12 * hi, hi)
-    active = np.arange(q.size)
-    for _ in range(100):
-        xa, qa = x[active], q[active]
-        cdf, pdf = cdf_pdf(xa)
-        below = cdf < qa
-        lo[active[below]] = xa[below]
-        hi[active[~below]] = xa[~below]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            new = xa + (qa - cdf) / pdf
-        bisect = ~((new >= lo[active]) & (new <= hi[active]))
-        new[bisect] = 0.5 * (lo[active] + hi[active])[bisect]
-        x[active] = new
-        active = active[np.abs(new - xa) > 1e-14 * new]
-        if not active.size:
-            break
-    return x

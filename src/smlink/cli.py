@@ -88,9 +88,13 @@ def _cmd_fit_channel(args):
         with warnings.catch_warnings():
             # An empty file is refused by fit_rician as too few samples.
             warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-            samples = np.loadtxt(args.samples).reshape(-1)
+            samples = np.loadtxt(args.samples, ndmin=2)
     except ValueError as exc:
         raise ConfigurationError(f"samples file {args.samples}: {exc}") from exc
+    if samples.shape[1] != 1:
+        raise ConfigurationError(f"samples file {args.samples}: expected one value per line, "
+                                 f"got {samples.shape[1]}")
+    samples = samples[:, 0]
     fit = analysis.fit_rician(samples)
     payload = {
         # JSON has no -Infinity: null means Rayleigh, as in save_config.

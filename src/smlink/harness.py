@@ -285,7 +285,7 @@ def _waveform_trial(config, constellation, frame_layout, tx_layout, fading, imba
         return 0, 0, None, True
     errors = int(np.count_nonzero(result.bits != bits))
     est_linear = None
-    if result.snr.valid and np.isfinite(result.snr.snr_db):
+    if result.snr.valid:
         # The sounding section runs at the data peak; refer the estimate
         # back to the unit-energy symbol scale for comparability.
         est_linear = 10.0 ** (result.snr.snr_db / 10.0) / (x_max / symbol_scale) ** 2

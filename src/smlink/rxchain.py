@@ -32,7 +32,7 @@ from .errors import (
     DimensionError,
     SyncRejection,
 )
-from .txchain import SYNC_THRESHOLD_FRACTION, pilot_matrix, rrc_taps
+from .txchain import FO_EDGE_MARGIN, SYNC_THRESHOLD_FRACTION, pilot_matrix, rrc_taps
 
 __all__ = [
     "SyncResult",
@@ -48,10 +48,6 @@ __all__ = [
     "demodulate_frame",
     "decode_transmission",
 ]
-
-# Preamble symbols left out at each end of the offset estimate, where the
-# filter memory mixes in the neighbouring pilot and data symbols.
-FO_EDGE_MARGIN = 12
 
 
 @dataclass(frozen=True)
@@ -392,8 +388,6 @@ def decode_transmission(rx_samples, frame_layout, tx_layout, nt, scheme,
 
     fo = sections["fo"]
     n_fo = fo.stop - fo.start - 2 * FO_EDGE_MARGIN
-    if n_fo < 2:
-        raise ConfigurationError(f"offset preamble needs {2 * FO_EDGE_MARGIN + 2} or more symbols")
     start = (fo.start + FO_EDGE_MARGIN) * u
     frames = data[:, : n_sym * u].reshape(y.shape[0], n_frames, f_syms * u)
     preamble = matched_filter_downsample(

@@ -59,13 +59,15 @@ __all__ = [
     "read_captures",
     "write_waveform",
     "read_sidecar",
-    "read_waveform",
 ]
 
 FULL_SCALE = 32767
 # The sync search keeps samples whose antenna-combined magnitude reaches this
 # fraction of the capture's peak; the full-scale pulses must reach it.
 SYNC_THRESHOLD_FRACTION = 0.70
+# Offset preamble symbols the offset estimate leaves out at each end, where the
+# filter memory mixes in the neighbouring pilot and data symbols; it needs 2 more.
+FO_EDGE_MARGIN = 12
 SIDECAR_SCHEMA_VERSION = "1"
 # Sidecar keys the readers check (``cli encode`` adds the last two); others pass.
 _SIDECAR_FIELDS = {"nt": int, "symbol_scale": float, "files": list, "frame_layout": dict,
@@ -91,6 +93,10 @@ class FrameLayout:
             raise ConfigurationError("section lengths must be nonnegative")
         if self.pilot_sequences_per_signal < 1 or self.pilot_seq_len < 1:
             raise ConfigurationError("pilot signal needs at least one sequence")
+        if self.fo_seq_len < 2 * FO_EDGE_MARGIN + 2:
+            raise ConfigurationError(
+                f"offset preamble needs {2 * FO_EDGE_MARGIN + 2} or more symbols, "
+                f"got fo_seq_len={self.fo_seq_len}")
         _check_filter(self.rrc_num_taps, self.rrc_rolloff, self.upsample_factor)
         duration = self.frame_symbols * self.upsample_factor / 1e7
         if duration >= _COHERENCE_LIMIT_S:
@@ -177,8 +183,8 @@ class TransmissionVector:
     streams from it and the layouts. ``sections`` maps section name ->
     (start, length) in samples; ``symbol_scale`` is the factor applied
     to the shaped frame stream so that its peak equals ``power_factor``
-    (the quantized data maximum), and ``x_max`` is the sounding
-    on-block level.
+    (the quantized data maximum), and ``x_max``, equal to it, is the
+    sounding on-block level.
     """
 
     data: np.ndarray
@@ -186,7 +192,10 @@ class TransmissionVector:
     frame_layout: FrameLayout
     layout: TransmissionLayout
     symbol_scale: float
-    x_max: float
+
+    @property
+    def x_max(self):
+        return self.layout.power_factor
 
     @property
     def nt(self):
@@ -373,11 +382,12 @@ def assemble_transmission(stream, frame_layout, layout):
         raise DegenerateInputError("all-zero frame stream cannot be power-scaled")
     symbol_scale = layout.power_factor / peak if peak > 0 else 0.0
     data_wave *= symbol_scale
-    x_max = layout.power_factor if peak > 0 else 0.0
-    # The sync pulses sit at full scale and the SNR blocks at x_max, so the
-    # data section and x_max are the only places a component can exceed it.
+    # The sync pulses sit at full scale and the SNR blocks at the power factor,
+    # so the data section and that factor are the only places a component can
+    # exceed it.
     components = data_wave.view(np.float64)
-    if not (x_max <= 1.0 and components.max() <= 1.0 and components.min() >= -1.0):
+    if not (layout.power_factor <= 1.0 and components.max() <= 1.0
+            and components.min() >= -1.0):
         raise RangeError("scaled transmission exceeds quantizer full scale or is NaN")
     if SYNC_THRESHOLD_FRACTION * combined * symbol_scale > 1.0:
         raise ConfigurationError(
@@ -398,7 +408,6 @@ def assemble_transmission(stream, frame_layout, layout):
         frame_layout=frame_layout,
         layout=layout,
         symbol_scale=symbol_scale,
-        x_max=x_max,
     )
 
 
@@ -526,9 +535,3 @@ def read_sidecar(sidecar_path):
     return (meta, build(FrameLayout, meta["frame_layout"], "frame_layout"),
             build(TransmissionLayout, meta["transmission_layout"], "transmission_layout"))
 
-
-def read_waveform(sidecar_path):
-    """Load a sidecar plus its I16 files back into one (nt, n) complex array."""
-    sidecar_path = Path(sidecar_path)
-    meta = read_sidecar(sidecar_path)[0]
-    return read_captures([sidecar_path.parent / name for name in meta["files"]]), meta

@@ -97,6 +97,7 @@ MALFORMED = {
     "encode-n-frames-string": lambda t: _encode(t, transmission_layout={"n_frames": "x"}),
     "encode-unknown-key": lambda t: _encode(t, order=2),
     "encode-missing-bits": lambda t: _encode(t, bits=t / "absent.bits"),
+    "encode-short-offset-preamble": lambda t: _encode(t, frame_layout={"fo_seq_len": 25}),
     "decode-sidecar-without-nt": lambda t: _decode(t, lambda m: m.pop("nt")),
     "decode-frame-layout-extra-key": lambda t: _decode(
         t, lambda m: m["frame_layout"].update(bogus=1)),
@@ -114,6 +115,12 @@ MALFORMED = {
                                           "--out", t / "f.json"],
     "fit-channel-empty-samples": lambda t: ["fit-channel", "--samples", _write(t / "amps.txt", ""),
                                             "--out", t / "f.json"],
+    "fit-channel-two-columns": lambda t: ["fit-channel", "--samples",
+                                          _write(t / "amps.txt", "0.5 0.7\n" * 1000),
+                                          "--out", t / "f.json"],
+    "fit-channel-one-row": lambda t: ["fit-channel", "--samples",
+                                      _write(t / "amps.txt", " ".join(["0.5", "0.7"] * 1000)),
+                                      "--out", t / "f.json"],
     "complexity-zero-nr-and-m": lambda t: ["complexity", "--nt", "4",
                                            "--nr", "0", "--m", "0"],
     "complexity-zero-nt": lambda t: ["complexity", "--nt", "0"],

@@ -562,13 +562,13 @@ class TestDecodeTransmission:
         assert abs(errors - true_offset_errors) <= 3 * np.sqrt(true_offset_errors)
 
     def test_short_offset_preamble_rejected(self):
-        layout = txchain.FrameLayout(fo_seq_len=25)
-        tx_layout = txchain.TransmissionLayout(n_frames=1, snr_block_symbols=50)
-        c = modem.build_constellation(2)
-        bits = np.zeros(2 * layout.data_symbols_per_frame, dtype=np.uint8)
-        tx = txchain.build_transmission(bits, "sm", 2, c, layout, tx_layout)
-        with pytest.raises(ConfigurationError):
-            rxchain.decode_transmission(tx.samples, layout, tx_layout, 2, "sm", c)
+        """The offset estimate leaves FO_EDGE_MARGIN symbols out at each end and
+        needs 2 more, so a layout with a shorter preamble is refused when it is
+        built, before any transmission the decoder could not use."""
+        shortest = 2 * txchain.FO_EDGE_MARGIN + 2
+        with pytest.raises(ConfigurationError, match="offset preamble"):
+            txchain.FrameLayout(fo_seq_len=shortest - 1)
+        assert txchain.FrameLayout(fo_seq_len=shortest).fo_seq_len == shortest
 
     @pytest.mark.parametrize("nt,scheme", [(-1, "sm"), (0, "sm"), (3, "smx"), (2, "osm")])
     def test_antenna_count_and_scheme_checked_first(self, loopback, nt, scheme):

@@ -516,7 +516,8 @@ class TestWaveformIo:
         assert (tmp_path / "cap_ant1.bin").exists()
         assert (tmp_path / "cap_ant2.bin").exists()
 
-        streams, meta = txchain.read_waveform(sidecar)
+        meta = txchain.read_sidecar(sidecar)[0]
+        streams = txchain.read_captures([tmp_path / name for name in meta["files"]])
         assert meta["schema_version"] == txchain.SIDECAR_SCHEMA_VERSION
         assert meta["nt"] == 2
         assert meta["note"] == "loopback"
@@ -623,4 +624,4 @@ class TestWaveformIo:
         meta["schema_version"] = "0"
         sidecar.write_text(json.dumps(meta))
         with pytest.raises(ConfigurationError):
-            txchain.read_waveform(sidecar)
+            txchain.read_sidecar(sidecar)
