@@ -160,6 +160,7 @@ def _cmd_decode(args):
         "fo_cycles_per_sample": result.fo_cycles_per_sample.tolist(),
         "n_bits": int(result.bits.size),
         "sync_tx_start": int(result.sync.tx_start_index),
+        "sync_margin": result.sync.margin,
         "channel_estimates": [
             {half: [[c.real, c.imag] for c in h.reshape(-1)]
              for half, h in zip(("first", "second"), pair)}

@@ -123,6 +123,7 @@ class SimConfig:
                     "waveform fidelity needs bits_per_trial divisible by "
                     f"m*block_symbols = {per_frame}"
                 )
+            txchain.check_frame_duration(*self.layouts())
         if self.fidelity == "waveform" or self.csi_mode == "pilot":
             self.layouts()[0].pilot_signal(self.nt)  # raises if it cannot separate nt
 

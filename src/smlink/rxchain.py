@@ -2,15 +2,17 @@
 matched filtering, least-squares channel estimation and demodulation.
 
 The decode pipeline mirrors the transmit structure: locate the 20
-synchronization pulses (relative threshold, reject the capture if fewer
-are found), measure SNR from the on/off section, take each frame's
-carrier offset as the maximiser of its matched-filtered preamble's
-periodogram summed over receive antennas, derotate the data section at
-sample rate, matched-filter and downsample it once, estimate the channel
-from both pilot signals of every frame in one batch, then detect each
-half of every frame's data with its nearer estimate in one call, as the
-symbol-fidelity trial does. Derotating before the matched filter keeps
-the combined transmit+receive response Nyquist under carrier offset.
+synchronization pulses by a comb search at their known period over the
+starts where the transmission fits (reject the capture unless every
+pulse stands above every mid-gap sample), measure SNR from the on/off
+section, take each frame's carrier offset as the maximiser of its
+matched-filtered preamble's periodogram summed over receive antennas,
+derotate the data section at sample rate, matched-filter and downsample
+it once, estimate the channel from both pilot signals of every frame in
+one batch, then detect each half of every frame's data with its nearer
+estimate in one call, as the symbol-fidelity trial does. Derotating
+before the matched filter keeps the combined transmit+receive response
+Nyquist under carrier offset.
 
 Channel estimates are formed as (1/N) Theta^H Y over the mean of the
 sequences in :meth:`FrameLayout.pilot_window`, and divided by the known
@@ -32,7 +34,7 @@ from .errors import (
     DimensionError,
     SyncRejection,
 )
-from .txchain import FO_EDGE_MARGIN, SYNC_THRESHOLD_FRACTION, pilot_matrix, rrc_taps
+from .txchain import FO_EDGE_MARGIN, pilot_matrix, rrc_taps
 
 __all__ = [
     "SyncResult",
@@ -52,11 +54,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SyncResult:
-    """Located sync pulses and the derived transmission start."""
+    """Located sync pulses and the transmission start. ``margin`` is the
+    weakest pulse over the strongest mid-gap sample, above 1 when accepted."""
 
     peak_indices: np.ndarray
     tx_start_index: int
-    data_start_index: int
+    margin: float
 
 
 @dataclass(frozen=True)
@@ -84,56 +87,48 @@ class DecodeResult:
     symbol_scale: float = 1.0
 
 
-def detect_sync(capture, pulse_period_samples, n_pulses=20, data_offset_samples=0):
-    """Find the sync pulses by relative-threshold peak search.
+def detect_sync(capture, pulse_period_samples, n_pulses, fit_samples):
+    """Find the sync pulse train by a comb search at the known pulse period.
 
     ``capture`` is the (nr, n) received streams; a 1-D input is one
-    antenna. The search runs on the antenna-combined magnitude
-    sqrt(sum_r |y_r|^2), formed one ``SAMPLE_BLOCK`` at a time: a first
-    pass keeps each block's maximum, and a second revisits only the
-    blocks that reach ``SYNC_THRESHOLD_FRACTION`` of the largest. Samples
-    at or above that threshold are grouped (gaps beyond half the pulse
-    period split groups) and each group contributes its strongest
-    sample. Fewer than ``n_pulses`` groups raise :class:`SyncRejection`.
-    The transmission start is anchored on the ``n_pulses``-th peak
-    counted from the front.
+    antenna. With m the antenna-combined magnitude sqrt(sum_r |y_r|^2)
+    and P the pulse period, the transmission start is the k in
+    [0, n - ``fit_samples``] (the starts where a ``fit_samples``-long
+    transmission fits) that maximises sum_i (m[k + i P] - m[k + i P + P//2])
+    over the ``n_pulses`` teeth; the mid-gap term cancels constant
+    sounding blocks. Starts are searched one ``SAMPLE_BLOCK`` at a time,
+    so no sample past n - fit_samples + (n_pulses - 1) P + P//2 is read.
+    The capture is accepted only when every tooth stands above every
+    mid-gap sample; otherwise, or when the capture is too short,
+    :class:`SyncRejection` is raised. Non-finite samples in the searched
+    head raise :class:`DegenerateInputError`.
     """
-    y = np.asarray(capture)
-    y = y.reshape(1, -1) if y.ndim == 1 else y
-    if y.size == 0:
-        raise DegenerateInputError("empty waveform")
-    starts = range(0, y.shape[1], SAMPLE_BLOCK)
-    block_max = [_magnitude(y[:, s : s + SAMPLE_BLOCK]).max() for s in starts]
-    peak = float(np.max(block_max))
-    if not np.isfinite(peak):
-        raise DegenerateInputError("capture holds NaN or infinite samples")
-    if peak == 0.0:
-        raise SyncRejection("all-zero capture: found 0 of the expected pulses")
-    threshold = SYNC_THRESHOLD_FRACTION * peak
-    above, values = [], []
-    for s, m in zip(starts, block_max):
-        if m >= threshold:
-            magnitude = _magnitude(y[:, s : s + SAMPLE_BLOCK])
-            hits = np.flatnonzero(magnitude >= threshold)
-            above.append(hits + s)
-            values.append(magnitude[hits])
-    above, values = np.concatenate(above), np.concatenate(values)
-    merge = max(pulse_period_samples // 2, 1)
-    splits = np.flatnonzero(np.diff(above) > merge) + 1
-    peaks = np.array([g[np.argmax(v)] for g, v in zip(np.split(above, splits),
-                                                      np.split(values, splits))],
-                     dtype=np.int64)
-    if peaks.size < n_pulses:
+    y = np.atleast_2d(capture)
+    period, half = pulse_period_samples, pulse_period_samples // 2
+    reach = (n_pulses - 1) * period + half  # the comb's last sample past its start
+    n_starts = y.shape[1] - max(fit_samples, reach + 1) + 1
+    if n_starts < 1:
+        raise SyncRejection(f"{y.shape[1]}-sample capture cannot hold the "
+                            f"{fit_samples}-sample transmission; capture discarded")
+    best, start = -np.inf, 0
+    for b in range(0, n_starts, SAMPLE_BLOCK):
+        k = min(SAMPLE_BLOCK, n_starts - b)
+        m = _magnitude(y[:, b : b + k + reach])
+        if not np.isfinite(m).all():
+            raise DegenerateInputError("capture holds NaN or infinite samples")
+        step = m[: k + reach - half] - m[half:]
+        comb = sum(step[i * period : i * period + k] for i in range(n_pulses))
+        i = int(np.argmax(comb))
+        if comb[i] > best:
+            best, start = comb[i], b + i
+    teeth = start + period * np.arange(n_pulses)
+    weakest, gap = _magnitude(y[:, teeth]).min(), _magnitude(y[:, teeth + half]).max()
+    if not weakest > gap:
         raise SyncRejection(
-            f"found {peaks.size} sync peaks, need {n_pulses}; capture discarded"
-        )
-    anchor = int(peaks[n_pulses - 1])
-    tx_start = anchor - (n_pulses - 1) * pulse_period_samples
-    return SyncResult(
-        peak_indices=peaks[:n_pulses],
-        tx_start_index=tx_start,
-        data_start_index=tx_start + int(data_offset_samples),
-    )
+            f"weakest of {n_pulses} sync pulses ({weakest:.3g}) does not stand above the "
+            f"strongest gap sample ({gap:.3g}); capture discarded")
+    return SyncResult(peak_indices=teeth, tx_start_index=start,
+                      margin=float(weakest / gap) if gap else np.inf)
 
 
 def _magnitude(rows):
@@ -347,9 +342,10 @@ def decode_transmission(rx_samples, frame_layout, tx_layout, nt, scheme,
 
     Returns a :class:`DecodeResult`. Raises :class:`ConfigurationError`
     before reading the samples when ``scheme`` is unknown or ``nt`` is
-    not a power of two, and :class:`SyncRejection` when the
-    synchronization search fails or places the transmission start
-    before the first sample or the data section past the capture's end.
+    not a power of two, :class:`DegenerateInputError` when any sample is
+    NaN or infinite (checked one ``SAMPLE_BLOCK`` at a time), and
+    :class:`SyncRejection` when the capture cannot hold the transmission
+    or :func:`detect_sync` finds no pulse train at a start where it fits.
     ``symbol_scale``, when given (from the transmission sidecar),
     converts the reported channel estimates to the true channel's
     amplitude scale; detection is unaffected.
@@ -362,28 +358,20 @@ def decode_transmission(rx_samples, frame_layout, tx_layout, nt, scheme,
     snr_len = tx_layout.snr_samples(nt, u)
     period = (1 + tx_layout.sync_gap_symbols) * u
 
-    sync = detect_sync(
-        y,
-        period,
-        n_pulses=tx_layout.sync_pulses,
-        data_offset_samples=sync_len + snr_len,
-    )
     n_frames = tx_layout.n_frames
     f_syms = frame_layout.frame_symbols
     n_sym = n_frames * f_syms
-    # Peaks that are noise can anchor the transmission outside the capture.
-    if sync.tx_start_index < 0 or sync.data_start_index + n_sym * u > y.shape[1]:
-        raise SyncRejection(
-            f"sync places the transmission at samples {sync.tx_start_index} to "
-            f"{sync.data_start_index + n_sym * u}, outside the {y.shape[1]}-sample "
-            "capture; capture discarded"
-        )
+    for s in range(0, y.shape[1], SAMPLE_BLOCK):
+        if not np.isfinite(y[:, s : s + SAMPLE_BLOCK]).all():
+            raise DegenerateInputError("capture holds NaN or infinite samples")
+    data_offset = sync_len + snr_len
+    sync = detect_sync(y, period, tx_layout.sync_pulses, data_offset + n_sym * u)
 
     snr_section = y[:, sync.tx_start_index + sync_len :][:, :snr_len]
     snr = estimate_snr(snr_section, nt, tx_layout.snr_blocks,
                        tx_layout.snr_block_symbols * u)
 
-    data = y[:, sync.data_start_index :][:, : n_sym * u + len(taps) - 1]
+    data = y[:, sync.tx_start_index + data_offset :][:, : n_sym * u + len(taps) - 1]
     sections = frame_layout.sections()
 
     fo = sections["fo"]
@@ -395,8 +383,7 @@ def decode_transmission(rx_samples, frame_layout, tx_layout, nt, scheme,
     )
     fo_per_frame = estimate_fo(preamble) / u
 
-    derotated = correct_fo(data, fo_per_frame, sync.data_start_index - sync.tx_start_index,
-                           f_syms * u)
+    derotated = correct_fo(data, fo_per_frame, data_offset, f_syms * u)
     symbols = matched_filter_downsample(derotated, taps, u, n_sym)
 
     by_frame = symbols.reshape(y.shape[0], n_frames, f_syms).transpose(1, 0, 2)

@@ -49,6 +49,7 @@ __all__ = [
     "TransmissionVector",
     "pilot_sequence",
     "pilot_matrix",
+    "check_frame_duration",
     "rrc_taps",
     "build_frame",
     "pulse_shape",
@@ -62,9 +63,6 @@ __all__ = [
 ]
 
 FULL_SCALE = 32767
-# The sync search keeps samples whose antenna-combined magnitude reaches this
-# fraction of the capture's peak; the full-scale pulses must reach it.
-SYNC_THRESHOLD_FRACTION = 0.70
 # Offset preamble symbols the offset estimate leaves out at each end, where the
 # filter memory mixes in the neighbouring pilot and data symbols; it needs 2 more.
 FO_EDGE_MARGIN = 12
@@ -98,12 +96,6 @@ class FrameLayout:
                 f"offset preamble needs {2 * FO_EDGE_MARGIN + 2} or more symbols, "
                 f"got fo_seq_len={self.fo_seq_len}")
         _check_filter(self.rrc_num_taps, self.rrc_rolloff, self.upsample_factor)
-        duration = self.frame_symbols * self.upsample_factor / 1e7
-        if duration >= _COHERENCE_LIMIT_S:
-            raise ConfigurationError(
-                f"frame duration {duration * 1e3:.3f} ms exceeds the "
-                f"{_COHERENCE_LIMIT_S * 1e3:.0f} ms coherence budget at 10 Ms/s"
-            )
 
     @property
     def pilot_signal_len(self):
@@ -266,6 +258,16 @@ def _check_filter(num_taps, rolloff, upsample_factor):
         raise ConfigurationError("upsample factor must be >= 2")
 
 
+def check_frame_duration(frame_layout, layout):
+    """Raise :class:`ConfigurationError` when a frame of ``frame_layout``, sent
+    at ``layout.sample_rate``, lasts the channel coherence budget (7 ms) or longer."""
+    duration = frame_layout.frame_symbols * frame_layout.upsample_factor / layout.sample_rate
+    if duration >= _COHERENCE_LIMIT_S:
+        raise ConfigurationError(
+            f"frame duration {duration * 1e3:.3f} ms at {layout.sample_rate:g} samples/s "
+            f"exceeds the {_COHERENCE_LIMIT_S * 1e3:.0f} ms coherence budget")
+
+
 def rrc_taps(num_taps=40, rolloff=0.75, upsample_factor=4):
     """Unit-energy root-raised-cosine taps at ``upsample_factor`` samples/symbol.
 
@@ -355,10 +357,11 @@ def assemble_transmission(stream, frame_layout, layout):
     ``frame_layout`` raises :class:`FramingError`. The shaped stream is
     scaled by symbol_scale = power_factor / (its peak amplitude); SNR
     on-blocks run at the resulting data maximum; sync pulses stay at
-    amplitude 1 (full scale). Any sample magnitude above full scale
-    raises :class:`RangeError`, and an antenna-combined data magnitude
-    that puts the sync pulses under ``SYNC_THRESHOLD_FRACTION`` of it
-    raises :class:`ConfigurationError`.
+    amplitude 1 (full scale), whatever the data peak: the receiver finds
+    them by their period, not by their level. Any sample magnitude above
+    full scale raises :class:`RangeError`, and a frame that lasts the
+    coherence budget or longer at ``layout.sample_rate``
+    (:func:`check_frame_duration`) raises :class:`ConfigurationError`.
     """
     stream = np.asarray(stream)
     if stream.ndim != 2 or stream.shape[1] != layout.n_frames * frame_layout.frame_symbols:
@@ -366,18 +369,14 @@ def assemble_transmission(stream, frame_layout, layout):
             f"stream of shape {stream.shape} does not hold {layout.n_frames} frames "
             f"of {frame_layout.frame_symbols} symbols"
         )
+    check_frame_duration(frame_layout, layout)
     nt = stream.shape[0]
     u = frame_layout.upsample_factor
     taps = rrc_taps(frame_layout.rrc_num_taps, frame_layout.rrc_rolloff, u)
 
     data_wave = pulse_shape(stream, taps, u)
-    # Per block: the largest magnitude of one antenna's samples and of the
-    # antenna-combined sqrt(sum_t |x_t|^2).
-    block_peaks = []
-    for a in range(0, data_wave.shape[1], SAMPLE_BLOCK):
-        magnitude = np.abs(data_wave[:, a : a + SAMPLE_BLOCK])
-        block_peaks.append((magnitude.max(), np.sqrt((magnitude * magnitude).sum(axis=0).max())))
-    peak, combined = (float(v) for v in np.max(block_peaks, axis=0))
+    peak = float(np.max([np.abs(data_wave[:, a : a + SAMPLE_BLOCK]).max()
+                         for a in range(0, data_wave.shape[1], SAMPLE_BLOCK)]))
     if layout.power_factor > 0 and peak == 0.0:
         raise DegenerateInputError("all-zero frame stream cannot be power-scaled")
     symbol_scale = layout.power_factor / peak if peak > 0 else 0.0
@@ -389,11 +388,6 @@ def assemble_transmission(stream, frame_layout, layout):
     if not (layout.power_factor <= 1.0 and components.max() <= 1.0
             and components.min() >= -1.0):
         raise RangeError("scaled transmission exceeds quantizer full scale or is NaN")
-    if SYNC_THRESHOLD_FRACTION * combined * symbol_scale > 1.0:
-        raise ConfigurationError(
-            f"power factor {layout.power_factor:g} puts the antenna-combined data peak at "
-            f"{combined * symbol_scale:.3f} of full scale: the sync pulses would fall under "
-            f"the {SYNC_THRESHOLD_FRACTION:g} sync threshold")
 
     sync_len = layout.sync_samples(u)
     snr_len = layout.snr_samples(nt, u)

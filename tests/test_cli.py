@@ -98,6 +98,8 @@ MALFORMED = {
     "encode-unknown-key": lambda t: _encode(t, order=2),
     "encode-missing-bits": lambda t: _encode(t, bits=t / "absent.bits"),
     "encode-short-offset-preamble": lambda t: _encode(t, frame_layout={"fo_seq_len": 25}),
+    "encode-frame-over-coherence-at-100-ks": lambda t: _encode(
+        t, transmission_layout={**CHAIN["transmission_layout"], "sample_rate": 1e5}),
     "decode-sidecar-without-nt": lambda t: _decode(t, lambda m: m.pop("nt")),
     "decode-frame-layout-extra-key": lambda t: _decode(
         t, lambda m: m["frame_layout"].update(bogus=1)),
@@ -138,31 +140,39 @@ def test_malformed_input_exits_2_with_one_error_line(tmp_path, capsys, make_argv
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("power_factor, refused", [(0.9, True), (0.8, False)])
-def test_encode_refuses_a_power_factor_that_hides_the_sync(tmp_path, capsys, power_factor,
-                                                           refused):
+def _encode_decode(tmp, config, n_bits):
+    """Encode ``n_bits`` seeded bits with ``config``, decode them; returns the report."""
+    bits = np.random.default_rng(3).integers(0, 2, n_bits).astype(np.uint8)
+    np.packbits(bits).tofile(tmp / "tx.bits")
+    assert run_cli("encode", "--config", _write(tmp / "c.json", config),
+                   "--bits", tmp / "tx.bits", "--out", tmp / "cap") == 0
+    nt = config["nt"]
+    assert run_cli("decode", "--capture", *[tmp / f"cap_ant{t}.bin" for t in range(1, nt + 1)],
+                   "--meta", tmp / "cap_meta.json", "--out", tmp / "rx.bits",
+                   "--report", tmp / "report.json", "--reference-bits", tmp / "tx.bits") == 0
+    return json.loads((tmp / "report.json").read_text())
+
+
+@pytest.mark.parametrize("power_factor", [0.8, 0.9, 1.0])
+def test_encode_round_trips_at_any_power_factor(tmp_path, power_factor):
     """SM nt=4 QPSK: the pilot signals drive all four antennas at once, so
-    the antenna-combined data peak is about 1.77 x the power factor. At 0.9
-    the full-scale sync pulses would fall under the sync threshold of it and
-    ``encode`` exits 2; at 0.8 the capture still decodes without error."""
+    the antenna-combined data peak is about 1.77 x the power factor, above
+    the full-scale sync pulses at 0.9 and 1.0. Sync compares the pulses with
+    their own gaps only, so every factor up to full scale round-trips."""
     config = {"scheme": "sm", "nt": 4, "modulation_order": 4,
               "transmission_layout": {"n_frames": 1, "snr_block_symbols": 50,
                                       "power_factor": power_factor}}
-    bits = np.random.default_rng(3).integers(0, 2, 4000).astype(np.uint8)
-    np.packbits(bits).tofile(tmp_path / "tx.bits")
-    capsys.readouterr()
-    code = run_cli("encode", "--config", _write(tmp_path / "c.json", config),
-                   "--bits", tmp_path / "tx.bits", "--out", tmp_path / "cap")
-    err = capsys.readouterr().err
-    if refused:
-        assert code == 2 and len(err.splitlines()) == 1 and err.startswith("error: ")
-        return
-    assert code == 0
-    assert run_cli("decode", "--capture", *[tmp_path / f"cap_ant{t}.bin" for t in range(1, 5)],
-                   "--meta", tmp_path / "cap_meta.json", "--out", tmp_path / "rx.bits",
-                   "--report", tmp_path / "report.json",
-                   "--reference-bits", tmp_path / "tx.bits") == 0
-    assert json.loads((tmp_path / "report.json").read_text())["bit_errors"] == 0
+    report = _encode_decode(tmp_path, config, 4000)
+    assert report["bit_errors"] == 0 and report["sync_margin"] > 1
+
+
+def test_long_frame_at_a_high_sample_rate_encodes(tmp_path):
+    """A 21 300-symbol frame lasts 0.852 ms at 100 Ms/s, inside the 7 ms
+    coherence budget, so it encodes and decodes; the sidecar keeps the rate."""
+    config = {**CHAIN, "frame_layout": {"data_symbols_per_frame": 20_000},
+              "transmission_layout": {**CHAIN["transmission_layout"], "sample_rate": 1e8}}
+    assert _encode_decode(tmp_path, config, 40_000)["bit_errors"] == 0
+    assert json.loads((tmp_path / "cap_meta.json").read_text())["sample_rate"] == 1e8
 
 
 # Small layouts: the frame count and sounding block length are always
@@ -371,6 +381,7 @@ class TestEncodeDecodeCommands:
         assert report["ber"] == 0
         assert report["n_bits"] == n_bits
         assert report["sync_tx_start"] == 0
+        assert report["sync_margin"] == float("inf")  # noiseless gaps are silent
         assert len(report["fo_cycles_per_sample"]) == 2
         assert max(abs(f) for f in report["fo_cycles_per_sample"]) <= 1e-6
         # identity channel: reported estimates are near the unit matrix

@@ -441,9 +441,9 @@ class TestWaveformSim:
         assert rec.snr_db_estimated == pytest.approx(20.0, abs=0.5)
 
     def test_sync_on_noise_peaks_counts_as_rejected(self):
-        """At 0 dB noise peaks pass the sync threshold and anchor the
-        transmission outside the capture: those trials are rejected
-        captures, and the sweep still returns."""
+        """At 0 dB one of these trials has a sync pulse under a noise sample
+        of its gaps (its antenna-1 channel column has norm 0.58): that trial is a
+        rejected capture, and the sweep still returns."""
         cfg = harness.SimConfig(
             scheme="smx", nt=2, nr=2, modulation_order=2, snr_grid_db=(0.0,),
             fidelity="waveform", bits_per_trial=40_000, trials_per_snr=3,
@@ -452,6 +452,20 @@ class TestWaveformSim:
         rec = harness.run_simulation(cfg)[0]
         assert rec.rejected_vectors > 0
         assert rec.bits == 40_000 * (3 - rec.rejected_vectors)
+
+    def test_weak_antenna_1_channels_are_not_rejected(self):
+        """SM nt=4, nr=1 QPSK over Rayleigh at 30 dB: the sync pulses leave
+        antenna 1 only, and trial 20 draws an antenna-1 gain about 0.1 of the
+        strongest, so its pulses reach the receiver under the data section's
+        peaks. Sync finds them all the same: no trial is rejected."""
+        cfg = harness.SimConfig(
+            scheme="sm", nt=4, nr=1, modulation_order=4, snr_grid_db=(30.0,),
+            fidelity="waveform", bits_per_trial=4000, trials_per_snr=21,
+            snr_block_symbols=2000, target_bit_errors=None, master_seed=5,
+        )
+        rec = harness.run_simulation(cfg)[0]
+        assert rec.rejected_vectors == 0
+        assert rec.bits == 21 * 4000
 
     def test_low_snr_rayleigh_sweep_matches_true_offset(self, monkeypatch):
         """At 4 to 12 dB on Rayleigh channels the estimated offsets cost no

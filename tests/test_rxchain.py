@@ -27,108 +27,154 @@ def loopback():
     return layout, tx_layout, c, bits, tx, h
 
 
+def sync_geometry(loopback):
+    """(pulse period, transmission length) of the loopback transmission."""
+    layout, tx_layout, _, _, tx, _ = loopback
+    return (1 + tx_layout.sync_gap_symbols) * layout.upsample_factor, tx.shape[1]
+
+
+def complex_noise(rng, shape, scale):
+    return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+
+
 class TestDetectSync:
     def test_loopback_pulse_grid(self, loopback):
-        layout, tx_layout, _, _, tx, _ = loopback
-        u = layout.upsample_factor
-        period = (1 + tx_layout.sync_gap_symbols) * u
+        tx = loopback[4]
+        period, fit = sync_geometry(loopback)
         combined = np.sqrt(np.sum(np.abs(tx.samples) ** 2, axis=0))
-        res = rxchain.detect_sync(combined, period)
+        res = rxchain.detect_sync(combined, period, 20, fit)
         assert res.peak_indices.tolist() == list(range(0, 20 * period, period))
         assert res.tx_start_index == 0
-        assert res.data_start_index == 0
+        assert res.margin == np.inf  # the noiseless gaps are silent
 
     def test_scale_invariance(self, loopback):
-        layout, tx_layout, _, _, tx, _ = loopback
-        period = (1 + tx_layout.sync_gap_symbols) * layout.upsample_factor
+        tx = loopback[4]
+        period, fit = sync_geometry(loopback)
         combined = np.sqrt(np.sum(np.abs(tx.samples) ** 2, axis=0))
-        a = rxchain.detect_sync(combined, period)
-        b = rxchain.detect_sync(0.3 * combined, period)
+        a = rxchain.detect_sync(combined, period, 20, fit)
+        b = rxchain.detect_sync(0.3 * combined, period, 20, fit)
         assert np.array_equal(a.peak_indices, b.peak_indices)
         assert a.tx_start_index == b.tx_start_index
 
     def test_offset_capture(self, loopback):
-        layout, tx_layout, _, _, tx, _ = loopback
-        period = (1 + tx_layout.sync_gap_symbols) * layout.upsample_factor
+        tx = loopback[4]
+        period, fit = sync_geometry(loopback)
         combined = np.sqrt(np.sum(np.abs(tx.samples) ** 2, axis=0))
         padded = np.concatenate([np.zeros(137), combined])
-        res = rxchain.detect_sync(padded, period, data_offset_samples=10)
+        res = rxchain.detect_sync(padded, period, 20, fit)
         assert res.tx_start_index == 137
-        assert res.data_start_index == 147
+        assert res.peak_indices[0] == 137
 
     def test_missing_pulse_rejects(self, loopback):
-        layout, tx_layout, _, _, tx, _ = loopback
-        period = (1 + tx_layout.sync_gap_symbols) * layout.upsample_factor
+        tx = loopback[4]
+        period, fit = sync_geometry(loopback)
         combined = np.sqrt(np.sum(np.abs(tx.samples) ** 2, axis=0)).copy()
         combined[19 * period] = 0.0  # kill the last pulse
         with pytest.raises(SyncRejection):
-            rxchain.detect_sync(combined, period)
+            rxchain.detect_sync(combined, period, 20, fit)
 
     def test_complex_and_signed_inputs_take_magnitude(self, loopback):
-        layout, tx_layout, _, _, tx, _ = loopback
-        period = (1 + tx_layout.sync_gap_symbols) * layout.upsample_factor
+        tx = loopback[4]
+        period, fit = sync_geometry(loopback)
         combined = np.sqrt(np.sum(np.abs(tx.samples) ** 2, axis=0))
-        a = rxchain.detect_sync(combined, period)
+        a = rxchain.detect_sync(combined, period, 20, fit)
         phase = np.exp(1j * np.linspace(0.0, 40.0, combined.size))
         for other in (combined * phase, -combined):
-            b = rxchain.detect_sync(other, period)
+            b = rxchain.detect_sync(other, period, 20, fit)
             assert np.array_equal(a.peak_indices, b.peak_indices)
             assert a.tx_start_index == b.tx_start_index
 
     @staticmethod
-    def reference_peaks(magnitude, period, n_pulses=20):
-        """One pass over the whole magnitude: threshold, group, strongest."""
-        above = np.flatnonzero(magnitude >= rxchain.SYNC_THRESHOLD_FRACTION * magnitude.max())
-        groups = np.split(above, np.flatnonzero(np.diff(above) > period // 2) + 1)
-        return [int(g[np.argmax(magnitude[g])]) for g in groups][:n_pulses]
+    def reference_start(magnitude, period, n_pulses, fit):
+        """The comb maximiser over every start where ``fit`` samples fit,
+        from one (starts, teeth) index matrix over the whole magnitude."""
+        starts = np.arange(magnitude.size - fit + 1)
+        teeth = starts[:, None] + period * np.arange(n_pulses)
+        comb = (magnitude[teeth] - magnitude[teeth + period // 2]).sum(axis=1)
+        return int(np.argmax(comb))
 
     def test_capture_rows_combine_as_magnitude(self, loopback):
-        """The (nr, n) capture is searched on sqrt(sum_r |y_r|^2), block by
-        block; its peaks are the ones of that magnitude searched whole."""
-        layout, tx_layout, _, _, tx, h = loopback
-        period = (1 + tx_layout.sync_gap_symbols) * layout.upsample_factor
-        rx = channel.propagate_waveform(tx.samples, h, 1e-4, (tx.symbol_scale * 0.1) ** 2,
-                                        np.random.default_rng(4))
+        """The (nr, n) capture is searched on sqrt(sum_r |y_r|^2); its start is
+        the one of that magnitude searched whole, and its margin is the weakest
+        pulse over the strongest mid-gap sample."""
+        tx, h = loopback[4], loopback[5]
+        period, fit = sync_geometry(loopback)
+        rng = np.random.default_rng(4)
+        noise = (tx.symbol_scale * 0.1) ** 2
+        rx = channel.propagate_waveform(tx.samples, h, 1e-4, noise, rng)
+        rx = np.concatenate([complex_noise(rng, (2, 500), np.sqrt(noise / 2)), rx], axis=1)
         combined = np.sqrt(np.sum(np.abs(rx) ** 2, axis=0))
-        res = rxchain.detect_sync(rx, period)
-        assert res.peak_indices.tolist() == self.reference_peaks(combined, period)
-        assert res.peak_indices.tolist() == list(range(0, 20 * period, period))
-        one = rxchain.detect_sync(rx[1], period)
-        assert one.peak_indices.tolist() == self.reference_peaks(np.abs(rx[1]), period)
+        res = rxchain.detect_sync(rx, period, 20, fit)
+        assert res.tx_start_index == self.reference_start(combined, period, 20, fit) == 500
+        teeth = 500 + period * np.arange(20)
+        assert res.margin == combined[teeth].min() / combined[teeth + period // 2].max()
+        assert res.margin > 1
+        one = rxchain.detect_sync(rx[1], period, 20, fit)
+        assert one.tx_start_index == self.reference_start(np.abs(rx[1]), period, 20, fit)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_groups_across_block_edges(self, seed):
-        """Wide pulses that straddle SAMPLE_BLOCK edges, blocks with no
-        sample above the threshold between them, and a peak in the last,
-        ragged block give the peaks of one whole-capture search."""
+        """The starts are searched one SAMPLE_BLOCK at a time: a pulse train
+        that starts on either side of a block edge, behind a spike three
+        times its height, is found where one whole-capture search finds it,
+        also when the last block of starts is ragged."""
         rng = np.random.default_rng(seed)
         block = channel.SAMPLE_BLOCK
-        n = 5 * block + 999
-        capture = 0.1 * (rng.standard_normal((2, n)) + 1j * rng.standard_normal((2, n)))
-        period = 3000
-        centres = [block - 7, 2 * block + 3, 2 * block + 3 * period, 4 * block, n - 5]
-        for c in centres:
-            width = np.arange(max(c - 40, 0), min(c + 40, n))
-            capture[0, width] += rng.uniform(0.8, 1.0, width.size)
+        lead = [block - 7, block + 3, 2 * block - 1, 3 * block + 500][seed]
+        period, n_pulses, fit = 300, 20, 20 * 300 + 5000
+        n = lead + fit + 999 + seed * block
+        capture = complex_noise(rng, (2, n), 0.05)
+        capture[0, lead + period * np.arange(n_pulses)] += rng.uniform(0.8, 1.0, n_pulses)
+        capture[1, lead // 2] += 3.0
         magnitude = np.sqrt(np.sum(np.abs(capture) ** 2, axis=0))
-        res = rxchain.detect_sync(capture, period, n_pulses=len(centres))
-        assert res.peak_indices.tolist() == self.reference_peaks(magnitude, period, len(centres))
+        res = rxchain.detect_sync(capture, period, n_pulses, fit)
+        assert res.tx_start_index == self.reference_start(magnitude, period, n_pulses, fit)
+        assert res.tx_start_index == lead
+
+    def test_reads_only_the_head(self, loopback):
+        """No sample past n - fit + (n_pulses - 1) * P + P // 2 is read: NaN
+        after it leaves the search unchanged."""
+        tx = loopback[4]
+        period, fit = sync_geometry(loopback)
+        combined = np.sqrt(np.sum(np.abs(tx.samples) ** 2, axis=0))
+        capture = np.concatenate([np.zeros(40), combined])
+        last = capture.size - fit + 19 * period + period // 2
+        capture[last + 1 :] = np.nan
+        assert rxchain.detect_sync(capture, period, 20, fit).tx_start_index == 40
+        capture[last] = np.nan
+        with pytest.raises(DegenerateInputError):
+            rxchain.detect_sync(capture, period, 20, fit)
 
     def test_non_finite_capture_rejected(self):
-        capture = np.zeros((2, 1000))
-        capture[1, 500] = np.nan
-        with pytest.raises(DegenerateInputError):
-            rxchain.detect_sync(capture, 204)
+        for value in (np.nan, np.inf):
+            capture = np.zeros((2, 5000))
+            capture[1, 500] = value
+            with pytest.raises(DegenerateInputError):
+                rxchain.detect_sync(capture, 204, 20, 4500)
 
     def test_lone_spike_rejects(self):
         capture = np.zeros(50_000)
         capture[1234] = 1.0
         with pytest.raises(SyncRejection):
-            rxchain.detect_sync(capture, 204)
+            rxchain.detect_sync(capture, 204, 20, 40_000)
 
     def test_all_zero_rejects(self):
         with pytest.raises(SyncRejection):
-            rxchain.detect_sync(np.zeros(1000), 204)
+            rxchain.detect_sync(np.zeros(5000), 204, 20, 4500)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_noise_only_rejects(self, seed):
+        capture = complex_noise(np.random.default_rng(seed), (2, 50_000), 1.0)
+        with pytest.raises(SyncRejection):
+            rxchain.detect_sync(capture, 204, 20, 40_000)
+
+    def test_too_short_rejects(self):
+        """A capture shorter than the transmission, or than the pulse train
+        itself, holds no start to search."""
+        with pytest.raises(SyncRejection, match="cannot hold"):
+            rxchain.detect_sync(np.ones(4499), 204, 20, 4500)
+        with pytest.raises(SyncRejection, match="cannot hold"):
+            rxchain.detect_sync(np.ones(19 * 204 + 102), 204, 20, 0)
 
 
 class TestEstimateSnr:
@@ -586,15 +632,48 @@ class TestDecodeTransmission:
         assert np.max(np.abs(est / tx.symbol_scale - h)) <= 1e-6
         assert result.symbol_scale == 1.0
 
-    def test_anchor_before_capture_start_rejected(self, loopback):
-        """A copy of the sync peak 120 samples ahead of the transmission
-        becomes the first of 20 peaks, so the start lands at sample -84."""
+    def test_spike_ahead_of_the_train_decodes_at_true_start(self, loopback):
+        """A copy of the strongest sync pulse 120 samples ahead of the
+        transmission is one tooth of a comb at most; the train decodes at 120."""
         layout, tx_layout, c, bits, tx, h = loopback
         rx = channel.propagate_waveform(tx.samples, h)
         capture = np.concatenate([np.zeros((2, 120), dtype=complex), rx], axis=1)
         capture[:, 0] = rx[:, np.argmax(np.sum(np.abs(rx) ** 2, axis=0))]
-        with pytest.raises(SyncRejection, match="-84"):
-            rxchain.decode_transmission(capture, layout, tx_layout, 2, "sm", c)
+        result = rxchain.decode_transmission(capture, layout, tx_layout, 2, "sm", c)
+        assert result.sync.tx_start_index == 120
+        assert np.array_equal(result.bits, bits)
+
+    @pytest.mark.parametrize("lead, trail", [(0, 0), (137, 0), (40_000, 0), (0, 300_000)])
+    def test_weak_antenna_1_decodes_at_true_start(self, loopback, lead, trail):
+        """The sync pulses leave antenna 1 only, and this channel's antenna-1
+        column is about 16x weaker than antenna 2's, so at 30 dB the pulses
+        sit under antenna 2's sounding blocks and data. The pulse train is
+        still found behind a lead-in of noise (40 000 samples cross a
+        SAMPLE_BLOCK edge) and ahead of 300 000 trailing noise samples, and
+        the bits are those of the capture cut to the transmission, whose
+        only start is the true one."""
+        layout, tx_layout, c, bits, tx, _ = loopback
+        h = np.array([[0.07, 1.0], [0.05j, 0.9]])
+        rng = np.random.default_rng(9)
+        noise_var = tx.symbol_scale**2 * 10.0 ** (-30 / 10)
+        rx = channel.propagate_waveform(tx, h, 0.0, noise_var, rng)
+        assert np.linalg.norm(h[:, 0]) < tx.x_max * np.linalg.norm(h[:, 1])
+        capture = np.concatenate([complex_noise(rng, (2, lead), np.sqrt(noise_var / 2)), rx,
+                                  complex_noise(rng, (2, trail), np.sqrt(noise_var / 2))],
+                                 axis=1)
+        result, at_true_start = (rxchain.decode_transmission(y, layout, tx_layout, 2, "sm", c)
+                                 for y in (capture, rx))
+        assert result.sync.tx_start_index == lead
+        assert np.array_equal(result.bits, at_true_start.bits)
+        assert np.count_nonzero(result.bits != bits) < 0.01 * bits.size
+
+    @pytest.mark.parametrize("where", [0, -1])
+    def test_non_finite_sample_anywhere_rejected(self, loopback, where):
+        layout, tx_layout, c, _, tx, h = loopback
+        rx = channel.propagate_waveform(tx.samples, h)
+        rx[1, where] = np.nan
+        with pytest.raises(DegenerateInputError):
+            rxchain.decode_transmission(rx, layout, tx_layout, 2, "sm", c)
 
     def test_capture_cut_before_data_end_rejected(self, loopback):
         layout, tx_layout, c, bits, tx, h = loopback

@@ -103,8 +103,16 @@ class TestFrameLayout:
         assert s["zeros_tail"] == slice(2250, 2300)
 
     def test_coherence_budget_guard(self):
-        with pytest.raises(ConfigurationError):
-            txchain.FrameLayout(data_symbols_per_frame=20_000)
+        """A frame is held to the 7 ms budget at the transmission's own sample
+        rate: 21 300 symbols last 8.52 ms at 10 Ms/s and 0.852 ms at 100 Ms/s,
+        and the default 2300 last 92 ms at 100 ks/s."""
+        long_frame = txchain.FrameLayout(data_symbols_per_frame=20_000)
+        with pytest.raises(ConfigurationError, match="coherence budget"):
+            txchain.check_frame_duration(long_frame, txchain.TransmissionLayout())
+        txchain.check_frame_duration(long_frame, txchain.TransmissionLayout(sample_rate=1e8))
+        with pytest.raises(ConfigurationError, match="coherence budget"):
+            txchain.check_frame_duration(txchain.FrameLayout(),
+                                         txchain.TransmissionLayout(sample_rate=1e5))
 
     def test_build_frame_contents(self):
         layout = txchain.FrameLayout()
