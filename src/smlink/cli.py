@@ -97,8 +97,8 @@ def _cmd_fit_channel(args):
     samples = samples[:, 0]
     fit = analysis.fit_rician(samples)
     payload = {
-        # JSON has no -Infinity: null means Rayleigh, as in save_config.
-        "k_factor_db": fit.k_factor_db if math.isfinite(fit.k_factor_db) else None,
+        # null means Rayleigh, as in save_config.
+        "k_factor_db": _finite_or_none(fit.k_factor_db),
         "mean_amplitude": fit.mean_amplitude,
         "nu": fit.nu,
         "sigma": fit.sigma,
@@ -110,6 +110,11 @@ def _cmd_fit_channel(args):
     Path(args.out).write_text(json.dumps(payload, indent=2, sort_keys=True))
     print(f"K = {fit.k_factor_db:.2f} dB  (GOF p = {fit.gof_p_value:.3f})")
     print(f"wrote {args.out}")
+
+
+def _finite_or_none(x):
+    """``x``, or None where JSON has no number for it (infinities and NaN)."""
+    return x if math.isfinite(x) else None
 
 
 def _read_bit_file(path, n_bits):
@@ -154,13 +159,14 @@ def _cmd_decode(args):
         meta["scheme"], constellation, symbol_scale=meta.get("symbol_scale"),
     )
     np.packbits(result.bits).tofile(args.out)
+    # A noiseless capture has an infinite SNR and sync margin, written as null.
     report = {
-        "snr_db": result.snr.snr_db,
+        "snr_db": _finite_or_none(result.snr.snr_db),
         "snr_valid": result.snr.valid,
         "fo_cycles_per_sample": result.fo_cycles_per_sample.tolist(),
         "n_bits": int(result.bits.size),
         "sync_tx_start": int(result.sync.tx_start_index),
-        "sync_margin": result.sync.margin,
+        "sync_margin": _finite_or_none(result.sync.margin),
         "channel_estimates": [
             {half: [[c.real, c.imag] for c in h.reshape(-1)]
              for half, h in zip(("first", "second"), pair)}
@@ -172,7 +178,7 @@ def _cmd_decode(args):
         errors = int(np.count_nonzero(ref != result.bits))
         report["bit_errors"] = errors
         report["ber"] = errors / result.bits.size if result.bits.size else None
-    Path(args.report).write_text(json.dumps(report, indent=2))
+    Path(args.report).write_text(json.dumps(report, indent=2, allow_nan=False))
     print(f"decoded {result.bits.size} bits -> {args.out}; report: {args.report}")
 
 

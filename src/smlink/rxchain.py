@@ -7,12 +7,12 @@ starts where the transmission fits (reject the capture unless every
 pulse stands above every mid-gap sample), measure SNR from the on/off
 section, take each frame's carrier offset as the maximiser of its
 matched-filtered preamble's periodogram summed over receive antennas,
-derotate the data section at sample rate, matched-filter and downsample
-it once, estimate the channel from both pilot signals of every frame in
-one batch, then detect each half of every frame's data with its nearer
-estimate in one call, as the symbol-fidelity trial does. Derotating
-before the matched filter keeps the combined transmit+receive response
-Nyquist under carrier offset.
+derotate each frame at sample rate by its own offset and matched-filter
+and downsample it, one frame at a time, estimate the channel from both
+pilot signals of every frame in one batch, then detect each half of
+every frame's data with its nearer estimate in one call, as the
+symbol-fidelity trial does. Derotating before the matched filter keeps
+the combined transmit+receive response Nyquist under carrier offset.
 
 Channel estimates are formed as (1/N) Theta^H Y over the mean of the
 sequences in :meth:`FrameLayout.pilot_window`, and divided by the known
@@ -238,25 +238,13 @@ def estimate_fo(preamble):
     return (f + 0.5) % 1.0 - 0.5
 
 
-def correct_fo(samples, delta, first_index=0, frame_len=None):
+def correct_fo(samples, delta, first_index=0):
     """Counter-rotate by exp(-2j*pi*delta*i), i = first_index + position on the last axis.
 
-    ``delta`` is one offset, or one per run of ``frame_len`` samples
-    (default: the whole axis); the last run also takes the samples past
-    the last whole run. Returns a new array.
+    ``delta`` is one offset, in cycles per sample. Returns a new array.
     """
-    x = np.array(samples, dtype=np.complex128)
-    delta = np.atleast_1d(np.asarray(delta, dtype=np.float64))
-    n = x.shape[-1]
-    frame_len = n if frame_len is None else frame_len
-    head = len(delta) * frame_len
-    if delta.ndim != 1 or not delta.size or head > n:
-        raise DimensionError(f"{delta.size} runs of {frame_len} samples exceed {n} samples")
-    for i, d in enumerate(delta):
-        x[..., i * frame_len : (i + 1) * frame_len] *= carrier_ramp(
-            -d, frame_len, first_index + i * frame_len)
-    x[..., head:] *= carrier_ramp(-delta[-1], n - head, first_index + head)
-    return x
+    x = np.asarray(samples, dtype=np.complex128)
+    return x * carrier_ramp(-delta, x.shape[-1], first_index)
 
 
 def pulse_gain_compensation(taps, upsample_factor, n_theta, nt):
@@ -334,11 +322,13 @@ def decode_transmission(rx_samples, frame_layout, tx_layout, nt, scheme,
                         constellation, symbol_scale=None):
     """Run the full receive pipeline on the (nr, n) captured streams.
 
-    Each frame's offset is estimated from its preamble; the data section
-    is derotated once at sample rate, phase referenced to the
-    transmission start, and matched-filtered once. Each frame's two
-    channel estimates average the ``frame_layout.pilot_window()``
-    sequences of its two pilot signals.
+    Each frame's offset is estimated from its preamble, all frames in
+    one call. Then, one frame at a time, the frame's samples and the
+    filter's reach past them are derotated at its offset, phase
+    referenced to the transmission start, and matched-filtered into its
+    row of one (n_frames, nr, frame_symbols) array, so no copy of the
+    data section is made. Each frame's two channel estimates average the
+    ``frame_layout.pilot_window()`` sequences of its two pilot signals.
 
     Returns a :class:`DecodeResult`. Raises :class:`ConfigurationError`
     before reading the samples when ``scheme`` is unknown or ``nt`` is
@@ -354,9 +344,9 @@ def decode_transmission(rx_samples, frame_layout, tx_layout, nt, scheme,
     y = np.atleast_2d(np.asarray(rx_samples, dtype=np.complex128))
     u = frame_layout.upsample_factor
     taps = rrc_taps(frame_layout.rrc_num_taps, frame_layout.rrc_rolloff, u)
-    sync_len = tx_layout.sync_samples(u)
-    snr_len = tx_layout.snr_samples(nt, u)
-    period = (1 + tx_layout.sync_gap_symbols) * u
+    tx_sections, period = tx_layout.sections(nt, frame_layout)
+    snr_start, snr_len = tx_sections["snr"]
+    data_offset, data_len = tx_sections["data"]
 
     n_frames = tx_layout.n_frames
     f_syms = frame_layout.frame_symbols
@@ -364,14 +354,13 @@ def decode_transmission(rx_samples, frame_layout, tx_layout, nt, scheme,
     for s in range(0, y.shape[1], SAMPLE_BLOCK):
         if not np.isfinite(y[:, s : s + SAMPLE_BLOCK]).all():
             raise DegenerateInputError("capture holds NaN or infinite samples")
-    data_offset = sync_len + snr_len
     sync = detect_sync(y, period, tx_layout.sync_pulses, data_offset + n_sym * u)
 
-    snr_section = y[:, sync.tx_start_index + sync_len :][:, :snr_len]
+    snr_section = y[:, sync.tx_start_index + snr_start :][:, :snr_len]
     snr = estimate_snr(snr_section, nt, tx_layout.snr_blocks,
                        tx_layout.snr_block_symbols * u)
 
-    data = y[:, sync.tx_start_index + data_offset :][:, : n_sym * u + len(taps) - 1]
+    data = y[:, sync.tx_start_index + data_offset :][:, :data_len]
     sections = frame_layout.sections()
 
     fo = sections["fo"]
@@ -383,10 +372,13 @@ def decode_transmission(rx_samples, frame_layout, tx_layout, nt, scheme,
     )
     fo_per_frame = estimate_fo(preamble) / u
 
-    derotated = correct_fo(data, fo_per_frame, data_offset, f_syms * u)
-    symbols = matched_filter_downsample(derotated, taps, u, n_sym)
+    # Frame f plus the filter's reach past it, derotated at f's own offset.
+    by_frame = np.empty((n_frames, y.shape[0], f_syms), dtype=np.complex128)
+    for f, a in enumerate(range(0, n_sym * u, f_syms * u)):
+        rows = data[:, a : a + f_syms * u + len(taps) - 1]
+        by_frame[f] = matched_filter_downsample(
+            correct_fo(rows, fo_per_frame[f], data_offset + a), taps, u, f_syms)
 
-    by_frame = symbols.reshape(y.shape[0], n_frames, f_syms).transpose(1, 0, 2)
     n_theta, window = frame_layout.pilot_seq_len, frame_layout.pilot_window()
     pilot_signals = np.stack([by_frame[..., sections[name]][..., window]
                               for name in ("pilot_first", "pilot_second")], axis=1)

@@ -157,13 +157,16 @@ class TransmissionLayout:
             raise ConfigurationError(
                 f"sample rate must be finite and positive, got {self.sample_rate!r}")
 
-    def sync_samples(self, upsample_factor):
-        period = (1 + self.sync_gap_symbols) * upsample_factor
-        return self.sync_pulses * period
-
-    def snr_samples(self, nt, upsample_factor):
-        per_antenna = 2 * self.snr_blocks * self.snr_block_symbols * upsample_factor
-        return nt * per_antenna
+    def sections(self, nt, frame_layout):
+        """Sample map of an ``nt``-antenna transmission of ``frame_layout`` frames:
+        ``({name: (start, length)}, pulse period)`` for the sync, snr and data
+        sections, the data section with the filter tail."""
+        u = frame_layout.upsample_factor
+        period = (1 + self.sync_gap_symbols) * u
+        sync = self.sync_pulses * period
+        snr = nt * 2 * self.snr_blocks * self.snr_block_symbols * u
+        data = self.n_frames * frame_layout.frame_symbols * u + frame_layout.rrc_num_taps - 1
+        return {"sync": (0, sync), "snr": (sync, snr), "data": (sync + snr, data)}, period
 
 
 @dataclass(frozen=True)
@@ -173,17 +176,20 @@ class TransmissionVector:
     ``data`` is the shaped, scaled (nt, data_len) data section, the only
     stored samples; :meth:`segment` builds any run of the (nt, n) sample
     streams from it and the layouts. ``sections`` maps section name ->
-    (start, length) in samples; ``symbol_scale`` is the factor applied
-    to the shaped frame stream so that its peak equals ``power_factor``
-    (the quantized data maximum), and ``x_max``, equal to it, is the
-    sounding on-block level.
+    (start, length) in samples, as :meth:`TransmissionLayout.sections`
+    gives it; ``symbol_scale`` is the factor applied to the shaped frame
+    stream so that its peak equals ``power_factor`` (the quantized data
+    maximum), and ``x_max``, equal to it, is the sounding on-block level.
     """
 
     data: np.ndarray
-    sections: dict
     frame_layout: FrameLayout
     layout: TransmissionLayout
     symbol_scale: float
+
+    @property
+    def sections(self):
+        return self.layout.sections(self.nt, self.frame_layout)[0]
 
     @property
     def x_max(self):
@@ -210,21 +216,19 @@ class TransmissionVector:
         if not 0 <= start <= stop <= n:
             raise DimensionError(f"segment [{start}, {stop}) outside the {n}-sample transmission")
         out = np.zeros((nt, stop - start), dtype=np.complex128)
-        u = self.frame_layout.upsample_factor
-        period = (1 + self.layout.sync_gap_symbols) * u
+        sections, period = self.layout.sections(nt, self.frame_layout)
         first_pulse = -(-start // period) * period
-        out[0, np.arange(first_pulse, min(stop, self.layout.sync_pulses * period), period)
-            - start] = 1.0
+        out[0, np.arange(first_pulse, min(stop, sections["sync"][1]), period) - start] = 1.0
         # Antenna t's run holds blocks 2*snr_blocks*t onwards; its even blocks are on.
-        snr_start, snr_len = self.sections["snr"]
-        block = self.layout.snr_block_symbols * u
+        snr_start, snr_len = sections["snr"]
+        block = self.layout.snr_block_symbols * self.frame_layout.upsample_factor
         lo, hi = max(start, snr_start) - snr_start, min(stop, snr_start + snr_len) - snr_start
         for b in range(lo // block, -(-hi // block)):
             if b % 2 == 0:
                 a = snr_start + b * block
                 out[b // (2 * self.layout.snr_blocks),
                     max(a, start) - start : min(a + block, stop) - start] = self.x_max
-        data_start = self.sections["data"][0]
+        data_start = sections["data"][0]
         if stop > data_start:
             lo = max(start, data_start)
             out[:, lo - start :] = self.data[:, lo - data_start : stop - data_start]
@@ -370,7 +374,6 @@ def assemble_transmission(stream, frame_layout, layout):
             f"of {frame_layout.frame_symbols} symbols"
         )
     check_frame_duration(frame_layout, layout)
-    nt = stream.shape[0]
     u = frame_layout.upsample_factor
     taps = rrc_taps(frame_layout.rrc_num_taps, frame_layout.rrc_rolloff, u)
 
@@ -389,16 +392,8 @@ def assemble_transmission(stream, frame_layout, layout):
             and components.min() >= -1.0):
         raise RangeError("scaled transmission exceeds quantizer full scale or is NaN")
 
-    sync_len = layout.sync_samples(u)
-    snr_len = layout.snr_samples(nt, u)
-    sections = {
-        "sync": (0, sync_len),
-        "snr": (sync_len, snr_len),
-        "data": (sync_len + snr_len, data_wave.shape[1]),
-    }
     return TransmissionVector(
         data=data_wave,
-        sections=sections,
         frame_layout=frame_layout,
         layout=layout,
         symbol_scale=symbol_scale,

@@ -16,6 +16,11 @@ def run_cli(*argv):
     return cli.main([str(a) for a in argv])
 
 
+def refuse_constant(constant):
+    """``parse_constant`` hook that makes ``json.loads`` strict."""
+    raise ValueError(f"{constant} is not JSON")
+
+
 BOUND = {"scheme": "sm", "nt": 2, "nr": 2, "modulation_order": 2, "snr_grid_db": [10.0]}
 SIM = {"scheme": "sm", "nt": 2, "nr": 2, "modulation_order": 2, "snr_grid_db": [10.0],
        "bits_per_trial": 200, "trials_per_snr": 1}
@@ -150,7 +155,7 @@ def _encode_decode(tmp, config, n_bits):
     assert run_cli("decode", "--capture", *[tmp / f"cap_ant{t}.bin" for t in range(1, nt + 1)],
                    "--meta", tmp / "cap_meta.json", "--out", tmp / "rx.bits",
                    "--report", tmp / "report.json", "--reference-bits", tmp / "tx.bits") == 0
-    return json.loads((tmp / "report.json").read_text())
+    return json.loads((tmp / "report.json").read_text(), parse_constant=refuse_constant)
 
 
 @pytest.mark.parametrize("power_factor", [0.8, 0.9, 1.0])
@@ -163,7 +168,8 @@ def test_encode_round_trips_at_any_power_factor(tmp_path, power_factor):
               "transmission_layout": {"n_frames": 1, "snr_block_symbols": 50,
                                       "power_factor": power_factor}}
     report = _encode_decode(tmp_path, config, 4000)
-    assert report["bit_errors"] == 0 and report["sync_margin"] > 1
+    # The gaps are silent: the sync margin is unbounded, written as null.
+    assert report["bit_errors"] == 0 and report["sync_margin"] is None
 
 
 def test_long_frame_at_a_high_sample_rate_encodes(tmp_path):
@@ -232,7 +238,7 @@ def test_encode_decode_round_trip_or_refused(tmp_path_factory, link, frame, tran
             assert len(err.splitlines()) == 1 and err.startswith("error: ")
             return
         assert code == 0 and not err
-    report = json.loads((tmp / "report.json").read_text())
+    report = json.loads((tmp / "report.json").read_text(), parse_constant=refuse_constant)
     assert report["n_bits"] == n_bits and report["bit_errors"] == 0
 
 
@@ -376,12 +382,14 @@ class TestEncodeDecodeCommands:
             "--meta", meta, "--out", out_bits, "--report", report_path,
             "--reference-bits", bits_path,
         ) == 0
-        report = json.loads(report_path.read_text())
+        report = json.loads(report_path.read_text(), parse_constant=refuse_constant)
         assert report["bit_errors"] == 0
         assert report["ber"] == 0
         assert report["n_bits"] == n_bits
         assert report["sync_tx_start"] == 0
-        assert report["sync_margin"] == float("inf")  # noiseless gaps are silent
+        # Noiseless gaps are silent: the infinite margin and SNR are written as null.
+        assert report["sync_margin"] is None
+        assert report["snr_db"] is None and report["snr_valid"] is False
         assert len(report["fo_cycles_per_sample"]) == 2
         assert max(abs(f) for f in report["fo_cycles_per_sample"]) <= 1e-6
         # identity channel: reported estimates are near the unit matrix
@@ -415,10 +423,7 @@ class TestFitChannelCommand:
         out = tmp_path / "fit.json"
         assert run_cli("fit-channel", "--samples", samples, "--out", out) == 0
 
-        def refuse(constant):
-            raise ValueError(f"{constant} is not JSON")
-
-        fit = json.loads(out.read_text(), parse_constant=refuse)
+        fit = json.loads(out.read_text(), parse_constant=refuse_constant)
         assert fit["k_factor_db"] is None
         assert fit["nu"] == 0.0
         assert fit["converged"] is True

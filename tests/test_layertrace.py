@@ -66,8 +66,10 @@ def test_sm_modulation_is_counted_through_build_transmission(layertrace):
 
 
 def test_link_round_trip_is_traced(layertrace):
-    """One encode -> channel -> decode round trip records the framing, LS
-    estimation and detection spans, and the data-section count."""
+    """One encode -> channel -> decode round trip records the framing,
+    matched filter, offset, LS estimation and detection spans, and the
+    data-section count: a stage the decoder reached other than through its
+    module attribute would leave its per-layer metrics at 0."""
     frame_layout = txchain.FrameLayout(data_symbols_per_frame=100)
     tx_layout = txchain.TransmissionLayout(n_frames=2, snr_block_symbols=50)
     c = modem.build_constellation(2)
@@ -85,6 +87,8 @@ def test_link_round_trip_is_traced(layertrace):
     assert np.array_equal(result.bits, bits)
     names = {span[0] for span in tracer.spans}
     for name in ("txchain.build_frame", "txchain.assemble_transmission",
-                 "rxchain.ls_channel_estimate", "rxchain.demodulate_frame"):
+                 "rxchain.matched_filter_downsample", "rxchain.estimate_fo",
+                 "rxchain.correct_fo", "rxchain.ls_channel_estimate",
+                 "rxchain.demodulate_frame"):
         assert name in names
     assert tracer.counts["txchain.data_samples"] == tx.sections["data"][1]

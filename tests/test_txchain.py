@@ -202,16 +202,17 @@ class TestAssembleTransmission:
         return txchain.assemble_transmission(stream, self.layout, self.tx_layout)
 
     def test_section_bookkeeping(self):
+        """At 4 samples per symbol: 20 pulses 51 symbols apart, 5 on/off
+        pairs of 200-symbol blocks per antenna, then 2 frames of 2300
+        symbols and the 39-sample filter tail."""
+        sections, period = self.tx_layout.sections(2, self.layout)
+        assert period == 204
+        assert sections == {"sync": (0, 4080), "snr": (4080, 16_000), "data": (20_080, 18_439)}
+        assert self.tx_layout.sections(4, self.layout)[0]["snr"] == (4080, 32_000)
         tx = self.build()
-        u = self.layout.upsample_factor
-        sync_len = self.tx_layout.sync_samples(u)
-        snr_len = self.tx_layout.snr_samples(2, u)
-        assert tx.sections["sync"] == (0, sync_len)
-        assert tx.sections["snr"] == (sync_len, snr_len)
-        data_start, data_len = tx.sections["data"]
-        assert data_start == sync_len + snr_len
-        assert data_len == 2 * self.layout.frame_symbols * u + 39
-        assert tx.samples.shape == (2, sync_len + snr_len + data_len)
+        assert tx.sections == sections
+        assert tx.data.shape == (2, 18_439)
+        assert tx.samples.shape == (2, 38_519)
 
     def test_sync_pulses(self):
         tx = self.build()
