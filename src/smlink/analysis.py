@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import channel as channel_mod
-from . import modem
+from . import fileio, modem
 from .errors import ConfigurationError, DegenerateInputError, DimensionError
 
 __all__ = [
@@ -127,10 +127,14 @@ class BoundConfig:
     n_channels: int = 10_000
 
     def __post_init__(self):
+        fileio.check_integer_fields(self)
         if self.nr < 1:
             raise ConfigurationError("nr must be >= 1")
         if self.n_channels < 1:
             raise ConfigurationError("n_channels must be >= 1")
+        if self.imbalance is not None and self.imbalance.shape != (self.nr, self.nt):
+            raise DimensionError(f"imbalance profile shape {self.imbalance.shape} "
+                                 f"does not match ({self.nr}, {self.nt})")
         grid = channel_mod.check_snr_grid(self.snr_grid_db)
         if list(grid) != sorted(grid):
             raise ConfigurationError("snr_grid_db must be sorted ascending")
@@ -236,14 +240,7 @@ def union_bound_aber(config, rng=None):
     n_cand, nt = x.shape
     m = modem.check_candidate_count(n_cand)
     nr = config.nr
-    if config.imbalance is None:
-        s = np.ones((nr, nt))
-    elif config.imbalance.shape != (nr, nt):
-        raise DimensionError(
-            f"imbalance profile shape {config.imbalance.shape} does not match ({nr}, {nt})"
-        )
-    else:
-        s = config.imbalance.amplitude_scale()
+    s = np.ones((nr, nt)) if config.imbalance is None else config.imbalance.amplitude_scale()
     s, antennas = np.unique(s, axis=0, return_counts=True)
     g = s.shape[0]
     a_sq = config.fading.los_amplitude**2
@@ -259,20 +256,14 @@ def union_bound_aber(config, rng=None):
     energy = s_sq @ (xri**2).T  # (g, n): sum_t s_rt^2 |x_t|^2
     totals = np.zeros(gamma_ex.size)
     for lo, hi, upper, hamming in _pair_blocks(n_cand):
-        stats = np.empty((2 * g, hi - lo, n_cand))
-        mu_sq, sigma_sq = stats[:g], stats[g:]
         # Per-group Gram rows sum_t s_rt^2 Re(x_it conj(x_jt)), one GEMM.
         gram = (s_sq[:, None, :] * xri[None, lo:hi, :]).reshape(-1, 2 * nt) @ xri.T
-        np.subtract(energy[:, lo:hi, None] + energy[:, None, :],
-                    2.0 * gram.reshape(g, hi - lo, n_cand), out=sigma_sq)
-        np.maximum(sigma_sq, 0.0, out=sigma_sq)
-        sigma_sq *= b_sq
+        sigma_sq = b_sq * np.maximum(energy[:, lo:hi, None] + energy[:, None, :]
+                                     - 2.0 * gram.reshape(g, hi - lo, n_cand), 0.0)
         d_re = los_re[:, lo:hi, None] - los_re[:, None, :]
         d_im = los_im[:, lo:hi, None] - los_im[:, None, :]
-        np.multiply(d_re, d_re, out=mu_sq)
-        mu_sq += d_im * d_im
-        mu_sq *= a_sq
-        pairs = np.ascontiguousarray(stats[:, upper].T)
+        mu_sq = a_sq * (d_re * d_re + d_im * d_im)
+        pairs = np.concatenate([mu_sq[:, upper], sigma_sq[:, upper]]).T.copy()
         distinct, inverse = np.unique(
             pairs.view(np.dtype((np.void, pairs.itemsize * 2 * g))).ravel(),
             return_inverse=True,

@@ -76,15 +76,13 @@ def check_snr_grid(snr_grid_db):
 
 
 def check_offset(fo_cycles_per_sample):
-    """:class:`ConfigurationError` unless every carrier offset is a number
-    in [-0.5, 0.5] cycles per sample; beyond, an offset aliases."""
-    try:
-        ok = bool(np.all(np.abs(np.asarray(fo_cycles_per_sample, dtype=np.float64)) <= 0.5))
-    except (TypeError, ValueError):
-        ok = False
-    if not ok:
-        raise ConfigurationError(f"carrier offset fo_cycles_per_sample must be in "
-                                 f"[-0.5, 0.5], got {fo_cycles_per_sample!r}")
+    """:class:`ConfigurationError` unless the carrier offset is one real
+    number in [-0.5, 0.5] cycles per sample; beyond, an offset aliases.
+    NaN, infinities, lists and arrays (0-d included) are refused."""
+    x = fo_cycles_per_sample
+    if not (isinstance(x, Real) and abs(x) <= 0.5):
+        raise ConfigurationError(f"carrier offset fo_cycles_per_sample must be a number in "
+                                 f"[-0.5, 0.5], got {x!r}")
 
 
 @dataclass(frozen=True)
@@ -256,27 +254,27 @@ def _ramp_block(n):
 
 
 def _ramp_factors(delta, n, first_index=0):
-    """The (..., n_blocks, 1) block phasors and (..., block) in-block
-    phasors of :func:`carrier_ramp`, whose products are its entries."""
+    """The (n_blocks, 1) block phasors and (block,) in-block phasors of
+    :func:`carrier_ramp`, whose products are its entries."""
     block = _ramp_block(n)
     n_blocks = -(-n // block)
-    w = 2.0 * np.pi * np.asarray(delta, dtype=np.float64)[..., None, None]
-    start = np.asarray(first_index)[..., None, None] + block * np.arange(n_blocks)[:, None]
+    w = 2.0 * np.pi * delta
+    start = first_index + block * np.arange(n_blocks)[:, None]
     return np.exp(1j * (w * start)), np.exp(1j * (w * np.arange(block)))
 
 
 def carrier_ramp(delta, n, first_index=0):
-    """exp(2j*pi*delta*(first_index + k)) for k = 0..n-1, along a new last axis.
+    """exp(2j*pi*delta*(first_index + k)) for k = 0..n-1, an (n,) array.
 
-    ``delta`` and ``first_index`` broadcast, giving one ramp per entry;
-    an offset outside [-0.5, 0.5] (NaN and infinities included) raises
-    :class:`ConfigurationError`.
-    Each ramp is a block phasor (one per run of about sqrt(n) indices)
+    ``delta`` is one offset in cycles per sample and ``first_index`` one
+    integer; an offset that :func:`check_offset` refuses (outside
+    [-0.5, 0.5], NaN and infinities included, or not a single number)
+    raises :class:`ConfigurationError`.
+    The ramp is a block phasor (one per run of about sqrt(n) indices)
     times an in-block phasor: about 2 sqrt(n) complex exponentials
     instead of n, within a few ulps of the largest phase of the direct
     ``np.exp`` (4.5e-13 at 3.1e3 rad).
     """
     check_offset(delta)
     outer, inner = _ramp_factors(delta, n, first_index)
-    ramp = outer * inner
-    return ramp.reshape(*ramp.shape[:-2], ramp.shape[-2] * ramp.shape[-1])[..., :n]
+    return (outer * inner).reshape(-1)[:n]

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import numbers
 from pathlib import Path
 
 from .errors import ConfigurationError
@@ -29,6 +30,20 @@ def _accepts(kind, value):
     if kind is float:
         return _accepts(int, value) or (isinstance(value, float) and math.isfinite(value))
     return isinstance(value, kind) and not isinstance(value, bool)
+
+
+def check_integer_fields(obj):
+    """Refuse, with :class:`ConfigurationError`, an ``int`` field of dataclass
+    ``obj`` that does not hold an integer (numpy integers pass, bool does not;
+    an ``int | None`` field may hold None), and store each one as an int."""
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        if f.type not in (int, int | None) or (value is None and f.type != int):
+            continue
+        if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+            raise ConfigurationError(
+                f"{type(obj).__name__} field {f.name!r} must be an integer, got {value!r}")
+        object.__setattr__(obj, f.name, int(value))
 
 
 def check_fields(data, kinds, required, what):

@@ -53,7 +53,6 @@ class Constellation:
 
     order: int
     points: np.ndarray
-    labels: tuple
 
     @property
     def bits_per_symbol(self):
@@ -98,8 +97,7 @@ def build_constellation(order):
             q_idx = _gray_decode(label & (levels - 1))
             points[label] = ((levels - 1) - 2 * i_idx) + 1j * ((levels - 1) - 2 * q_idx)
         points /= np.sqrt(2.0 * (order - 1) / 3.0)
-    labels = tuple(format(i, f"0{k}b") for i in range(order))
-    return Constellation(order=order, points=points, labels=labels)
+    return Constellation(order=order, points=points)
 
 
 def _as_bits(bits):

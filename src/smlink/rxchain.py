@@ -34,7 +34,7 @@ from .errors import (
     DimensionError,
     SyncRejection,
 )
-from .txchain import FO_EDGE_MARGIN, pilot_matrix, rrc_taps
+from .txchain import pilot_matrix, rrc_taps
 
 __all__ = [
     "SyncResult",
@@ -141,6 +141,9 @@ def _magnitude(rows):
     return np.sqrt(total, out=total)
 
 
+# A NaN, infinite or overflowing sample makes an energy non-finite, which is
+# refused with a named error; the warnings on the way there are not raised.
+@np.errstate(invalid="ignore", over="ignore")
 def estimate_snr(snr_section, nt, n_blocks, block_len_samples):
     """On/off power-difference SNR estimate over the sounding section.
 
@@ -152,7 +155,8 @@ def estimate_snr(snr_section, nt, n_blocks, block_len_samples):
     antennas; the noise variance is the per-component variance of the
     off samples; their ratio (divided by nr) is one raw estimate.
     Estimates are averaged in the linear domain over all blocks and
-    antennas.
+    antennas. A NaN or infinite sample, or one whose power overflows,
+    raises :class:`DegenerateInputError`.
     """
     y = np.atleast_2d(np.asarray(snr_section))
     nr = y.shape[0]
@@ -175,7 +179,11 @@ def estimate_snr(snr_section, nt, n_blocks, block_len_samples):
             off_energy = _power_sum(centred)
             noise_var = off_energy / off.size
             np.subtract(on, dc, out=centred)
-            signal = max(_power_sum(centred) - off_energy, 0.0) / block_len_samples
+            on_energy = _power_sum(centred)
+            if not np.isfinite(off_energy + on_energy):
+                raise DegenerateInputError(
+                    "SNR section holds NaN, infinite or overflowing samples")
+            signal = max(on_energy - off_energy, 0.0) / block_len_samples
             if noise_var == 0.0:
                 if signal == 0.0:
                     raise DegenerateInputError("on/off blocks are both silent")
@@ -223,11 +231,18 @@ def estimate_fo(preamble):
     tone with an unknown gain per antenna (Rife & Boorstyn 1974). Three
     Newton steps on the DTFT refine the peak of an FFT zero-padded to >= 4n
     (which lands within 1/(8n) of it); a step whose curvature is not
-    negative is skipped, so an all-zero frame gives 0.
+    negative is skipped, so an all-zero frame gives 0. The spectra are
+    taken ``SAMPLE_BLOCK // n_fft`` frames (at least one) at a time, so
+    they do not grow with the frame count; the Newton steps take all
+    frames at once.
     """
     x = np.asarray(preamble, dtype=np.complex128)
     n_fft = 1 << (4 * x.shape[-1] - 1).bit_length()
-    f = np.argmax(sum(np.abs(np.fft.fft(xr, n_fft)) ** 2 for xr in x), axis=-1) / n_fft
+    step = max(1, SAMPLE_BLOCK // n_fft)
+    f = np.empty(x.shape[-2])
+    for a in range(0, f.size, step):
+        power = sum(np.abs(np.fft.fft(xr, n_fft)) ** 2 for xr in x[:, a : a + step])
+        f[a : a + step] = np.argmax(power, axis=-1) / n_fft
     w = 2.0 * np.pi * (np.arange(x.shape[-1]) - (x.shape[-1] - 1) / 2)
     for _ in range(3):
         xe = x * np.exp(-1j * f[:, None] * w)
@@ -322,7 +337,8 @@ def decode_transmission(rx_samples, frame_layout, tx_layout, nt, scheme,
                         constellation, symbol_scale=None):
     """Run the full receive pipeline on the (nr, n) captured streams.
 
-    Each frame's offset is estimated from its preamble, all frames in
+    Each frame's offset is estimated from the matched-filtered
+    ``frame_layout.fo_window()`` symbols of its preamble, all frames in
     one call. Then, one frame at a time, the frame's samples and the
     filter's reach past them are derotated at its offset, phase
     referenced to the transmission start, and matched-filtered into its
@@ -361,15 +377,10 @@ def decode_transmission(rx_samples, frame_layout, tx_layout, nt, scheme,
                        tx_layout.snr_block_symbols * u)
 
     data = y[:, sync.tx_start_index + data_offset :][:, :data_len]
-    sections = frame_layout.sections()
-
-    fo = sections["fo"]
-    n_fo = fo.stop - fo.start - 2 * FO_EDGE_MARGIN
-    start = (fo.start + FO_EDGE_MARGIN) * u
+    fo = frame_layout.fo_window()
     frames = data[:, : n_sym * u].reshape(y.shape[0], n_frames, f_syms * u)
-    preamble = matched_filter_downsample(
-        frames[..., start : start + (n_fo - 1) * u + len(taps)], taps, u, n_fo
-    )
+    preamble = matched_filter_downsample(frames[..., fo.start * u : (fo.stop - 1) * u + len(taps)],
+                                         taps, u, fo.stop - fo.start)
     fo_per_frame = estimate_fo(preamble) / u
 
     # Frame f plus the filter's reach past it, derotated at f's own offset.
@@ -379,6 +390,7 @@ def decode_transmission(rx_samples, frame_layout, tx_layout, nt, scheme,
         by_frame[f] = matched_filter_downsample(
             correct_fo(rows, fo_per_frame[f], data_offset + a), taps, u, f_syms)
 
+    sections = frame_layout.sections()
     n_theta, window = frame_layout.pilot_seq_len, frame_layout.pilot_window()
     pilot_signals = np.stack([by_frame[..., sections[name]][..., window]
                               for name in ("pilot_first", "pilot_second")], axis=1)

@@ -41,7 +41,7 @@ from .errors import (
     FramingError,
     RangeError,
 )
-from .fileio import build, check_fields, read_json
+from .fileio import build, check_fields, check_integer_fields, read_json
 
 __all__ = [
     "FrameLayout",
@@ -87,6 +87,7 @@ class FrameLayout:
     rrc_rolloff: float = 0.75
 
     def __post_init__(self):
+        check_integer_fields(self)
         if min(self.zero_pad_len, self.fo_seq_len, self.data_symbols_per_frame) < 0:
             raise ConfigurationError("section lengths must be nonnegative")
         if self.pilot_sequences_per_signal < 1 or self.pilot_seq_len < 1:
@@ -111,6 +112,12 @@ class FrameLayout:
         the interior ones, as filter memory mixes the neighbouring sections into the outer two."""
         edge = self.pilot_seq_len if self.pilot_sequences_per_signal >= 3 else 0
         return slice(edge, self.pilot_signal_len - edge)
+
+    def fo_window(self):
+        """The symbols of a frame the offset estimate reads: the ``fo`` section less
+        ``FO_EDGE_MARGIN`` at each end, where filter memory mixes in its neighbours."""
+        fo = self.sections()["fo"]
+        return slice(fo.start + FO_EDGE_MARGIN, fo.stop - FO_EDGE_MARGIN)
 
     @property
     def frame_symbols(self):
@@ -144,6 +151,7 @@ class TransmissionLayout:
     sample_rate: float = 10e6
 
     def __post_init__(self):
+        check_integer_fields(self)
         if self.n_frames < 1:
             raise ConfigurationError("need at least one frame")
         if self.sync_pulses < 1 or self.sync_gap_symbols < 1:

@@ -218,6 +218,12 @@ class TestUnionBoundMonteCarlo:
                 scheme="sm", nt=2, nr=2, modulation_order=2,
                 fading=channel.FadingModel(), snr_grid_db=(5.0,), n_channels=0,
             )
+        # A float order used to end in an AttributeError in build_constellation.
+        with pytest.raises(ConfigurationError, match="modulation_order"):
+            analysis.BoundConfig(
+                scheme="sm", nt=2, nr=2, modulation_order=2.0,
+                fading=channel.FadingModel(), snr_grid_db=(5.0,),
+            )
 
 
 def rayleigh_union_bound(candidates, nr, snr_db):
@@ -323,13 +329,13 @@ class TestExactUnionBound:
         assert np.array_equal(got, want)
 
     def test_imbalance_shape_must_match(self):
-        cfg = analysis.BoundConfig(
-            scheme="sm", nt=4, nr=2, modulation_order=2,
-            fading=channel.FadingModel(33.0), snr_grid_db=(10.0,),
-            imbalance=channel.imbalance_profile("rx_config_1"),
-        )
-        with pytest.raises(DimensionError):
-            analysis.union_bound_aber(cfg)
+        """A 2x2 profile on a 2x4 link is refused when the config is built."""
+        with pytest.raises(DimensionError, match=r"\(2, 4\)"):
+            analysis.BoundConfig(
+                scheme="sm", nt=4, nr=2, modulation_order=2,
+                fading=channel.FadingModel(33.0), snr_grid_db=(10.0,),
+                imbalance=channel.imbalance_profile("rx_config_1"),
+            )
 
     @pytest.mark.parametrize("grid", [
         (), (float("nan"),), (5.0, float("nan"), 1.0), (float("inf"),),

@@ -238,10 +238,13 @@ class TestCarrierRamp:
         with pytest.raises(ConfigurationError, match="fo_cycles_per_sample"):
             channel.carrier_ramp(delta, 100)
 
-    def test_one_ramp_per_offset_and_start(self):
-        deltas = np.array([1e-3, -2e-3, 5e-4])
-        starts = np.array([0, 500, 1000])
-        ramps = channel.carrier_ramp(deltas, 500, starts)
-        assert ramps.shape == (3, 500)
-        for ramp, d, s in zip(ramps, deltas, starts):
-            assert np.max(np.abs(ramp - self.reference(d, 500, s))) <= 1e-12
+    @pytest.mark.parametrize("delta", [[1e-4, 2e-4], (1e-4,), np.array([1e-4, 2e-4]),
+                                       np.array(1e-4)],
+                             ids=["list", "tuple", "ndarray", "0-d-array"])
+    def test_offset_must_be_one_number(self, delta):
+        """A carrier offset is one number: sequences and arrays, 0-d ones
+        included, are refused by the ramp and by the channel that applies it."""
+        with pytest.raises(ConfigurationError, match="fo_cycles_per_sample"):
+            channel.carrier_ramp(delta, 100)
+        with pytest.raises(ConfigurationError, match="fo_cycles_per_sample"):
+            channel.propagate_waveform(np.ones((2, 10), dtype=complex), np.eye(2), delta)

@@ -96,6 +96,9 @@ MALFORMED = {
     "simulate-zero-nr": lambda t: _simulate(t, {**SIM, "nr": 0}),
     "simulate-k-factor-nan": lambda t: _simulate(t, {**SIM, "k_factor_db": float("nan")}),
     "simulate-fo-infinity": lambda t: _simulate(t, {**SIM, "fo_cycles_per_sample": float("inf")}),
+    "simulate-negative-seed": lambda t: _simulate(t, {**SIM, "master_seed": -1}),
+    "plotdata-negative-seed": lambda t: ["plotdata", "--figure", "fig13", "--quick",
+                                         "--seed", "-1", "--out-dir", t],
     "simulate-missing-file": lambda t: ["simulate", "--config", t / "absent.json",
                                         "--out", t / "s.csv"],
     "encode-unknown-frame-key": lambda t: _encode(t, frame_layout={"bogus": 1}),

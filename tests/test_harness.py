@@ -42,6 +42,35 @@ class TestSimConfig:
         with pytest.raises(SmlinkError):
             small_config(**overrides)
 
+    @pytest.mark.parametrize("fo", [[1e-4, 2e-4], (1e-4,), np.array([1e-4, 2e-4]),
+                                    np.array(1e-4)],
+                             ids=["list", "tuple", "ndarray", "0-d-array"])
+    def test_offset_must_be_one_number(self, fo):
+        """The run applies one carrier offset; a list of them used to pass here
+        and end in a numpy broadcast error inside run_simulation."""
+        with pytest.raises(ConfigurationError, match="fo_cycles_per_sample"):
+            harness.SimConfig(scheme="sm", nt=2, nr=2, modulation_order=2,
+                              snr_grid_db=(20.0,), fidelity="waveform",
+                              fo_cycles_per_sample=fo, bits_per_trial=2000,
+                              trials_per_snr=1, snr_block_symbols=500)
+
+    @pytest.mark.parametrize("field,value", [
+        ("trials_per_snr", 2.5), ("bits_per_trial", 2000.0), ("block_symbols", 100.0),
+        ("snr_block_symbols", 500.0), ("nt", 2.0), ("master_seed", 4.0),
+        ("target_bit_errors", True), ("trials_per_snr", "3"), ("master_seed", -1),
+    ])
+    def test_bad_counts_and_seeds_refused(self, field, value):
+        """A float, bool or string count used to pass here and end in a
+        TypeError inside run_simulation, and a negative seed in a ValueError
+        from SeedSequence."""
+        with pytest.raises(ConfigurationError, match=field):
+            small_config(**{field: value})
+
+    def test_numpy_integers_stored_as_ints(self):
+        cfg = small_config(nt=np.int64(2), trials_per_snr=np.uint8(3), master_seed=np.int32(4))
+        assert cfg == small_config()
+        assert all(type(v) is int for v in (cfg.nt, cfg.trials_per_snr, cfg.master_seed))
+
     def test_validation(self):
         with pytest.raises(ConfigurationError):
             small_config(scheme="osm")
@@ -202,7 +231,7 @@ def sim_config_fields(draw, tiny=False):
         * draw(st.integers(1, 2 if tiny else 50)),
         trials_per_snr=draw(st.integers(1, 2 if tiny else 10**9)),
         target_bit_errors=draw(st.none() | st.integers(1, 10 if tiny else 10**9)),
-        master_seed=draw(st.integers(0, 2**128)),
+        master_seed=draw(st.integers(-2**64, 2**128) if tiny else st.integers(0, 2**128)),
         fo_cycles_per_sample=draw(st.floats(-0.6, 0.6) if tiny else st.floats(-0.5, 0.5)),
         block_symbols=block,
         snr_block_symbols=draw(st.integers(0, 50) if tiny else st.integers(1, 10**6)),
@@ -223,7 +252,11 @@ def sim_configs(draw):
 def test_config_refused_or_run_well_formed(fields):
     """Each drawn config is refused by name at construction, or runs to
     records whose counts are nonnegative and whose SNR estimate, if any,
-    is finite."""
+    is finite. A negative seed is always refused."""
+    if fields["master_seed"] < 0:
+        with pytest.raises(ConfigurationError, match="master_seed"):
+            harness.SimConfig(**fields)
+        return
     try:
         cfg = harness.SimConfig(**fields)
     except SmlinkError:

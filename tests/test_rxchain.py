@@ -265,6 +265,18 @@ class TestEstimateSnr:
         with pytest.raises(DegenerateInputError):
             rxchain.estimate_snr(np.zeros((2, 80_000), dtype=complex), 2, 5, 4000)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 1e200])
+    @pytest.mark.parametrize("half", [0, 1], ids=["on", "off"])
+    def test_non_finite_sample_refused(self, value, half):
+        """A NaN or infinite sample (or one whose power overflows) in an on or
+        an off block is refused, as sync and decode refuse it, and no
+        RuntimeWarning is raised first (the tests turn warnings into errors)."""
+        h = np.array([[1.0 + 0.2j, 0.8 - 0.1j], [0.4 + 0.5j, 1.1 + 0.0j]])
+        y, _ = self.build_section(h, 15.0, np.random.default_rng(5), block_len=400)
+        y.reshape(2, 2, 5, 2, 400)[1, 1, 2, half, 17] = value
+        with pytest.raises(DegenerateInputError, match="NaN, infinite or overflowing"):
+            rxchain.estimate_snr(y, 2, 5, 400)
+
     def test_short_section_rejected(self):
         with pytest.raises(DimensionError):
             rxchain.estimate_snr(np.ones((2, 100), dtype=complex), 2, 5, 4000)
@@ -350,6 +362,19 @@ class TestFoEstimation:
         assert np.max(np.abs(est - deltas)) < 1e-12
         singles = [rxchain.estimate_fo(x[:, f : f + 1])[0] for f in range(6)]
         assert np.max(np.abs(est - singles)) < 1e-15
+
+    def test_frames_beyond_one_spectrum_block(self):
+        """The FFT peaks are searched SAMPLE_BLOCK // n_fft frames at a time
+        (8 at 976 symbols, n_fft = 4096): 19 frames span three blocks, the
+        last one ragged, and each gets its single-frame estimate."""
+        rng = np.random.default_rng(9)
+        deltas = rng.uniform(-0.45, 0.45, 19)
+        x = self.tones(deltas, 976, rng.standard_normal(2) + 1j * rng.standard_normal(2))
+        est = rxchain.estimate_fo(x)
+        assert np.max(np.abs(est - deltas)) < 1e-12
+        singles = [rxchain.estimate_fo(x[:, f : f + 1])[0] for f in range(19)]
+        assert np.max(np.abs(est - singles)) < 1e-15
+        assert rxchain.estimate_fo(x[:, :0]).shape == (0,)
 
     @pytest.mark.parametrize("noise_only_antennas", [0, 1])
     def test_mean_square_error_near_cramer_rao_bound(self, noise_only_antennas):
@@ -697,13 +722,14 @@ class TestDecodeTransmission:
         assert peak <= 0.1 * capture
 
     def test_peak_memory_grows_slower_than_capture_with_frames(self):
-        """Frames are derotated and filtered one at a time: from 8 to 32
-        frames the decoder's traced peak grows by less than the capture
-        does (measured: 0.53x; a derotated copy of the data section
-        made it 1.46x)."""
+        """Frames are derotated and filtered one at a time and the offset
+        spectra are taken a bounded block of frames at a time: from 8 to 32
+        frames the decoder's traced peak grows by at most half what the
+        capture does (measured: 0.426x; 0.533x with the spectra of all frames
+        at once, 1.46x with a derotated copy of the data section)."""
         small, small_capture = self.traced_decode(8, 200)
         large, large_capture = self.traced_decode(32, 200)
-        assert large - small <= large_capture - small_capture
+        assert large - small <= 0.5 * (large_capture - small_capture)
 
     def test_noisy_decode_still_syncs(self, loopback):
         layout, tx_layout, c, bits, tx, h = loopback

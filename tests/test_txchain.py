@@ -102,6 +102,26 @@ class TestFrameLayout:
         assert s["pilot_second"] == slice(2150, 2250)
         assert s["zeros_tail"] == slice(2250, 2300)
 
+    @pytest.mark.parametrize("fo_seq_len", [1000, 2 * txchain.FO_EDGE_MARGIN + 2])
+    def test_fo_window_is_the_preamble_less_its_edges(self, fo_seq_len):
+        """The offset estimate reads the fo section less FO_EDGE_MARGIN symbols
+        at each end, for the default preamble and the shortest one allowed."""
+        layout = txchain.FrameLayout(fo_seq_len=fo_seq_len)
+        fo = layout.sections()["fo"]
+        n_fo = fo.stop - fo.start - 2 * txchain.FO_EDGE_MARGIN
+        window = layout.fo_window()
+        assert window == slice(fo.start + txchain.FO_EDGE_MARGIN,
+                               fo.start + txchain.FO_EDGE_MARGIN + n_fo)
+        assert window.stop - window.start == fo_seq_len - 2 * txchain.FO_EDGE_MARGIN >= 2
+
+    @pytest.mark.parametrize("field", ["zero_pad_len", "pilot_sequences_per_signal",
+                                       "pilot_seq_len", "fo_seq_len", "data_symbols_per_frame",
+                                       "upsample_factor", "rrc_num_taps"])
+    def test_integer_fields_refused_as_floats(self, field):
+        value = float(getattr(txchain.FrameLayout(), field))
+        with pytest.raises(ConfigurationError, match=field):
+            txchain.FrameLayout(**{field: value})
+
     def test_coherence_budget_guard(self):
         """A frame is held to the 7 ms budget at the transmission's own sample
         rate: 21 300 symbols last 8.52 ms at 10 Ms/s and 0.852 ms at 100 Ms/s,
@@ -144,6 +164,15 @@ class TestFrameLayout:
 
 
 class TestTransmissionLayout:
+    @pytest.mark.parametrize("field", ["n_frames", "sync_pulses", "sync_gap_symbols",
+                                       "snr_blocks", "snr_block_symbols"])
+    def test_integer_fields_refused_as_floats(self, field):
+        """A float count used to end in a TypeError inside build_transmission
+        (a float snr_block_symbols built a transmission of float length)."""
+        value = float(getattr(txchain.TransmissionLayout(), field))
+        with pytest.raises(ConfigurationError, match=field):
+            txchain.TransmissionLayout(**{field: value})
+
     @pytest.mark.parametrize("field", ["power_factor", "sample_rate"])
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_refused(self, field, value):
