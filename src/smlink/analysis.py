@@ -127,7 +127,7 @@ class BoundConfig:
     n_channels: int = 10_000
 
     def __post_init__(self):
-        fileio.check_integer_fields(self)
+        fileio.check_field_types(self)
         if self.nr < 1:
             raise ConfigurationError("nr must be >= 1")
         if self.n_channels < 1:

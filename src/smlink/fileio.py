@@ -4,11 +4,13 @@ import dataclasses
 import json
 import math
 import numbers
+import typing
 from pathlib import Path
 
 from .errors import ConfigurationError
 
 _KINDS = {int: "an integer", float: "a finite number", tuple: "a list of finite numbers"}
+_NUMBERS = {int: numbers.Integral, float: numbers.Real}
 
 
 def read_json(path, what):
@@ -32,18 +34,26 @@ def _accepts(kind, value):
     return isinstance(value, kind) and not isinstance(value, bool)
 
 
-def check_integer_fields(obj):
-    """Refuse, with :class:`ConfigurationError`, an ``int`` field of dataclass
-    ``obj`` that does not hold an integer (numpy integers pass, bool does not;
-    an ``int | None`` field may hold None), and store each one as an int."""
+def check_field_types(obj):
+    """Refuse, with :class:`ConfigurationError` naming the class and the field,
+    a field of dataclass ``obj`` whose value does not match its annotation: an
+    ``int`` field takes an integer (numpy integers pass) and is stored as an int,
+    a ``float`` field a real number (numpy floats pass; the class checks its
+    range), a ``str`` field a str and a class-typed field an instance. bool
+    passes no number field, an ``X | None`` field may hold None, and ``tuple``
+    fields are left to their own checks."""
     for f in dataclasses.fields(obj):
         value = getattr(obj, f.name)
-        if f.type not in (int, int | None) or (value is None and f.type != int):
+        kind, *optional = typing.get_args(f.type) or (f.type,)
+        if kind is tuple or (value is None and optional):
             continue
-        if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+        number_as_bool = kind in _NUMBERS and isinstance(value, bool)
+        if number_as_bool or not isinstance(value, _NUMBERS.get(kind, kind)):
+            wanted = {int: "an integer", float: "a real number"}.get(kind, f"a {kind.__name__}")
             raise ConfigurationError(
-                f"{type(obj).__name__} field {f.name!r} must be an integer, got {value!r}")
-        object.__setattr__(obj, f.name, int(value))
+                f"{type(obj).__name__} field {f.name!r} must be {wanted}, got {value!r}")
+        if kind is int:
+            object.__setattr__(obj, f.name, int(value))
 
 
 def check_fields(data, kinds, required, what):

@@ -93,7 +93,7 @@ class SimConfig:
     snr_block_symbols: int = 50_000
 
     def __post_init__(self):
-        fileio.check_integer_fields(self)
+        fileio.check_field_types(self)
         if self.master_seed < 0:
             raise ConfigurationError(f"master_seed must be >= 0, got {self.master_seed}")
         if self.scheme not in _SCHEMES:

@@ -87,6 +87,9 @@ class DecodeResult:
     symbol_scale: float = 1.0
 
 
+# A NaN, infinite or overflowing sample makes a magnitude non-finite, which is
+# refused with a named error; the warnings on the way there are not raised.
+@np.errstate(invalid="ignore", over="ignore")
 def detect_sync(capture, pulse_period_samples, n_pulses, fit_samples):
     """Find the sync pulse train by a comb search at the known pulse period.
 
@@ -100,8 +103,9 @@ def detect_sync(capture, pulse_period_samples, n_pulses, fit_samples):
     so no sample past n - fit_samples + (n_pulses - 1) P + P//2 is read.
     The capture is accepted only when every tooth stands above every
     mid-gap sample; otherwise, or when the capture is too short,
-    :class:`SyncRejection` is raised. Non-finite samples in the searched
-    head raise :class:`DegenerateInputError`.
+    :class:`SyncRejection` is raised. A NaN or infinite sample in the
+    searched head, or one whose power overflows, raises
+    :class:`DegenerateInputError`.
     """
     y = np.atleast_2d(capture)
     period, half = pulse_period_samples, pulse_period_samples // 2
@@ -115,7 +119,7 @@ def detect_sync(capture, pulse_period_samples, n_pulses, fit_samples):
         k = min(SAMPLE_BLOCK, n_starts - b)
         m = _magnitude(y[:, b : b + k + reach])
         if not np.isfinite(m).all():
-            raise DegenerateInputError("capture holds NaN or infinite samples")
+            raise DegenerateInputError("capture holds NaN, infinite or overflowing samples")
         step = m[: k + reach - half] - m[half:]
         comb = sum(step[i * period : i * period + k] for i in range(n_pulses))
         i = int(np.argmax(comb))
@@ -133,12 +137,7 @@ def detect_sync(capture, pulse_period_samples, n_pulses, fit_samples):
 
 def _magnitude(rows):
     """sqrt(sum_r |y_r|^2) of an (nr, k) block of streams."""
-    total = np.zeros(rows.shape[1])
-    for row in rows:
-        power = np.abs(row)
-        power *= power
-        total += power
-    return np.sqrt(total, out=total)
+    return np.sqrt(sum(np.abs(row) ** 2 for row in rows))
 
 
 # A NaN, infinite or overflowing sample makes an energy non-finite, which is
@@ -155,8 +154,11 @@ def estimate_snr(snr_section, nt, n_blocks, block_len_samples):
     antennas; the noise variance is the per-component variance of the
     off samples; their ratio (divided by nr) is one raw estimate.
     Estimates are averaged in the linear domain over all blocks and
-    antennas. A NaN or infinite sample, or one whose power overflows,
-    raises :class:`DegenerateInputError`.
+    antennas. Each block's energies are summed one BLAS dot product per
+    receive row over fresh ``off - dc`` and ``on - dc`` arrays, not as
+    one-pass sums of x and |x|^2, which cancel under a large receive DC.
+    A NaN or infinite sample, or one whose power overflows, raises
+    :class:`DegenerateInputError`.
     """
     y = np.atleast_2d(np.asarray(snr_section))
     nr = y.shape[0]
@@ -170,16 +172,13 @@ def estimate_snr(snr_section, nt, n_blocks, block_len_samples):
     # (nr, antenna, block, on/off, sample) view of the sounding runs.
     blocks = y[:, :need].reshape(nr, nt, n_blocks, 2, block_len_samples)
     raw = np.empty((nt, n_blocks))
-    centred = None  # one (nr, block_len) buffer, reused by every block
     for t in range(nt):
         for b in range(n_blocks):
             on, off = blocks[:, t, b, 0], blocks[:, t, b, 1]
             dc = off.mean(axis=1, keepdims=True)
-            centred = np.subtract(off, dc, out=centred)
-            off_energy = _power_sum(centred)
+            off_energy, on_energy = (float(sum(np.vdot(r, r).real for r in x - dc))
+                                     for x in (off, on))
             noise_var = off_energy / off.size
-            np.subtract(on, dc, out=centred)
-            on_energy = _power_sum(centred)
             if not np.isfinite(off_energy + on_energy):
                 raise DegenerateInputError(
                     "SNR section holds NaN, infinite or overflowing samples")
@@ -196,11 +195,6 @@ def estimate_snr(snr_section, nt, n_blocks, block_len_samples):
         per_antenna_per_block=raw,
         valid=0 < mean < np.inf,
     )
-
-
-def _power_sum(rows):
-    """Sum of |x|^2 over a (nr, n) block, one BLAS dot product per row."""
-    return float(sum(np.vdot(row, row).real for row in rows))
 
 
 def matched_filter_downsample(samples, taps, upsample_factor, n_symbols=None):
@@ -348,10 +342,12 @@ def decode_transmission(rx_samples, frame_layout, tx_layout, nt, scheme,
 
     Returns a :class:`DecodeResult`. Raises :class:`ConfigurationError`
     before reading the samples when ``scheme`` is unknown or ``nt`` is
-    not a power of two, :class:`DegenerateInputError` when any sample is
-    NaN or infinite (checked one ``SAMPLE_BLOCK`` at a time), and
-    :class:`SyncRejection` when the capture cannot hold the transmission
-    or :func:`detect_sync` finds no pulse train at a start where it fits.
+    not a power of two, :class:`DegenerateInputError` before sync when
+    any sample is NaN or infinite or the power of a receive row overflows
+    (screened by one BLAS dot product per row, which allocates nothing),
+    and :class:`SyncRejection` when the capture cannot hold the
+    transmission or :func:`detect_sync` finds no pulse train at a start
+    where it fits.
     ``symbol_scale``, when given (from the transmission sidecar),
     converts the reported channel estimates to the true channel's
     amplitude scale; detection is unaffected.
@@ -367,9 +363,8 @@ def decode_transmission(rx_samples, frame_layout, tx_layout, nt, scheme,
     n_frames = tx_layout.n_frames
     f_syms = frame_layout.frame_symbols
     n_sym = n_frames * f_syms
-    for s in range(0, y.shape[1], SAMPLE_BLOCK):
-        if not np.isfinite(y[:, s : s + SAMPLE_BLOCK]).all():
-            raise DegenerateInputError("capture holds NaN or infinite samples")
+    if not all(np.isfinite(np.vdot(row, row)) for row in y):
+        raise DegenerateInputError("capture holds NaN, infinite or overflowing samples")
     sync = detect_sync(y, period, tx_layout.sync_pulses, data_offset + n_sym * u)
 
     snr_section = y[:, sync.tx_start_index + snr_start :][:, :snr_len]

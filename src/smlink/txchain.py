@@ -41,7 +41,7 @@ from .errors import (
     FramingError,
     RangeError,
 )
-from .fileio import build, check_fields, check_integer_fields, read_json
+from .fileio import build, check_fields, check_field_types, read_json
 
 __all__ = [
     "FrameLayout",
@@ -87,7 +87,7 @@ class FrameLayout:
     rrc_rolloff: float = 0.75
 
     def __post_init__(self):
-        check_integer_fields(self)
+        check_field_types(self)
         if min(self.zero_pad_len, self.fo_seq_len, self.data_symbols_per_frame) < 0:
             raise ConfigurationError("section lengths must be nonnegative")
         if self.pilot_sequences_per_signal < 1 or self.pilot_seq_len < 1:
@@ -151,7 +151,7 @@ class TransmissionLayout:
     sample_rate: float = 10e6
 
     def __post_init__(self):
-        check_integer_fields(self)
+        check_field_types(self)
         if self.n_frames < 1:
             raise ConfigurationError("need at least one frame")
         if self.sync_pulses < 1 or self.sync_gap_symbols < 1:

@@ -207,6 +207,16 @@ class TestUnionBoundMonteCarlo:
                 np.zeros((3, 2), dtype=complex), np.eye(2), (10.0,)
             )
 
+    @pytest.mark.parametrize("field,value", [("fading", None), ("fading", 33.0),
+                                             ("imbalance", [[0, 1], [1, 1]])])
+    def test_model_fields_typed(self, field, value):
+        """A missing fading model used to pass construction and end in an
+        AttributeError inside union_bound_aber, as a list imbalance did."""
+        base = dict(scheme="sm", nt=2, nr=2, modulation_order=2,
+                    fading=channel.FadingModel(), snr_grid_db=(5.0,))
+        with pytest.raises(ConfigurationError, match=f"BoundConfig field {field!r}"):
+            analysis.BoundConfig(**{**base, field: value})
+
     def test_config_validation(self):
         with pytest.raises(ConfigurationError):
             analysis.BoundConfig(

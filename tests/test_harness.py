@@ -66,6 +66,17 @@ class TestSimConfig:
         with pytest.raises(ConfigurationError, match=field):
             small_config(**{field: value})
 
+    @pytest.mark.parametrize("field,value", [("pi_profile", ["none"]), ("k_factor_db", True)])
+    def test_str_and_float_fields_typed(self, field, value):
+        """A list profile used to end in a bare TypeError (unhashable type),
+        and True passed as a K factor of 1 dB."""
+        with pytest.raises(ConfigurationError, match=f"SimConfig field {field!r}"):
+            small_config(**{field: value})
+
+    def test_numpy_floats_pass_float_fields(self):
+        cfg = small_config(k_factor_db=np.float64(33.0), fo_cycles_per_sample=np.float32(0.0))
+        assert cfg == small_config(k_factor_db=33.0)
+
     def test_numpy_integers_stored_as_ints(self):
         cfg = small_config(nt=np.int64(2), trials_per_snr=np.uint8(3), master_seed=np.int32(4))
         assert cfg == small_config()

@@ -152,6 +152,15 @@ class TestDetectSync:
             with pytest.raises(DegenerateInputError):
                 rxchain.detect_sync(capture, 204, 20, 4500)
 
+    def test_overflowing_head_sample_rejected(self):
+        """A finite sample whose power overflows is refused by name, with no
+        RuntimeWarning first (the tests turn warnings into errors)."""
+        capture = np.zeros((2, 12_000))
+        capture[0, 204 * np.arange(20)] = 1.0
+        capture[1, 300] = 1e200
+        with pytest.raises(DegenerateInputError, match="NaN, infinite or overflowing"):
+            rxchain.detect_sync(capture, 204, 20, 10_000)
+
     def test_lone_spike_rejects(self):
         capture = np.zeros(50_000)
         capture[1234] = 1.0
@@ -677,12 +686,17 @@ class TestDecodeTransmission:
         assert np.array_equal(result.bits, at_true_start.bits)
         assert np.count_nonzero(result.bits != bits) < 0.01 * bits.size
 
-    @pytest.mark.parametrize("where", [0, -1])
-    def test_non_finite_sample_anywhere_rejected(self, loopback, where):
+    @pytest.mark.parametrize("where", ["head", "sounding", "tail"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 1e200])
+    def test_non_finite_sample_anywhere_rejected(self, loopback, value, where):
+        """A NaN or infinite sample, or one whose power overflows, is refused
+        by name before sync wherever it lies: in the sync head, in the
+        sounding section or in the filter tail that no symbol instant reads,
+        with no RuntimeWarning first (the tests turn warnings into errors)."""
         layout, tx_layout, c, _, tx, h = loopback
         rx = channel.propagate_waveform(tx.samples, h)
-        rx[1, where] = np.nan
-        with pytest.raises(DegenerateInputError):
+        rx[1, {"head": 0, "sounding": tx.sections["snr"][0] + 17, "tail": -1}[where]] = value
+        with pytest.raises(DegenerateInputError, match="NaN, infinite or overflowing"):
             rxchain.decode_transmission(rx, layout, tx_layout, 2, "sm", c)
 
     def test_capture_cut_before_data_end_rejected(self, loopback):

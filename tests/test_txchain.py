@@ -122,6 +122,13 @@ class TestFrameLayout:
         with pytest.raises(ConfigurationError, match=field):
             txchain.FrameLayout(**{field: value})
 
+    @pytest.mark.parametrize("value", ["x", True])
+    def test_rolloff_must_be_a_number(self, value):
+        """A string used to end in a bare TypeError and True passed as 1."""
+        with pytest.raises(ConfigurationError, match="FrameLayout field 'rrc_rolloff'"):
+            txchain.FrameLayout(rrc_rolloff=value)
+        assert txchain.FrameLayout(rrc_rolloff=np.float64(0.5)).rrc_rolloff == 0.5
+
     def test_coherence_budget_guard(self):
         """A frame is held to the 7 ms budget at the transmission's own sample
         rate: 21 300 symbols last 8.52 ms at 10 Ms/s and 0.852 ms at 100 Ms/s,
@@ -178,6 +185,15 @@ class TestTransmissionLayout:
     def test_non_finite_refused(self, field, value):
         with pytest.raises(ConfigurationError):
             txchain.TransmissionLayout(**{field: value})
+
+    @pytest.mark.parametrize("field,value", [("power_factor", "x"), ("sample_rate", None),
+                                             ("power_factor", True)])
+    def test_float_fields_must_be_numbers(self, field, value):
+        """A string or None used to end in a bare TypeError and True passed as 1."""
+        with pytest.raises(ConfigurationError, match=f"TransmissionLayout field {field!r}"):
+            txchain.TransmissionLayout(**{field: value})
+        assert txchain.TransmissionLayout(**{field: np.float64(0.25)}) == \
+            txchain.TransmissionLayout(**{field: 0.25})
 
 
 class TestPulseShape:
