@@ -30,6 +30,8 @@ __all__ = [
     "draw_channels",
     "propagate_symbols",
     "propagate_waveform",
+    "ReceivedWaveform",
+    "check_noise_var",
     "carrier_ramp",
     "awgn",
 ]
@@ -92,9 +94,10 @@ class FadingModel:
     k_factor_db: float = float("-inf")
 
     def __post_init__(self):
-        if not (isinstance(self.k_factor_db, Real) and -np.inf <= self.k_factor_db < np.inf):
-            raise ConfigurationError(f"K must be finite or -inf dB, got {self.k_factor_db!r}")
-        db_to_linear(self.k_factor_db, f"K of {self.k_factor_db!r} dB")
+        k = self.k_factor_db
+        if isinstance(k, bool) or not (isinstance(k, Real) and -np.inf <= k < np.inf):
+            raise ConfigurationError(f"K must be finite or -inf dB (not a bool), got {k!r}")
+        db_to_linear(k, f"K of {k!r} dB")
 
     @property
     def k_linear(self):
@@ -186,8 +189,17 @@ def draw_channels(n, nr, nt, fading, imbalance=None, rng=None):
     return h
 
 
+def check_noise_var(noise_var):
+    """:class:`ConfigurationError` unless the noise variance is finite and
+    nonnegative (NaN, infinities and negative values are refused)."""
+    if not 0.0 <= noise_var < np.inf:
+        raise ConfigurationError(f"noise_var must be finite and >= 0, got {noise_var!r}")
+
+
 def awgn(shape, noise_var, rng):
-    """Circular complex Gaussian noise with total variance noise_var."""
+    """Circular complex Gaussian noise with total variance noise_var, which
+    must be finite and nonnegative (:func:`check_noise_var`)."""
+    check_noise_var(noise_var)
     w = _interleaved_normal(rng, shape)
     w *= np.sqrt(noise_var / 2.0)
     return w
@@ -197,13 +209,14 @@ def propagate_symbols(vectors, h, noise_var, rng):
     """y = H x + n for a block of (n, nt) transmit vectors.
 
     ``noise_var`` is the total variance per complex receive sample
-    (split evenly between real and imaginary parts).
+    (split evenly between real and imaginary parts); any value but 0 goes
+    to :func:`awgn`, which refuses a negative or non-finite one.
     """
     x = np.asarray(vectors)
     if x.ndim != 2 or x.shape[1] != h.shape[1]:
         raise DimensionError("transmit block must be (n, nt) matching H")
     y = x @ h.T
-    if noise_var > 0:
+    if noise_var != 0:
         y = y + awgn(y.shape, noise_var, rng)
     return y
 
@@ -213,39 +226,109 @@ def propagate_waveform(samples, h, fo_cycles_per_sample=0.0, noise_var=0.0, rng=
 
     ``samples`` is an (nt, n_samples) array, or a block source with a
     ``shape`` (nt, n_samples) and a ``segment(start, stop)`` that builds
-    those samples (``txchain.TransmissionVector``). The output
-    (nr, n_samples) is (H @ samples) rotated by exp(2j*pi*fo*k) -- a
-    constant carrier frequency offset in cycles per sample, within
-    [-0.5, 0.5] -- plus complex AWGN of total variance ``noise_var`` per
-    sample. The noise equals one (n_samples, nr) :func:`awgn` draw,
-    transposed, so the generator fills it sample by sample. One loop
-    takes a block of whole :func:`carrier_ramp` blocks (about
-    ``SAMPLE_BLOCK`` samples) at a time: it mixes that block's input
-    into its slice of the output, then rotates it and adds its noise.
-    The output is the only full-length array the call allocates.
+    those samples (``txchain.TransmissionVector``). The (nr, n_samples)
+    output is (H @ samples) rotated by exp(2j*pi*fo*k) -- a constant
+    carrier frequency offset in cycles per sample, within [-0.5, 0.5] --
+    plus complex AWGN of total variance ``noise_var`` per sample, which
+    must be finite and nonnegative. Nothing is computed here: the result
+    is a :class:`ReceivedWaveform`, a block source that builds any run of
+    the output on demand, so no array the length of the output is held
+    unless a caller asks for one with ``segment(0, n_samples)``.
     """
-    source = samples if hasattr(samples, "segment") else np.asarray(samples)
-    if len(source.shape) != 2 or source.shape[0] != h.shape[1]:
-        raise DimensionError("sample block must be (nt, n_samples) matching H")
-    segment = getattr(source, "segment", lambda a, b: source[:, a:b])
-    check_offset(fo_cycles_per_sample)
-    if noise_var > 0 and rng is None:
-        raise ConfigurationError("rng is required when noise_var > 0")
-    nr, n = h.shape[0], source.shape[1]
-    y = np.empty((nr, n), dtype=np.result_type(h, segment(0, 0)))
-    if fo_cycles_per_sample != 0.0:
-        outer, inner = _ramp_factors(fo_cycles_per_sample, n)
-    ramp_block = _ramp_block(n)
-    per_block = max(1, SAMPLE_BLOCK // ramp_block)
-    for b in range(0, -(-n // ramp_block), per_block):
-        start = b * ramp_block
-        block = y[:, start : start + per_block * ramp_block]
-        np.matmul(h, segment(start, start + block.shape[1]), out=block)
+    return ReceivedWaveform(samples, h, fo_cycles_per_sample, noise_var, rng)
+
+
+def segment_reader(samples):
+    """``(segment, shape)`` of a block source, or of an array (a 1-D one is
+    one stream) read through slices: ``segment(start, stop)`` gives samples
+    ``start`` to ``stop`` of every stream."""
+    if hasattr(samples, "segment"):
+        return samples.segment, samples.shape
+    y = np.atleast_2d(np.asarray(samples))
+    return (lambda start, stop: y[:, start:stop]), y.shape
+
+
+class ReceivedWaveform:
+    """The output of :func:`propagate_waveform` as a block source.
+
+    The output is built on a fixed grid of blocks, each a run of whole
+    :func:`carrier_ramp` blocks (about ``SAMPLE_BLOCK`` samples): H times
+    the block's input, rotated by its ramp, plus its noise, one
+    (block, nr) :func:`awgn` draw transposed, so the generator fills the
+    noise sample by sample as one (n_samples, nr) draw would. The
+    generator's state is saved at the start of every block reached and
+    set again before each block's draw, so a block drawn twice (by a
+    backward read) draws the same normals, and the output does not
+    depend on the order of the reads. The last block of each read is
+    kept (unless it ends the output), so a read that overlaps the
+    previous one by less than a block (a filter tail) draws nothing
+    twice; a forward read in stream order draws every normal exactly
+    once. Other blocks that lie wholly inside a read are built straight
+    into its output.
+    """
+
+    def __init__(self, samples, h, fo_cycles_per_sample=0.0, noise_var=0.0, rng=None):
+        source = samples if hasattr(samples, "segment") else np.asarray(samples)
+        if len(source.shape) != 2 or source.shape[0] != h.shape[1]:
+            raise DimensionError("sample block must be (nt, n_samples) matching H")
+        self._input, (_, n) = segment_reader(source)
+        check_offset(fo_cycles_per_sample)
+        check_noise_var(noise_var)
+        if noise_var > 0 and rng is None:
+            raise ConfigurationError("rng is required when noise_var > 0")
+        self.shape = (h.shape[0], n)
+        self.dtype = np.result_type(h, self._input(0, 0))
+        self._h, self._fo, self._noise_var, self._rng = h, fo_cycles_per_sample, noise_var, rng
         if fo_cycles_per_sample != 0.0:
-            block *= (outer[b : b + per_block] * inner).reshape(-1)[: block.shape[1]]
-        if noise_var > 0:
-            block += awgn((block.shape[1], nr), noise_var, rng).T
-    return y
+            self._outer, self._inner = _ramp_factors(fo_cycles_per_sample, n)
+        ramp_block = _ramp_block(n)
+        self._ramp_blocks = max(1, SAMPLE_BLOCK // ramp_block)
+        self._block = self._ramp_blocks * ramp_block
+        self._states = [rng.bit_generator.state] if noise_var > 0 else []
+        self._kept, self._kept_index = None, None
+
+    @property
+    def size(self):
+        return self.shape[0] * self.shape[1]
+
+    def segment(self, start, stop):
+        """Samples ``start`` to ``stop`` of every receive stream, a new (nr, stop - start) array."""
+        nr, n = self.shape
+        if not 0 <= start <= stop <= n:
+            raise DimensionError(f"segment [{start}, {stop}) outside the {n}-sample output")
+        out = np.empty((nr, stop - start), dtype=self.dtype)
+        first, last = start // self._block, -(-stop // self._block) - 1
+        for k in range(first, last + 1):
+            a, b = k * self._block, min((k + 1) * self._block, n)
+            # The read's last block is kept for the next read, unless it ends the output.
+            if k != self._kept_index and start <= a and b <= stop and (k < last or b == n):
+                self._build(k, out[:, a - start : b - start])
+                continue
+            if k != self._kept_index:
+                if self._kept is None:
+                    self._kept = np.empty((nr, self._block), dtype=self.dtype)
+                self._build(k, self._kept[:, : b - a])
+                self._kept_index = k
+            lo, hi = max(a, start), min(b, stop)
+            out[:, lo - start : hi - start] = self._kept[:, lo - a : hi - a]
+        return out
+
+    def _build(self, k, out):
+        """Write block k of the output into ``out``."""
+        a, length = k * self._block, out.shape[1]
+        np.matmul(self._h, self._input(a, a + length), out=out)
+        if self._fo != 0.0:
+            outer = self._outer[k * self._ramp_blocks : (k + 1) * self._ramp_blocks]
+            out *= (outer * self._inner).reshape(-1)[:length]
+        if self._noise_var > 0:
+            states = self._states
+            while len(states) <= k:  # a block past those reached: draw up to it first
+                j = len(states) - 1
+                self._build(j, np.empty((out.shape[0], self._block), dtype=self.dtype))
+            self._rng.bit_generator.state = states[k]
+            out += awgn((length, out.shape[0]), self._noise_var, self._rng).T
+            if k + 1 == len(states):
+                states.append(self._rng.bit_generator.state)
 
 
 def _ramp_block(n):

@@ -267,8 +267,9 @@ def _symbol_trial(config, constellation, candidates, layout, fading, imbalance, 
 def _waveform_trial(config, constellation, frame_layout, tx_layout, fading, imbalance, rng, snr_db):
     """One waveform-fidelity trial.
 
-    Returns (bit_errors, bits_counted, estimated_snr_linear or None,
-    rejected_flag).
+    The decoder reads the channel's output as a block source, which draws
+    the noise as it is read. Returns (bit_errors, bits_counted,
+    estimated_snr_linear or None, rejected_flag).
     """
     bits = rng.integers(0, 2, size=config.bits_per_trial, dtype=np.uint8)
     tx = txchain.build_transmission(
@@ -279,7 +280,6 @@ def _waveform_trial(config, constellation, frame_layout, tx_layout, fading, imba
     h = channel_mod.draw_channel(config.nr, config.nt, fading, imbalance, rng)
     noise_var = symbol_scale**2 * 10.0 ** (-snr_db / 10.0)
     rx = channel_mod.propagate_waveform(tx, h, config.fo_cycles_per_sample, noise_var, rng)
-    del tx  # the decoder needs only the received samples, not the data section
     try:
         result = rxchain.decode_transmission(
             rx, frame_layout, tx_layout, config.nt, config.scheme,

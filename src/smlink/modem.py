@@ -19,7 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import kernels
-from .errors import ConfigurationError, DimensionError, FramingError
+from .errors import ConfigurationError, DimensionError, FramingError, RangeError
 
 __all__ = [
     "Constellation",
@@ -119,8 +119,11 @@ def bits_to_indices(bits, m):
 
 
 def indices_to_bits(indices, m):
-    """Inverse of :func:`bits_to_indices`."""
+    """Inverse of :func:`bits_to_indices`; an index outside [0, 2**m) raises
+    :class:`RangeError`."""
     idx = np.asarray(indices, dtype=np.int64)
+    if idx.size and not (idx.min() >= 0 and idx.max() < 1 << m):
+        raise RangeError(f"bit-block indices must lie in [0, {1 << m}) for m={m}")
     shifts = np.arange(m - 1, -1, -1, dtype=np.int64)
     return ((idx[:, None] >> shifts) & 1).astype(np.uint8).reshape(-1)
 

@@ -1,18 +1,21 @@
 """Receiver chain: sync, SNR estimation, frequency offset correction,
 matched filtering, least-squares channel estimation and demodulation.
 
-The decode pipeline mirrors the transmit structure: locate the 20
+The decode pipeline mirrors the transmit structure and reads the
+capture in stream order, a segment at a time: locate the 20
 synchronization pulses by a comb search at their known period over the
 starts where the transmission fits (reject the capture unless every
 pulse stands above every mid-gap sample), measure SNR from the on/off
-section, take each frame's carrier offset as the maximiser of its
-matched-filtered preamble's periodogram summed over receive antennas,
-derotate each frame at sample rate by its own offset and matched-filter
-and downsample it, one frame at a time, estimate the channel from both
-pilot signals of every frame in one batch, then detect each half of
-every frame's data with its nearer estimate in one call, as the
-symbol-fidelity trial does. Derotating before the matched filter keeps
-the combined transmit+receive response Nyquist under carrier offset.
+section one pair of blocks at a time, then take the frames a block of
+about ``SAMPLE_BLOCK`` samples at a time. Per block of frames: take each
+frame's carrier offset as the maximiser of its matched-filtered
+preamble's periodogram summed over receive antennas, derotate each frame
+at sample rate by its own offset and matched-filter and downsample it,
+one frame at a time, estimate the channel from both pilot signals of
+every frame, then detect each half of every frame's data with its nearer
+estimate, as the symbol-fidelity trial does. Derotating before the
+matched filter keeps the combined transmit+receive response Nyquist
+under carrier offset.
 
 Channel estimates are formed as (1/N) Theta^H Y over the mean of the
 sequences in :meth:`FrameLayout.pilot_window`, and divided by the known
@@ -27,7 +30,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import modem
-from .channel import SAMPLE_BLOCK, carrier_ramp
+from .channel import SAMPLE_BLOCK, carrier_ramp, segment_reader
 from .errors import (
     ConfigurationError,
     DegenerateInputError,
@@ -93,31 +96,33 @@ class DecodeResult:
 def detect_sync(capture, pulse_period_samples, n_pulses, fit_samples):
     """Find the sync pulse train by a comb search at the known pulse period.
 
-    ``capture`` is the (nr, n) received streams; a 1-D input is one
-    antenna. With m the antenna-combined magnitude sqrt(sum_r |y_r|^2)
-    and P the pulse period, the transmission start is the k in
-    [0, n - ``fit_samples``] (the starts where a ``fit_samples``-long
-    transmission fits) that maximises sum_i (m[k + i P] - m[k + i P + P//2])
-    over the ``n_pulses`` teeth; the mid-gap term cancels constant
-    sounding blocks. Starts are searched one ``SAMPLE_BLOCK`` at a time,
-    so no sample past n - fit_samples + (n_pulses - 1) P + P//2 is read.
+    ``capture`` is the (nr, n) received streams, as an array (a 1-D one
+    is one antenna) or as a block source with a ``shape`` and a
+    ``segment(start, stop)``. With m the antenna-combined magnitude
+    sqrt(sum_r |y_r|^2) and P the pulse period, the transmission start is
+    the k in [0, n - ``fit_samples``] (the starts where a
+    ``fit_samples``-long transmission fits) that maximises
+    sum_i (m[k + i P] - m[k + i P + P//2]) over the ``n_pulses`` teeth;
+    the mid-gap term cancels constant sounding blocks. Starts are
+    searched one ``SAMPLE_BLOCK`` at a time, so no sample past
+    n - fit_samples + (n_pulses - 1) P + P//2 is read.
     The capture is accepted only when every tooth stands above every
     mid-gap sample; otherwise, or when the capture is too short,
     :class:`SyncRejection` is raised. A NaN or infinite sample in the
     searched head, or one whose power overflows, raises
     :class:`DegenerateInputError`.
     """
-    y = np.atleast_2d(capture)
+    segment, (_, n) = segment_reader(capture)
     period, half = pulse_period_samples, pulse_period_samples // 2
     reach = (n_pulses - 1) * period + half  # the comb's last sample past its start
-    n_starts = y.shape[1] - max(fit_samples, reach + 1) + 1
+    n_starts = n - max(fit_samples, reach + 1) + 1
     if n_starts < 1:
-        raise SyncRejection(f"{y.shape[1]}-sample capture cannot hold the "
+        raise SyncRejection(f"{n}-sample capture cannot hold the "
                             f"{fit_samples}-sample transmission; capture discarded")
     best, start = -np.inf, 0
     for b in range(0, n_starts, SAMPLE_BLOCK):
         k = min(SAMPLE_BLOCK, n_starts - b)
-        m = _magnitude(y[:, b : b + k + reach])
+        m = _magnitude(segment(b, b + k + reach))
         if not np.isfinite(m).all():
             raise DegenerateInputError("capture holds NaN, infinite or overflowing samples")
         step = m[: k + reach - half] - m[half:]
@@ -125,13 +130,14 @@ def detect_sync(capture, pulse_period_samples, n_pulses, fit_samples):
         i = int(np.argmax(comb))
         if comb[i] > best:
             best, start = comb[i], b + i
-    teeth = start + period * np.arange(n_pulses)
-    weakest, gap = _magnitude(y[:, teeth]).min(), _magnitude(y[:, teeth + half]).max()
+    teeth = period * np.arange(n_pulses)
+    m = _magnitude(segment(start, start + reach + 1))
+    weakest, gap = m[teeth].min(), m[teeth + half].max()
     if not weakest > gap:
         raise SyncRejection(
             f"weakest of {n_pulses} sync pulses ({weakest:.3g}) does not stand above the "
             f"strongest gap sample ({gap:.3g}); capture discarded")
-    return SyncResult(peak_indices=teeth, tx_start_index=start,
+    return SyncResult(peak_indices=start + teeth, tx_start_index=start,
                       margin=float(weakest / gap) if gap else np.inf)
 
 
@@ -146,55 +152,56 @@ def _magnitude(rows):
 def estimate_snr(snr_section, nt, n_blocks, block_len_samples):
     """On/off power-difference SNR estimate over the sounding section.
 
-    ``snr_section`` is (nr, n_samples) laid out as ``nt`` sequential
-    per-antenna runs of ``n_blocks`` alternating on/off blocks. Per
-    block, the off block's mean (per receive antenna) is removed from
-    both blocks, so a receive DC offset cancels: signal power =
-    max(mean on-power - mean off-power, 0) where powers sum over receive
-    antennas; the noise variance is the per-component variance of the
-    off samples; their ratio (divided by nr) is one raw estimate.
-    Estimates are averaged in the linear domain over all blocks and
-    antennas. Each block's energies are summed one BLAS dot product per
-    receive row over fresh ``off - dc`` and ``on - dc`` arrays, not as
-    one-pass sums of x and |x|^2, which cancel under a large receive DC.
-    A NaN or infinite sample, or one whose power overflows, raises
-    :class:`DegenerateInputError`.
+    ``snr_section`` is (nr, n_samples), an array or a block source with a
+    ``shape`` and a ``segment(start, stop)``, laid out as ``nt``
+    sequential per-antenna runs of ``n_blocks`` alternating on/off
+    blocks; it is read one on/off pair at a time. Per block, the off
+    block's mean (per receive antenna) is removed from both blocks, so a
+    receive DC offset cancels: signal power = max(mean on-power - mean
+    off-power, 0) where powers sum over receive antennas; the noise
+    variance is the per-component variance of the off samples; their
+    ratio (divided by nr) is one raw estimate. Estimates are averaged in
+    the linear domain over all blocks and antennas. Each block's
+    energies are summed one BLAS dot product per receive row over fresh
+    ``off - dc`` and ``on - dc`` arrays, not as one-pass sums of x and
+    |x|^2, which cancel under a large receive DC. A pair whose blocks are
+    both silent (an all-zero section included) raises
+    :class:`DegenerateInputError`, as does a NaN or infinite sample or
+    one whose power overflows.
     """
-    y = np.atleast_2d(np.asarray(snr_section))
-    nr = y.shape[0]
-    need = nt * n_blocks * 2 * block_len_samples
-    if y.shape[1] < need:
-        raise DimensionError(
-            f"SNR section has {y.shape[1]} samples, layout wants {need}"
-        )
-    if not y.any():
-        raise DegenerateInputError("SNR section is identically zero")
-    # (nr, antenna, block, on/off, sample) view of the sounding runs.
-    blocks = y[:, :need].reshape(nr, nt, n_blocks, 2, block_len_samples)
+    segment, (nr, n) = segment_reader(snr_section)
+    block = block_len_samples
+    need = nt * n_blocks * 2 * block
+    if n < need:
+        raise DimensionError(f"SNR section has {n} samples, layout wants {need}")
     raw = np.empty((nt, n_blocks))
     for t in range(nt):
         for b in range(n_blocks):
-            on, off = blocks[:, t, b, 0], blocks[:, t, b, 1]
-            dc = off.mean(axis=1, keepdims=True)
-            off_energy, on_energy = (float(sum(np.vdot(r, r).real for r in x - dc))
-                                     for x in (off, on))
-            noise_var = off_energy / off.size
-            if not np.isfinite(off_energy + on_energy):
-                raise DegenerateInputError(
-                    "SNR section holds NaN, infinite or overflowing samples")
-            signal = max(on_energy - off_energy, 0.0) / block_len_samples
-            if noise_var == 0.0:
-                if signal == 0.0:
-                    raise DegenerateInputError("on/off blocks are both silent")
-                raw[t, b] = np.inf
-            else:
-                raw[t, b] = signal / (nr * noise_var)
+            a = 2 * block * (t * n_blocks + b)
+            # A pair read into the call is freed when it returns, before the next is read.
+            raw[t, b] = _on_off_estimate(segment(a, a + 2 * block), block)
     mean = float(np.mean(raw))
     return SnrEstimate(
         snr_db=float(10.0 * np.log10(mean)) if mean > 0 else float("-inf"),
         per_antenna_per_block=raw,
         valid=0 < mean < np.inf,
     )
+
+
+def _on_off_estimate(pair, block):
+    """One raw estimate of :func:`estimate_snr` from an (nr, 2 * block) on/off pair."""
+    on, off = pair[:, :block], pair[:, block:]
+    dc = off.mean(axis=1, keepdims=True)
+    off_energy, on_energy = (float(sum(np.vdot(r, r).real for r in x - dc)) for x in (off, on))
+    noise_var = off_energy / off.size
+    if not np.isfinite(off_energy + on_energy):
+        raise DegenerateInputError("SNR section holds NaN, infinite or overflowing samples")
+    signal = max(on_energy - off_energy, 0.0) / block
+    if noise_var == 0.0:
+        if signal == 0.0:
+            raise DegenerateInputError("on/off blocks are both silent")
+        return np.inf
+    return signal / (pair.shape[0] * noise_var)
 
 
 def matched_filter_downsample(samples, taps, upsample_factor, n_symbols=None):
@@ -314,14 +321,18 @@ def demodulate_frame(blocks, estimates, scheme, constellation):
     amplitude scale. Block i's first n // 2 vectors are detected with
     ``estimates[i, 0]``, the rest with ``estimates[i, 1]``; a half may be
     empty. Returns the detected bit-block values of all blocks, in order.
+    A ``scheme`` other than ``"sm"`` or ``"smx"`` raises
+    :class:`ConfigurationError`.
     """
     if len(blocks) != len(estimates):
         raise DimensionError(f"{len(blocks)} blocks but {len(estimates)} estimate pairs")
     if scheme == "sm":
         detect, table = modem.sm_ml_detect_batch, constellation
-    else:
+    elif scheme == "smx":
         detect = modem.ml_detect_batch
         table = modem.candidate_vectors("smx", estimates.shape[-1], constellation)
+    else:
+        raise ConfigurationError(f"unknown scheme {scheme!r}")
     return np.concatenate([detect(half, h, table)
                            for y, pair in zip(blocks, estimates)
                            for half, h in zip((y[: len(y) // 2], y[len(y) // 2 :]), pair)])
@@ -331,76 +342,135 @@ def decode_transmission(rx_samples, frame_layout, tx_layout, nt, scheme,
                         constellation, symbol_scale=None):
     """Run the full receive pipeline on the (nr, n) captured streams.
 
-    Each frame's offset is estimated from the matched-filtered
-    ``frame_layout.fo_window()`` symbols of its preamble, all frames in
-    one call. Then, one frame at a time, the frame's samples and the
-    filter's reach past them are derotated at its offset, phase
-    referenced to the transmission start, and matched-filtered into its
-    row of one (n_frames, nr, frame_symbols) array, so no copy of the
-    data section is made. Each frame's two channel estimates average the
-    ``frame_layout.pilot_window()`` sequences of its two pilot signals.
+    ``rx_samples`` is an array or a block source with a ``shape`` and a
+    ``segment(start, stop)`` (:class:`smlink.channel.ReceivedWaveform`,
+    :class:`smlink.txchain.CaptureFiles`); an array is read through
+    slices. The capture is read in stream order, in segments: the head
+    that :func:`detect_sync` searches, the sounding section one on/off
+    pair at a time (:func:`estimate_snr`), then the frames a block of
+    about ``SAMPLE_BLOCK`` samples at a time, each block with the
+    filter's reach past it. Per block of frames, each frame's offset is
+    estimated from the matched-filtered ``frame_layout.fo_window()``
+    symbols of its preamble; each frame and the filter's reach past it
+    is derotated at its offset, phase referenced to the transmission
+    start, and matched-filtered; each frame's two channel estimates
+    average the ``frame_layout.pilot_window()`` sequences of its two
+    pilot signals, and its data is detected. So no array the length of
+    the capture, or of its data section, is formed.
 
     Returns a :class:`DecodeResult`. Raises :class:`ConfigurationError`
     before reading the samples when ``scheme`` is unknown or ``nt`` is
-    not a power of two, :class:`DegenerateInputError` before sync when
-    any sample is NaN or infinite or the power of a receive row overflows
-    (screened by one BLAS dot product per row, which allocates nothing),
-    and :class:`SyncRejection` when the capture cannot hold the
-    transmission or :func:`detect_sync` finds no pulse train at a start
-    where it fits.
+    not a power of two, and :class:`SyncRejection` when the capture
+    cannot hold the transmission or :func:`detect_sync` finds no pulse
+    train at a start where it fits. Every segment is screened as it is
+    read, by one BLAS dot product per row, and the samples no stage
+    reads are read for the screen alone: a NaN or infinite sample, or a
+    segment of a row whose power overflows, raises
+    :class:`DegenerateInputError` when its segment is read, so a capture
+    that also fails sync may raise :class:`SyncRejection` first.
     ``symbol_scale``, when given (from the transmission sidecar),
     converts the reported channel estimates to the true channel's
     amplitude scale; detection is unaffected.
     """
     m = modem.bits_per_vector(scheme, nt, constellation.order)
-    y = np.atleast_2d(np.asarray(rx_samples, dtype=np.complex128))
+    capture = _ScreenedCapture(rx_samples)
+    nr, n = capture.shape
     u = frame_layout.upsample_factor
     taps = rrc_taps(frame_layout.rrc_num_taps, frame_layout.rrc_rolloff, u)
     tx_sections, period = tx_layout.sections(nt, frame_layout)
     snr_start, snr_len = tx_sections["snr"]
-    data_offset, data_len = tx_sections["data"]
+    data_offset, _ = tx_sections["data"]
 
     n_frames = tx_layout.n_frames
     f_syms = frame_layout.frame_symbols
-    n_sym = n_frames * f_syms
-    if not all(np.isfinite(np.vdot(row, row)) for row in y):
-        raise DegenerateInputError("capture holds NaN, infinite or overflowing samples")
-    sync = detect_sync(y, period, tx_layout.sync_pulses, data_offset + n_sym * u)
+    f_len = f_syms * u
+    sync = detect_sync(capture, period, tx_layout.sync_pulses, data_offset + n_frames * f_len)
+    start = sync.tx_start_index
+    capture.screen_to(start + snr_start)
+    snr = estimate_snr(_Section(capture, start + snr_start, snr_len), nt,
+                       tx_layout.snr_blocks, tx_layout.snr_block_symbols * u)
 
-    snr_section = y[:, sync.tx_start_index + snr_start :][:, :snr_len]
-    snr = estimate_snr(snr_section, nt, tx_layout.snr_blocks,
-                       tx_layout.snr_block_symbols * u)
-
-    data = y[:, sync.tx_start_index + data_offset :][:, :data_len]
     fo = frame_layout.fo_window()
-    frames = data[:, : n_sym * u].reshape(y.shape[0], n_frames, f_syms * u)
-    preamble = matched_filter_downsample(frames[..., fo.start * u : (fo.stop - 1) * u + len(taps)],
-                                         taps, u, fo.stop - fo.start)
-    fo_per_frame = estimate_fo(preamble) / u
-
-    # Frame f plus the filter's reach past it, derotated at f's own offset.
-    by_frame = np.empty((n_frames, y.shape[0], f_syms), dtype=np.complex128)
-    for f, a in enumerate(range(0, n_sym * u, f_syms * u)):
-        rows = data[:, a : a + f_syms * u + len(taps) - 1]
-        by_frame[f] = matched_filter_downsample(
-            correct_fo(rows, fo_per_frame[f], data_offset + a), taps, u, f_syms)
-
     sections = frame_layout.sections()
     n_theta, window = frame_layout.pilot_seq_len, frame_layout.pilot_window()
-    pilot_signals = np.stack([by_frame[..., sections[name]][..., window]
-                              for name in ("pilot_first", "pilot_second")], axis=1)
-    estimates = ls_channel_estimate(
-        pilot_signals,
-        pilot_matrix(nt, n_theta),
-        pulse_gain_compensation(taps, u, n_theta, nt),
-    )
-    detected = demodulate_frame(by_frame[..., sections["data"]].transpose(0, 2, 1),
-                                estimates, scheme, constellation)
+    pilots = pilot_matrix(nt, n_theta)
+    gain = pulse_gain_compensation(taps, u, n_theta, nt)
+    per_block = max(1, SAMPLE_BLOCK // f_len)
+    frame_bits = frame_layout.data_symbols_per_frame * m
+    bits = np.empty(n_frames * frame_bits, dtype=np.uint8)
+    fo_per_frame = np.empty(n_frames)
+    estimates = np.empty((n_frames, 2, nr, nt), dtype=np.complex128)
+    for first in range(0, n_frames, per_block):
+        count = min(per_block, n_frames - first)
+        these = slice(first, first + count)
+        a = data_offset + first * f_len  # from the transmission start
+        block = capture.segment(start + a, start + a + count * f_len + len(taps) - 1)
+        frames = block[:, : count * f_len].reshape(nr, count, f_len)
+        preamble = matched_filter_downsample(
+            frames[..., fo.start * u : (fo.stop - 1) * u + len(taps)], taps, u, fo.stop - fo.start)
+        fo_per_frame[these] = estimate_fo(preamble) / u
+        # Frame f plus the filter's reach past it, derotated at f's own offset.
+        by_frame = np.empty((count, nr, f_syms), dtype=np.complex128)
+        for f in range(count):
+            rows = block[:, f * f_len : (f + 1) * f_len + len(taps) - 1]
+            by_frame[f] = matched_filter_downsample(
+                correct_fo(rows, fo_per_frame[first + f], a + f * f_len), taps, u, f_syms)
+        pilot_signals = np.stack([by_frame[..., sections[name]][..., window]
+                                  for name in ("pilot_first", "pilot_second")], axis=1)
+        estimates[these] = ls_channel_estimate(pilot_signals, pilots, gain)
+        detected = demodulate_frame(by_frame[..., sections["data"]].transpose(0, 2, 1),
+                                    estimates[these], scheme, constellation)
+        bits[first * frame_bits : (first + count) * frame_bits] = modem.indices_to_bits(detected, m)
+    capture.screen_to(n)
     return DecodeResult(
-        bits=modem.indices_to_bits(detected, m),
+        bits=bits,
         snr=snr,
         fo_cycles_per_sample=fo_per_frame,
         channel_estimates=estimates / symbol_scale if symbol_scale else estimates,
         sync=sync,
         symbol_scale=symbol_scale if symbol_scale else 1.0,
     )
+
+
+class _ScreenedCapture:
+    """A capture read through ``segment(start, stop)``, each segment as complex
+    samples screened by one BLAS dot product per row, which allocates nothing;
+    ``read_to`` is the end of the furthest segment read."""
+
+    def __init__(self, rx_samples):
+        if not hasattr(rx_samples, "segment"):
+            rx_samples = np.asarray(rx_samples, dtype=np.complex128)
+        self._segment, self.shape = segment_reader(rx_samples)
+        self.read_to = 0
+
+    def segment(self, start, stop):
+        x = np.asarray(self._segment(start, stop), dtype=np.complex128)
+        if not all(np.isfinite(np.vdot(row, row)) for row in x):
+            raise DegenerateInputError("capture holds NaN, infinite or overflowing samples")
+        self.read_to = max(self.read_to, stop)
+        return x
+
+    def screen_to(self, stop):
+        """Read and screen the samples from ``read_to`` up to ``stop``, a block at a time."""
+        for a in range(self.read_to, stop, SAMPLE_BLOCK):
+            self.segment(a, min(a + SAMPLE_BLOCK, stop))
+
+
+@dataclass(frozen=True)
+class _Section:
+    """Samples ``start`` to ``start + length`` of a capture, as a block source."""
+
+    capture: _ScreenedCapture
+    start: int
+    length: int
+
+    @property
+    def shape(self):
+        return self.capture.shape[0], self.length
+
+    @property
+    def size(self):
+        return self.capture.shape[0] * self.length
+
+    def segment(self, start, stop):
+        return self.capture.segment(self.start + start, self.start + stop)

@@ -21,7 +21,10 @@ shaped data section only and builds any run of samples, sync pulses and
 sounding blocks included, on demand (:meth:`TransmissionVector.segment`).
 The channel and the int16 writer take it one ``SAMPLE_BLOCK`` at a time,
 so no full-length transmit array is ever held; at the default layout the
-sounding section is about 90% of the samples.
+sounding section is about 90% of the samples. The capture files come
+back the same way: :func:`read_captures` returns a block source
+(:class:`CaptureFiles`) whose segments are read from the files by seek,
+so the receiver never holds a capture-length array either.
 """
 
 import contextlib
@@ -57,6 +60,7 @@ __all__ = [
     "build_transmission",
     "quantize_i16",
     "dequantize_i16",
+    "CaptureFiles",
     "read_captures",
     "write_waveform",
     "read_sidecar",
@@ -455,12 +459,50 @@ def dequantize_i16(codes):
     return flat.view(np.complex128)
 
 
-def read_captures(paths):
-    """Dequantize equal-length int16 I,Q capture files into one (n_files, n) array.
+@dataclass(frozen=True)
+class CaptureFiles:
+    """Equal-length int16 I,Q capture files as a block source of (n_files, n) streams.
 
-    Each file is read one ``SAMPLE_BLOCK`` of samples at a time into one
-    int16 buffer and dequantized into its row of the output. A file whose
-    size is not a whole number of 4-byte I,Q pairs raises
+    :meth:`segment` opens each file, seeks to its ``start`` sample and
+    dequantizes one ``SAMPLE_BLOCK`` at a time into its row; no file
+    stays open between calls.
+    """
+
+    paths: tuple
+    n: int
+
+    @property
+    def shape(self):
+        return len(self.paths), self.n
+
+    @property
+    def size(self):
+        return len(self.paths) * self.n
+
+    def segment(self, start, stop):
+        """Samples ``start`` to ``stop`` of every file, a new (n_files, stop - start) array;
+        a file that ends before ``stop`` raises :class:`FramingError`."""
+        if not 0 <= start <= stop <= self.n:
+            raise DimensionError(f"segment [{start}, {stop}) outside the {self.n}-sample captures")
+        out = np.empty((len(self.paths), stop - start), dtype=np.complex128)
+        codes = np.empty(2 * min(out.shape[1], SAMPLE_BLOCK), dtype="<i2")
+        for row, path in zip(out, self.paths):
+            with open(path, "rb") as fh:
+                fh.seek(4 * start)
+                for s in range(0, row.size, SAMPLE_BLOCK):
+                    block = row[s : s + SAMPLE_BLOCK]
+                    buf = codes[: 2 * block.size]
+                    if fh.readinto(buf) != buf.nbytes:
+                        raise FramingError(f"capture {path} ended before its {self.n} samples")
+                    block[:] = dequantize_i16(buf)
+        return out
+
+
+def read_captures(paths):
+    """The equal-length int16 I,Q capture files ``paths`` as a :class:`CaptureFiles`
+    source of (n_files, n) complex streams; nothing is read until a segment is.
+
+    A file whose size is not a whole number of 4-byte I,Q pairs raises
     :class:`FramingError`; files that differ in length raise
     :class:`ConfigurationError`.
     """
@@ -473,17 +515,7 @@ def read_captures(paths):
         raise ConfigurationError(
             f"need captures of equal length, got {[n // 4 for n in sizes]} samples"
         )
-    out = np.empty((len(paths), sizes[0] // 4), dtype=np.complex128)
-    codes = np.empty(2 * min(out.shape[1], SAMPLE_BLOCK), dtype="<i2")
-    for row, path in zip(out, paths):
-        with open(path, "rb") as fh:
-            for s in range(0, row.size, SAMPLE_BLOCK):
-                block = row[s : s + SAMPLE_BLOCK]
-                buf = codes[: 2 * block.size]
-                if fh.readinto(buf) != buf.nbytes:
-                    raise FramingError(f"capture {path} ended before its {row.size} samples")
-                block[:] = dequantize_i16(buf)
-    return out
+    return CaptureFiles(tuple(paths), sizes[0] // 4)
 
 
 def write_waveform(prefix, tx, extra_meta=None):

@@ -43,6 +43,12 @@ class TestFadingModel:
             )
             assert np.mean(np.abs(h) ** 2) == pytest.approx(1.0, abs=5e-3)
 
+    @pytest.mark.parametrize("k", [True, False])
+    def test_bool_k_refused(self, k):
+        """A bool is no K factor: True would build a 1 dB model."""
+        with pytest.raises(ConfigurationError, match="K must be"):
+            channel.FadingModel(k)
+
     def test_huge_k_collapses_to_los(self):
         rng = np.random.default_rng(0)
         h = channel.draw_channels(100, 2, 2, channel.FadingModel(90.0), rng=rng)
@@ -128,7 +134,7 @@ class TestPropagation:
         h = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         x = rng.standard_normal((2, 200)) + 1j * rng.standard_normal((2, 200))
         fo = 0.013
-        y = channel.propagate_waveform(x, h, fo_cycles_per_sample=fo)
+        y = channel.propagate_waveform(x, h, fo_cycles_per_sample=fo).segment(0, 200)
         ref = np.stack(
             [np.exp(2j * np.pi * fo * k) * (h @ x[:, k]) for k in range(200)], axis=1
         )
@@ -138,7 +144,7 @@ class TestPropagation:
         rng = np.random.default_rng(4)
         h = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         x = rng.standard_normal((2, 50)) + 1j * rng.standard_normal((2, 50))
-        assert np.array_equal(channel.propagate_waveform(x, h), h @ x)
+        assert np.array_equal(channel.propagate_waveform(x, h).segment(0, 50), h @ x)
 
     def test_waveform_noise_is_one_sample_major_draw(self):
         """The noise is the transpose of one (n, nr) awgn draw, so the
@@ -146,7 +152,7 @@ class TestPropagation:
         rng = np.random.default_rng(4)
         x = rng.standard_normal((2, 300)) + 1j * rng.standard_normal((2, 300))
         h = np.array([[1.0, 0.5j], [0.2, -1.0]])
-        y = channel.propagate_waveform(x, h, 0.01, 0.3, np.random.default_rng(9))
+        y = channel.propagate_waveform(x, h, 0.01, 0.3, np.random.default_rng(9)).segment(0, 300)
         noise = channel.awgn((300, 2), 0.3, np.random.default_rng(9)).T
         ramp = np.exp(2j * np.pi * 0.01 * np.arange(300))
         assert np.max(np.abs(y - (h @ x * ramp + noise))) < 1e-12
@@ -162,7 +168,7 @@ class TestPropagation:
         rng = np.random.default_rng(4)
         x = rng.standard_normal((2, n)) + 1j * rng.standard_normal((2, n))
         h = np.array([[1.0, 0.5j], [0.2, -1.0], [0.3 - 0.1j, 0.7]])
-        y = channel.propagate_waveform(x, h, fo, noise_var, np.random.default_rng(9))
+        y = channel.propagate_waveform(x, h, fo, noise_var, np.random.default_rng(9)).segment(0, n)
         ref = h @ x * channel.carrier_ramp(fo, n)
         if noise_var > 0:
             ref += channel.awgn((n, 3), noise_var, np.random.default_rng(9)).T
@@ -170,14 +176,15 @@ class TestPropagation:
 
     def test_waveform_peak_memory_is_about_one_output(self):
         """Ramp and noise go into the output one block at a time: the
-        peak traced allocation of a (2, 2**20) call stays within 1.1
-        outputs (the output plus one block's ramp segment and noise)."""
+        peak traced allocation of a (2, 2**20) ``segment(0, n)`` stays
+        within 1.1 outputs (the output plus the kept block and one block's
+        ramp segment and noise)."""
         x = np.ones((2, 1 << 20), dtype=complex)
         h = np.array([[1.0, 0.5j], [0.2, -1.0]])
         rng = np.random.default_rng(3)
         tracemalloc.start()
         try:
-            y = channel.propagate_waveform(x, h, 1e-4, 0.1, rng)
+            y = channel.propagate_waveform(x, h, 1e-4, 0.1, rng).segment(0, x.shape[1])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -192,12 +199,32 @@ class TestPropagation:
 
     def test_waveform_offset_at_half_cycle_accepted(self):
         y = channel.propagate_waveform(np.ones((1, 4), dtype=complex), np.eye(1), -0.5)
+        y = y.segment(0, 4)
         assert np.allclose(y, [[1, -1, 1, -1]])
 
     def test_waveform_noise_needs_rng(self):
         x = np.ones((2, 10), dtype=complex)
         with pytest.raises(ConfigurationError):
             channel.propagate_waveform(x, np.eye(2), noise_var=0.1)
+
+    @pytest.mark.parametrize("noise_var", [-1.0, -1e-300, np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("call", ["awgn", "propagate_symbols", "propagate_waveform"])
+    def test_bad_noise_variance_refused(self, call, noise_var):
+        """A negative or non-finite noise variance is refused by name, with no
+        RuntimeWarning first and no noiseless output; the channel's block
+        source refuses it when it is built, before any draw."""
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        calls = {
+            "awgn": lambda: channel.awgn((4, 2), noise_var, rng),
+            "propagate_symbols": lambda: channel.propagate_symbols(
+                np.ones((4, 2), dtype=complex), np.eye(2), noise_var, rng),
+            "propagate_waveform": lambda: channel.propagate_waveform(
+                np.ones((2, 4), dtype=complex), np.eye(2), 0.0, noise_var, rng),
+        }
+        with pytest.raises(ConfigurationError, match="noise_var"):
+            calls[call]()
+        assert rng.bit_generator.state == state
 
     def test_dimension_guards(self):
         with pytest.raises(DimensionError):

@@ -448,31 +448,29 @@ class TestWaveformSim:
         assert rec.bits == 4000
         assert rec.rejected_vectors == 0
 
-    def test_decoder_runs_without_the_transmit_samples(self, monkeypatch):
-        """The trial drops its transmission once it is propagated: when the
-        decoder starts, the traced heap holds the received samples and
-        little else, not the transmit samples beside them."""
-        decode = rxchain.decode_transmission
-        seen = []
-
-        def spy(rx, *args, **kwargs):
-            seen.append((tracemalloc.get_traced_memory()[0], rx.nbytes))
-            return decode(rx, *args, **kwargs)
-
-        monkeypatch.setattr(rxchain, "decode_transmission", spy)
+    def test_trial_peak_well_under_one_capture(self):
+        """The decoder reads the channel's output as a block source, so no
+        capture-length array exists anywhere in the trial: its traced peak,
+        transmission built and noise drawn included, stays under half the
+        (nr, n) complex capture (measured: 0.38; 1.10 with the received
+        samples formed as one array)."""
         cfg = small_config(
             fidelity="waveform", snr_grid_db=(30.0,), bits_per_trial=2000,
             trials_per_snr=1, block_symbols=1000, snr_block_symbols=5000,
             k_factor_db=33.0,
         )
+        frame_layout, tx_layout = cfg.layouts()
+        data_start, data_len = tx_layout.sections(cfg.nt, frame_layout)[0]["data"]
+        capture_bytes = cfg.nr * (data_start + data_len) * 16
+        harness.run_simulation(cfg)  # first-call allocations
         tracemalloc.start()
         try:
             rec = harness.run_simulation(cfg)[0]
+            peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        (held, rx_bytes), = seen
         assert rec.bits == 2000 and rec.rejected_vectors == 0
-        assert held <= 1.25 * rx_bytes
+        assert peak <= 0.5 * capture_bytes
 
     def test_snr_estimate_tracks_target(self):
         cfg = small_config(

@@ -65,11 +65,14 @@ def test_sm_modulation_is_counted_through_build_transmission(layertrace):
     assert tracer.counts["modem.sm_modulate.vectors"] == n_vectors
 
 
-def test_link_round_trip_is_traced(layertrace):
-    """One encode -> channel -> decode round trip records the framing,
-    matched filter, offset, LS estimation and detection spans, and the
-    data-section count: a stage the decoder reached other than through its
-    module attribute would leave its per-layer metrics at 0."""
+def test_link_round_trip_is_traced(layertrace, tmp_path):
+    """One encode -> channel -> decode round trip, and a decode of the
+    transmission's capture files, record the framing, matched filter,
+    offset, LS estimation and detection spans, and the sample counts: a
+    stage the decoder reached other than through its module attribute
+    would leave its per-layer metrics at 0. The channel's block source and
+    the decoder's view of the sounding section report their sizes, nr * n
+    and nr * (sounding length), as the arrays they replace did."""
     frame_layout = txchain.FrameLayout(data_symbols_per_frame=100)
     tx_layout = txchain.TransmissionLayout(n_frames=2, snr_block_symbols=50)
     c = modem.build_constellation(2)
@@ -79,16 +82,22 @@ def test_link_round_trip_is_traced(layertrace):
     try:
         tracer.iteration = 0
         tx = txchain.build_transmission(bits, "sm", 2, c, frame_layout, tx_layout)
-        rx = channel.propagate_waveform(tx.samples, np.eye(2))
+        rx = channel.propagate_waveform(tx, np.eye(2))
         result = rxchain.decode_transmission(rx, frame_layout, tx_layout, 2, "sm", c)
+        txchain.write_waveform(tmp_path / "cap", tx)
+        files = txchain.read_captures([tmp_path / "cap_ant1.bin", tmp_path / "cap_ant2.bin"])
+        from_files = rxchain.decode_transmission(files, frame_layout, tx_layout, 2, "sm", c)
     finally:
         tracer.iteration = None
         tracer.uninstall()
     assert np.array_equal(result.bits, bits)
+    assert np.array_equal(from_files.bits, bits)
     names = {span[0] for span in tracer.spans}
     for name in ("txchain.build_frame", "txchain.assemble_transmission",
                  "rxchain.matched_filter_downsample", "rxchain.estimate_fo",
                  "rxchain.correct_fo", "rxchain.ls_channel_estimate",
-                 "rxchain.demodulate_frame"):
+                 "rxchain.demodulate_frame", "txchain.dequantize_i16"):
         assert name in names
     assert tracer.counts["txchain.data_samples"] == tx.sections["data"][1]
+    assert tracer.counts["channel.propagate_waveform.samples"] == 2 * tx.shape[1]
+    assert tracer.counts["rxchain.estimate_snr.samples"] == 2 * 2 * tx.sections["snr"][1]

@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from smlink import kernels, modem
-from smlink.errors import ConfigurationError, FramingError
+from smlink.errors import ConfigurationError, FramingError, RangeError
 
 
 def brute_force_detect(y, h, candidates):
@@ -94,6 +94,13 @@ class TestBitMapping:
     def test_length_mismatch(self):
         with pytest.raises(FramingError):
             modem.bits_to_indices(np.zeros(5, dtype=np.uint8), 2)
+
+    @pytest.mark.parametrize("index", [-1, 4, 9, -(2**40)])
+    def test_index_outside_block_refused(self, index):
+        """An index that no m-bit block has is refused, not wrapped into bits."""
+        with pytest.raises(RangeError, match=r"\[0, 4\)"):
+            modem.indices_to_bits([0, index, 3], 2)
+        assert modem.indices_to_bits([], 2).size == 0
 
     def test_bits_per_vector(self):
         assert modem.bits_per_vector("sm", 2, 2) == 2

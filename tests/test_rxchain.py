@@ -101,7 +101,7 @@ class TestDetectSync:
         period, fit = sync_geometry(loopback)
         rng = np.random.default_rng(4)
         noise = (tx.symbol_scale * 0.1) ** 2
-        rx = channel.propagate_waveform(tx.samples, h, 1e-4, noise, rng)
+        rx = channel.propagate_waveform(tx.samples, h, 1e-4, noise, rng).segment(0, fit)
         rx = np.concatenate([complex_noise(rng, (2, 500), np.sqrt(noise / 2)), rx], axis=1)
         combined = np.sqrt(np.sum(np.abs(rx) ** 2, axis=0))
         res = rxchain.detect_sync(rx, period, 20, fit)
@@ -531,6 +531,14 @@ class TestDemodulateFrame:
         out = rxchain.demodulate_frame([vectors @ h.T], np.stack([[h, h]]), "smx", c)
         assert np.array_equal(out, modem.bits_to_indices(bits, 4))
 
+    @pytest.mark.parametrize("scheme", ["foo", "SM", "", None])
+    def test_unknown_scheme_refused(self, scheme):
+        """Only "sm" and "smx" detect; any other scheme is refused by name."""
+        c = modem.build_constellation(2)
+        y = np.ones((10, 2), dtype=complex)
+        with pytest.raises(ConfigurationError, match="unknown scheme"):
+            rxchain.demodulate_frame([y], np.tile(np.eye(2), (1, 2, 1, 1)), scheme, c)
+
     def test_smx_candidates_built_once_per_call(self, monkeypatch):
         calls = []
         build = modem.candidate_vectors
@@ -655,7 +663,7 @@ class TestDecodeTransmission:
         """A copy of the strongest sync pulse 120 samples ahead of the
         transmission is one tooth of a comb at most; the train decodes at 120."""
         layout, tx_layout, c, bits, tx, h = loopback
-        rx = channel.propagate_waveform(tx.samples, h)
+        rx = channel.propagate_waveform(tx.samples, h).segment(0, tx.shape[1])
         capture = np.concatenate([np.zeros((2, 120), dtype=complex), rx], axis=1)
         capture[:, 0] = rx[:, np.argmax(np.sum(np.abs(rx) ** 2, axis=0))]
         result = rxchain.decode_transmission(capture, layout, tx_layout, 2, "sm", c)
@@ -675,7 +683,7 @@ class TestDecodeTransmission:
         h = np.array([[0.07, 1.0], [0.05j, 0.9]])
         rng = np.random.default_rng(9)
         noise_var = tx.symbol_scale**2 * 10.0 ** (-30 / 10)
-        rx = channel.propagate_waveform(tx, h, 0.0, noise_var, rng)
+        rx = channel.propagate_waveform(tx, h, 0.0, noise_var, rng).segment(0, tx.shape[1])
         assert np.linalg.norm(h[:, 0]) < tx.x_max * np.linalg.norm(h[:, 1])
         capture = np.concatenate([complex_noise(rng, (2, lead), np.sqrt(noise_var / 2)), rx,
                                   complex_noise(rng, (2, trail), np.sqrt(noise_var / 2))],
@@ -694,30 +702,39 @@ class TestDecodeTransmission:
         sounding section or in the filter tail that no symbol instant reads,
         with no RuntimeWarning first (the tests turn warnings into errors)."""
         layout, tx_layout, c, _, tx, h = loopback
-        rx = channel.propagate_waveform(tx.samples, h)
+        rx = channel.propagate_waveform(tx.samples, h).segment(0, tx.shape[1])
         rx[1, {"head": 0, "sounding": tx.sections["snr"][0] + 17, "tail": -1}[where]] = value
         with pytest.raises(DegenerateInputError, match="NaN, infinite or overflowing"):
             rxchain.decode_transmission(rx, layout, tx_layout, 2, "sm", c)
 
     def test_capture_cut_before_data_end_rejected(self, loopback):
         layout, tx_layout, c, bits, tx, h = loopback
-        rx = channel.propagate_waveform(tx.samples, h)
+        rx = channel.propagate_waveform(tx.samples, h).segment(0, tx.shape[1])
         with pytest.raises(SyncRejection):
             rxchain.decode_transmission(rx[:, : rx.shape[1] * 9 // 10], layout,
                                         tx_layout, 2, "sm", c)
 
     @staticmethod
-    def traced_decode(n_frames, snr_block_symbols):
-        """(decoder's traced peak, capture bytes) of a noisy 2x2 SM/BPSK capture."""
+    def traced_decode(n_frames, snr_block_symbols, source="array", folder=None):
+        """(decoder's traced peak, complex capture bytes) of a 2x2 SM/BPSK capture:
+        the channel's noisy output as an array or as its block source (whose
+        noise the decode draws), or the transmission's int16 files in ``folder``."""
         layout = txchain.FrameLayout()
         tx_layout = txchain.TransmissionLayout(n_frames=n_frames,
                                                snr_block_symbols=snr_block_symbols)
         c = modem.build_constellation(2)
         bits = np.random.default_rng(5).integers(0, 2, 2 * 1000 * n_frames).astype(np.uint8)
         tx = txchain.build_transmission(bits, "sm", 2, c, layout, tx_layout)
-        h = np.array([[1.0 + 0.1j, 0.35 + 0.2j], [0.1 - 0.4j, 0.9 - 0.05j]])
-        rx = channel.propagate_waveform(tx.samples, h, 1e-4, (tx.symbol_scale * 0.03) ** 2,
-                                        np.random.default_rng(1))
+        if source == "files":
+            prefix = folder / f"cap{n_frames}"
+            txchain.write_waveform(prefix, tx)
+            rx = txchain.read_captures([f"{prefix}_ant1.bin", f"{prefix}_ant2.bin"])
+        else:
+            h = np.array([[1.0 + 0.1j, 0.35 + 0.2j], [0.1 - 0.4j, 0.9 - 0.05j]])
+            rx = channel.propagate_waveform(tx, h, 1e-4, (tx.symbol_scale * 0.03) ** 2,
+                                            np.random.default_rng(1))
+            if source == "array":
+                rx = rx.segment(0, tx.shape[1])
         tracemalloc.start()
         try:
             result = rxchain.decode_transmission(rx, layout, tx_layout, 2, "sm", c)
@@ -725,25 +742,58 @@ class TestDecodeTransmission:
         finally:
             tracemalloc.stop()
         assert np.array_equal(result.bits, bits)
-        return peak, rx.nbytes
+        return peak, 16 * rx.size
 
     def test_peak_memory_well_under_capture(self):
         """The decoder forms the sync magnitude one block at a time and
         otherwise allocates only block-sized and symbol-rate arrays: its
         traced peak stays under 0.1 of a 2-antenna capture (measured:
-        0.066) whose sounding section is 97% of the samples."""
+        0.052) whose sounding section is 97% of the samples."""
         peak, capture = self.traced_decode(1, 5000)
         assert peak <= 0.1 * capture
 
-    def test_peak_memory_grows_slower_than_capture_with_frames(self):
-        """Frames are derotated and filtered one at a time and the offset
-        spectra are taken a bounded block of frames at a time: from 8 to 32
-        frames the decoder's traced peak grows by at most half what the
-        capture does (measured: 0.426x; 0.533x with the spectra of all frames
-        at once, 1.46x with a derotated copy of the data section)."""
-        small, small_capture = self.traced_decode(8, 200)
-        large, large_capture = self.traced_decode(32, 200)
-        assert large - small <= 0.5 * (large_capture - small_capture)
+    def test_peak_memory_grows_slower_than_capture_with_frames(self, tmp_path):
+        """The capture is read a segment at a time and the frames are decoded
+        a block at a time, so only the decoded bits, offsets and estimates
+        grow with the frame count: from 16 frames (where every block-sized
+        buffer has its full size) to 64, the traced peak grows by at most
+        0.02 of what the capture does (measured: 0.009 from the channel's
+        source, 0.008 from the files; 0.426 from an array at 8 to 32 frames
+        with the data section held)."""
+        for source in ("channel", "files"):
+            small, small_capture = self.traced_decode(16, 200, source, tmp_path)
+            large, large_capture = self.traced_decode(64, 200, source, tmp_path)
+            assert large - small <= 0.02 * (large_capture - small_capture), source
+
+    @pytest.mark.parametrize("n_frames", [2, 10, 11])
+    def test_full_decode_draws_the_noise_once(self, loopback, monkeypatch, n_frames):
+        """A decode of the channel's block source reads it in stream order, so
+        it draws nr * n noise samples, each once, and its results equal those
+        of its ``segment(0, n)`` decoded as an array. With 2 frames the last
+        read ends the output; with 10 and 11 the read before it ends in the
+        output's last block."""
+        layout, _, c, _, _, h = loopback
+        tx_layout = txchain.TransmissionLayout(n_frames=n_frames, snr_block_symbols=200)
+        bits = np.random.default_rng(n_frames).integers(
+            0, 2, 2 * n_frames * layout.data_symbols_per_frame).astype(np.uint8)
+        tx = txchain.build_transmission(bits, "sm", 2, c, layout, tx_layout)
+        noise_var = (tx.symbol_scale * 0.03) ** 2
+        drawn = []
+        awgn = channel.awgn
+
+        def counting(shape, *args):
+            drawn.append(np.prod(shape))
+            return awgn(shape, *args)
+
+        monkeypatch.setattr(channel, "awgn", counting)
+        rx = channel.propagate_waveform(tx, h, 1e-4, noise_var, np.random.default_rng(3))
+        result = rxchain.decode_transmission(rx, layout, tx_layout, 2, "sm", c)
+        assert sum(drawn) == rx.size == 2 * tx.shape[1]
+        array = channel.propagate_waveform(tx, h, 1e-4, noise_var,
+                                           np.random.default_rng(3)).segment(0, tx.shape[1])
+        again = rxchain.decode_transmission(array, layout, tx_layout, 2, "sm", c)
+        assert np.array_equal(result.bits, again.bits)
+        assert np.array_equal(result.channel_estimates, again.channel_estimates)
 
     def test_noisy_decode_still_syncs(self, loopback):
         layout, tx_layout, c, bits, tx, h = loopback

@@ -51,7 +51,8 @@ EXPECTED = {
                  [8000, 387, [134, 253], 0, 12.608158567665235]],
 }
 
-# The received array of test_noisy_loopback_decode and the files of test_encode_files.
+# The received samples of test_noisy_loopback_decode (its source's segment(0, n)) and the
+# files of test_encode_files.
 RX_SHA256 = "cdb1840b1472d0ec687f03e7eb37053f204c8d0c9604f580345bf0bdd9597bfb"
 ENCODE_SHA256 = {
     "cap_ant1.bin": "ee04d603374dd9fb34ad80ded19e182e391166e19dc62528319d28efc11f300b",
@@ -122,7 +123,7 @@ def test_noisy_loopback_decode():
     h = np.array([[1.0 + 0.1j, 0.35 + 0.2j], [0.1 - 0.4j, 0.9 - 0.05j]])
     noise_var = tx.symbol_scale**2 * 10.0 ** (-8 / 10)
     rx = channel.propagate_waveform(tx.samples, h, 2e-4, noise_var, np.random.default_rng(5))
-    assert hashlib.sha256(rx.tobytes()).hexdigest() == RX_SHA256
+    assert hashlib.sha256(rx.segment(0, rx.shape[1]).tobytes()).hexdigest() == RX_SHA256
     result = rxchain.decode_transmission(rx, layout, tx_layout, 2, "sm", c,
                                          symbol_scale=tx.symbol_scale)
     assert np.count_nonzero(result.bits != bits) == DECODE_ERRORS

@@ -3,10 +3,13 @@
 import contextlib
 import io
 import json
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from smlink import channel, cli, modem, txchain
 from smlink.errors import (
@@ -453,7 +456,7 @@ class TestBlockSource:
         try:
             tx = txchain.build_transmission(bits, "sm", 2, c, self.layout, tx_layout)
             rx = channel.propagate_waveform(tx, h, 1e-4, (tx.symbol_scale * 0.03) ** 2,
-                                            np.random.default_rng(1))
+                                            np.random.default_rng(1)).segment(0, tx.shape[1])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -467,7 +470,84 @@ class TestBlockSource:
         h = np.array([[1.0 + 0.1j, 0.35 + 0.2j], [0.1 - 0.4j, 0.9 - 0.05j], [0.2, 0.3j]])
         a = channel.propagate_waveform(tx, h, -3e-4, 0.01, np.random.default_rng(8))
         b = channel.propagate_waveform(tx.samples, h, -3e-4, 0.01, np.random.default_rng(8))
+        a, b = (y.segment(0, tx.shape[1]) for y in (a, b))
         assert np.array_equal(a, b)
+
+
+@pytest.fixture(scope="module")
+def receive_sources(tmp_path_factory):
+    """kind -> (source, its segment(0, n)): the noisy output of a 3x2 channel
+    with a carrier offset (13 blocks), taken whole from a second source
+    drawn from an equal generator, and the int16 files of a transmission."""
+    layout = txchain.FrameLayout()
+    tx_layout = txchain.TransmissionLayout(n_frames=1, snr_block_symbols=5000)
+    tx = txchain.assemble_transmission(random_bpsk_frames(layout, tx_layout), layout, tx_layout)
+    h = np.array([[1.0 + 0.1j, 0.35 + 0.2j], [0.1 - 0.4j, 0.9 - 0.05j], [0.2, 0.3j]])
+
+    def received():
+        return channel.propagate_waveform(tx, h, -3e-4, 0.01, np.random.default_rng(8))
+
+    folder = tmp_path_factory.mktemp("captures")
+    txchain.write_waveform(folder / "cap", tx)
+    files = txchain.read_captures([folder / "cap_ant1.bin", folder / "cap_ant2.bin"])
+    n = tx.shape[1]
+    return {"channel": (received(), received().segment(0, n)),
+            "files": (files, files.segment(0, n))}
+
+
+def segment_bounds(n):
+    """(start, stop) pairs, either end drawn anywhere, or at an end or a block
+    edge of the channel's grid (whole runs of sqrt(n) samples)."""
+    ramp = math.isqrt(n)
+    block = channel.SAMPLE_BLOCK // ramp * ramp
+    edge = st.sampled_from([0, 1, block - 1, block, block + 1, 5 * block, n - 1, n])
+    point = st.one_of(st.integers(0, n), edge)
+    return st.tuples(point, point).map(sorted)
+
+
+class TestReceiveSources:
+    """The channel's output and the capture files read as block sources."""
+
+    @pytest.mark.parametrize("kind", ["channel", "files"])
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_any_reads_equal_slices_of_the_whole(self, receive_sources, kind, data):
+        """Reads in any order (overlapping, backward, empty, at either end)
+        are byte-equal to the same slices of ``segment(0, n)``."""
+        source, whole = receive_sources[kind]
+        n = source.shape[1]
+        assert source.shape == whole.shape and source.size == whole.size
+        reads = data.draw(st.lists(segment_bounds(n), min_size=1, max_size=6))
+        for start, stop in reads:
+            part = source.segment(start, stop)
+            assert part.dtype == whole.dtype
+            assert part.tobytes() == whole[:, start:stop].tobytes()
+
+    @pytest.mark.parametrize("kind", ["channel", "files"])
+    def test_reads_outside_refused(self, receive_sources, kind):
+        source, _ = receive_sources[kind]
+        n = source.shape[1]
+        for start, stop in ((-1, 5), (5, 4), (0, n + 1)):
+            with pytest.raises(DimensionError):
+                source.segment(start, stop)
+
+    def test_files_closed_after_each_read(self, receive_sources):
+        """No file handle outlives a read (an unclosed file warns, and the
+        tests turn warnings into errors)."""
+        files, whole = receive_sources["files"]
+        for _ in range(3):
+            assert np.array_equal(files.segment(100, 200), whole[:, 100:200])
+
+    def test_file_cut_after_opening_refused(self, tmp_path):
+        codes = np.zeros(2 * 1000, dtype="<i2")
+        paths = [tmp_path / "a.bin", tmp_path / "b.bin"]
+        for path in paths:
+            codes.tofile(path)
+        files = txchain.read_captures(paths)
+        paths[1].write_bytes(bytes(4 * 600))
+        assert files.segment(0, 600).shape == (2, 600)
+        with pytest.raises(FramingError, match="b.bin"):
+            files.segment(500, 700)
 
 
 class TestQuantization:
@@ -571,7 +651,8 @@ class TestWaveformIo:
         assert (tmp_path / "cap_ant2.bin").exists()
 
         meta = txchain.read_sidecar(sidecar)[0]
-        streams = txchain.read_captures([tmp_path / name for name in meta["files"]])
+        captures = txchain.read_captures([tmp_path / name for name in meta["files"]])
+        streams = captures.segment(0, captures.shape[1])
         assert meta["schema_version"] == txchain.SIDECAR_SCHEMA_VERSION
         assert meta["nt"] == 2
         assert meta["note"] == "loopback"
@@ -588,7 +669,7 @@ class TestWaveformIo:
             row.tofile(path)
         streams = txchain.read_captures(paths)
         assert streams.shape == (2, 20)
-        assert np.array_equal(streams, txchain.dequantize_i16(codes))
+        assert np.array_equal(streams.segment(0, 20), txchain.dequantize_i16(codes))
 
     def test_files_are_the_quantized_samples(self, tmp_path):
         """Written block by block, each antenna file holds the codes of its
@@ -617,7 +698,9 @@ class TestWaveformIo:
         paths = [tmp_path / "a.bin", tmp_path / "b.bin"]
         for row, path in zip(codes, paths):
             row.tofile(path)
-        assert np.array_equal(txchain.read_captures(paths), txchain.dequantize_i16(codes))
+        captures = txchain.read_captures(paths)
+        assert np.array_equal(captures.segment(0, captures.shape[1]),
+                              txchain.dequantize_i16(codes))
 
     @staticmethod
     def traced_peak(call):
@@ -655,10 +738,26 @@ class TestWaveformIo:
         for symbols in (5000, 10000):
             encode_peak, prefix = self.encode(tmp_path, symbols)
             paths = [f"{prefix}_ant1.bin", f"{prefix}_ant2.bin"]
-            streams, read_peak = self.traced_peak(lambda: txchain.read_captures(paths))
+            captures = txchain.read_captures(paths)
+            streams, read_peak = self.traced_peak(lambda: captures.segment(0, captures.shape[1]))
             peaks[symbols] = encode_peak, read_peak - streams.nbytes
         for before, after in zip(peaks[5000], peaks[10000]):
             assert after <= before + 2**16
+
+    def test_decode_peak_is_about_one_capture_file(self, tmp_path):
+        """``cli decode`` reads the capture files a segment at a time, so no
+        capture-length array is formed: its traced peak stays under 1.5 times
+        one antenna's file (measured: 1.21, mostly one sounding on/off pair
+        and its centred copy; 8.4 with the files read into one array)."""
+        _, prefix = self.encode(tmp_path, 5000)
+        argv = ["decode", "--capture", f"{prefix}_ant1.bin", f"{prefix}_ant2.bin",
+                "--meta", f"{prefix}_meta.json", "--out", str(tmp_path / "rx.bits"),
+                "--report", str(tmp_path / "report.json")]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(argv) == 0  # first-call allocations
+            code, peak = self.traced_peak(lambda: cli.main(argv))
+        assert code == 0
+        assert peak <= 1.5 * (tmp_path / "5000" / "cap_ant1.bin").stat().st_size
 
     def test_read_captures_unequal_lengths_rejected(self, tmp_path):
         np.zeros(40, dtype="<i2").tofile(tmp_path / "a.bin")
