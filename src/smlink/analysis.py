@@ -113,8 +113,10 @@ def union_bound_aber_for_channels(candidates, h_stack, snr_grid_db):
 class BoundConfig:
     """Inputs of the exact channel-averaged union bound.
 
-    ``n_channels`` is accepted and checked (>= 1) for callers that still
-    pass it, but the bound samples no channels and does not read it.
+    The CLI builds it from a ``harness.Link``, whose order and candidate
+    checks it repeats. ``n_channels`` is accepted and checked (>= 1) for
+    callers that still pass it, but the bound samples no channels and does
+    not read it.
     """
 
     scheme: str
@@ -139,10 +141,11 @@ class BoundConfig:
         if list(grid) != sorted(grid):
             raise ConfigurationError("snr_grid_db must be sorted ascending")
         object.__setattr__(self, "snr_grid_db", grid)
+        modem.check_candidate_count(
+            2 ** modem.bits_per_vector(self.scheme, self.nt, self.modulation_order))
         # Refuse the points where nr pair statistics, each at most (2 s_max
         # ||x||_1)^2, times gamma_ex / (2 sin^2 theta) at the smallest node
         # would overflow and make the bound NaN.
-        modem.bits_per_vector(self.scheme, self.nt, self.modulation_order)
         peak = np.abs(modem.build_constellation(self.modulation_order).points).max()
         l1 = peak * (math.sqrt(self.nt) if self.scheme == "smx" else 1.0)
         s_max = 1.0 if self.imbalance is None else self.imbalance.amplitude_scale().max()

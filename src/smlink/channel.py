@@ -13,7 +13,7 @@ relative to the reference path (0, 0).
 
 import math
 from dataclasses import dataclass
-from numbers import Real
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -61,12 +61,19 @@ def db_to_linear(db, what):
 
 def check_snr_grid(snr_grid_db):
     """An SNR grid in dB as a tuple of floats. :class:`ConfigurationError`
-    unless it is nonempty and finite and every point's linear SNR and
+    unless it is a nonempty sequence of real numbers (a str or bytes is no
+    grid, and bool is no number), finite, and every point's linear SNR and
     noise variance fit a float (|SNR| below about 3082 dB)."""
     try:
-        grid = tuple(float(s) for s in snr_grid_db)
-    except (TypeError, ValueError):
-        raise ConfigurationError("snr_grid_db must be a sequence of numbers") from None
+        points = None if isinstance(snr_grid_db, (str, bytes)) else tuple(snr_grid_db)
+    except TypeError:
+        points = None
+    if points is None or not all(isinstance(s, Real) and not isinstance(s, bool) for s in points):
+        raise ConfigurationError("snr_grid_db must be a sequence of numbers")
+    try:
+        grid = tuple(float(s) for s in points)
+    except OverflowError:
+        raise ConfigurationError("snr_grid_db holds a number too large for a float") from None
     if not grid:
         raise ConfigurationError("snr_grid_db must be nonempty")
     if not np.isfinite(grid).all():
@@ -147,7 +154,7 @@ class PowerImbalance:
 
 def imbalance_profile(name, nr=2, nt=2):
     """Named imbalance profile, or None for the balanced case."""
-    if name not in _PROFILES:
+    if not isinstance(name, str) or name not in _PROFILES:
         raise ConfigurationError(
             f"unknown imbalance profile {name!r}; choose from {sorted(_PROFILES)}"
         )
@@ -173,7 +180,10 @@ def _interleaved_normal(rng, shape):
 
 
 def draw_channels(n, nr, nt, fading, imbalance=None, rng=None):
-    """Draw an (n, nr, nt) stack of independent channel matrices."""
+    """Draw an (n, nr, nt) stack of independent channel matrices; a size that
+    is not an integer >= 0 raises :class:`DimensionError`."""
+    if not all(isinstance(k, Integral) and k >= 0 for k in (n, nr, nt)):
+        raise DimensionError(f"channel stack sizes must be integers >= 0, got {(n, nr, nt)}")
     if rng is None:
         rng = np.random.default_rng()
     if imbalance is not None and imbalance.shape != (nr, nt):
@@ -352,12 +362,15 @@ def carrier_ramp(delta, n, first_index=0):
     ``delta`` is one offset in cycles per sample and ``first_index`` one
     integer; an offset that :func:`check_offset` refuses (outside
     [-0.5, 0.5], NaN and infinities included, or not a single number)
-    raises :class:`ConfigurationError`.
+    raises :class:`ConfigurationError`, and ``n`` that is not an integer
+    >= 0 :class:`DimensionError`.
     The ramp is a block phasor (one per run of about sqrt(n) indices)
     times an in-block phasor: about 2 sqrt(n) complex exponentials
     instead of n, within a few ulps of the largest phase of the direct
     ``np.exp`` (4.5e-13 at 3.1e3 rad).
     """
     check_offset(delta)
+    if not (isinstance(n, Integral) and n >= 0):
+        raise DimensionError(f"ramp length must be an integer >= 0, got {n!r}")
     outer, inner = _ramp_factors(delta, n, first_index)
     return (outer * inner).reshape(-1)[:n]

@@ -22,15 +22,12 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, analysis, harness, modem, rxchain, txchain
-from .channel import FadingModel, imbalance_profile
 from .errors import ConfigurationError, SmlinkError
 from .fileio import build, check_fields, read_json
 
 BOUND_COLUMNS = ("snr_db", "aber_bound", "scheme", "nt", "nr", "m")
 COMPLEXITY_COLUMNS = ("nt", "nr", "m", "sm_mults", "smx_mults", "reduction_percent")
 PLOT_COLUMNS = ("figure", "curve", "kind", "snr_db", "aber", "bits", "bit_errors")
-_BOUND_FIELDS = {"scheme": str, "nt": int, "nr": int, "modulation_order": int,
-                 "snr_grid_db": tuple, "k_factor_db": float, "pi_profile": str}
 _CHAIN_FIELDS = {"scheme": str, "nt": int, "modulation_order": int,
                  "frame_layout": dict, "transmission_layout": dict}
 
@@ -45,23 +42,21 @@ def _cmd_simulate(args):
     print(f"wrote {path}")
 
 
-def _cmd_bound(args):
-    data = check_fields(read_json(args.config, "bound config"), _BOUND_FIELDS,
-                        ("scheme", "nt", "nr", "modulation_order", "snr_grid_db"),
-                        "bound config")
-    cfg = analysis.BoundConfig(
-        scheme=data["scheme"], nt=data["nt"], nr=data["nr"],
-        modulation_order=data["modulation_order"],
-        fading=FadingModel(float(data.get("k_factor_db", float("-inf")))),
-        imbalance=imbalance_profile(data.get("pi_profile", "none"), data["nr"], data["nt"]),
-        snr_grid_db=data["snr_grid_db"],
+def _bound_config(link):
+    """The exact bound's config for a :class:`harness.Link`."""
+    return analysis.BoundConfig(
+        scheme=link.scheme, nt=link.nt, nr=link.nr, modulation_order=link.modulation_order,
+        fading=link.fading(), imbalance=link.imbalance(), snr_grid_db=link.snr_grid_db,
     )
-    values = analysis.union_bound_aber(cfg)
-    m = modem.bits_per_vector(cfg.scheme, cfg.nt, cfg.modulation_order)
-    rows = ([float(snr), float(val), cfg.scheme, cfg.nt, cfg.nr, m]
-            for snr, val in zip(cfg.snr_grid_db, values))
+
+
+def _cmd_bound(args):
+    link = build(harness.Link, read_json(args.config, "bound config"), "bound config")
+    values = analysis.union_bound_aber(_bound_config(link))
+    rows = ([snr, float(val), link.scheme, link.nt, link.nr, link.bits_per_vector]
+            for snr, val in zip(link.snr_grid_db, values))
     harness.write_csv(args.out, BOUND_COLUMNS, rows)
-    for snr, val in zip(cfg.snr_grid_db, values):
+    for snr, val in zip(link.snr_grid_db, values):
         print(f"snr={snr:g} dB  bound={val:.4e}")
     print(f"wrote {args.out}")
 
@@ -243,17 +238,10 @@ def _cmd_plotdata(args):
             rows.append([args.figure, label, "sim", record.snr_db_target, record.aber,
                          record.bits, record.bit_errors])
         if recipe["bound"]:
-            bound_cfg = analysis.BoundConfig(
-                scheme=config.scheme, nt=config.nt, nr=config.nr,
-                modulation_order=config.modulation_order,
-                fading=config.fading(), imbalance=config.imbalance(),
-                snr_grid_db=recipe["grid"],
-            )
-            values = analysis.union_bound_aber(bound_cfg)
-            for snr, val in zip(recipe["grid"], values):
+            values = analysis.union_bound_aber(_bound_config(config))
+            for snr, val in zip(config.snr_grid_db, values):
                 # Reporting layer clips the bound at the 0.5 ceiling.
-                rows.append([args.figure, label, "bound",
-                             float(snr), min(float(val), 0.5), None, None])
+                rows.append([args.figure, label, "bound", snr, min(float(val), 0.5), None, None])
         print(f"{args.figure}: finished curve {label}", flush=True)
     out = harness.write_csv(Path(args.out_dir) / f"{args.figure}.csv", PLOT_COLUMNS, rows)
     print(f"wrote {out}  ({recipe['description']})")

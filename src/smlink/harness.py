@@ -1,5 +1,9 @@
 """Monte Carlo experiment driver, configuration and persistence.
 
+:class:`Link` is the one link description and its one check;
+:class:`SimConfig` extends it with a sweep's fidelity, budgets and
+layouts, and ``smlink bound`` and ``plotdata`` bound the same ``Link``.
+
 :func:`run_simulation` is the one sweep entry. It sweeps an SNR grid at
 one of two fidelities, which differ only in how one trial runs:
 
@@ -35,6 +39,7 @@ from . import fileio, modem, rxchain, txchain
 from .errors import ConfigurationError, SyncRejection
 
 __all__ = [
+    "Link",
     "SimConfig",
     "BerRecord",
     "CSV_SCHEMA_VERSION",
@@ -66,14 +71,22 @@ CSV_COLUMNS = (
     "seed",
 )
 
-_SCHEMES = ("sm", "smx")
 _FIDELITIES = ("symbol", "waveform")
 _CSI_MODES = ("perfect", "pilot")
 
 
 @dataclass(frozen=True)
-class SimConfig:
-    """One simulation campaign: link setup, channel model and budgets."""
+class Link:
+    """One link over an SNR grid: scheme, antennas, constellation order and
+    channel model (a K factor in dB, -inf for Rayleigh, and a named power
+    imbalance profile). The JSON keys of ``smlink bound`` are these fields.
+
+    Construction refuses, with a named :class:`SmlinkError`, a field of the
+    wrong type, nr below 1, a grid :func:`channel.check_snr_grid` refuses, a
+    scheme, nt and order that :func:`modem.bits_per_vector` refuses, more
+    than ``modem.MAX_CANDIDATES`` candidate vectors, a K factor
+    :class:`channel.FadingModel` refuses and a profile of another shape.
+    """
 
     scheme: str
     nt: int
@@ -82,6 +95,35 @@ class SimConfig:
     snr_grid_db: tuple
     k_factor_db: float = float("-inf")
     pi_profile: str = "none"
+
+    def __post_init__(self):
+        fileio.check_field_types(self)
+        self._check_values()
+
+    def _check_values(self):
+        """The checks after the type check; a subclass extends them."""
+        if self.nr < 1:
+            raise ConfigurationError("nr must be >= 1")
+        object.__setattr__(self, "snr_grid_db", channel_mod.check_snr_grid(self.snr_grid_db))
+        modem.check_candidate_count(2**self.bits_per_vector)
+        self.fading()
+        self.imbalance()
+
+    @property
+    def bits_per_vector(self):
+        return modem.bits_per_vector(self.scheme, self.nt, self.modulation_order)
+
+    def fading(self):
+        return channel_mod.FadingModel(self.k_factor_db)
+
+    def imbalance(self):
+        return channel_mod.imbalance_profile(self.pi_profile, self.nr, self.nt)
+
+
+@dataclass(frozen=True)
+class SimConfig(Link):
+    """One simulation campaign: a :class:`Link` with its fidelity, budgets and layouts."""
+
     fidelity: str = "symbol"
     csi_mode: str = "perfect"
     bits_per_trial: int = 100_000
@@ -92,23 +134,16 @@ class SimConfig:
     block_symbols: int = 1000
     snr_block_symbols: int = 50_000
 
-    def __post_init__(self):
-        fileio.check_field_types(self)
+    def _check_values(self):
         if self.master_seed < 0:
             raise ConfigurationError(f"master_seed must be >= 0, got {self.master_seed}")
-        if self.scheme not in _SCHEMES:
-            raise ConfigurationError(f"scheme must be one of {_SCHEMES}")
+        super()._check_values()
         if self.fidelity not in _FIDELITIES:
             raise ConfigurationError(f"fidelity must be one of {_FIDELITIES}")
         if self.csi_mode not in _CSI_MODES:
             raise ConfigurationError(f"csi_mode must be one of {_CSI_MODES}")
-        if self.nr < 1:
-            raise ConfigurationError("nr must be >= 1")
-        object.__setattr__(self, "snr_grid_db", channel_mod.check_snr_grid(self.snr_grid_db))
         channel_mod.check_offset(self.fo_cycles_per_sample)
-        self.fading()
-        self.imbalance()
-        m = modem.check_candidate_count(2**self.bits_per_vector)
+        m = self.bits_per_vector
         if self.bits_per_trial < m or self.bits_per_trial % m:
             raise ConfigurationError(
                 f"bits_per_trial must be a positive multiple of m={m}"
@@ -129,16 +164,6 @@ class SimConfig:
             txchain.check_frame_duration(*self.layouts())
         if self.fidelity == "waveform" or self.csi_mode == "pilot":
             self.layouts()[0].pilot_signal(self.nt)  # raises if it cannot separate nt
-
-    @property
-    def bits_per_vector(self):
-        return modem.bits_per_vector(self.scheme, self.nt, self.modulation_order)
-
-    def fading(self):
-        return channel_mod.FadingModel(self.k_factor_db)
-
-    def imbalance(self):
-        return channel_mod.imbalance_profile(self.pi_profile, self.nr, self.nt)
 
     def layouts(self):
         """The trial's FrameLayout and TransmissionLayout. A symbol trial reads only

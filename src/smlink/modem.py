@@ -79,13 +79,18 @@ def _gray_decode(g):
     return b
 
 
-def build_constellation(order):
-    """Build the Gray-labelled constellation for a supported order."""
+def _bits_per_symbol(order):
+    """log2 of a constellation order in ``SUPPORTED_ORDERS``."""
     if order not in SUPPORTED_ORDERS:
         raise ConfigurationError(
             f"unsupported modulation order {order}; choose from {SUPPORTED_ORDERS}"
         )
-    k = order.bit_length() - 1
+    return order.bit_length() - 1
+
+
+def build_constellation(order):
+    """Build the Gray-labelled constellation for a supported order."""
+    k = _bits_per_symbol(order)
     if order == 2:
         points = np.array([1.0 + 0.0j, -1.0 + 0.0j])
     else:
@@ -129,10 +134,11 @@ def indices_to_bits(indices, m):
 
 
 def bits_per_vector(scheme, nt, order):
-    """Bits carried by one transmit vector."""
+    """Bits carried by one transmit vector: the one check that ``scheme``,
+    ``nt`` and the constellation ``order`` describe a link."""
     if nt < 1 or nt & (nt - 1):
         raise ConfigurationError(f"antenna count {nt} must be a power of two")
-    k = order.bit_length() - 1
+    k = _bits_per_symbol(order)
     if scheme == "sm":
         return (nt.bit_length() - 1) + k
     if scheme == "smx":
@@ -182,9 +188,11 @@ def check_candidate_count(n_cand):
     """log2 of a candidate count that is a power of two in [2, MAX_CANDIDATES]."""
     if n_cand < 2 or n_cand & (n_cand - 1):
         raise ConfigurationError("candidate count must be a power of two >= 2")
+    m = n_cand.bit_length() - 1
     if n_cand > MAX_CANDIDATES:
-        raise ConfigurationError(f"candidate set of {n_cand} exceeds the {MAX_CANDIDATES} guard")
-    return n_cand.bit_length() - 1
+        # 2**m, not its digits: a count past 4300 digits has no str form.
+        raise ConfigurationError(f"candidate set of 2**{m} exceeds the {MAX_CANDIDATES} guard")
+    return m
 
 
 def candidate_vectors(scheme, nt, constellation):

@@ -25,6 +25,7 @@ plateauing at the filter sidelobe level.
 """
 
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -210,8 +211,13 @@ def matched_filter_downsample(samples, taps, upsample_factor, n_symbols=None):
     Output k of each stream (last axis of an (..., n) input) is its full
     convolution with ``taps`` at sample k*upsample_factor + len(taps)-1,
     which compensates the combined transmit+receive group delay. Streams
-    are zero-extended past their end, as in the full convolution.
+    are zero-extended past their end, as in the full convolution. An
+    ``upsample_factor`` that is not an integer >= 1 raises
+    :class:`ConfigurationError`.
     """
+    if not (isinstance(upsample_factor, Integral) and upsample_factor >= 1):
+        raise ConfigurationError(
+            f"upsample_factor must be an integer >= 1, got {upsample_factor!r}")
     y = np.atleast_2d(np.asarray(samples, dtype=np.complex128))
     n_taps = len(taps)
     if y.shape[-1] < n_taps:

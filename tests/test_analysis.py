@@ -163,8 +163,11 @@ class TestUnionBoundIdentityChannel:
         (None, np.ones((1, 1, 2, 2)), (10.0,), DimensionError),
         (np.ones(4), None, (10.0,), DimensionError),
         (None, np.ones((0, 2, 2)), (10.0,), DimensionError),
+        (None, None, "12", ConfigurationError),
+        (None, None, b"12", ConfigurationError),
+        (None, None, (True, 3), ConfigurationError),
     ], ids=["nan-snr", "4000-db", "empty-grid", "nan-channel", "1d-stack", "4d-stack",
-            "1d-candidates", "zero-draws"])
+            "1d-candidates", "zero-draws", "grid-str", "grid-bytes", "grid-bool"])
     def test_inputs_it_cannot_evaluate_refused(self, cands, hs, grid, error):
         """Unchecked, these give NaN, [], a numpy exception or a floating-point
         warning."""
@@ -232,6 +235,12 @@ class TestUnionBoundMonteCarlo:
         with pytest.raises(ConfigurationError, match="modulation_order"):
             analysis.BoundConfig(
                 scheme="sm", nt=2, nr=2, modulation_order=2.0,
+                fading=channel.FadingModel(), snr_grid_db=(5.0,),
+            )
+        # SMX nt=8 256-QAM has 2**64 candidates: past the guard, not built.
+        with pytest.raises(ConfigurationError, match="exceeds the 65536 guard"):
+            analysis.BoundConfig(
+                scheme="smx", nt=8, nr=4, modulation_order=256,
                 fading=channel.FadingModel(), snr_grid_db=(5.0,),
             )
 
@@ -350,11 +359,15 @@ class TestExactUnionBound:
     @pytest.mark.parametrize("grid", [
         (), (float("nan"),), (5.0, float("nan"), 1.0), (float("inf"),),
         (float("-inf"), 10.0), (4000.0,), (-4000.0, 10.0), None, ("ten",),
+        "12", b"12", (True, 3), ("12",),
     ], ids=["empty", "nan", "nan-between-descending", "inf", "minus-inf", "4000-db",
-            "minus-4000-db", "none", "string"])
+            "minus-4000-db", "none", "string", "str-grid", "bytes-grid", "bool-point",
+            "numeric-string"])
     def test_snr_grid_it_cannot_evaluate_refused(self, grid):
-        """The grid is nonempty and finite, and each point's linear SNR and
-        noise variance fit a float; NaN is caught before the order check."""
+        """The grid is a nonempty sequence of real numbers, not a str, bytes or
+        bools ("12" used to be read as 1 and 2 dB, b"12" as 49 and 50 dB),
+        finite, and each point's linear SNR and noise variance fit a float;
+        NaN is caught before the order check."""
         with pytest.raises(ConfigurationError, match="snr_grid_db|overflows"):
             analysis.BoundConfig(
                 scheme="sm", nt=2, nr=2, modulation_order=2,

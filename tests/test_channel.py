@@ -1,12 +1,13 @@
 """Tests for the power-imbalanced Rician channel and propagation."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
-from smlink import channel
-from smlink.errors import ConfigurationError, DimensionError
+from smlink import channel, rxchain
+from smlink.errors import ConfigurationError, DimensionError, SmlinkError
 
 
 class TestFadingModel:
@@ -275,3 +276,24 @@ class TestCarrierRamp:
             channel.carrier_ramp(delta, 100)
         with pytest.raises(ConfigurationError, match="fo_cycles_per_sample"):
             channel.propagate_waveform(np.ones((2, 10), dtype=complex), np.eye(2), delta)
+
+
+STAGE_PROBES = {
+    "matched-filter-upsample-0": lambda: rxchain.matched_filter_downsample(
+        np.ones((2, 64)), np.ones(9), upsample_factor=0),
+    "carrier-ramp-negative-length": lambda: channel.carrier_ramp(0.1, -1),
+    "draw-channels-negative-count": lambda: channel.draw_channels(
+        -1, 2, 2, channel.FadingModel(), rng=np.random.default_rng(0)),
+    "imbalance-profile-list-name": lambda: channel.imbalance_profile(["x"]),
+}
+
+
+@pytest.mark.parametrize("call", [pytest.param(f, id=k) for k, f in STAGE_PROBES.items()])
+def test_stage_inputs_refused_with_named_errors(call):
+    """Each of these used to raise a bare ZeroDivisionError, ValueError or
+    TypeError; each now raises a SmlinkError and warns nothing first."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(SmlinkError):
+            call()
+    assert not caught

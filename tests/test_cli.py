@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface."""
 
 import contextlib
+import dataclasses
 import io
 import json
 
@@ -22,6 +23,7 @@ def refuse_constant(constant):
 
 
 BOUND = {"scheme": "sm", "nt": 2, "nr": 2, "modulation_order": 2, "snr_grid_db": [10.0]}
+LINK_KEYS = {f.name for f in dataclasses.fields(harness.Link)}
 SIM = {"scheme": "sm", "nt": 2, "nr": 2, "modulation_order": 2, "snr_grid_db": [10.0],
        "bits_per_trial": 200, "trials_per_snr": 1}
 CHAIN = {"scheme": "sm", "nt": 2, "modulation_order": 2,
@@ -246,7 +248,7 @@ def test_encode_decode_round_trip_or_refused(tmp_path_factory, link, frame, tran
 
 
 @settings(max_examples=30, deadline=None)
-@given(key=st.text(min_size=1).filter(lambda k: k not in cli._BOUND_FIELDS))
+@given(key=st.text(min_size=1).filter(lambda k: k not in LINK_KEYS))
 def test_bound_rejects_any_unknown_key(tmp_path_factory, key):
     tmp = tmp_path_factory.mktemp("bound")
     err = io.StringIO()
@@ -293,6 +295,28 @@ class TestBoundCommand:
             assert float(cells[0]) == snr
             assert float(cells[1]) == pytest.approx(val, rel=1e-9)
             assert cells[2:] == ["sm", "2", "2", "2"]
+
+    @pytest.mark.parametrize("k_db", [None, 33.0])
+    @pytest.mark.parametrize("profile", ["none", "rx_config_1"])
+    def test_reads_the_link_of_a_saved_sim_config(self, tmp_path, k_db, profile):
+        """A saved SimConfig with its non-link keys dropped is a bound config,
+        and bounds the same link: simulate and bound read one schema."""
+        sim = harness.SimConfig(scheme="sm", nt=2, nr=2, modulation_order=2,
+                                snr_grid_db=(20.0, 30.0),
+                                k_factor_db=float("-inf") if k_db is None else k_db,
+                                pi_profile=profile, bits_per_trial=2000, master_seed=3)
+        saved = json.loads(harness.save_config(sim, tmp_path / "sim.json").read_text())
+        assert saved["k_factor_db"] == k_db
+        link = {key: value for key, value in saved.items() if key in LINK_KEYS}
+        assert link.keys() == LINK_KEYS
+        assert run_cli(*_bound(tmp_path, link)) == 0
+        want = analysis.union_bound_aber(analysis.BoundConfig(
+            scheme="sm", nt=2, nr=2, modulation_order=2,
+            fading=channel.FadingModel(float("-inf") if k_db is None else k_db),
+            imbalance=channel.imbalance_profile(profile), snr_grid_db=(20.0, 30.0)))
+        got = [float(line.split(",")[1])
+               for line in (tmp_path / "b.csv").read_text().splitlines()[1:]]
+        assert got == [float(f"{v:.10g}") for v in want]
 
     def test_int_values_in_float_fields(self, tmp_path):
         """Ints are accepted where floats are expected and give the same CSV;

@@ -34,11 +34,23 @@ class TestSimConfig:
         dict(scheme="smx", nt=8, modulation_order=16, bits_per_trial=32_000),
         dict(pi_profile="rx_config_1", nr=1),
         dict(csi_mode="pilot", nt=16, bits_per_trial=5000),
+        dict(modulation_order=3),
+        dict(snr_grid_db="12"),
+        dict(snr_grid_db=b"12"),
+        dict(snr_grid_db=(True, 3)),
+        dict(snr_grid_db=(10**400,)),
+        dict(scheme="smx", nt=2**14, bits_per_trial=2**14),
     ], ids=["pilots-16-antennas", "frame-over-coherence", "no-snr-block", "fo-aliased",
-            "2e32-candidates", "profile-shape", "symbol-pilots-16-antennas"])
+            "2e32-candidates", "profile-shape", "symbol-pilots-16-antennas", "order-3",
+            "grid-str", "grid-bytes", "grid-bool", "grid-int-past-float",
+            "2e16384-candidates"])
     def test_refused_at_construction(self, overrides):
         """Each of these would fail inside run_simulation (the 2**32-candidate
-        set by exhausting memory), so construction refuses it."""
+        set by exhausting memory, order 3 in build_constellation), raise a
+        bare ValueError or OverflowError (a candidate count too long to print,
+        an integer grid point past a float's range) or run another link (the
+        grid "12" as 1 and 2 dB, b"12" as 49 and 50 dB, True as 1 dB), so
+        construction refuses it."""
         with pytest.raises(SmlinkError):
             small_config(**overrides)
 
