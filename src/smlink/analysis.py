@@ -141,8 +141,8 @@ class BoundConfig:
         if list(grid) != sorted(grid):
             raise ConfigurationError("snr_grid_db must be sorted ascending")
         object.__setattr__(self, "snr_grid_db", grid)
-        modem.check_candidate_count(
-            2 ** modem.bits_per_vector(self.scheme, self.nt, self.modulation_order))
+        modem.check_candidate_bits(
+            modem.bits_per_vector(self.scheme, self.nt, self.modulation_order))
         # Refuse the points where nr pair statistics, each at most (2 s_max
         # ||x||_1)^2, times gamma_ex / (2 sin^2 theta) at the smallest node
         # would overflow and make the bound NaN.

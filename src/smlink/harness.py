@@ -105,7 +105,7 @@ class Link:
         if self.nr < 1:
             raise ConfigurationError("nr must be >= 1")
         object.__setattr__(self, "snr_grid_db", channel_mod.check_snr_grid(self.snr_grid_db))
-        modem.check_candidate_count(2**self.bits_per_vector)
+        modem.check_candidate_bits(self.bits_per_vector)
         self.fading()
         self.imbalance()
 

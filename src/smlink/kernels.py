@@ -18,9 +18,20 @@ enumeration order and ties resolve to the lowest index. The received
 vectors are worked through in chunks whose (chunk, n_cand) metric holds
 at most ``_CHUNK_ELEMENTS`` float64 entries (or ``_MIN_CHUNK_ROWS`` rows),
 so memory stays bounded for any batch size.
+
+``np.argmin`` returns a row's first NaN when it holds one, so a NaN or
+infinite received vector or channel entry leaves the chosen metric
+non-finite: one gather of each row's chosen metric and their sum per
+chunk find it, and :class:`DegenerateInputError` is raised with no
+warning first. The sum also refuses a chunk whose finite chosen metrics
+together pass the float range (about 1.8e308 / rows each in magnitude).
 """
 
+import math
+
 import numpy as np
+
+from .errors import DegenerateInputError
 
 __all__ = [
     "BACKEND",
@@ -44,7 +55,9 @@ def _real_pairs(a):
 
 
 def _argmin_metric(y, hx):
-    """First-minimum index of ||Hx_k||^2 - 2 Re(y . conj(Hx_k)) per row of y."""
+    """First-minimum index of ||Hx_k||^2 - 2 Re(y . conj(Hx_k)) per row of y;
+    a row whose chosen metric is not finite raises :class:`DegenerateInputError`.
+    Callers silence the floating-point warnings of non-finite inputs."""
     y2 = _real_pairs(y)
     hx2 = _real_pairs(hx)
     energy = np.einsum("kr,kr->k", hx2, hx2)
@@ -54,10 +67,19 @@ def _argmin_metric(y, hx):
     for s in range(0, y2.shape[0], chunk):
         metrics = y2[s : s + chunk] @ cross
         metrics += energy
-        out[s : s + chunk] = np.argmin(metrics, axis=1)
+        chosen = np.argmin(metrics, axis=1)
+        # One gather of each row's chosen entry from the flat (rows, n_cand) metric;
+        # their sum is finite unless one of them is not (or the sum overflows).
+        if not math.isfinite(metrics.take(chosen + np.arange(0, metrics.size, len(energy))).sum()):
+            raise DegenerateInputError(
+                "received vectors and channel must be finite, with metrics that fit a float")
+        out[s : s + chunk] = chosen
     return out
 
 
+# A NaN or infinite input makes the chosen metric non-finite, which is refused
+# with a named error; the warnings on the way there are not raised.
+@np.errstate(invalid="ignore", over="ignore")
 def detect_min_indices(y, hx):
     """Index of the minimum-distance candidate for each received vector.
 
@@ -73,6 +95,7 @@ def detect_min_indices(y, hx):
     return _argmin_metric(y, hx)
 
 
+@np.errstate(invalid="ignore", over="ignore")  # as in detect_min_indices
 def sm_detect_min_indices(y, h, points):
     """Single-active-antenna ML search over (antenna, constellation point).
 

@@ -184,15 +184,23 @@ def smx_modulate(bits, nt, constellation):
     return constellation.points[bits_to_indices(bits, k).reshape(-1, nt)] / np.sqrt(nt)
 
 
+def check_candidate_bits(m):
+    """``m`` when a set of 2**m candidates is within ``MAX_CANDIDATES``.
+
+    Compares m with log2(MAX_CANDIDATES) and never forms 2**m, so the
+    check costs the same for any m.
+    """
+    if m > MAX_CANDIDATES.bit_length() - 1:
+        # 2**m, not its digits: a count past 4300 digits has no str form.
+        raise ConfigurationError(f"candidate set of 2**{m} exceeds the {MAX_CANDIDATES} guard")
+    return m
+
+
 def check_candidate_count(n_cand):
     """log2 of a candidate count that is a power of two in [2, MAX_CANDIDATES]."""
     if n_cand < 2 or n_cand & (n_cand - 1):
         raise ConfigurationError("candidate count must be a power of two >= 2")
-    m = n_cand.bit_length() - 1
-    if n_cand > MAX_CANDIDATES:
-        # 2**m, not its digits: a count past 4300 digits has no str form.
-        raise ConfigurationError(f"candidate set of 2**{m} exceeds the {MAX_CANDIDATES} guard")
-    return m
+    return check_candidate_bits(n_cand.bit_length() - 1)
 
 
 def candidate_vectors(scheme, nt, constellation):
@@ -201,15 +209,18 @@ def candidate_vectors(scheme, nt, constellation):
     Row ``b`` is the vector produced by the m-bit block with integer value
     ``b``; detectors and the union bound all share this ordering.
     """
-    m = check_candidate_count(2 ** bits_per_vector(scheme, nt, constellation.order))
+    m = check_candidate_bits(bits_per_vector(scheme, nt, constellation.order))
     return modulate(indices_to_bits(np.arange(2**m), m), scheme, nt, constellation)
 
 
+# A non-finite channel is refused by the kernel; the warnings of its images are not raised.
+@np.errstate(invalid="ignore", over="ignore")
 def ml_detect_batch(y, h, candidates):
     """Brute-force ML over an explicit candidate set, one decision per row.
 
     ``y`` is (n, nr). Row i's decision is the candidate index minimizing
-    ||y_i - H x||^2; ties go to the lowest candidate index.
+    ||y_i - H x||^2; ties go to the lowest candidate index. A NaN or
+    infinite entry of ``y`` or ``h`` raises :class:`DegenerateInputError`.
     """
     y = np.asarray(y, dtype=np.complex128)
     h = np.asarray(h, dtype=np.complex128)
@@ -230,6 +241,7 @@ def sm_ml_detect_batch(y, h, constellation):
     searched by the shared metric kernel of :mod:`smlink.kernels` in flat
     order a * M + p, so ties resolve to the lowest (antenna, point) pair.
     Returns the flat indices a * M + p, which equal the bit-block values.
+    A NaN or infinite entry of ``y`` or ``h`` raises :class:`DegenerateInputError`.
     """
     y = np.asarray(y, dtype=np.complex128)
     h = np.asarray(h, dtype=np.complex128)

@@ -6,8 +6,8 @@ capture in stream order, a segment at a time: locate the 20
 synchronization pulses by a comb search at their known period over the
 starts where the transmission fits (reject the capture unless every
 pulse stands above every mid-gap sample), measure SNR from the on/off
-section one pair of blocks at a time, then take the frames a block of
-about ``SAMPLE_BLOCK`` samples at a time. Per block of frames: take each
+section one ``SAMPLE_BLOCK`` segment at a time, then take the frames a
+block of about ``SAMPLE_BLOCK`` samples at a time. Per block of frames: take each
 frame's carrier offset as the maximiser of its matched-filtered
 preamble's periodogram summed over receive antennas, derotate each frame
 at sample rate by its own offset and matched-filter and downsample it,
@@ -156,17 +156,20 @@ def estimate_snr(snr_section, nt, n_blocks, block_len_samples):
     ``snr_section`` is (nr, n_samples), an array or a block source with a
     ``shape`` and a ``segment(start, stop)``, laid out as ``nt``
     sequential per-antenna runs of ``n_blocks`` alternating on/off
-    blocks; it is read one on/off pair at a time. Per block, the off
-    block's mean (per receive antenna) is removed from both blocks, so a
-    receive DC offset cancels: signal power = max(mean on-power - mean
-    off-power, 0) where powers sum over receive antennas; the noise
-    variance is the per-component variance of the off samples; their
-    ratio (divided by nr) is one raw estimate. Estimates are averaged in
-    the linear domain over all blocks and antennas. Each block's
-    energies are summed one BLAS dot product per receive row over fresh
-    ``off - dc`` and ``on - dc`` arrays, not as one-pass sums of x and
-    |x|^2, which cancel under a large receive DC. A pair whose blocks are
-    both silent (an all-zero section included) raises
+    blocks. Per block, the off block's mean (per receive antenna) is
+    removed from both blocks, so a receive DC offset cancels: signal
+    power = max(mean on-power - mean off-power, 0) where powers sum over
+    receive antennas; the noise variance is the per-component variance
+    of the off samples; their ratio (divided by nr) is one raw estimate.
+    Estimates are averaged in the linear domain over all blocks and
+    antennas. Each block is read one ``SAMPLE_BLOCK`` segment at a time:
+    per receive row, each segment's mean and energy about that mean (one
+    BLAS dot product) are merged into the block's by the pairwise update
+    of Chan, Golub & LeVeque (Am. Stat. 1983), and the on block's energy
+    about the off block's mean is its own plus n |mean_on - mean_off|^2.
+    So no block-sized array is formed, and no one-pass sum of x and
+    |x|^2, which cancels under a large receive DC, is taken. A pair whose
+    blocks are both silent (an all-zero section included) raises
     :class:`DegenerateInputError`, as does a NaN or infinite sample or
     one whose power overflows.
     """
@@ -179,8 +182,10 @@ def estimate_snr(snr_section, nt, n_blocks, block_len_samples):
     for t in range(nt):
         for b in range(n_blocks):
             a = 2 * block * (t * n_blocks + b)
-            # A pair read into the call is freed when it returns, before the next is read.
-            raw[t, b] = _on_off_estimate(segment(a, a + 2 * block), block)
+            on_mean, on_energy = _block_moments(segment, a, a + block)
+            dc, off_energy = _block_moments(segment, a + block, a + 2 * block)
+            raw[t, b] = _on_off_estimate(
+                on_energy + block * np.abs(on_mean - dc) ** 2, off_energy, block)
     mean = float(np.mean(raw))
     return SnrEstimate(
         snr_db=float(10.0 * np.log10(mean)) if mean > 0 else float("-inf"),
@@ -189,20 +194,43 @@ def estimate_snr(snr_section, nt, n_blocks, block_len_samples):
     )
 
 
-def _on_off_estimate(pair, block):
-    """One raw estimate of :func:`estimate_snr` from an (nr, 2 * block) on/off pair."""
-    on, off = pair[:, :block], pair[:, block:]
-    dc = off.mean(axis=1, keepdims=True)
-    off_energy, on_energy = (float(sum(np.vdot(r, r).real for r in x - dc)) for x in (off, on))
-    noise_var = off_energy / off.size
+def _block_moments(segment, start, stop):
+    """Per receive row, the mean of samples ``start`` to ``stop`` and their
+    energy about it, read and merged one ``SAMPLE_BLOCK`` at a time."""
+    count, mean, energy = 0, 0.0, 0.0
+    for a in range(start, stop, SAMPLE_BLOCK):
+        x = segment(a, min(a + SAMPLE_BLOCK, stop))
+        k, seg_mean = x.shape[1], x.mean(axis=1)
+        seg_energy = np.array([_energy_about(row, m) for row, m in zip(x, seg_mean)])
+        del x  # freed before the next segment is read
+        delta = seg_mean - mean
+        total = count + k
+        mean = mean + delta * (k / total)
+        energy = energy + seg_energy + np.abs(delta) ** 2 * (count * k / total)
+        count = total
+    return mean, energy
+
+
+def _energy_about(row, m):
+    """sum |row - m|^2 by one BLAS dot product; the centred row lives for this call only."""
+    centred = row - m
+    return np.vdot(centred, centred).real
+
+
+def _on_off_estimate(on_energy, off_energy, block):
+    """One raw estimate of :func:`estimate_snr` from the per-row energies of an
+    on and an off block about the off block's mean."""
+    nr = len(off_energy)
+    on_energy, off_energy = float(sum(on_energy)), float(sum(off_energy))
     if not np.isfinite(off_energy + on_energy):
         raise DegenerateInputError("SNR section holds NaN, infinite or overflowing samples")
+    noise_var = off_energy / (nr * block)
     signal = max(on_energy - off_energy, 0.0) / block
     if noise_var == 0.0:
         if signal == 0.0:
             raise DegenerateInputError("on/off blocks are both silent")
         return np.inf
-    return signal / (pair.shape[0] * noise_var)
+    return signal / (nr * noise_var)
 
 
 def matched_filter_downsample(samples, taps, upsample_factor, n_symbols=None):
@@ -352,9 +380,9 @@ def decode_transmission(rx_samples, frame_layout, tx_layout, nt, scheme,
     ``segment(start, stop)`` (:class:`smlink.channel.ReceivedWaveform`,
     :class:`smlink.txchain.CaptureFiles`); an array is read through
     slices. The capture is read in stream order, in segments: the head
-    that :func:`detect_sync` searches, the sounding section one on/off
-    pair at a time (:func:`estimate_snr`), then the frames a block of
-    about ``SAMPLE_BLOCK`` samples at a time, each block with the
+    that :func:`detect_sync` searches, the sounding section one
+    ``SAMPLE_BLOCK`` segment at a time (:func:`estimate_snr`), then the
+    frames a block of about ``SAMPLE_BLOCK`` samples at a time, each block with the
     filter's reach past it. Per block of frames, each frame's offset is
     estimated from the matched-filtered ``frame_layout.fo_window()``
     symbols of its preamble; each frame and the filter's reach past it

@@ -16,15 +16,18 @@ sync pulses stay at the quantizer full scale, which pins the
 peak-to-data amplitude ratio (about 21.1 dB at the default factor).
 
 :func:`build_transmission` runs the whole chain from a bit array:
-modulate, frame, assemble. The result is a block source: it stores the
-shaped data section only and builds any run of samples, sync pulses and
-sounding blocks included, on demand (:meth:`TransmissionVector.segment`).
-The channel and the int16 writer take it one ``SAMPLE_BLOCK`` at a time,
-so no full-length transmit array is ever held; at the default layout the
-sounding section is about 90% of the samples. The capture files come
-back the same way: :func:`read_captures` returns a block source
-(:class:`CaptureFiles`) whose segments are read from the files by seek,
-so the receiver never holds a capture-length array either.
+modulate, frame, assemble. The result is a block source that stores no
+samples: it keeps the payload bits, the modulation and the two layouts,
+and builds any run of samples on demand (:meth:`TransmissionVector.segment`),
+modulating, framing and shaping only the frames the run reaches. The
+peak that sets the scale comes from one shaping pass, a block at a time,
+before any sample is handed out. The channel and the int16 writer take
+the transmission one ``SAMPLE_BLOCK`` at a time, so no array the length
+of the transmission or of its data section is ever held; at the default
+layout the sounding section is about 90% of the samples. The capture
+files come back the same way: :func:`read_captures` returns a block
+source (:class:`CaptureFiles`) whose segments are read from the files by
+seek, so the receiver never holds a capture-length array either.
 """
 
 import contextlib
@@ -36,7 +39,7 @@ from pathlib import Path
 import numpy as np
 
 from . import modem
-from .channel import SAMPLE_BLOCK
+from .channel import SAMPLE_BLOCK, segment_reader
 from .errors import (
     ConfigurationError,
     DegenerateInputError,
@@ -185,16 +188,19 @@ class TransmissionLayout:
 class TransmissionVector:
     """A transmission as a block source, plus the bookkeeping to parse it back.
 
-    ``data`` is the shaped, scaled (nt, data_len) data section, the only
-    stored samples; :meth:`segment` builds any run of the (nt, n) sample
-    streams from it and the layouts. ``sections`` maps section name ->
-    (start, length) in samples, as :meth:`TransmissionLayout.sections`
-    gives it; ``symbol_scale`` is the factor applied to the shaped frame
-    stream so that its peak equals ``power_factor`` (the quantized data
-    maximum), and ``x_max``, equal to it, is the sounding on-block level.
+    ``symbols`` is the (nt, n_frames * frame_symbols) frame stream, an
+    array or a block source (:func:`build_transmission` passes one that
+    keeps the payload bits and modulates them as they are read); no
+    shaped sample is stored. :meth:`segment` builds any run of the
+    (nt, n) sample streams from it and the layouts. ``sections`` maps
+    section name -> (start, length) in samples, as
+    :meth:`TransmissionLayout.sections` gives it; ``symbol_scale`` is the
+    factor applied to the shaped frame stream so that its peak equals
+    ``power_factor`` (the quantized data maximum), and ``x_max``, equal
+    to it, is the sounding on-block level.
     """
 
-    data: np.ndarray
+    symbols: object
     frame_layout: FrameLayout
     layout: TransmissionLayout
     symbol_scale: float
@@ -209,7 +215,7 @@ class TransmissionVector:
 
     @property
     def nt(self):
-        return self.data.shape[0]
+        return self.symbols.shape[0]
 
     @property
     def shape(self):
@@ -223,7 +229,12 @@ class TransmissionVector:
         return self.segment(0, self.shape[1])
 
     def segment(self, start, stop):
-        """Samples ``start`` to ``stop`` of every antenna, a new (nt, stop - start) array."""
+        """Samples ``start`` to ``stop`` of every antenna, a new (nt, stop - start) array.
+
+        Data samples are the frame stream's :func:`pulse_shape` times
+        ``symbol_scale``, bit for bit: only the symbols the run and the
+        filter's reach before it touch are read and shaped.
+        """
         nt, n = self.shape
         if not 0 <= start <= stop <= n:
             raise DimensionError(f"segment [{start}, {stop}) outside the {n}-sample transmission")
@@ -242,9 +253,43 @@ class TransmissionVector:
                     max(a, start) - start : min(a + block, stop) - start] = self.x_max
         data_start = sections["data"][0]
         if stop > data_start:
+            fl = self.frame_layout
             lo = max(start, data_start)
-            out[:, lo - start :] = self.data[:, lo - data_start : stop - data_start]
+            data = out[:, lo - start :]
+            _shape_into(data, self.symbols,
+                        rrc_taps(fl.rrc_num_taps, fl.rrc_rolloff, fl.upsample_factor),
+                        fl.upsample_factor, lo - data_start)
+            data *= self.symbol_scale
         return out
+
+
+@dataclass(frozen=True)
+class _FrameStream:
+    """The (nt, n_frames * frame_symbols) frame stream of a payload, as a block source.
+
+    ``segment(start, stop)`` modulates (:func:`modem.modulate`) and frames
+    (:func:`build_frame`) only the frames the run touches; modulation and
+    framing act symbol by symbol, so each run equals the same slice of
+    the whole stream.
+    """
+
+    bits: np.ndarray
+    scheme: str
+    constellation: modem.Constellation
+    frame_layout: FrameLayout
+    shape: tuple
+
+    def segment(self, start, stop):
+        nt, n = self.shape
+        fs = self.frame_layout.frame_symbols
+        first, last = start // fs, -(-stop // fs)
+        frame_bits = self.bits.size // (n // fs)
+        vectors = modem.modulate(self.bits[first * frame_bits : last * frame_bits],
+                                 self.scheme, nt, self.constellation)
+        frames = build_frame(
+            vectors.reshape(last - first, self.frame_layout.data_symbols_per_frame, nt),
+            self.frame_layout)
+        return frames[:, start - first * fs : stop - first * fs]
 
 
 def pilot_sequence(n_t, n_theta):
@@ -338,74 +383,97 @@ def pulse_shape(symbols, taps, upsample_factor):
     """Upsample (insert zeros) and filter; full convolution per antenna.
 
     Accepts an (nt, n_symbols) matrix and returns
-    (nt, n_symbols*U + len(taps) - 1). Each row is zero-stuffed and
-    convolved one block of about ``SAMPLE_BLOCK`` samples at a time, the
-    block prefixed with the last len(taps) - 1 upsampled samples before
-    it, so every output is the dot product over the same terms as in one
-    ``np.convolve`` of the whole row; the tests hold the two equal bit
-    for bit.
+    (nt, n_symbols*U + len(taps) - 1), built one run of ``SAMPLE_BLOCK``
+    samples at a time by the shaping that
+    :meth:`TransmissionVector.segment` uses; every output is the dot
+    product over the same terms as in one ``np.convolve`` of the whole
+    row, and the tests hold the two equal bit for bit.
     """
     s = np.atleast_2d(np.asarray(symbols, dtype=np.complex128))
-    u, carry = upsample_factor, len(taps) - 1
-    n_sym = s.shape[1]
-    step = max(1, SAMPLE_BLOCK // u)  # symbols per block
-    shaped = np.empty((s.shape[0], n_sym * u + carry), dtype=np.complex128)
-    for row, out in zip(s, shaped):
-        up = np.zeros(0, dtype=np.complex128)
-        for j in range(0, max(n_sym, 1), step):
-            head = up[max(len(up) - carry, 0) :]
-            block = row[j : j + step]
-            up = np.zeros(len(head) + len(block) * u, dtype=np.complex128)
-            up[: len(head)] = head
-            up[len(head) :: u] = block
-            full = np.convolve(up, taps)
-            # The last block also gives the filter tail.
-            stop = len(full) if j + step >= n_sym else len(up)
-            out[j * u : j * u + stop - len(head)] = full[len(head) : stop]
+    n = s.shape[1] * upsample_factor + len(taps) - 1
+    shaped = np.empty((s.shape[0], n), dtype=np.complex128)
+    for a in range(0, n, SAMPLE_BLOCK):
+        _shape_into(shaped[:, a : a + SAMPLE_BLOCK], s, taps, upsample_factor, a)
     return shaped
 
 
+def _shape_into(out, symbols, taps, upsample_factor, start):
+    """Write samples ``start`` to ``start + out.shape[1]`` of the shaped
+    (nt, n_symbols) stream ``symbols`` (an array or a block source) into
+    the (nt, k) array ``out``.
+
+    Only the symbols from len(taps) - 1 upsampled samples before
+    ``start`` are read. They are zero-stuffed and convolved row by row;
+    a run shorter than the filter is widened to its length, so every
+    output is the dot product over the same terms, in the same order, as
+    in one ``np.convolve`` of the whole zero-stuffed row (the partial
+    ones at either end of the stream included).
+    """
+    segment, (nt, n_symbols) = segment_reader(symbols)
+    u, n_taps = upsample_factor, len(taps)
+    stop = start + out.shape[1]
+    a = max(start - n_taps + 1, 0)
+    b = min(max(stop, a + n_taps), n_symbols * u)
+    a = max(min(a, b - n_taps), 0)
+    first = -(-a // u)
+    up = np.zeros((nt, b - a), dtype=np.complex128)
+    up[:, first * u - a :: u] = segment(first, -(-b // u))
+    for row, shaped in zip(up, out):
+        shaped[:] = np.convolve(row, taps)[start - a : stop - a]
+
+
 def assemble_transmission(stream, frame_layout, layout):
-    """Shape a frame stream and prefix the sync and SNR sections.
+    """Scale a frame stream's shaped samples and prefix the sync and SNR sections.
 
     ``stream`` is :func:`build_frame`'s (nt, n_frames * frame_symbols)
-    output; one that does not hold ``layout.n_frames`` frames of
-    ``frame_layout`` raises :class:`FramingError`. The shaped stream is
-    scaled by symbol_scale = power_factor / (its peak amplitude); SNR
-    on-blocks run at the resulting data maximum; sync pulses stay at
-    amplitude 1 (full scale), whatever the data peak: the receiver finds
-    them by their period, not by their level. Any sample magnitude above
-    full scale raises :class:`RangeError`, and a frame that lasts the
-    coherence budget or longer at ``layout.sample_rate``
-    (:func:`check_frame_duration`) raises :class:`ConfigurationError`.
+    output, as an array (which the transmission copies) or a block
+    source read through :func:`smlink.channel.segment_reader`; one that
+    does not hold ``layout.n_frames`` frames of ``frame_layout`` raises
+    :class:`FramingError`. One shaping pass, a ``SAMPLE_BLOCK`` at a time,
+    finds the shaped stream's peak amplitude and component extremes; no
+    shaped sample is kept. The shaped stream is scaled by symbol_scale =
+    power_factor / (its peak amplitude); SNR on-blocks run at the
+    resulting data maximum; sync pulses stay at amplitude 1 (full scale),
+    whatever the data peak: the receiver finds them by their period, not
+    by their level. Any sample magnitude above full scale, or a NaN,
+    raises :class:`RangeError`, and a frame that lasts the coherence
+    budget or longer at ``layout.sample_rate`` (:func:`check_frame_duration`)
+    raises :class:`ConfigurationError`.
     """
-    stream = np.asarray(stream)
-    if stream.ndim != 2 or stream.shape[1] != layout.n_frames * frame_layout.frame_symbols:
+    source = stream if hasattr(stream, "segment") else np.array(stream, dtype=np.complex128)
+    if len(source.shape) != 2 or source.shape[1] != layout.n_frames * frame_layout.frame_symbols:
         raise FramingError(
-            f"stream of shape {stream.shape} does not hold {layout.n_frames} frames "
+            f"stream of shape {source.shape} does not hold {layout.n_frames} frames "
             f"of {frame_layout.frame_symbols} symbols"
         )
     check_frame_duration(frame_layout, layout)
     u = frame_layout.upsample_factor
     taps = rrc_taps(frame_layout.rrc_num_taps, frame_layout.rrc_rolloff, u)
 
-    data_wave = pulse_shape(stream, taps, u)
-    peak = float(np.max([np.abs(data_wave[:, a : a + SAMPLE_BLOCK]).max()
-                         for a in range(0, data_wave.shape[1], SAMPLE_BLOCK)]))
+    # Peak amplitude, largest and -smallest component; NaN propagates through each.
+    extremes = np.full(3, -np.inf)
+    n = source.shape[1] * u + len(taps) - 1
+    buffer = np.empty((source.shape[0], min(SAMPLE_BLOCK, n)), dtype=np.complex128)
+    for a in range(0, n, SAMPLE_BLOCK):
+        run = buffer[:, : min(SAMPLE_BLOCK, n - a)]
+        _shape_into(run, source, taps, u, a)
+        components = run.view(np.float64)
+        np.maximum(extremes, [np.abs(run).max(), components.max(), -components.min()],
+                   out=extremes)
+    peak, top, bottom = (float(e) for e in extremes)
     if layout.power_factor > 0 and peak == 0.0:
         raise DegenerateInputError("all-zero frame stream cannot be power-scaled")
     symbol_scale = layout.power_factor / peak if peak > 0 else 0.0
-    data_wave *= symbol_scale
     # The sync pulses sit at full scale and the SNR blocks at the power factor,
     # so the data section and that factor are the only places a component can
-    # exceed it.
-    components = data_wave.view(np.float64)
-    if not (layout.power_factor <= 1.0 and components.max() <= 1.0
-            and components.min() >= -1.0):
+    # exceed it. Scaling by symbol_scale >= 0 is monotone: the scaled extremes
+    # are the extremes scaled.
+    if not (layout.power_factor <= 1.0 and top * symbol_scale <= 1.0
+            and bottom * symbol_scale <= 1.0):
         raise RangeError("scaled transmission exceeds quantizer full scale or is NaN")
 
     return TransmissionVector(
-        data=data_wave,
+        symbols=source,
         frame_layout=frame_layout,
         layout=layout,
         symbol_scale=symbol_scale,
@@ -417,16 +485,23 @@ def build_transmission(bits, scheme, nt, constellation, frame_layout, layout):
 
     ``bits`` must fill exactly ``layout.n_frames`` frames of
     ``frame_layout.data_symbols_per_frame`` vectors each; anything else
-    raises :class:`FramingError`.
+    raises :class:`FramingError`. The transmission keeps a copy of the
+    bits and modulates the frames as its samples are read; the shaping
+    pass of :func:`assemble_transmission` reads them all once, so a bit
+    that is not 0 or 1 is refused here.
     """
-    vectors = modem.modulate(bits, scheme, nt, constellation)
+    bits = np.array(bits)
+    if bits.ndim != 1:
+        raise DimensionError("bit array must be one-dimensional")
     per_frame = frame_layout.data_symbols_per_frame
-    if vectors.shape[0] != per_frame * layout.n_frames:
+    m = modem.bits_per_vector(scheme, nt, constellation.order)
+    if bits.size != m * per_frame * layout.n_frames:
         raise FramingError(
-            f"{vectors.shape[0]} data vectors do not fill {layout.n_frames} "
-            f"frames of {per_frame}"
+            f"{bits.size} bits do not fill {layout.n_frames} frames of {per_frame} "
+            f"{m}-bit vectors"
         )
-    stream = build_frame(vectors.reshape(layout.n_frames, per_frame, nt), frame_layout)
+    stream = _FrameStream(bits, scheme, constellation, frame_layout,
+                          (nt, layout.n_frames * frame_layout.frame_symbols))
     return assemble_transmission(stream, frame_layout, layout)
 
 

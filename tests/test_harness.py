@@ -1,5 +1,6 @@
 """Tests for the Monte Carlo harness: configs, reproducibility, CSV."""
 
+import dataclasses
 import json
 import math
 import tempfile
@@ -170,6 +171,34 @@ class TestSimConfig:
         assert cfg.fading().k_factor_db == 33.0
         assert cfg.imbalance().alpha_db[1, 1] == 1.10
         assert small_config().imbalance() is None
+
+
+class TestCandidateGuard:
+    @pytest.mark.parametrize("build", ["link", "bound", "candidates"])
+    def test_refused_at_constant_cost(self, build):
+        """An SMX link of 2**27 antennas carries m = 2**27 bits per vector.
+        The guard compares m with log2(MAX_CANDIDATES) instead of forming
+        2**m, so refusing it traces under 64 KiB (59.7 MiB when 2**m was
+        formed), and the message still names 2**m."""
+        c = modem.build_constellation(2)
+        make = {
+            "link": lambda: harness.Link(scheme="smx", nt=2**27, nr=2, modulation_order=2,
+                                         snr_grid_db=(10.0,)),
+            "bound": lambda: analysis.BoundConfig(scheme="smx", nt=2**27, nr=2,
+                                                  modulation_order=2,
+                                                  fading=channel.FadingModel(),
+                                                  snr_grid_db=(10.0,)),
+            "candidates": lambda: modem.candidate_vectors("smx", 2**27, c),
+        }[build]
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigurationError,
+                               match=r"candidate set of 2\*\*134217728 exceeds the 65536 guard"):
+                make()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**16
 
 
 class TestConfigIo:
@@ -464,8 +493,8 @@ class TestWaveformSim:
         """The decoder reads the channel's output as a block source, so no
         capture-length array exists anywhere in the trial: its traced peak,
         transmission built and noise drawn included, stays under half the
-        (nr, n) complex capture (measured: 0.38; 1.10 with the received
-        samples formed as one array)."""
+        (nr, n) complex capture (measured: 0.21; 0.38 with the shaped data
+        section stored, 1.10 with the received samples formed as one array)."""
         cfg = small_config(
             fidelity="waveform", snr_grid_db=(30.0,), bits_per_trial=2000,
             trials_per_snr=1, block_symbols=1000, snr_block_symbols=5000,
@@ -483,6 +512,33 @@ class TestWaveformSim:
             tracemalloc.stop()
         assert rec.bits == 2000 and rec.rejected_vectors == 0
         assert peak <= 0.5 * capture_bytes
+
+    def test_trial_peak_does_not_grow_with_frames(self):
+        """Neither end of the chain holds a frame-count-sized array: the
+        transmission shapes its samples as they are read and the decoder
+        reads them a block at a time. From 50 to 400 frames the traced peak
+        grows by the bits alone (payload, the transmission's copy, decoded:
+        3 bytes per bit) plus less than one block of one antenna (measured:
+        3.08 bytes per bit in all; 201 when the transmission stored its
+        shaped data section and the SNR probe held whole sounding blocks)."""
+        cfg = small_config(
+            fidelity="waveform", snr_grid_db=(30.0,), trials_per_snr=1, block_symbols=1000,
+            snr_block_symbols=1000, k_factor_db=33.0,
+        )
+        per_frame = cfg.bits_per_vector * cfg.block_symbols
+        harness.run_simulation(dataclasses.replace(cfg, bits_per_trial=per_frame))
+        peaks = {}
+        for frames in (50, 400):
+            tracemalloc.start()
+            try:
+                rec = harness.run_simulation(
+                    dataclasses.replace(cfg, bits_per_trial=frames * per_frame))[0]
+                peaks[frames] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert rec.bits == frames * per_frame and rec.rejected_vectors == 0
+        extra_bits = 350 * per_frame
+        assert peaks[400] - peaks[50] <= 3 * extra_bits + 16 * channel.SAMPLE_BLOCK
 
     def test_snr_estimate_tracks_target(self):
         cfg = small_config(

@@ -47,7 +47,10 @@ def test_every_traced_attribute_is_wrapped_and_restored(layertrace):
 
 def test_sm_modulation_is_counted_through_build_transmission(layertrace):
     """The SM vectors built by the one bits->frames path land in the
-    tracer's ``modem.sm_modulate.vectors`` count."""
+    tracer's ``modem.sm_modulate.vectors`` count. The transmission
+    modulates its frames as they are read: once in the shaping pass that
+    sets its scale, and once more when the tracer's count of
+    ``assemble_transmission`` reads its ``samples`` (both one block here)."""
     frame_layout = txchain.FrameLayout(data_symbols_per_frame=100)
     tx_layout = txchain.TransmissionLayout(n_frames=2, snr_block_symbols=50)
     n_vectors = frame_layout.data_symbols_per_frame * tx_layout.n_frames
@@ -62,7 +65,7 @@ def test_sm_modulation_is_counted_through_build_transmission(layertrace):
     finally:
         tracer.iteration = None
         tracer.uninstall()
-    assert tracer.counts["modem.sm_modulate.vectors"] == n_vectors
+    assert tracer.counts["modem.sm_modulate.vectors"] == 2 * n_vectors
 
 
 def test_link_round_trip_is_traced(layertrace, tmp_path):

@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from smlink import kernels, modem
-from smlink.errors import ConfigurationError, FramingError, RangeError
+from smlink.errors import ConfigurationError, DegenerateInputError, FramingError, RangeError
 
 
 def brute_force_detect(y, h, candidates):
@@ -323,6 +323,29 @@ class TestMlDetection:
         assert [int(det[i]) for i in rows] == [
             brute_force_detect(y[i], h, cands) for i in rows
         ]
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, complex(0.0, np.inf)],
+                             ids=["nan", "inf", "-inf", "inf-imag"])
+    @pytest.mark.parametrize("where", ["y", "h"])
+    @pytest.mark.parametrize("scheme", ["sm", "smx"])
+    def test_non_finite_input_refused(self, scheme, where, value):
+        """A NaN or infinite entry in one received vector or in the channel
+        raises DegenerateInputError, with no warning first (the tests turn
+        warnings into errors); np.argmin used to pick a row's first NaN
+        and return index 0 for it."""
+        rng = np.random.default_rng(53)
+        c = modem.build_constellation(4)
+        h = random_channel(rng, 2, 2)
+        y = rng.standard_normal((5, 2)) + 1j * rng.standard_normal((5, 2))
+        if where == "y":
+            y[3, 1] = value
+        else:
+            h[1, 0] = value
+        with pytest.raises(DegenerateInputError, match="must be finite"):
+            modem.ml_detect_batch(y, h, modem.candidate_vectors(scheme, 2, c))
+        if scheme == "sm":
+            with pytest.raises(DegenerateInputError, match="must be finite"):
+                modem.sm_ml_detect_batch(y, h, c)
 
     @pytest.mark.parametrize("min_rows", [1, 16])
     @pytest.mark.parametrize("n", [1, 2, 101])
