@@ -69,15 +69,16 @@ def check_snr_grid(snr_grid_db):
     except TypeError:
         points = None
     if points is None or not all(isinstance(s, Real) and not isinstance(s, bool) for s in points):
-        raise ConfigurationError("snr_grid_db must be a sequence of numbers")
+        raise ConfigurationError("field 'snr_grid_db' must be a sequence of numbers")
     try:
         grid = tuple(float(s) for s in points)
     except OverflowError:
-        raise ConfigurationError("snr_grid_db holds a number too large for a float") from None
+        raise ConfigurationError(
+            "field 'snr_grid_db' holds a number too large for a float") from None
     if not grid:
-        raise ConfigurationError("snr_grid_db must be nonempty")
+        raise ConfigurationError("field 'snr_grid_db' must be nonempty")
     if not np.isfinite(grid).all():
-        raise ConfigurationError(f"snr_grid_db must be finite, got {grid!r}")
+        raise ConfigurationError(f"field 'snr_grid_db' must be finite, got {grid!r}")
     for snr_db in grid:
         db_to_linear(snr_db, f"the SNR of {snr_db!r} dB")
         db_to_linear(-snr_db, f"the noise variance at {snr_db!r} dB SNR")
@@ -103,7 +104,8 @@ class FadingModel:
     def __post_init__(self):
         k = self.k_factor_db
         if isinstance(k, bool) or not (isinstance(k, Real) and -np.inf <= k < np.inf):
-            raise ConfigurationError(f"K must be finite or -inf dB (not a bool), got {k!r}")
+            raise ConfigurationError(
+                f"K must be finite or -inf dB (not a bool), got k_factor_db={k!r}")
         db_to_linear(k, f"K of {k!r} dB")
 
     @property

@@ -23,13 +23,11 @@ import numpy as np
 
 from . import __version__, analysis, harness, modem, rxchain, txchain
 from .errors import ConfigurationError, SmlinkError
-from .fileio import build, check_fields, read_json
+from .fileio import build, read_json
 
 BOUND_COLUMNS = ("snr_db", "aber_bound", "scheme", "nt", "nr", "m")
 COMPLEXITY_COLUMNS = ("nt", "nr", "m", "sm_mults", "smx_mults", "reduction_percent")
 PLOT_COLUMNS = ("figure", "curve", "kind", "snr_db", "aber", "bits", "bit_errors")
-_CHAIN_FIELDS = {"scheme": str, "nt": int, "modulation_order": int,
-                 "frame_layout": dict, "transmission_layout": dict}
 
 
 def _cmd_simulate(args):
@@ -123,35 +121,24 @@ def _read_bit_file(path, n_bits):
 
 
 def _cmd_encode(args):
-    data = check_fields(read_json(args.config, "chain config"), _CHAIN_FIELDS,
-                        ("scheme", "nt", "modulation_order"), "chain config")
-    scheme, nt, order = data["scheme"], data["nt"], data["modulation_order"]
-    frame_layout = build(txchain.FrameLayout, data.get("frame_layout", {}), "frame_layout")
-    tx_layout = build(txchain.TransmissionLayout, data.get("transmission_layout", {}),
-                      "transmission_layout")
-    constellation = modem.build_constellation(order)
-    m = modem.bits_per_vector(scheme, nt, order)
-    n_bits = m * frame_layout.data_symbols_per_frame * tx_layout.n_frames
+    chain = build(txchain.Chain, read_json(args.config, "chain config"), "chain config")
+    frame_layout, tx_layout = chain.frame_layout, chain.transmission_layout
+    n_bits = chain.bits_per_vector * frame_layout.data_symbols_per_frame * tx_layout.n_frames
     bits = _read_bit_file(args.bits, n_bits)
-    tx = txchain.build_transmission(
-        bits, scheme, nt, constellation, frame_layout, tx_layout
-    )
-    sidecar = txchain.write_waveform(
-        args.out, tx,
-        extra_meta={"scheme": scheme, "modulation_order": order, "n_bits": n_bits},
-    )
+    constellation = modem.build_constellation(chain.modulation_order)
+    tx = txchain.build_transmission(bits, chain.scheme, chain.nt, constellation,
+                                    frame_layout, tx_layout)
+    sidecar = txchain.write_waveform(args.out, tx, extra_meta={
+        "scheme": chain.scheme, "modulation_order": chain.modulation_order, "n_bits": n_bits})
     print(f"encoded {n_bits} bits into {tx.nt} stream(s); sidecar: {sidecar}")
 
 
 def _cmd_decode(args):
-    meta, frame_layout, tx_layout = txchain.read_sidecar(args.meta)
-    for key in ("scheme", "modulation_order"):
-        if key not in meta:
-            raise ConfigurationError(f"sidecar missing field {key!r}")
-    constellation = modem.build_constellation(meta["modulation_order"])
+    meta, chain = txchain.read_sidecar(args.meta)
     result = rxchain.decode_transmission(
-        txchain.read_captures(args.capture), frame_layout, tx_layout, meta["nt"],
-        meta["scheme"], constellation, symbol_scale=meta.get("symbol_scale"),
+        txchain.read_captures(args.capture), chain.frame_layout, chain.transmission_layout,
+        chain.nt, chain.scheme, modem.build_constellation(chain.modulation_order),
+        symbol_scale=meta.get("symbol_scale"),
     )
     np.packbits(result.bits).tofile(args.out)
     # A noiseless capture has an infinite SNR and sync margin, written as null.

@@ -1,15 +1,13 @@
-"""The one JSON reader and field checker for configs and sidecars."""
+"""The one JSON reader and the one path from a JSON object to a config object."""
 
 import dataclasses
 import json
-import math
 import numbers
 import typing
 from pathlib import Path
 
 from .errors import ConfigurationError
 
-_KINDS = {int: "an integer", float: "a finite number", tuple: "a list of finite numbers"}
 _NUMBERS = {int: numbers.Integral, float: numbers.Real}
 
 
@@ -24,14 +22,6 @@ def read_json(path, what):
     if not isinstance(data, dict):
         raise ConfigurationError(f"{what} must be a JSON object")
     return data
-
-
-def _accepts(kind, value):
-    if kind is tuple:
-        return isinstance(value, list) and all(_accepts(float, v) for v in value)
-    if kind is float:
-        return _accepts(int, value) or (isinstance(value, float) and math.isfinite(value))
-    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 def check_field_types(obj):
@@ -56,31 +46,30 @@ def check_field_types(obj):
             object.__setattr__(obj, f.name, int(value))
 
 
-def check_fields(data, kinds, required, what):
-    """Check a JSON object against a name -> type table; returns the values.
+def build(cls, data, what):
+    """Construct dataclass ``cls`` from the JSON object ``data``; ``what`` names it in errors.
 
-    A float field takes a finite number (an int too; NaN and infinities
-    are refused), a ``tuple`` field a list of finite numbers, and a null
-    ``k_factor_db`` means Rayleigh (as ``save_config`` writes it).
+    Missing required and unknown keys are refused. A null ``k_factor_db`` is
+    Rayleigh (as ``save_config`` writes it), a list for a ``tuple`` field a
+    tuple, and an object for a dataclass-typed field that class, built the
+    same way; the class's own checks are the only type and value checks.
     """
-    for problem, names in (("missing required", set(required) - data.keys()),
-                           ("has unknown", data.keys() - kinds.keys())):
+    fields = {f.name: f for f in dataclasses.fields(cls)}
+    required = {name for name, f in fields.items() if f.default is dataclasses.MISSING}
+    for problem, names in (("missing required", required - data.keys()),
+                           ("has unknown", data.keys() - fields.keys())):
         if names:
             raise ConfigurationError(f"{what} {problem} field(s): {', '.join(sorted(names))}")
-    values = {}
+    values = dict(data)
     for name, value in data.items():
-        kind = kinds[name]
+        kind = fields[name].type
         if name == "k_factor_db" and value is None:
-            value = float("-inf")
-        elif not _accepts(kind, value):
-            wanted = _KINDS.get(kind, getattr(kind, "__name__", kind))
-            raise ConfigurationError(f"{what} field {name!r} must be {wanted}, got {value!r}")
-        values[name] = tuple(value) if kind is tuple else value
-    return values
-
-
-def build(cls, data, what):
-    """Construct dataclass ``cls`` from a JSON object checked against its fields."""
-    fields = dataclasses.fields(cls)
-    required = [f.name for f in fields if f.default is dataclasses.MISSING]
-    return cls(**check_fields(data, {f.name: f.type for f in fields}, required, what))
+            values[name] = float("-inf")
+        elif kind is tuple and isinstance(value, list):
+            values[name] = tuple(value)
+        elif dataclasses.is_dataclass(kind) and isinstance(value, dict):
+            values[name] = build(kind, value, f"{what} field {name!r}")
+    try:
+        return cls(**values)
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"{what}: {exc}") from exc

@@ -25,7 +25,7 @@ plateauing at the filter sidelobe level.
 """
 
 from dataclasses import dataclass
-from numbers import Integral
+from numbers import Integral, Real
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -269,14 +269,19 @@ def estimate_fo(preamble):
     negative is skipped, so an all-zero frame gives 0. The spectra are
     taken ``SAMPLE_BLOCK // n_fft`` frames (at least one) at a time, so
     they do not grow with the frame count; the Newton steps take all
-    frames at once.
+    frames at once. A NaN or infinite entry, or one whose power overflows,
+    makes the periodogram's maximum non-finite and raises
+    :class:`DegenerateInputError`, with no warning first.
     """
     x = np.asarray(preamble, dtype=np.complex128)
     n_fft = 1 << (4 * x.shape[-1] - 1).bit_length()
     step = max(1, SAMPLE_BLOCK // n_fft)
     f = np.empty(x.shape[-2])
     for a in range(0, f.size, step):
-        power = sum(np.abs(np.fft.fft(xr, n_fft)) ** 2 for xr in x[:, a : a + step])
+        with np.errstate(invalid="ignore", over="ignore"):
+            power = sum(np.abs(np.fft.fft(xr, n_fft)) ** 2 for xr in x[:, a : a + step])
+        if not np.isfinite(np.max(power)):
+            raise DegenerateInputError("offset preamble holds NaN, infinite or overflowing samples")
         f[a : a + step] = np.argmax(power, axis=-1) / n_fft
     w = 2.0 * np.pi * (np.arange(x.shape[-1]) - (x.shape[-1] - 1) / 2)
     for _ in range(3):
@@ -404,8 +409,14 @@ def decode_transmission(rx_samples, frame_layout, tx_layout, nt, scheme,
     that also fails sync may raise :class:`SyncRejection` first.
     ``symbol_scale``, when given (from the transmission sidecar),
     converts the reported channel estimates to the true channel's
-    amplitude scale; detection is unaffected.
+    amplitude scale (0 leaves them unscaled); detection is unaffected.
+    One that is not None or a finite real number >= 0 (a bool is none)
+    raises :class:`ConfigurationError` before any sample is read.
     """
+    if symbol_scale is not None and (isinstance(symbol_scale, bool) or not (
+            isinstance(symbol_scale, Real) and 0 <= symbol_scale < np.inf)):
+        raise ConfigurationError(
+            f"symbol_scale must be None or a finite number >= 0, got {symbol_scale!r}")
     m = modem.bits_per_vector(scheme, nt, constellation.order)
     capture = _ScreenedCapture(rx_samples)
     nr, n = capture.shape

@@ -33,7 +33,7 @@ seek, so the receiver never holds a capture-length array either.
 import contextlib
 import json
 import os
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -47,11 +47,12 @@ from .errors import (
     FramingError,
     RangeError,
 )
-from .fileio import build, check_fields, check_field_types, read_json
+from .fileio import build, check_field_types, read_json
 
 __all__ = [
     "FrameLayout",
     "TransmissionLayout",
+    "Chain",
     "TransmissionVector",
     "pilot_sequence",
     "pilot_matrix",
@@ -74,9 +75,6 @@ FULL_SCALE = 32767
 # filter memory mixes in the neighbouring pilot and data symbols; it needs 2 more.
 FO_EDGE_MARGIN = 12
 SIDECAR_SCHEMA_VERSION = "1"
-# Sidecar keys the readers check (``cli encode`` adds the last two); others pass.
-_SIDECAR_FIELDS = {"nt": int, "symbol_scale": float, "files": list, "frame_layout": dict,
-                   "transmission_layout": dict, "scheme": str, "modulation_order": int}
 _COHERENCE_LIMIT_S = 7e-3
 
 
@@ -167,10 +165,10 @@ class TransmissionLayout:
             raise ConfigurationError("SNR section needs at least one on/off block")
         if not 0 <= self.power_factor < np.inf:
             raise ConfigurationError(
-                f"power factor must be finite and >= 0, got {self.power_factor!r}")
+                f"power_factor must be finite and >= 0, got {self.power_factor!r}")
         if not 0 < self.sample_rate < np.inf:
             raise ConfigurationError(
-                f"sample rate must be finite and positive, got {self.sample_rate!r}")
+                f"sample_rate must be finite and positive, got {self.sample_rate!r}")
 
     def sections(self, nt, frame_layout):
         """Sample map of an ``nt``-antenna transmission of ``frame_layout`` frames:
@@ -593,6 +591,27 @@ def read_captures(paths):
     return CaptureFiles(tuple(paths), sizes[0] // 4)
 
 
+@dataclass(frozen=True)
+class Chain:
+    """One transmit chain, whose fields are the keys of an ``smlink encode`` config
+    and the chain keys of the sidecar it writes. Construction refuses a field of
+    the wrong type and what :func:`modem.bits_per_vector` refuses."""
+
+    scheme: str
+    nt: int
+    modulation_order: int
+    frame_layout: FrameLayout = FrameLayout()
+    transmission_layout: TransmissionLayout = TransmissionLayout()
+
+    def __post_init__(self):
+        check_field_types(self)
+        self.bits_per_vector
+
+    @property
+    def bits_per_vector(self):
+        return modem.bits_per_vector(self.scheme, self.nt, self.modulation_order)
+
+
 def write_waveform(prefix, tx, extra_meta=None):
     """Write per-antenna I16 files plus a JSON sidecar; returns sidecar path.
 
@@ -630,12 +649,11 @@ def write_waveform(prefix, tx, extra_meta=None):
 
 
 def read_sidecar(sidecar_path):
-    """Check a sidecar and its two layouts; returns ``(meta, frame_layout, layout)``."""
+    """Check a sidecar's schema version and build the :class:`Chain` of its chain
+    keys (an encode config); other keys pass. Returns ``(meta, chain)``."""
     meta = read_json(sidecar_path, "sidecar")
     if meta.get("schema_version") != SIDECAR_SCHEMA_VERSION:
         raise ConfigurationError(f"unsupported sidecar schema {meta.get('schema_version')!r}")
-    check_fields({k: v for k, v in meta.items() if k in _SIDECAR_FIELDS}, _SIDECAR_FIELDS,
-                 ("nt", "files", "frame_layout", "transmission_layout"), "sidecar")
-    return (meta, build(FrameLayout, meta["frame_layout"], "frame_layout"),
-            build(TransmissionLayout, meta["transmission_layout"], "transmission_layout"))
+    chain_keys = {f.name for f in fields(Chain)}
+    return meta, build(Chain, {k: v for k, v in meta.items() if k in chain_keys}, "sidecar")
 

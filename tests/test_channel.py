@@ -285,13 +285,18 @@ STAGE_PROBES = {
     "draw-channels-negative-count": lambda: channel.draw_channels(
         -1, 2, 2, channel.FadingModel(), rng=np.random.default_rng(0)),
     "imbalance-profile-list-name": lambda: channel.imbalance_profile(["x"]),
+    "estimate-fo-nan-preamble": lambda: rxchain.estimate_fo(np.full((2, 3, 100), np.nan + 0j)),
+    "estimate-fo-infinite-entry": lambda: rxchain.estimate_fo(
+        np.where(np.arange(100) == 5, np.inf, 1.0).astype(complex) + np.zeros((2, 3, 1))),
 }
 
 
 @pytest.mark.parametrize("call", [pytest.param(f, id=k) for k, f in STAGE_PROBES.items()])
 def test_stage_inputs_refused_with_named_errors(call):
     """Each of these used to raise a bare ZeroDivisionError, ValueError or
-    TypeError; each now raises a SmlinkError and warns nothing first."""
+    TypeError, to return a wrong answer (offsets of 0 for a NaN preamble) or
+    to warn (an infinite preamble entry, in the FFT); each now raises a
+    SmlinkError and warns nothing first."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         with pytest.raises(SmlinkError):

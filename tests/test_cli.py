@@ -1,9 +1,11 @@
 """End-to-end tests of the command-line interface."""
 
 import contextlib
+import copy
 import dataclasses
 import io
 import json
+import re
 
 import numpy as np
 import pytest
@@ -43,11 +45,11 @@ def _simulate(tmp, payload):
     return ["simulate", "--config", _write(tmp / "s.json", payload), "--out", tmp / "s.csv"]
 
 
-def _encode(tmp, bits=None, **changes):
+def _encode(tmp, bits=None, config=CHAIN, **changes):
     if bits is None:
         bits = tmp / "tx.bits"
         np.packbits(np.zeros(2000, dtype=np.uint8)).tofile(bits)
-    return ["encode", "--config", _write(tmp / "c.json", {**CHAIN, **changes}),
+    return ["encode", "--config", _write(tmp / "c.json", {**config, **changes}),
             "--bits", bits, "--out", tmp / "cap"]
 
 
@@ -120,6 +122,14 @@ MALFORMED = {
     "decode-capture-odd-byte": _odd_byte_captures,
     "decode-sidecar-nt-minus-one": lambda t: _decode(t, lambda m: m.update(nt=-1)),
     "decode-sidecar-nt-zero": lambda t: _decode(t, lambda m: m.update(nt=0)),
+    "decode-symbol-scale-string": lambda t: _decode(t, lambda m: m.update(symbol_scale="0.1")),
+    "decode-symbol-scale-bool": lambda t: _decode(t, lambda m: m.update(symbol_scale=True)),
+    "decode-symbol-scale-negative": lambda t: _decode(t, lambda m: m.update(symbol_scale=-1.0)),
+    "decode-symbol-scale-nan": lambda t: _decode(t, lambda m: m.update(symbol_scale=np.nan)),
+    "decode-symbol-scale-infinity": lambda t: _decode(
+        t, lambda m: m.update(symbol_scale=np.inf)),
+    "decode-symbol-scale-minus-infinity": lambda t: _decode(
+        t, lambda m: m.update(symbol_scale=-np.inf)),
     "fit-channel-missing-samples": lambda t: ["fit-channel", "--samples", t / "absent.txt",
                                               "--out", t / "f.json"],
     "fit-channel-non-numeric": lambda t: ["fit-channel", "--samples",
@@ -148,6 +158,97 @@ def test_malformed_input_exits_2_with_one_error_line(tmp_path, capsys, make_argv
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
     assert "Traceback" not in err
+
+
+def _set(*path, value):
+    """An edit that sets the key at ``path`` of a JSON object to ``value``."""
+    def edit(obj):
+        for key in path[:-1]:
+            obj = obj[key]
+        obj[path[-1]] = value
+    return edit
+
+
+def _edited(payload, edit):
+    payload = copy.deepcopy(payload)
+    edit(payload)
+    return payload
+
+
+# The four JSON inputs, each given an edit of a valid object: the simulate,
+# bound and encode configs, and the sidecar that encode writes.
+JSON_INPUTS = {
+    "simulate": lambda t, edit: _simulate(t, _edited(SIM, edit)),
+    "bound": lambda t, edit: _bound(t, _edited(BOUND, edit)),
+    "encode": lambda t, edit: _encode(t, config=_edited(CHAIN, edit)),
+    "sidecar": _decode,
+}
+# Per case and input: the edit, and the field its one error line must name.
+JSON_CASES = {
+    "bool-for-int": {
+        "simulate": (_set("trials_per_snr", value=True), "trials_per_snr"),
+        "bound": (_set("nr", value=True), "nr"),
+        "encode": (_set("nt", value=True), "nt"),
+        "sidecar": (_set("nt", value=True), "nt"),
+    },
+    "float-for-int": {
+        "simulate": (_set("bits_per_trial", value=200.0), "bits_per_trial"),
+        "bound": (_set("nt", value=2.0), "nt"),
+        "encode": (_set("modulation_order", value=2.0), "modulation_order"),
+        "sidecar": (_set("transmission_layout", "n_frames", value=1.0), "n_frames"),
+    },
+    "string-for-number": {
+        "simulate": (_set("k_factor_db", value="33"), "k_factor_db"),
+        "bound": (_set("snr_grid_db", value=["10"]), "snr_grid_db"),
+        "encode": (_set("transmission_layout", "power_factor", value="0.5"), "power_factor"),
+        "sidecar": (_set("symbol_scale", value="0.1"), "symbol_scale"),
+    },
+    "nan-literal": {
+        "simulate": (_set("fo_cycles_per_sample", value=np.nan), "fo_cycles_per_sample"),
+        "bound": (_set("k_factor_db", value=np.nan), "k_factor_db"),
+        "encode": (_set("transmission_layout", "sample_rate", value=np.nan), "sample_rate"),
+        "sidecar": (_set("symbol_scale", value=np.nan), "symbol_scale"),
+    },
+    "infinity-literal": {
+        "simulate": (_set("k_factor_db", value=np.inf), "k_factor_db"),
+        "bound": (_set("snr_grid_db", value=[10.0, np.inf]), "snr_grid_db"),
+        "encode": (_set("transmission_layout", "power_factor", value=np.inf), "power_factor"),
+        "sidecar": (_set("transmission_layout", "sample_rate", value=np.inf), "sample_rate"),
+    },
+    "layout-not-an-object": {
+        "encode": (_set("frame_layout", value=[50]), "frame_layout"),
+        "sidecar": (_set("transmission_layout", value=1), "transmission_layout"),
+    },
+    "layout-key-wrong-type": {
+        "encode": (_set("transmission_layout", "n_frames", value="1"), "n_frames"),
+        "sidecar": (_set("frame_layout", "rrc_rolloff", value="0.75"), "rrc_rolloff"),
+    },
+    "layout-key-unknown": {
+        "encode": (_set("frame_layout", value={"pilot_len": 10}), "pilot_len"),
+        "sidecar": (lambda m: m["transmission_layout"].update(snr_block=50), "snr_block"),
+    },
+    "missing-required-key": {
+        "simulate": (lambda c: c.pop("scheme"), "scheme"),
+        "bound": (lambda c: c.pop("snr_grid_db"), "snr_grid_db"),
+        "encode": (lambda c: c.pop("modulation_order"), "modulation_order"),
+        "sidecar": (lambda m: m.pop("nt"), "nt"),
+    },
+}
+
+
+@pytest.mark.parametrize("source, edit, field", [
+    pytest.param(source, edit, field, id=f"{source}-{case}")
+    for case, by_source in JSON_CASES.items() for source, (edit, field) in by_source.items()])
+def test_json_inputs_refuse_by_field(tmp_path, capsys, source, edit, field):
+    """Every JSON input goes through one loader: a bad value, a nested layout
+    that is no object or holds a bad key, or a missing key exits 2 with one
+    ``error:`` line that names the field."""
+    argv = JSON_INPUTS[source](tmp_path, edit)
+    capsys.readouterr()
+    assert run_cli(*argv) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert re.search(rf"\b{field}\b", err), err
 
 
 def _encode_decode(tmp, config, n_bits):
@@ -425,6 +526,35 @@ class TestEncodeDecodeCommands:
         assert np.max(np.abs(h_hat - np.eye(2))) < 1e-3
         decoded = np.unpackbits(np.fromfile(out_bits, dtype=np.uint8))[:n_bits]
         assert np.array_equal(decoded, bits)
+
+
+    @pytest.mark.parametrize("config", [
+        CHAIN,
+        {"scheme": "smx", "nt": 2, "modulation_order": 4,
+         "frame_layout": {"data_symbols_per_frame": 300, "rrc_rolloff": 0.5},
+         "transmission_layout": {"n_frames": 2, "snr_block_symbols": 40,
+                                 "power_factor": 0.25, "sample_rate": 20_000_000}},
+    ], ids=["default-layouts", "smx-own-layouts"])
+    def test_sidecar_chain_keys_are_an_encode_config(self, tmp_path, config):
+        """The chain keys of a sidecar that ``encode`` wrote, saved as an
+        encode config, encode the same bits to byte-identical captures and
+        sidecar: encode and decode read one schema."""
+        chain_keys = {f.name for f in dataclasses.fields(txchain.Chain)}
+        bits = tmp_path / "tx.bits"
+        np.packbits(np.random.default_rng(8).integers(0, 2, 4000).astype(np.uint8)).tofile(bits)
+        runs = []
+        for run, payload in enumerate([config, None]):
+            out = tmp_path / str(run)
+            out.mkdir()
+            if payload is None:  # the chain keys of the first run's sidecar
+                sidecar = json.loads((runs[0] / "cap_meta.json").read_text())
+                payload = {key: value for key, value in sidecar.items() if key in chain_keys}
+                assert payload.keys() == chain_keys
+            assert run_cli("encode", "--config", _write(out / "c.json", payload),
+                           "--bits", bits, "--out", out / "cap") == 0
+            runs.append(out)
+        for name in ("cap_ant1.bin", "cap_ant2.bin", "cap_meta.json"):
+            assert (runs[1] / name).read_bytes() == (runs[0] / name).read_bytes()
 
 
 class TestFitChannelCommand:

@@ -703,6 +703,23 @@ class TestDecodeTransmission:
         assert np.max(np.abs(est / tx.symbol_scale - h)) <= 1e-6
         assert result.symbol_scale == 1.0
 
+    @pytest.mark.parametrize("scale", ["0.1", True, -1.0, np.nan, np.inf, -np.inf])
+    def test_symbol_scale_checked_first(self, loopback, scale):
+        """A sidecar's symbol scale is refused before any sample is read: a
+        negative one would flip the sign of every reported estimate."""
+        layout, tx_layout, c, _, _, _ = loopback
+        with pytest.raises(ConfigurationError, match="symbol_scale"):
+            rxchain.decode_transmission(np.zeros((2, 10), dtype=complex), layout,
+                                        tx_layout, 2, "sm", c, symbol_scale=scale)
+
+    def test_zero_symbol_scale_leaves_estimates_unscaled(self, loopback):
+        layout, tx_layout, c, bits, tx, h = loopback
+        rx = channel.propagate_waveform(tx.samples, h)
+        unscaled = rxchain.decode_transmission(rx, layout, tx_layout, 2, "sm", c)
+        zero = rxchain.decode_transmission(rx, layout, tx_layout, 2, "sm", c, symbol_scale=0)
+        assert np.array_equal(zero.channel_estimates, unscaled.channel_estimates)
+        assert zero.symbol_scale == 1.0
+
     def test_spike_ahead_of_the_train_decodes_at_true_start(self, loopback):
         """A copy of the strongest sync pulse 120 samples ahead of the
         transmission is one tooth of a comb at most; the train decodes at 120."""

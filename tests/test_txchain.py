@@ -731,13 +731,16 @@ class TestWaveformIo:
         tx_layout = txchain.TransmissionLayout(n_frames=1, snr_block_symbols=50)
         tx = txchain.assemble_transmission(random_bpsk_frames(layout, tx_layout), layout,
                                            tx_layout)
-        sidecar = txchain.write_waveform(tmp_path / "cap", tx,
-                                         extra_meta={"note": "loopback"})
+        # A sidecar carries the whole chain: the writer's caller adds the scheme and order.
+        sidecar = txchain.write_waveform(
+            tmp_path / "cap", tx,
+            extra_meta={"note": "loopback", "scheme": "sm", "modulation_order": 2})
         assert sidecar == tmp_path / "cap_meta.json"
         assert (tmp_path / "cap_ant1.bin").exists()
         assert (tmp_path / "cap_ant2.bin").exists()
 
-        meta = txchain.read_sidecar(sidecar)[0]
+        meta, chain = txchain.read_sidecar(sidecar)
+        assert chain == txchain.Chain("sm", 2, 2, layout, tx_layout)
         captures = txchain.read_captures([tmp_path / name for name in meta["files"]])
         streams = captures.segment(0, captures.shape[1])
         assert meta["schema_version"] == txchain.SIDECAR_SCHEMA_VERSION
