@@ -122,24 +122,15 @@ def _read_bit_file(path, n_bits):
 
 def _cmd_encode(args):
     chain = build(txchain.Chain, read_json(args.config, "chain config"), "chain config")
-    frame_layout, tx_layout = chain.frame_layout, chain.transmission_layout
-    n_bits = chain.bits_per_vector * frame_layout.data_symbols_per_frame * tx_layout.n_frames
-    bits = _read_bit_file(args.bits, n_bits)
-    constellation = modem.build_constellation(chain.modulation_order)
-    tx = txchain.build_transmission(bits, chain.scheme, chain.nt, constellation,
-                                    frame_layout, tx_layout)
-    sidecar = txchain.write_waveform(args.out, tx, extra_meta={
-        "scheme": chain.scheme, "modulation_order": chain.modulation_order, "n_bits": n_bits})
-    print(f"encoded {n_bits} bits into {tx.nt} stream(s); sidecar: {sidecar}")
+    tx = txchain.build_transmission(_read_bit_file(args.bits, chain.payload_bits), chain)
+    sidecar = txchain.write_waveform(args.out, tx)
+    print(f"encoded {chain.payload_bits} bits into {tx.nt} stream(s); sidecar: {sidecar}")
 
 
 def _cmd_decode(args):
     meta, chain = txchain.read_sidecar(args.meta)
     result = rxchain.decode_transmission(
-        txchain.read_captures(args.capture), chain.frame_layout, chain.transmission_layout,
-        chain.nt, chain.scheme, modem.build_constellation(chain.modulation_order),
-        symbol_scale=meta.get("symbol_scale"),
-    )
+        txchain.read_captures(args.capture), chain, meta.get("symbol_scale"))
     np.packbits(result.bits).tofile(args.out)
     # A noiseless capture has an infinite SNR and sync margin, written as null.
     report = {

@@ -1,8 +1,10 @@
 """Monte Carlo experiment driver, configuration and persistence.
 
 :class:`Link` is the one link description and its one check;
-:class:`SimConfig` extends it with a sweep's fidelity, budgets and
-layouts, and ``smlink bound`` and ``plotdata`` bound the same ``Link``.
+:class:`SimConfig` extends it with a sweep's fidelity and budgets, and
+``smlink bound`` and ``plotdata`` bound the same ``Link``. A waveform
+sweep's transmit chain is :meth:`SimConfig.chain`, the same
+``txchain.Chain`` that ``smlink encode`` loads and ``decode`` reads back.
 
 :func:`run_simulation` is the one sweep entry. It sweeps an SNR grid at
 one of two fidelities, which differ only in how one trial runs:
@@ -122,7 +124,8 @@ class Link:
 
 @dataclass(frozen=True)
 class SimConfig(Link):
-    """One simulation campaign: a :class:`Link` with its fidelity, budgets and layouts."""
+    """One simulation campaign: a :class:`Link` with its fidelity and budgets; a
+    waveform campaign's transmit chain is :meth:`chain`."""
 
     fidelity: str = "symbol"
     csi_mode: str = "perfect"
@@ -155,25 +158,25 @@ class SimConfig(Link):
         if self.block_symbols < 1:
             raise ConfigurationError("block_symbols must be >= 1")
         if self.fidelity == "waveform":
-            per_frame = m * self.block_symbols
-            if self.bits_per_trial % per_frame:
+            chain = self.chain()
+            if chain.payload_bits != self.bits_per_trial:
                 raise ConfigurationError(
                     "waveform fidelity needs bits_per_trial divisible by "
-                    f"m*block_symbols = {per_frame}"
+                    f"m*block_symbols = {m * self.block_symbols}"
                 )
-            txchain.check_frame_duration(*self.layouts())
+            txchain.check_frame_duration(chain.frame_layout, chain.transmission_layout)
         if self.fidelity == "waveform" or self.csi_mode == "pilot":
-            self.layouts()[0].pilot_signal(self.nt)  # raises if it cannot separate nt
+            # Every frame's pilot fields are the default's; raises if it cannot separate nt.
+            txchain.FrameLayout().pilot_signal(self.nt)
 
-    def layouts(self):
-        """The trial's FrameLayout and TransmissionLayout. A symbol trial reads only
-        the pilot fields, so it gets the default frame and no TransmissionLayout."""
-        if self.fidelity == "symbol":
-            return txchain.FrameLayout(), None
-        frame_layout = txchain.FrameLayout(data_symbols_per_frame=self.block_symbols)
-        n_frames = self.bits_per_trial // (self.bits_per_vector * self.block_symbols)
-        return frame_layout, txchain.TransmissionLayout(
-            n_frames=n_frames, snr_block_symbols=self.snr_block_symbols)
+    def chain(self):
+        """The waveform trial's :class:`txchain.Chain`: frames of ``block_symbols``
+        vectors, as many as it takes to carry ``bits_per_trial`` bits."""
+        n_frames = -(-self.bits_per_trial // (self.bits_per_vector * self.block_symbols))
+        return txchain.Chain(
+            self.scheme, self.nt, self.modulation_order,
+            txchain.FrameLayout(data_symbols_per_frame=self.block_symbols),
+            txchain.TransmissionLayout(n_frames=n_frames, snr_block_symbols=self.snr_block_symbols))
 
 
 @dataclass
@@ -224,16 +227,15 @@ def run_simulation(config):
     adds no bits; the SNR estimates of the accepted trials are averaged
     in the linear domain.
     """
-    constellation = modem.build_constellation(config.modulation_order)
     fading, imbalance = config.fading(), config.imbalance()
     if config.fidelity == "symbol":
+        constellation = modem.build_constellation(config.modulation_order)
         candidates = modem.candidate_vectors(config.scheme, config.nt, constellation)
-        layout = config.layouts()[0] if config.csi_mode == "pilot" else None
+        layout = txchain.FrameLayout() if config.csi_mode == "pilot" else None
         trial = functools.partial(
             _symbol_trial, config, constellation, candidates, layout, fading, imbalance)
     else:
-        trial = functools.partial(
-            _waveform_trial, config, constellation, *config.layouts(), fading, imbalance)
+        trial = functools.partial(_waveform_trial, config, config.chain(), fading, imbalance)
     records = []
     for snr_db in config.snr_grid_db:
         record = _new_record(config, snr_db)
@@ -289,27 +291,22 @@ def _symbol_trial(config, constellation, candidates, layout, fading, imbalance, 
     return errors, config.bits_per_trial, None, False
 
 
-def _waveform_trial(config, constellation, frame_layout, tx_layout, fading, imbalance, rng, snr_db):
-    """One waveform-fidelity trial.
+def _waveform_trial(config, chain, fading, imbalance, rng, snr_db):
+    """One waveform-fidelity trial of ``chain`` (:meth:`SimConfig.chain`).
 
     The decoder reads the channel's output as a block source, which draws
     the noise as it is read. Returns (bit_errors, bits_counted,
     estimated_snr_linear or None, rejected_flag).
     """
     bits = rng.integers(0, 2, size=config.bits_per_trial, dtype=np.uint8)
-    tx = txchain.build_transmission(
-        bits, config.scheme, config.nt, constellation, frame_layout, tx_layout
-    )
+    tx = txchain.build_transmission(bits, chain)
 
     symbol_scale, x_max = tx.symbol_scale, tx.x_max
     h = channel_mod.draw_channel(config.nr, config.nt, fading, imbalance, rng)
     noise_var = symbol_scale**2 * 10.0 ** (-snr_db / 10.0)
     rx = channel_mod.propagate_waveform(tx, h, config.fo_cycles_per_sample, noise_var, rng)
     try:
-        result = rxchain.decode_transmission(
-            rx, frame_layout, tx_layout, config.nt, config.scheme,
-            constellation, symbol_scale=symbol_scale,
-        )
+        result = rxchain.decode_transmission(rx, chain, symbol_scale=symbol_scale)
     except SyncRejection:
         return 0, 0, None, True
     errors = int(np.count_nonzero(result.bits != bits))

@@ -15,6 +15,7 @@ block (MSB first), which also defines the detector tie-break order.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Integral
 
 import numpy as np
 
@@ -114,8 +115,15 @@ def _as_bits(bits):
     return b.astype(np.uint8)
 
 
+def _check_block_size(m):
+    if not (isinstance(m, Integral) and m >= 1):
+        raise ConfigurationError(f"bit-block size must be an integer >= 1, got {m!r}")
+
+
 def bits_to_indices(bits, m):
-    """Pack a flat 0/1 array into m-bit block indices, MSB first."""
+    """Pack a flat 0/1 array into m-bit block indices, MSB first; ``m`` below 1
+    raises :class:`ConfigurationError`."""
+    _check_block_size(m)
     b = _as_bits(bits)
     if b.size % m:
         raise FramingError(f"bit count {b.size} is not a multiple of block size {m}")
@@ -125,7 +133,8 @@ def bits_to_indices(bits, m):
 
 def indices_to_bits(indices, m):
     """Inverse of :func:`bits_to_indices`; an index outside [0, 2**m) raises
-    :class:`RangeError`."""
+    :class:`RangeError`, and ``m`` below 1 :class:`ConfigurationError`."""
+    _check_block_size(m)
     idx = np.asarray(indices, dtype=np.int64)
     if idx.size and not (idx.min() >= 0 and idx.max() < 1 << m):
         raise RangeError(f"bit-block indices must lie in [0, {1 << m}) for m={m}")
@@ -220,15 +229,14 @@ def ml_detect_batch(y, h, candidates):
 
     ``y`` is (n, nr). Row i's decision is the candidate index minimizing
     ||y_i - H x||^2; ties go to the lowest candidate index. A NaN or
-    infinite entry of ``y`` or ``h`` raises :class:`DegenerateInputError`.
+    infinite entry of ``y`` or ``h`` raises :class:`DegenerateInputError`;
+    shapes that do not match, or an empty candidate set, raise
+    :class:`DimensionError`.
     """
-    y = np.asarray(y, dtype=np.complex128)
-    h = np.asarray(h, dtype=np.complex128)
+    y, h = _check_block_and_channel(y, h)
     x = np.asarray(candidates, dtype=np.complex128)
-    if y.ndim != 2 or y.shape[1] != h.shape[0]:
-        raise DimensionError("received block must be (n, nr) matching H")
-    if x.shape[1] != h.shape[1]:
-        raise DimensionError("candidate set must be (n_cand, nt) matching H")
+    if x.ndim != 2 or not len(x) or x.shape[1] != h.shape[1]:
+        raise DimensionError("candidate set must be a non-empty (n_cand, nt) matching H")
     hx = x @ h.T  # (n_cand, nr)
     return kernels.detect_min_indices(y, hx)
 
@@ -241,13 +249,20 @@ def sm_ml_detect_batch(y, h, constellation):
     searched by the shared metric kernel of :mod:`smlink.kernels` in flat
     order a * M + p, so ties resolve to the lowest (antenna, point) pair.
     Returns the flat indices a * M + p, which equal the bit-block values.
-    A NaN or infinite entry of ``y`` or ``h`` raises :class:`DegenerateInputError`.
+    A NaN or infinite entry of ``y`` or ``h`` raises :class:`DegenerateInputError`,
+    and shapes that do not match :class:`DimensionError`.
     """
+    y, h = _check_block_and_channel(y, h)
+    return kernels.sm_detect_min_indices(y, h, constellation.points)
+
+
+def _check_block_and_channel(y, h):
+    """``y`` and ``h`` as complex arrays, checked to be (n, nr) and (nr, nt) of one nr."""
     y = np.asarray(y, dtype=np.complex128)
     h = np.asarray(h, dtype=np.complex128)
-    if y.ndim != 2 or y.shape[1] != h.shape[0]:
-        raise DimensionError("received block must be (n, nr) matching H")
-    return kernels.sm_detect_min_indices(y, h, constellation.points)
+    if y.ndim != 2 or h.ndim != 2 or y.shape[1] != h.shape[0]:
+        raise DimensionError("received block must be (n, nr) matching an (nr, nt) H")
+    return y, h
 
 
 def receiver_complexity(scheme, nt, nr, bits_per_symbol):

@@ -111,8 +111,12 @@ def detect_sync(capture, pulse_period_samples, n_pulses, fit_samples):
     mid-gap sample; otherwise, or when the capture is too short,
     :class:`SyncRejection` is raised. A NaN or infinite sample in the
     searched head, or one whose power overflows, raises
-    :class:`DegenerateInputError`.
+    :class:`DegenerateInputError`; fewer than one pulse, or a period too
+    short to hold a mid-gap sample (below 2), :class:`ConfigurationError`.
     """
+    if n_pulses < 1 or pulse_period_samples < 2:
+        raise ConfigurationError(f"sync needs n_pulses >= 1 and a pulse period >= 2, "
+                                 f"got {n_pulses} and {pulse_period_samples}")
     segment, (_, n) = segment_reader(capture)
     period, half = pulse_period_samples, pulse_period_samples // 2
     reach = (n_pulses - 1) * period + half  # the comb's last sample past its start
@@ -171,9 +175,17 @@ def estimate_snr(snr_section, nt, n_blocks, block_len_samples):
     |x|^2, which cancels under a large receive DC, is taken. A pair whose
     blocks are both silent (an all-zero section included) raises
     :class:`DegenerateInputError`, as does a NaN or infinite sample or
-    one whose power overflows.
+    one whose power overflows. A section with no receive row raises
+    :class:`DimensionError`, and ``nt``, ``n_blocks`` or
+    ``block_len_samples`` below 1 :class:`ConfigurationError`.
     """
     segment, (nr, n) = segment_reader(snr_section)
+    if nr < 1:
+        raise DimensionError("SNR section has no receive row")
+    if min(nt, n_blocks, block_len_samples) < 1:
+        raise ConfigurationError(
+            f"SNR section needs nt, n_blocks and block_len_samples >= 1, "
+            f"got {nt}, {n_blocks} and {block_len_samples}")
     block = block_len_samples
     need = nt * n_blocks * 2 * block
     if n < need:
@@ -243,9 +255,7 @@ def matched_filter_downsample(samples, taps, upsample_factor, n_symbols=None):
     ``upsample_factor`` that is not an integer >= 1 raises
     :class:`ConfigurationError`.
     """
-    if not (isinstance(upsample_factor, Integral) and upsample_factor >= 1):
-        raise ConfigurationError(
-            f"upsample_factor must be an integer >= 1, got {upsample_factor!r}")
+    _check_upsample_factor(upsample_factor)
     y = np.atleast_2d(np.asarray(samples, dtype=np.complex128))
     n_taps = len(taps)
     if y.shape[-1] < n_taps:
@@ -257,6 +267,12 @@ def matched_filter_downsample(samples, taps, upsample_factor, n_symbols=None):
     y = np.pad(y, [(0, 0)] * (y.ndim - 1) + [(0, pad)]) if pad else y
     windows = sliding_window_view(y, n_taps, axis=-1)[..., ::upsample_factor, :]
     return windows[..., :n_out, :] @ np.asarray(taps, dtype=np.complex128)[::-1]
+
+
+def _check_upsample_factor(upsample_factor):
+    if not (isinstance(upsample_factor, Integral) and upsample_factor >= 1):
+        raise ConfigurationError(
+            f"upsample_factor must be an integer >= 1, got {upsample_factor!r}")
 
 
 def estimate_fo(preamble):
@@ -271,9 +287,15 @@ def estimate_fo(preamble):
     they do not grow with the frame count; the Newton steps take all
     frames at once. A NaN or infinite entry, or one whose power overflows,
     makes the periodogram's maximum non-finite and raises
-    :class:`DegenerateInputError`, with no warning first.
+    :class:`DegenerateInputError`, with no warning first. An input that is
+    not 3-D, or has no receive antenna or no sample, raises
+    :class:`DimensionError`; a stack of no frames gives no offsets.
     """
     x = np.asarray(preamble, dtype=np.complex128)
+    if x.ndim != 3 or x.shape[0] == 0 or x.shape[2] == 0:
+        raise DimensionError(
+            f"offset preamble must be an (nr, n_frames, n) stack with nr, n >= 1, "
+            f"got shape {x.shape}")
     n_fft = 1 << (4 * x.shape[-1] - 1).bit_length()
     step = max(1, SAMPLE_BLOCK // n_fft)
     f = np.empty(x.shape[-2])
@@ -311,7 +333,12 @@ def pulse_gain_compensation(taps, upsample_factor, n_theta, nt):
     ``n_theta`` the whole response collapses to one complex gain per
     antenna: G_t = sum_d g(d) exp(-2j*pi*t*d/n_theta). The receive chain
     derotates before filtering, so this holds at any carrier offset.
+    An ``upsample_factor`` or ``n_theta`` that is not an integer >= 1
+    raises :class:`ConfigurationError`.
     """
+    _check_upsample_factor(upsample_factor)
+    if not (isinstance(n_theta, Integral) and n_theta >= 1):
+        raise ConfigurationError(f"n_theta must be an integer >= 1, got {n_theta!r}")
     taps = np.asarray(taps)
     gtil = np.convolve(taps, taps)
     center = len(taps) - 1
@@ -334,9 +361,13 @@ def ls_channel_estimate(pilot_block, pilots, gain=None):
     sequences: under white noise of variance sigma^2 each entry's error
     has variance sigma^2 / (n_seq * n_theta), before ``gain``, which
     optionally divides per transmit antenna to undo the combined
-    pulse-shaping response.
+    pulse-shaping response. ``pilots`` that are not a non-empty 2-D
+    matrix raise :class:`DimensionError`.
     """
     theta = np.asarray(pilots)
+    if theta.ndim != 2 or not theta.size:
+        raise DimensionError(f"pilots must be a non-empty (n_theta, nt) matrix, "
+                             f"got shape {theta.shape}")
     n_theta, nt = theta.shape
     gram = theta.conj().T @ theta
     if not np.allclose(gram, n_theta * np.eye(nt), atol=1e-9 * n_theta):
@@ -377,9 +408,9 @@ def demodulate_frame(blocks, estimates, scheme, constellation):
                            for half, h in zip((y[: len(y) // 2], y[len(y) // 2 :]), pair)])
 
 
-def decode_transmission(rx_samples, frame_layout, tx_layout, nt, scheme,
-                        constellation, symbol_scale=None):
-    """Run the full receive pipeline on the (nr, n) captured streams.
+def decode_transmission(rx_samples, chain, symbol_scale=None):
+    """Run the full receive pipeline of the :class:`smlink.txchain.Chain`
+    ``chain`` on the (nr, n) captured streams.
 
     ``rx_samples`` is an array or a block source with a ``shape`` and a
     ``segment(start, stop)`` (:class:`smlink.channel.ReceivedWaveform`,
@@ -387,22 +418,20 @@ def decode_transmission(rx_samples, frame_layout, tx_layout, nt, scheme,
     slices. The capture is read in stream order, in segments: the head
     that :func:`detect_sync` searches, the sounding section one
     ``SAMPLE_BLOCK`` segment at a time (:func:`estimate_snr`), then the
-    frames a block of about ``SAMPLE_BLOCK`` samples at a time, each block with the
-    filter's reach past it. Per block of frames, each frame's offset is
-    estimated from the matched-filtered ``frame_layout.fo_window()``
-    symbols of its preamble; each frame and the filter's reach past it
-    is derotated at its offset, phase referenced to the transmission
-    start, and matched-filtered; each frame's two channel estimates
-    average the ``frame_layout.pilot_window()`` sequences of its two
+    frames a block of about ``SAMPLE_BLOCK`` samples at a time, each block
+    with the filter's reach past it. Per block of frames, each frame's
+    offset is estimated from the matched-filtered ``fo_window()`` symbols
+    of its preamble (of ``chain.frame_layout``); each frame and the
+    filter's reach past it is derotated at its offset, phase referenced
+    to the transmission start, and matched-filtered; each frame's two
+    channel estimates average the ``pilot_window()`` sequences of its two
     pilot signals, and its data is detected. So no array the length of
     the capture, or of its data section, is formed.
 
-    Returns a :class:`DecodeResult`. Raises :class:`ConfigurationError`
-    before reading the samples when ``scheme`` is unknown or ``nt`` is
-    not a power of two, and :class:`SyncRejection` when the capture
-    cannot hold the transmission or :func:`detect_sync` finds no pulse
-    train at a start where it fits. Every segment is screened as it is
-    read, by one BLAS dot product per row, and the samples no stage
+    Returns a :class:`DecodeResult`. Raises :class:`SyncRejection` when
+    the capture cannot hold the transmission or :func:`detect_sync` finds
+    no pulse train at a start where it fits. Every segment is screened as
+    it is read, by one BLAS dot product per row, and the samples no stage
     reads are read for the screen alone: a NaN or infinite sample, or a
     segment of a row whose power overflows, raises
     :class:`DegenerateInputError` when its segment is read, so a capture
@@ -417,7 +446,9 @@ def decode_transmission(rx_samples, frame_layout, tx_layout, nt, scheme,
             isinstance(symbol_scale, Real) and 0 <= symbol_scale < np.inf)):
         raise ConfigurationError(
             f"symbol_scale must be None or a finite number >= 0, got {symbol_scale!r}")
-    m = modem.bits_per_vector(scheme, nt, constellation.order)
+    frame_layout, tx_layout, nt = chain.frame_layout, chain.transmission_layout, chain.nt
+    m = chain.bits_per_vector
+    constellation = modem.build_constellation(chain.modulation_order)
     capture = _ScreenedCapture(rx_samples)
     nr, n = capture.shape
     u = frame_layout.upsample_factor
@@ -464,7 +495,7 @@ def decode_transmission(rx_samples, frame_layout, tx_layout, nt, scheme,
                                   for name in ("pilot_first", "pilot_second")], axis=1)
         estimates[these] = ls_channel_estimate(pilot_signals, pilots, gain)
         detected = demodulate_frame(by_frame[..., sections["data"]].transpose(0, 2, 1),
-                                    estimates[these], scheme, constellation)
+                                    estimates[these], chain.scheme, constellation)
         bits[first * frame_bits : (first + count) * frame_bits] = modem.indices_to_bits(detected, m)
     capture.screen_to(n)
     return DecodeResult(

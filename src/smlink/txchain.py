@@ -15,16 +15,17 @@ stream is scaled so its peak amplitude equals ``power_factor``; the
 sync pulses stay at the quantizer full scale, which pins the
 peak-to-data amplitude ratio (about 21.1 dB at the default factor).
 
-:func:`build_transmission` runs the whole chain from a bit array:
-modulate, frame, assemble. The result is a block source that stores no
-samples: it keeps the payload bits, the modulation and the two layouts,
-and builds any run of samples on demand (:meth:`TransmissionVector.segment`),
-modulating, framing and shaping only the frames the run reaches. The
-peak that sets the scale comes from one shaping pass, a block at a time,
-before any sample is handed out. The channel and the int16 writer take
-the transmission one ``SAMPLE_BLOCK`` at a time, so no array the length
-of the transmission or of its data section is ever held; at the default
-layout the sounding section is about 90% of the samples. The capture
+:func:`build_transmission` runs the whole :class:`Chain` from a bit
+array: modulate, frame, assemble; it is the only way to a transmission.
+The result is a block source that stores no samples: it keeps the
+payload bits and the chain, and builds any run of samples on demand
+(:meth:`TransmissionVector.segment`), modulating, framing and shaping
+only the frames the run reaches. The peak that sets the scale comes
+from one shaping pass, a block at a time, before any sample is handed
+out. The channel and the int16 writer take the transmission one
+``SAMPLE_BLOCK`` at a time, so no array the length of the transmission
+or of its data section is ever held; at the default layout the sounding
+section is about 90% of the samples. The capture
 files come back the same way: :func:`read_captures` returns a block
 source (:class:`CaptureFiles`) whose segments are read from the files by
 seek, so the receiver never holds a capture-length array either.
@@ -40,13 +41,7 @@ import numpy as np
 
 from . import modem
 from .channel import SAMPLE_BLOCK, segment_reader
-from .errors import (
-    ConfigurationError,
-    DegenerateInputError,
-    DimensionError,
-    FramingError,
-    RangeError,
-)
+from .errors import ConfigurationError, DimensionError, FramingError, RangeError
 from .fileio import build, check_field_types, read_json
 
 __all__ = [
@@ -60,7 +55,6 @@ __all__ = [
     "rrc_taps",
     "build_frame",
     "pulse_shape",
-    "assemble_transmission",
     "build_transmission",
     "quantize_i16",
     "dequantize_i16",
@@ -76,6 +70,17 @@ FULL_SCALE = 32767
 FO_EDGE_MARGIN = 12
 SIDECAR_SCHEMA_VERSION = "1"
 _COHERENCE_LIMIT_S = 7e-3
+
+
+def _check_filter(num_taps, rolloff, upsample_factor):
+    if num_taps < 2:
+        raise ConfigurationError("need at least 2 filter taps")
+    if not 0.0 < rolloff <= 1.0:
+        raise ConfigurationError("roll-off must be in (0, 1]")
+    # The shaped band reaches (1 + rolloff) / 2 cycles per symbol: one
+    # sample per symbol aliases it, and a noiseless round trip fails.
+    if upsample_factor < 2:
+        raise ConfigurationError("upsample factor must be >= 2")
 
 
 @dataclass(frozen=True)
@@ -183,37 +188,98 @@ class TransmissionLayout:
 
 
 @dataclass(frozen=True)
+class Chain:
+    """One transmit chain, whose fields are the keys of an ``smlink encode`` config
+    and the chain keys of the sidecar it writes. Construction refuses a field of
+    the wrong type and what :func:`modem.bits_per_vector` refuses; both ends of
+    the link take the chain whole (:func:`build_transmission`,
+    :func:`smlink.rxchain.decode_transmission`)."""
+
+    scheme: str
+    nt: int
+    modulation_order: int
+    frame_layout: FrameLayout = FrameLayout()
+    transmission_layout: TransmissionLayout = TransmissionLayout()
+
+    def __post_init__(self):
+        check_field_types(self)
+        self.bits_per_vector
+
+    @property
+    def bits_per_vector(self):
+        return modem.bits_per_vector(self.scheme, self.nt, self.modulation_order)
+
+    @property
+    def payload_bits(self):
+        """Bits one transmission carries: ``n_frames`` frames of
+        ``data_symbols_per_frame`` vectors of ``bits_per_vector`` bits."""
+        return (self.bits_per_vector * self.frame_layout.data_symbols_per_frame
+                * self.transmission_layout.n_frames)
+
+
+@dataclass(frozen=True)
+class _FrameStream:
+    """The (nt, n_frames * frame_symbols) frame stream of a payload, as a block source.
+
+    ``segment(start, stop)`` modulates (:func:`modem.modulate`) and frames
+    (:func:`build_frame`) only the frames the run touches; modulation and
+    framing act symbol by symbol, so each run equals the same slice of
+    the whole stream.
+    """
+
+    bits: np.ndarray
+    chain: Chain
+    constellation: modem.Constellation
+
+    @property
+    def shape(self):
+        chain = self.chain
+        return chain.nt, chain.transmission_layout.n_frames * chain.frame_layout.frame_symbols
+
+    def segment(self, start, stop):
+        chain, fl = self.chain, self.chain.frame_layout
+        fs = fl.frame_symbols
+        first, last = start // fs, -(-stop // fs)
+        frame_bits = self.bits.size // chain.transmission_layout.n_frames
+        vectors = modem.modulate(self.bits[first * frame_bits : last * frame_bits],
+                                 chain.scheme, chain.nt, self.constellation)
+        frames = build_frame(
+            vectors.reshape(last - first, fl.data_symbols_per_frame, chain.nt), fl)
+        return frames[:, start - first * fs : stop - first * fs]
+
+
+@dataclass(frozen=True)
 class TransmissionVector:
     """A transmission as a block source, plus the bookkeeping to parse it back.
 
-    ``symbols`` is the (nt, n_frames * frame_symbols) frame stream, an
-    array or a block source (:func:`build_transmission` passes one that
-    keeps the payload bits and modulates them as they are read); no
-    shaped sample is stored. :meth:`segment` builds any run of the
-    (nt, n) sample streams from it and the layouts. ``sections`` maps
-    section name -> (start, length) in samples, as
-    :meth:`TransmissionLayout.sections` gives it; ``symbol_scale`` is the
-    factor applied to the shaped frame stream so that its peak equals
-    ``power_factor`` (the quantized data maximum), and ``x_max``, equal
-    to it, is the sounding on-block level.
+    ``stream`` is the payload's frame stream, which keeps the bits and the
+    :class:`Chain` and modulates them as they are read; no shaped sample
+    is stored. :meth:`segment` builds any run of the (nt, n) sample
+    streams from it. ``sections`` maps section name -> (start, length) in
+    samples, as :meth:`TransmissionLayout.sections` gives it;
+    ``symbol_scale`` is the factor applied to the shaped frame stream so
+    that its peak equals ``power_factor`` (the quantized data maximum),
+    and ``x_max``, equal to it, is the sounding on-block level.
     """
 
-    symbols: object
-    frame_layout: FrameLayout
-    layout: TransmissionLayout
+    stream: _FrameStream
     symbol_scale: float
 
     @property
+    def chain(self):
+        return self.stream.chain
+
+    @property
     def sections(self):
-        return self.layout.sections(self.nt, self.frame_layout)[0]
+        return self.chain.transmission_layout.sections(self.nt, self.chain.frame_layout)[0]
 
     @property
     def x_max(self):
-        return self.layout.power_factor
+        return self.chain.transmission_layout.power_factor
 
     @property
     def nt(self):
-        return self.symbols.shape[0]
+        return self.chain.nt
 
     @property
     def shape(self):
@@ -237,57 +303,28 @@ class TransmissionVector:
         if not 0 <= start <= stop <= n:
             raise DimensionError(f"segment [{start}, {stop}) outside the {n}-sample transmission")
         out = np.zeros((nt, stop - start), dtype=np.complex128)
-        sections, period = self.layout.sections(nt, self.frame_layout)
+        fl, layout = self.chain.frame_layout, self.chain.transmission_layout
+        sections, period = layout.sections(nt, fl)
         first_pulse = -(-start // period) * period
         out[0, np.arange(first_pulse, min(stop, sections["sync"][1]), period) - start] = 1.0
         # Antenna t's run holds blocks 2*snr_blocks*t onwards; its even blocks are on.
         snr_start, snr_len = sections["snr"]
-        block = self.layout.snr_block_symbols * self.frame_layout.upsample_factor
+        block = layout.snr_block_symbols * fl.upsample_factor
         lo, hi = max(start, snr_start) - snr_start, min(stop, snr_start + snr_len) - snr_start
         for b in range(lo // block, -(-hi // block)):
             if b % 2 == 0:
                 a = snr_start + b * block
-                out[b // (2 * self.layout.snr_blocks),
+                out[b // (2 * layout.snr_blocks),
                     max(a, start) - start : min(a + block, stop) - start] = self.x_max
         data_start = sections["data"][0]
         if stop > data_start:
-            fl = self.frame_layout
             lo = max(start, data_start)
             data = out[:, lo - start :]
-            _shape_into(data, self.symbols,
+            _shape_into(data, self.stream,
                         rrc_taps(fl.rrc_num_taps, fl.rrc_rolloff, fl.upsample_factor),
                         fl.upsample_factor, lo - data_start)
             data *= self.symbol_scale
         return out
-
-
-@dataclass(frozen=True)
-class _FrameStream:
-    """The (nt, n_frames * frame_symbols) frame stream of a payload, as a block source.
-
-    ``segment(start, stop)`` modulates (:func:`modem.modulate`) and frames
-    (:func:`build_frame`) only the frames the run touches; modulation and
-    framing act symbol by symbol, so each run equals the same slice of
-    the whole stream.
-    """
-
-    bits: np.ndarray
-    scheme: str
-    constellation: modem.Constellation
-    frame_layout: FrameLayout
-    shape: tuple
-
-    def segment(self, start, stop):
-        nt, n = self.shape
-        fs = self.frame_layout.frame_symbols
-        first, last = start // fs, -(-stop // fs)
-        frame_bits = self.bits.size // (n // fs)
-        vectors = modem.modulate(self.bits[first * frame_bits : last * frame_bits],
-                                 self.scheme, nt, self.constellation)
-        frames = build_frame(
-            vectors.reshape(last - first, self.frame_layout.data_symbols_per_frame, nt),
-            self.frame_layout)
-        return frames[:, start - first * fs : stop - first * fs]
 
 
 def pilot_sequence(n_t, n_theta):
@@ -304,17 +341,6 @@ def pilot_matrix(nt, n_theta):
             f"pilot length {n_theta} cannot separate {nt} antennas"
         )
     return np.stack([pilot_sequence(t, n_theta) for t in range(1, nt + 1)], axis=1)
-
-
-def _check_filter(num_taps, rolloff, upsample_factor):
-    if num_taps < 2:
-        raise ConfigurationError("need at least 2 filter taps")
-    if not 0.0 < rolloff <= 1.0:
-        raise ConfigurationError("roll-off must be in (0, 1]")
-    # The shaped band reaches (1 + rolloff) / 2 cycles per symbol: one
-    # sample per symbol aliases it, and a noiseless round trip fails.
-    if upsample_factor < 2:
-        raise ConfigurationError("upsample factor must be >= 2")
 
 
 def check_frame_duration(frame_layout, layout):
@@ -420,48 +446,39 @@ def _shape_into(out, symbols, taps, upsample_factor, start):
         shaped[:] = np.convolve(row, taps)[start - a : stop - a]
 
 
-def assemble_transmission(stream, frame_layout, layout):
-    """Scale a frame stream's shaped samples and prefix the sync and SNR sections.
+def assemble_transmission(stream):
+    """Scale a payload's shaped frame stream and prefix the sync and SNR sections.
 
-    ``stream`` is :func:`build_frame`'s (nt, n_frames * frame_symbols)
-    output, as an array (which the transmission copies) or a block
-    source read through :func:`smlink.channel.segment_reader`; one that
-    does not hold ``layout.n_frames`` frames of ``frame_layout`` raises
-    :class:`FramingError`. One shaping pass, a ``SAMPLE_BLOCK`` at a time,
-    finds the shaped stream's peak amplitude and component extremes; no
-    shaped sample is kept. The shaped stream is scaled by symbol_scale =
-    power_factor / (its peak amplitude); SNR on-blocks run at the
-    resulting data maximum; sync pulses stay at amplitude 1 (full scale),
-    whatever the data peak: the receiver finds them by their period, not
-    by their level. Any sample magnitude above full scale, or a NaN,
-    raises :class:`RangeError`, and a frame that lasts the coherence
-    budget or longer at ``layout.sample_rate`` (:func:`check_frame_duration`)
-    raises :class:`ConfigurationError`.
+    ``stream`` is the frame stream :func:`build_transmission` makes, read
+    through its ``segment``. One shaping pass, a ``SAMPLE_BLOCK`` at a
+    time, finds the shaped stream's peak amplitude and component extremes;
+    no shaped sample is kept. The pilots and the offset preamble are never
+    zero, so the peak is not either. The shaped stream is scaled by
+    symbol_scale = power_factor / (its peak amplitude); SNR on-blocks run
+    at the resulting data maximum; sync pulses stay at amplitude 1 (full
+    scale), whatever the data peak: the receiver finds them by their
+    period, not by their level. Any sample magnitude above full scale, or
+    a NaN, raises :class:`RangeError`, and a frame that lasts the
+    coherence budget or longer at ``sample_rate``
+    (:func:`check_frame_duration`) raises :class:`ConfigurationError`.
     """
-    source = stream if hasattr(stream, "segment") else np.array(stream, dtype=np.complex128)
-    if len(source.shape) != 2 or source.shape[1] != layout.n_frames * frame_layout.frame_symbols:
-        raise FramingError(
-            f"stream of shape {source.shape} does not hold {layout.n_frames} frames "
-            f"of {frame_layout.frame_symbols} symbols"
-        )
+    frame_layout, layout = stream.chain.frame_layout, stream.chain.transmission_layout
     check_frame_duration(frame_layout, layout)
     u = frame_layout.upsample_factor
     taps = rrc_taps(frame_layout.rrc_num_taps, frame_layout.rrc_rolloff, u)
 
     # Peak amplitude, largest and -smallest component; NaN propagates through each.
     extremes = np.full(3, -np.inf)
-    n = source.shape[1] * u + len(taps) - 1
-    buffer = np.empty((source.shape[0], min(SAMPLE_BLOCK, n)), dtype=np.complex128)
+    n = stream.shape[1] * u + len(taps) - 1
+    buffer = np.empty((stream.shape[0], min(SAMPLE_BLOCK, n)), dtype=np.complex128)
     for a in range(0, n, SAMPLE_BLOCK):
         run = buffer[:, : min(SAMPLE_BLOCK, n - a)]
-        _shape_into(run, source, taps, u, a)
+        _shape_into(run, stream, taps, u, a)
         components = run.view(np.float64)
         np.maximum(extremes, [np.abs(run).max(), components.max(), -components.min()],
                    out=extremes)
     peak, top, bottom = (float(e) for e in extremes)
-    if layout.power_factor > 0 and peak == 0.0:
-        raise DegenerateInputError("all-zero frame stream cannot be power-scaled")
-    symbol_scale = layout.power_factor / peak if peak > 0 else 0.0
+    symbol_scale = layout.power_factor / peak
     # The sync pulses sit at full scale and the SNR blocks at the power factor,
     # so the data section and that factor are the only places a component can
     # exceed it. Scaling by symbol_scale >= 0 is monotone: the scaled extremes
@@ -469,38 +486,30 @@ def assemble_transmission(stream, frame_layout, layout):
     if not (layout.power_factor <= 1.0 and top * symbol_scale <= 1.0
             and bottom * symbol_scale <= 1.0):
         raise RangeError("scaled transmission exceeds quantizer full scale or is NaN")
-
-    return TransmissionVector(
-        symbols=source,
-        frame_layout=frame_layout,
-        layout=layout,
-        symbol_scale=symbol_scale,
-    )
+    return TransmissionVector(stream, symbol_scale)
 
 
-def build_transmission(bits, scheme, nt, constellation, frame_layout, layout):
-    """Modulate bits, frame them and assemble the transmission.
+def build_transmission(bits, chain):
+    """Modulate bits, frame them and assemble the transmission of ``chain``:
+    the one way to a :class:`TransmissionVector`.
 
-    ``bits`` must fill exactly ``layout.n_frames`` frames of
-    ``frame_layout.data_symbols_per_frame`` vectors each; anything else
-    raises :class:`FramingError`. The transmission keeps a copy of the
-    bits and modulates the frames as its samples are read; the shaping
-    pass of :func:`assemble_transmission` reads them all once, so a bit
-    that is not 0 or 1 is refused here.
+    ``bits`` must be one-dimensional and hold exactly ``chain.payload_bits``
+    bits; anything else raises :class:`DimensionError` or
+    :class:`FramingError`. The transmission keeps a copy of the bits and
+    modulates the frames as its samples are read; the shaping pass of
+    :func:`assemble_transmission` reads them all once, so a bit that is
+    not 0 or 1 is refused here.
     """
     bits = np.array(bits)
     if bits.ndim != 1:
         raise DimensionError("bit array must be one-dimensional")
-    per_frame = frame_layout.data_symbols_per_frame
-    m = modem.bits_per_vector(scheme, nt, constellation.order)
-    if bits.size != m * per_frame * layout.n_frames:
+    if bits.size != chain.payload_bits:
         raise FramingError(
-            f"{bits.size} bits do not fill {layout.n_frames} frames of {per_frame} "
-            f"{m}-bit vectors"
+            f"{bits.size} bits do not fill {chain.transmission_layout.n_frames} frames of "
+            f"{chain.frame_layout.data_symbols_per_frame} {chain.bits_per_vector}-bit vectors"
         )
-    stream = _FrameStream(bits, scheme, constellation, frame_layout,
-                          (nt, layout.n_frames * frame_layout.frame_symbols))
-    return assemble_transmission(stream, frame_layout, layout)
+    stream = _FrameStream(bits, chain, modem.build_constellation(chain.modulation_order))
+    return assemble_transmission(stream)
 
 
 def quantize_i16(waveform):
@@ -591,32 +600,13 @@ def read_captures(paths):
     return CaptureFiles(tuple(paths), sizes[0] // 4)
 
 
-@dataclass(frozen=True)
-class Chain:
-    """One transmit chain, whose fields are the keys of an ``smlink encode`` config
-    and the chain keys of the sidecar it writes. Construction refuses a field of
-    the wrong type and what :func:`modem.bits_per_vector` refuses."""
-
-    scheme: str
-    nt: int
-    modulation_order: int
-    frame_layout: FrameLayout = FrameLayout()
-    transmission_layout: TransmissionLayout = TransmissionLayout()
-
-    def __post_init__(self):
-        check_field_types(self)
-        self.bits_per_vector
-
-    @property
-    def bits_per_vector(self):
-        return modem.bits_per_vector(self.scheme, self.nt, self.modulation_order)
-
-
-def write_waveform(prefix, tx, extra_meta=None):
+def write_waveform(prefix, tx):
     """Write per-antenna I16 files plus a JSON sidecar; returns sidecar path.
 
     Files: ``<prefix>_ant<k>.bin`` (little-endian int16, interleaved I,Q)
-    and ``<prefix>_meta.json``. The samples are built, quantized and
+    and ``<prefix>_meta.json``, which holds ``tx.chain`` (the keys
+    :func:`read_sidecar` builds it from), its payload size and the
+    transmission's bookkeeping. The samples are built, quantized and
     written one ``SAMPLE_BLOCK`` at a time, to each antenna's file in turn.
     """
     prefix = Path(prefix)
@@ -628,21 +618,19 @@ def write_waveform(prefix, tx, extra_meta=None):
         for s in range(0, n, SAMPLE_BLOCK):
             for fh, row in zip(handles, tx.segment(s, min(s + SAMPLE_BLOCK, n))):
                 quantize_i16(row).tofile(fh)
+    layout = tx.chain.transmission_layout
     meta = {
+        **asdict(tx.chain),
+        "n_bits": tx.chain.payload_bits,
         "schema_version": SIDECAR_SCHEMA_VERSION,
-        "sample_rate": tx.layout.sample_rate,
-        "nt": tx.nt,
+        "sample_rate": layout.sample_rate,
         "full_scale": FULL_SCALE,
-        "power_factor": tx.layout.power_factor,
+        "power_factor": layout.power_factor,
         "symbol_scale": tx.symbol_scale,
         "x_max": tx.x_max,
         "sections": {k: list(v) for k, v in tx.sections.items()},
-        "frame_layout": asdict(tx.frame_layout),
-        "transmission_layout": asdict(tx.layout),
         "files": files,
     }
-    if extra_meta:
-        meta.update(extra_meta)
     sidecar = prefix.parent / f"{prefix.name}_meta.json"
     sidecar.write_text(json.dumps(meta, indent=2, sort_keys=True))
     return sidecar

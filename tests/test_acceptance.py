@@ -317,20 +317,17 @@ def test_criterion_6_full_chain_loopback(capsys):
     errors over 1e5 bits, both without offset and at 0.005 cycles per
     sample; offset recovered to 1e-9 and the channel to 1e-6."""
     start = time.perf_counter()
-    layout = txchain.FrameLayout()
-    tx_layout = txchain.TransmissionLayout(n_frames=50, snr_block_symbols=2000)
-    c = modem.build_constellation(2)
+    chain = txchain.Chain("sm", 2, 2, txchain.FrameLayout(),
+                          txchain.TransmissionLayout(n_frames=50, snr_block_symbols=2000))
     rng = np.random.default_rng(606)
     bits = rng.integers(0, 2, 100_000).astype(np.uint8)
-    tx = txchain.build_transmission(bits, "sm", 2, c, layout, tx_layout)
+    tx = txchain.build_transmission(bits, chain)
     h = np.array([[1.0 + 0.2j, 0.4 - 0.3j], [-0.25 + 0.5j, 0.9 - 0.1j]])
 
     problems = []
     for fo in (0.0, 0.005):
         rx = channel.propagate_waveform(tx.samples, h, fo_cycles_per_sample=fo)
-        result = rxchain.decode_transmission(
-            rx, layout, tx_layout, 2, "sm", c, symbol_scale=tx.symbol_scale
-        )
+        result = rxchain.decode_transmission(rx, chain, symbol_scale=tx.symbol_scale)
         errors = int(np.count_nonzero(result.bits != bits))
         fo_err = float(np.max(np.abs(result.fo_cycles_per_sample - fo)))
         h_err = float(np.max(np.abs(result.channel_estimates - h)))
@@ -399,13 +396,10 @@ def test_criterion_8_capture_format_fidelity(capsys):
     """Int16 capture roundtrip within half an LSB; the default
     transmission quantizes its data peak to code 2896, putting the sync
     pulses 21.1 +- 0.1 dB above the data section."""
-    layout = txchain.FrameLayout()
-    tx_layout = txchain.TransmissionLayout()  # default 50 frames
-    c = modem.build_constellation(2)
+    chain = txchain.Chain("sm", 2, 2)  # default layouts: 50 frames
     rng = np.random.default_rng(88)
-    per_frame = 2 * layout.data_symbols_per_frame
-    bits = rng.integers(0, 2, tx_layout.n_frames * per_frame).astype(np.uint8)
-    tx = txchain.build_transmission(bits, "sm", 2, c, layout, tx_layout)
+    bits = rng.integers(0, 2, chain.payload_bits).astype(np.uint8)
+    tx = txchain.build_transmission(bits, chain)
 
     problems = []
     lsb = 1.0 / txchain.FULL_SCALE

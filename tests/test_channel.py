@@ -288,15 +288,31 @@ STAGE_PROBES = {
     "estimate-fo-nan-preamble": lambda: rxchain.estimate_fo(np.full((2, 3, 100), np.nan + 0j)),
     "estimate-fo-infinite-entry": lambda: rxchain.estimate_fo(
         np.where(np.arange(100) == 5, np.inf, 1.0).astype(complex) + np.zeros((2, 3, 1))),
+    "estimate-fo-1d-preamble": lambda: rxchain.estimate_fo(np.ones(100, dtype=complex)),
+    "estimate-fo-2d-preamble": lambda: rxchain.estimate_fo(np.ones((3, 100), dtype=complex)),
+    "estimate-fo-no-receive-antenna": lambda: rxchain.estimate_fo(
+        np.zeros((0, 3, 100), dtype=complex)),
+    "estimate-fo-no-sample": lambda: rxchain.estimate_fo(np.zeros((2, 3, 0), dtype=complex)),
+    "estimate-snr-no-block": lambda: rxchain.estimate_snr(np.ones((2, 100)), 2, 0, 10),
+    "estimate-snr-no-antenna": lambda: rxchain.estimate_snr(np.ones((2, 100)), 0, 2, 10),
+    "estimate-snr-empty-block": lambda: rxchain.estimate_snr(np.ones((2, 100)), 2, 2, 0),
+    "estimate-snr-no-receive-row": lambda: rxchain.estimate_snr(np.ones((0, 100)), 2, 2, 10),
+    "detect-sync-no-pulse": lambda: rxchain.detect_sync(np.ones((2, 1000)), 8, 0, 100),
+    "ls-estimate-1d-pilots": lambda: rxchain.ls_channel_estimate(np.ones((2, 20)), np.ones(10)),
+    "ls-estimate-no-pilot-symbol": lambda: rxchain.ls_channel_estimate(
+        np.ones((2, 20)), np.ones((0, 2))),
+    "pulse-gain-upsample-0": lambda: rxchain.pulse_gain_compensation(np.ones(9), 0, 10, 2),
+    "pulse-gain-no-pilot-symbol": lambda: rxchain.pulse_gain_compensation(np.ones(9), 4, 0, 2),
 }
 
 
 @pytest.mark.parametrize("call", [pytest.param(f, id=k) for k, f in STAGE_PROBES.items()])
 def test_stage_inputs_refused_with_named_errors(call):
-    """Each of these used to raise a bare ZeroDivisionError, ValueError or
-    TypeError, to return a wrong answer (offsets of 0 for a NaN preamble) or
-    to warn (an infinite preamble entry, in the FFT); each now raises a
-    SmlinkError and warns nothing first."""
+    """Each of these used to raise a bare ZeroDivisionError, ValueError,
+    IndexError or TypeError, to return a wrong answer (offsets of 0 for a NaN
+    preamble, a 2-D one or one with no antenna or sample) or to warn (an
+    infinite preamble entry, in the FFT; the mean of no SNR block; a pilot
+    period of 0); each now raises a SmlinkError and warns nothing first."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         with pytest.raises(SmlinkError):

@@ -1,6 +1,8 @@
 """Tests for the Monte Carlo harness: configs, reproducibility, CSV."""
 
+import contextlib
 import dataclasses
+import io
 import json
 import math
 import tempfile
@@ -12,7 +14,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from smlink import analysis, channel, harness, modem, rxchain, txchain
+from smlink import analysis, channel, cli, harness, modem, rxchain, txchain
 from smlink.errors import ConfigurationError, SmlinkError
 
 
@@ -489,6 +491,26 @@ class TestWaveformSim:
         assert rec.bits == 4000
         assert rec.rejected_vectors == 0
 
+    @pytest.mark.parametrize("scheme,nt,order", [("sm", 2, 2), ("smx", 2, 4)])
+    def test_chain_round_trips_through_encode(self, tmp_path, scheme, nt, order):
+        """The waveform trial's chain, written as an ``smlink encode`` config,
+        is the chain that the encoded sidecar gives back, and it carries
+        ``bits_per_trial`` bits."""
+        cfg = small_config(fidelity="waveform", scheme=scheme, nt=nt, modulation_order=order,
+                           bits_per_trial=3 * 500 * (2 if scheme == "sm" else 4),
+                           block_symbols=500, snr_block_symbols=300)
+        chain = cfg.chain()
+        (tmp_path / "c.json").write_text(json.dumps(dataclasses.asdict(chain)))
+        bits = np.random.default_rng(4).integers(0, 2, chain.payload_bits).astype(np.uint8)
+        np.packbits(bits).tofile(tmp_path / "tx.bits")
+        argv = ["encode", "--config", str(tmp_path / "c.json"), "--bits",
+                str(tmp_path / "tx.bits"), "--out", str(tmp_path / "cap")]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(argv) == 0
+        meta, back = txchain.read_sidecar(tmp_path / "cap_meta.json")
+        assert back == chain
+        assert meta["n_bits"] == chain.payload_bits == cfg.bits_per_trial
+
     def test_trial_peak_well_under_one_capture(self):
         """The decoder reads the channel's output as a block source, so no
         capture-length array exists anywhere in the trial: its traced peak,
@@ -500,8 +522,9 @@ class TestWaveformSim:
             trials_per_snr=1, block_symbols=1000, snr_block_symbols=5000,
             k_factor_db=33.0,
         )
-        frame_layout, tx_layout = cfg.layouts()
-        data_start, data_len = tx_layout.sections(cfg.nt, frame_layout)[0]["data"]
+        chain = cfg.chain()
+        data_start, data_len = chain.transmission_layout.sections(
+            cfg.nt, chain.frame_layout)[0]["data"]
         capture_bytes = cfg.nr * (data_start + data_len) * 16
         harness.run_simulation(cfg)  # first-call allocations
         tracemalloc.start()

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from smlink import channel, modem, rxchain, txchain
+from smlink import channel, rxchain, txchain
 
 LAYERTRACE = Path(__file__).resolve().parents[1] / "perfbench" / "layertrace.py"
 
@@ -51,17 +51,15 @@ def test_sm_modulation_is_counted_through_build_transmission(layertrace):
     modulates its frames as they are read: once in the shaping pass that
     sets its scale, and once more when the tracer's count of
     ``assemble_transmission`` reads its ``samples`` (both one block here)."""
-    frame_layout = txchain.FrameLayout(data_symbols_per_frame=100)
-    tx_layout = txchain.TransmissionLayout(n_frames=2, snr_block_symbols=50)
-    n_vectors = frame_layout.data_symbols_per_frame * tx_layout.n_frames
-    c = modem.build_constellation(4)
-    bits = np.random.default_rng(1).integers(
-        0, 2, n_vectors * modem.bits_per_vector("sm", 2, 4), dtype=np.uint8)
+    chain = txchain.Chain("sm", 2, 4, txchain.FrameLayout(data_symbols_per_frame=100),
+                          txchain.TransmissionLayout(n_frames=2, snr_block_symbols=50))
+    n_vectors = chain.payload_bits // chain.bits_per_vector
+    bits = np.random.default_rng(1).integers(0, 2, chain.payload_bits, dtype=np.uint8)
     tracer = layertrace.Tracer("test")
     tracer.install()
     try:
         tracer.iteration = 0
-        txchain.build_transmission(bits, "sm", 2, c, frame_layout, tx_layout)
+        txchain.build_transmission(bits, chain)
     finally:
         tracer.iteration = None
         tracer.uninstall()
@@ -76,20 +74,19 @@ def test_link_round_trip_is_traced(layertrace, tmp_path):
     would leave its per-layer metrics at 0. The channel's block source and
     the decoder's view of the sounding section report their sizes, nr * n
     and nr * (sounding length), as the arrays they replace did."""
-    frame_layout = txchain.FrameLayout(data_symbols_per_frame=100)
-    tx_layout = txchain.TransmissionLayout(n_frames=2, snr_block_symbols=50)
-    c = modem.build_constellation(2)
+    chain = txchain.Chain("sm", 2, 2, txchain.FrameLayout(data_symbols_per_frame=100),
+                          txchain.TransmissionLayout(n_frames=2, snr_block_symbols=50))
     bits = np.random.default_rng(2).integers(0, 2, 2 * 200, dtype=np.uint8)
     tracer = layertrace.Tracer("test")
     tracer.install()
     try:
         tracer.iteration = 0
-        tx = txchain.build_transmission(bits, "sm", 2, c, frame_layout, tx_layout)
+        tx = txchain.build_transmission(bits, chain)
         rx = channel.propagate_waveform(tx, np.eye(2))
-        result = rxchain.decode_transmission(rx, frame_layout, tx_layout, 2, "sm", c)
+        result = rxchain.decode_transmission(rx, chain)
         txchain.write_waveform(tmp_path / "cap", tx)
         files = txchain.read_captures([tmp_path / "cap_ant1.bin", tmp_path / "cap_ant2.bin"])
-        from_files = rxchain.decode_transmission(files, frame_layout, tx_layout, 2, "sm", c)
+        from_files = rxchain.decode_transmission(files, chain)
     finally:
         tracer.iteration = None
         tracer.uninstall()

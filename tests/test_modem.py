@@ -1,6 +1,7 @@
 """Tests for bit mapping, constellations and maximum-likelihood detection."""
 
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -9,7 +10,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from smlink import kernels, modem
-from smlink.errors import ConfigurationError, DegenerateInputError, FramingError, RangeError
+from smlink.errors import (
+    ConfigurationError,
+    DegenerateInputError,
+    FramingError,
+    RangeError,
+    SmlinkError,
+)
 
 
 def brute_force_detect(y, h, candidates):
@@ -101,6 +108,15 @@ class TestBitMapping:
         with pytest.raises(RangeError, match=r"\[0, 4\)"):
             modem.indices_to_bits([0, index, 3], 2)
         assert modem.indices_to_bits([], 2).size == 0
+
+    @pytest.mark.parametrize("m", [0, -1])
+    def test_block_size_below_one_refused(self, m):
+        """m = 0 used to raise a bare ZeroDivisionError in bits_to_indices and
+        m = -1 a bare ValueError (a negative shift) in indices_to_bits."""
+        with pytest.raises(ConfigurationError, match="bit-block size"):
+            modem.bits_to_indices(np.zeros(4, dtype=np.uint8), m)
+        with pytest.raises(ConfigurationError, match="bit-block size"):
+            modem.indices_to_bits(np.zeros(3, dtype=np.int64), m)
 
     def test_bits_per_vector(self):
         assert modem.bits_per_vector("sm", 2, 2) == 2
@@ -323,6 +339,26 @@ class TestMlDetection:
         assert [int(det[i]) for i in rows] == [
             brute_force_detect(y[i], h, cands) for i in rows
         ]
+
+    @pytest.mark.parametrize("call", [
+        pytest.param(lambda: modem.ml_detect_batch(np.ones((3, 2)), np.eye(2), np.ones((0, 2))),
+                     id="no-candidate"),
+        pytest.param(lambda: modem.ml_detect_batch(np.ones((3, 2)), np.eye(2), np.ones(2)),
+                     id="1d-candidates"),
+        pytest.param(lambda: modem.ml_detect_batch(np.ones((3, 2)), np.ones(2), np.ones((4, 2))),
+                     id="1d-channel"),
+        pytest.param(lambda: modem.sm_ml_detect_batch(
+            np.ones((3, 2)), np.ones(2), modem.build_constellation(2)), id="sm-1d-channel"),
+    ])
+    def test_malformed_shapes_refused_with_named_errors(self, call):
+        """An empty or 1-D candidate set and a 1-D channel used to raise a
+        bare ValueError (argmin of nothing) or IndexError; the shapes are now
+        checked once per call, before the kernel's chunk loop."""
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(SmlinkError):
+                call()
+        assert not caught
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, complex(0.0, np.inf)],
                              ids=["nan", "inf", "-inf", "inf-imag"])

@@ -16,15 +16,15 @@ from smlink.errors import SyncRejection
 
 @pytest.fixture(scope="module")
 def loopback():
-    """Two-frame SM/BPSK transmission plus a fixed 2x2 channel."""
+    """Two-frame SM/BPSK transmission, its chain, plus a fixed 2x2 channel."""
     layout = txchain.FrameLayout()
     tx_layout = txchain.TransmissionLayout(n_frames=2, snr_block_symbols=200)
     rng = np.random.default_rng(77)
-    c = modem.build_constellation(2)
-    bits = rng.integers(0, 2, 2 * 2 * layout.data_symbols_per_frame).astype(np.uint8)
-    tx = txchain.build_transmission(bits, "sm", 2, c, layout, tx_layout)
+    chain = txchain.Chain("sm", 2, 2, layout, tx_layout)
+    bits = rng.integers(0, 2, chain.payload_bits).astype(np.uint8)
+    tx = txchain.build_transmission(bits, chain)
     h = np.array([[1.0 + 0.1j, 0.35 + 0.2j], [0.1 - 0.4j, 0.9 - 0.05j]])
-    return layout, tx_layout, c, bits, tx, h
+    return layout, tx_layout, chain, bits, tx, h
 
 
 def sync_geometry(loopback):
@@ -600,11 +600,9 @@ class TestDemodulateFrame:
 
 class TestDecodeTransmission:
     def decode(self, loopback, fo=0.0):
-        layout, tx_layout, c, bits, tx, h = loopback
+        _, _, chain, bits, tx, h = loopback
         rx = channel.propagate_waveform(tx.samples, h, fo_cycles_per_sample=fo)
-        result = rxchain.decode_transmission(
-            rx, layout, tx_layout, 2, "sm", c, symbol_scale=tx.symbol_scale
-        )
+        result = rxchain.decode_transmission(rx, chain, symbol_scale=tx.symbol_scale)
         return bits, h, result
 
     def test_clean_loopback(self, loopback):
@@ -631,26 +629,22 @@ class TestDecodeTransmission:
         apart, so interference from a receive filter that the offset has
         rotated flips the antenna-index bit. At 60 dB every bit is right.
         """
-        layout, tx_layout, c, bits, tx, _ = loopback
+        _, _, chain, bits, tx, _ = loopback
         h = np.array([[1.0 + 0.01j, 1.012 - 0.008j], [1.03 - 0.005j, 1.041 + 0.006j]])
         assert np.linalg.norm(h[:, 0] - h[:, 1]) == pytest.approx(0.0266, abs=1e-3)
         rng = np.random.default_rng(31)
         noise_var = tx.symbol_scale**2 * 10.0 ** (-60 / 10)
         rx = channel.propagate_waveform(tx.samples, h, fo, noise_var, rng)
-        result = rxchain.decode_transmission(
-            rx, layout, tx_layout, 2, "sm", c, symbol_scale=tx.symbol_scale
-        )
+        result = rxchain.decode_transmission(rx, chain, symbol_scale=tx.symbol_scale)
         assert np.count_nonzero(result.bits != bits) == 0
 
     def test_dead_receive_antenna_left_out_of_offset_estimate(self, loopback):
         """A receive antenna with an all-zero preamble adds nothing to the
         summed periodogram, so the offset comes from the other one."""
-        layout, tx_layout, c, bits, tx, _ = loopback
+        _, _, chain, bits, tx, _ = loopback
         h = np.array([[1.0 + 0.1j, 0.35 + 0.2j], [0.0, 0.0]])
         rx = channel.propagate_waveform(tx.samples, h, fo_cycles_per_sample=2e-3)
-        result = rxchain.decode_transmission(
-            rx, layout, tx_layout, 2, "sm", c, symbol_scale=tx.symbol_scale
-        )
+        result = rxchain.decode_transmission(rx, chain, symbol_scale=tx.symbol_scale)
         assert np.array_equal(result.bits, bits)
         assert np.max(np.abs(result.fo_cycles_per_sample - 2e-3)) <= 1e-9
 
@@ -659,17 +653,16 @@ class TestDecodeTransmission:
         """H = I at 10 dB: the preamble leaves transmit antenna 1 only, so
         receive antenna 2 sees noise alone during it. The decode still
         loses nothing to a decode handed the true offset (0)."""
-        layout = txchain.FrameLayout()
-        tx_layout = txchain.TransmissionLayout(n_frames=10, snr_block_symbols=200)
-        c = modem.build_constellation(2)
+        chain = txchain.Chain("sm", 2, 2, txchain.FrameLayout(),
+                              txchain.TransmissionLayout(n_frames=10, snr_block_symbols=200))
         rng = np.random.default_rng(seed)
-        bits = rng.integers(0, 2, 2 * 10 * layout.data_symbols_per_frame, dtype=np.uint8)
-        tx = txchain.build_transmission(bits, "sm", 2, c, layout, tx_layout)
+        bits = rng.integers(0, 2, chain.payload_bits, dtype=np.uint8)
+        tx = txchain.build_transmission(bits, chain)
         rx = channel.propagate_waveform(tx.samples, np.eye(2), 0.0,
                                         0.1 * tx.symbol_scale**2, rng)
 
         def bit_errors():
-            result = rxchain.decode_transmission(rx, layout, tx_layout, 2, "sm", c)
+            result = rxchain.decode_transmission(rx, chain)
             return np.count_nonzero(result.bits != bits)
 
         errors = bit_errors()
@@ -689,16 +682,16 @@ class TestDecodeTransmission:
 
     @pytest.mark.parametrize("nt,scheme", [(-1, "sm"), (0, "sm"), (3, "smx"), (2, "osm")])
     def test_antenna_count_and_scheme_checked_first(self, loopback, nt, scheme):
-        """The sidecar's nt and scheme are refused before any sample is read."""
-        layout, tx_layout, c, _, _, _ = loopback
+        """The decoder takes a checked Chain, so a sidecar's nt and scheme are
+        refused when its chain is built, before any sample is read."""
+        layout, tx_layout, _, _, _, _ = loopback
         with pytest.raises(ConfigurationError):
-            rxchain.decode_transmission(np.zeros((2, 10), dtype=complex), layout,
-                                        tx_layout, nt, scheme, c)
+            txchain.Chain(scheme, nt, 2, layout, tx_layout)
 
     def test_unscaled_estimates_carry_symbol_scale(self, loopback):
-        layout, tx_layout, c, bits, tx, h = loopback
+        _, _, chain, bits, tx, h = loopback
         rx = channel.propagate_waveform(tx.samples, h)
-        result = rxchain.decode_transmission(rx, layout, tx_layout, 2, "sm", c)
+        result = rxchain.decode_transmission(rx, chain)
         est = result.channel_estimates[0, 0]
         assert np.max(np.abs(est / tx.symbol_scale - h)) <= 1e-6
         assert result.symbol_scale == 1.0
@@ -707,27 +700,26 @@ class TestDecodeTransmission:
     def test_symbol_scale_checked_first(self, loopback, scale):
         """A sidecar's symbol scale is refused before any sample is read: a
         negative one would flip the sign of every reported estimate."""
-        layout, tx_layout, c, _, _, _ = loopback
+        _, _, chain, _, _, _ = loopback
         with pytest.raises(ConfigurationError, match="symbol_scale"):
-            rxchain.decode_transmission(np.zeros((2, 10), dtype=complex), layout,
-                                        tx_layout, 2, "sm", c, symbol_scale=scale)
+            rxchain.decode_transmission(np.zeros((2, 10), dtype=complex), chain, symbol_scale=scale)
 
     def test_zero_symbol_scale_leaves_estimates_unscaled(self, loopback):
-        layout, tx_layout, c, bits, tx, h = loopback
+        _, _, chain, bits, tx, h = loopback
         rx = channel.propagate_waveform(tx.samples, h)
-        unscaled = rxchain.decode_transmission(rx, layout, tx_layout, 2, "sm", c)
-        zero = rxchain.decode_transmission(rx, layout, tx_layout, 2, "sm", c, symbol_scale=0)
+        unscaled = rxchain.decode_transmission(rx, chain)
+        zero = rxchain.decode_transmission(rx, chain, symbol_scale=0)
         assert np.array_equal(zero.channel_estimates, unscaled.channel_estimates)
         assert zero.symbol_scale == 1.0
 
     def test_spike_ahead_of_the_train_decodes_at_true_start(self, loopback):
         """A copy of the strongest sync pulse 120 samples ahead of the
         transmission is one tooth of a comb at most; the train decodes at 120."""
-        layout, tx_layout, c, bits, tx, h = loopback
+        _, _, chain, bits, tx, h = loopback
         rx = channel.propagate_waveform(tx.samples, h).segment(0, tx.shape[1])
         capture = np.concatenate([np.zeros((2, 120), dtype=complex), rx], axis=1)
         capture[:, 0] = rx[:, np.argmax(np.sum(np.abs(rx) ** 2, axis=0))]
-        result = rxchain.decode_transmission(capture, layout, tx_layout, 2, "sm", c)
+        result = rxchain.decode_transmission(capture, chain)
         assert result.sync.tx_start_index == 120
         assert np.array_equal(result.bits, bits)
 
@@ -740,7 +732,7 @@ class TestDecodeTransmission:
         SAMPLE_BLOCK edge) and ahead of 300 000 trailing noise samples, and
         the bits are those of the capture cut to the transmission, whose
         only start is the true one."""
-        layout, tx_layout, c, bits, tx, _ = loopback
+        _, _, chain, bits, tx, _ = loopback
         h = np.array([[0.07, 1.0], [0.05j, 0.9]])
         rng = np.random.default_rng(9)
         noise_var = tx.symbol_scale**2 * 10.0 ** (-30 / 10)
@@ -749,7 +741,7 @@ class TestDecodeTransmission:
         capture = np.concatenate([complex_noise(rng, (2, lead), np.sqrt(noise_var / 2)), rx,
                                   complex_noise(rng, (2, trail), np.sqrt(noise_var / 2))],
                                  axis=1)
-        result, at_true_start = (rxchain.decode_transmission(y, layout, tx_layout, 2, "sm", c)
+        result, at_true_start = (rxchain.decode_transmission(y, chain)
                                  for y in (capture, rx))
         assert result.sync.tx_start_index == lead
         assert np.array_equal(result.bits, at_true_start.bits)
@@ -762,30 +754,27 @@ class TestDecodeTransmission:
         by name before sync wherever it lies: in the sync head, in the
         sounding section or in the filter tail that no symbol instant reads,
         with no RuntimeWarning first (the tests turn warnings into errors)."""
-        layout, tx_layout, c, _, tx, h = loopback
+        _, _, chain, _, tx, h = loopback
         rx = channel.propagate_waveform(tx.samples, h).segment(0, tx.shape[1])
         rx[1, {"head": 0, "sounding": tx.sections["snr"][0] + 17, "tail": -1}[where]] = value
         with pytest.raises(DegenerateInputError, match="NaN, infinite or overflowing"):
-            rxchain.decode_transmission(rx, layout, tx_layout, 2, "sm", c)
+            rxchain.decode_transmission(rx, chain)
 
     def test_capture_cut_before_data_end_rejected(self, loopback):
-        layout, tx_layout, c, bits, tx, h = loopback
+        _, _, chain, bits, tx, h = loopback
         rx = channel.propagate_waveform(tx.samples, h).segment(0, tx.shape[1])
         with pytest.raises(SyncRejection):
-            rxchain.decode_transmission(rx[:, : rx.shape[1] * 9 // 10], layout,
-                                        tx_layout, 2, "sm", c)
+            rxchain.decode_transmission(rx[:, : rx.shape[1] * 9 // 10], chain)
 
     @staticmethod
     def traced_decode(n_frames, snr_block_symbols, source="array", folder=None):
         """(decoder's traced peak, complex capture bytes) of a 2x2 SM/BPSK capture:
         the channel's noisy output as an array or as its block source (whose
         noise the decode draws), or the transmission's int16 files in ``folder``."""
-        layout = txchain.FrameLayout()
-        tx_layout = txchain.TransmissionLayout(n_frames=n_frames,
-                                               snr_block_symbols=snr_block_symbols)
-        c = modem.build_constellation(2)
+        chain = txchain.Chain("sm", 2, 2, txchain.FrameLayout(), txchain.TransmissionLayout(
+            n_frames=n_frames, snr_block_symbols=snr_block_symbols))
         bits = np.random.default_rng(5).integers(0, 2, 2 * 1000 * n_frames).astype(np.uint8)
-        tx = txchain.build_transmission(bits, "sm", 2, c, layout, tx_layout)
+        tx = txchain.build_transmission(bits, chain)
         if source == "files":
             prefix = folder / f"cap{n_frames}"
             txchain.write_waveform(prefix, tx)
@@ -798,7 +787,7 @@ class TestDecodeTransmission:
                 rx = rx.segment(0, tx.shape[1])
         tracemalloc.start()
         try:
-            result = rxchain.decode_transmission(rx, layout, tx_layout, 2, "sm", c)
+            result = rxchain.decode_transmission(rx, chain)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -833,11 +822,11 @@ class TestDecodeTransmission:
         of its ``segment(0, n)`` decoded as an array. With 2 frames the last
         read ends the output; with 10 and 11 the read before it ends in the
         output's last block."""
-        layout, _, c, _, _, h = loopback
-        tx_layout = txchain.TransmissionLayout(n_frames=n_frames, snr_block_symbols=200)
-        bits = np.random.default_rng(n_frames).integers(
-            0, 2, 2 * n_frames * layout.data_symbols_per_frame).astype(np.uint8)
-        tx = txchain.build_transmission(bits, "sm", 2, c, layout, tx_layout)
+        layout, _, _, _, _, h = loopback
+        chain = txchain.Chain("sm", 2, 2, layout,
+                              txchain.TransmissionLayout(n_frames=n_frames, snr_block_symbols=200))
+        bits = np.random.default_rng(n_frames).integers(0, 2, chain.payload_bits).astype(np.uint8)
+        tx = txchain.build_transmission(bits, chain)
         noise_var = (tx.symbol_scale * 0.03) ** 2
         drawn = []
         awgn = channel.awgn
@@ -848,24 +837,22 @@ class TestDecodeTransmission:
 
         monkeypatch.setattr(channel, "awgn", counting)
         rx = channel.propagate_waveform(tx, h, 1e-4, noise_var, np.random.default_rng(3))
-        result = rxchain.decode_transmission(rx, layout, tx_layout, 2, "sm", c)
+        result = rxchain.decode_transmission(rx, chain)
         assert sum(drawn) == rx.size == 2 * tx.shape[1]
         array = channel.propagate_waveform(tx, h, 1e-4, noise_var,
                                            np.random.default_rng(3)).segment(0, tx.shape[1])
-        again = rxchain.decode_transmission(array, layout, tx_layout, 2, "sm", c)
+        again = rxchain.decode_transmission(array, chain)
         assert np.array_equal(result.bits, again.bits)
         assert np.array_equal(result.channel_estimates, again.channel_estimates)
 
     def test_noisy_decode_still_syncs(self, loopback):
-        layout, tx_layout, c, bits, tx, h = loopback
+        _, _, chain, bits, tx, h = loopback
         rng = np.random.default_rng(21)
         noise_var = (tx.symbol_scale * 10 ** (-30 / 20)) ** 2
         rx = channel.propagate_waveform(
             tx.samples, h, noise_var=noise_var, rng=rng
         )
-        result = rxchain.decode_transmission(
-            rx, layout, tx_layout, 2, "sm", c, symbol_scale=tx.symbol_scale
-        )
+        result = rxchain.decode_transmission(rx, chain, symbol_scale=tx.symbol_scale)
         assert result.bits.size == bits.size
         assert result.snr.valid
         errors = int(np.count_nonzero(result.bits != bits))

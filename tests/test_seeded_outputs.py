@@ -119,13 +119,12 @@ def test_noisy_loopback_decode():
     rng = np.random.default_rng(77)
     c = modem.build_constellation(2)
     bits = rng.integers(0, 2, 2 * 2 * layout.data_symbols_per_frame).astype(np.uint8)
-    tx = txchain.build_transmission(bits, "sm", 2, c, layout, tx_layout)
+    tx = txchain.build_transmission(bits, txchain.Chain("sm", 2, c.order, layout, tx_layout))
     h = np.array([[1.0 + 0.1j, 0.35 + 0.2j], [0.1 - 0.4j, 0.9 - 0.05j]])
     noise_var = tx.symbol_scale**2 * 10.0 ** (-8 / 10)
     rx = channel.propagate_waveform(tx.samples, h, 2e-4, noise_var, np.random.default_rng(5))
     assert hashlib.sha256(rx.segment(0, rx.shape[1]).tobytes()).hexdigest() == RX_SHA256
-    result = rxchain.decode_transmission(rx, layout, tx_layout, 2, "sm", c,
-                                         symbol_scale=tx.symbol_scale)
+    result = rxchain.decode_transmission(rx, tx.chain, symbol_scale=tx.symbol_scale)
     assert np.count_nonzero(result.bits != bits) == DECODE_ERRORS
     assert hashlib.sha256(np.packbits(result.bits).tobytes()).hexdigest() == DECODE_BITS_SHA256
     np.testing.assert_allclose(result.fo_cycles_per_sample, DECODE_FO, rtol=1e-12, atol=0)

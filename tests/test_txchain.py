@@ -1,10 +1,12 @@
 """Tests for frame assembly, pulse shaping and the I16 capture format."""
 
+import ast
 import contextlib
 import io
 import json
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,13 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from smlink import channel, cli, modem, txchain
-from smlink.errors import (
-    ConfigurationError,
-    DegenerateInputError,
-    DimensionError,
-    FramingError,
-    RangeError,
-)
+from smlink.errors import ConfigurationError, DimensionError, FramingError, RangeError
 
 
 def random_bpsk_frames(layout, tx_layout, nt=2, seed=0):
@@ -30,10 +26,22 @@ def random_bpsk_frames(layout, tx_layout, nt=2, seed=0):
     return txchain.build_frame(vectors.reshape(tx_layout.n_frames, -1, nt), layout)
 
 
+def random_sm_transmission(layout, tx_layout, nt=2, seed=0):
+    """The transmission of the bits of :func:`random_bpsk_frames`, built from them."""
+    chain = txchain.Chain("sm", nt, 2, layout, tx_layout)
+    bits = np.random.default_rng(seed).integers(0, 2, chain.payload_bits).astype(np.uint8)
+    return txchain.build_transmission(bits, chain)
+
+
+def whole_stream(tx):
+    """The (nt, n_frames * frame_symbols) frame stream of ``tx`` as one array."""
+    return tx.stream.segment(0, tx.stream.shape[1])
+
+
 def data_section(tx, stream):
     """The data section of ``tx`` built whole: its (nt, n_symbols) frame
     ``stream`` through one :func:`txchain.pulse_shape`, scaled by ``symbol_scale``."""
-    fl = tx.frame_layout
+    fl = tx.chain.frame_layout
     taps = txchain.rrc_taps(fl.rrc_num_taps, fl.rrc_rolloff, fl.upsample_factor)
     shaped = txchain.pulse_shape(stream, taps, fl.upsample_factor)
     shaped *= tx.symbol_scale
@@ -256,8 +264,7 @@ class TestAssembleTransmission:
     tx_layout = txchain.TransmissionLayout(n_frames=2, snr_block_symbols=200)
 
     def build(self):
-        stream = random_bpsk_frames(self.layout, self.tx_layout)
-        return txchain.assemble_transmission(stream, self.layout, self.tx_layout)
+        return random_sm_transmission(self.layout, self.tx_layout)
 
     def test_section_bookkeeping(self):
         """At 4 samples per symbol: 20 pulses 51 symbols apart, 5 on/off
@@ -269,7 +276,7 @@ class TestAssembleTransmission:
         assert self.tx_layout.sections(4, self.layout)[0]["snr"] == (4080, 32_000)
         tx = self.build()
         assert tx.sections == sections
-        assert tx.symbols.shape == (2, 4600)
+        assert tx.stream.shape == (2, 4600)
         assert tx.samples.shape == (2, 38_519)
 
     def test_sync_pulses(self):
@@ -310,8 +317,7 @@ class TestAssembleTransmission:
         tx_layout = txchain.TransmissionLayout(
             n_frames=1, snr_block_symbols=50, power_factor=0.0
         )
-        stream = random_bpsk_frames(self.layout, tx_layout)
-        tx = txchain.assemble_transmission(stream, self.layout, tx_layout)
+        tx = random_sm_transmission(self.layout, tx_layout)
         assert tx.symbol_scale == 0.0
         assert tx.x_max == 0.0
         start, _ = tx.sections["data"]
@@ -321,91 +327,72 @@ class TestAssembleTransmission:
         tx_layout = txchain.TransmissionLayout(
             n_frames=1, snr_block_symbols=50, power_factor=1.5
         )
-        stream = random_bpsk_frames(self.layout, tx_layout)
         with pytest.raises(RangeError):
-            txchain.assemble_transmission(stream, self.layout, tx_layout)
-
-    def test_nan_data_raises(self):
-        """NaN fails the full-scale check instead of reaching the quantizer."""
-        stream = random_bpsk_frames(self.layout, self.tx_layout)
-        stream[1, 1200] = np.nan
-        with pytest.raises(RangeError):
-            txchain.assemble_transmission(stream, self.layout, self.tx_layout)
+            random_sm_transmission(self.layout, tx_layout)
 
     def test_nan_power_factor_raises(self):
         """A layout that skipped its own validation still cannot put NaN
         on the air: x_max and the data section both fail the check."""
         tx_layout = txchain.TransmissionLayout(n_frames=2, snr_block_symbols=200)
         object.__setattr__(tx_layout, "power_factor", np.nan)
-        stream = random_bpsk_frames(self.layout, tx_layout)
         with pytest.raises(RangeError):
-            txchain.assemble_transmission(stream, self.layout, tx_layout)
-
-    def test_all_zero_frames_rejected(self):
-        tx_layout = txchain.TransmissionLayout(n_frames=1, snr_block_symbols=50)
-        silent = np.zeros((2, self.layout.frame_symbols), dtype=complex)
-        with pytest.raises(DegenerateInputError):
-            txchain.assemble_transmission(silent, self.layout, tx_layout)
-
-    def test_frame_count_mismatch(self):
-        stream = random_bpsk_frames(self.layout, self.tx_layout)
-        for wrong in (stream[:, : self.layout.frame_symbols], stream[:, :-1], stream[0]):
-            with pytest.raises(FramingError):
-                txchain.assemble_transmission(wrong, self.layout, self.tx_layout)
+            random_sm_transmission(self.layout, tx_layout)
 
 
 class TestBuildTransmission:
     tx_layout = txchain.TransmissionLayout(n_frames=3, snr_block_symbols=200)
 
     @staticmethod
-    def per_frame_loop(bits, scheme, nt, c, layout, tx_layout):
+    def per_frame_loop(bits, chain):
         """Reference: modulate and frame each bit chunk on its own."""
-        per_frame = modem.bits_per_vector(scheme, nt, c.order) * layout.data_symbols_per_frame
+        c = modem.build_constellation(chain.modulation_order)
+        layout = chain.frame_layout
+        per_frame = chain.bits_per_vector * layout.data_symbols_per_frame
         streams = []
-        for f in range(tx_layout.n_frames):
+        for f in range(chain.transmission_layout.n_frames):
             chunk = bits[f * per_frame : (f + 1) * per_frame]
-            if scheme == "sm":
-                _, vectors = modem.sm_modulate(chunk, nt, c)
+            if chain.scheme == "sm":
+                _, vectors = modem.sm_modulate(chunk, chain.nt, c)
             else:
-                vectors = modem.smx_modulate(chunk, nt, c)
+                vectors = modem.smx_modulate(chunk, chain.nt, c)
             streams.append(txchain.build_frame(vectors[None], layout))
-        return txchain.assemble_transmission(np.concatenate(streams, axis=1), layout, tx_layout)
+        return np.concatenate(streams, axis=1)
 
     @pytest.mark.parametrize("scheme,nt,order,data_symbols", [
         ("sm", 2, 2, 1000), ("sm", 4, 4, 1000), ("smx", 4, 16, 500),
     ])
     def test_matches_per_frame_loop(self, scheme, nt, order, data_symbols):
-        c = modem.build_constellation(order)
+        """The transmission's frame stream, read whole and in runs that cut
+        frames, equals the frames of each bit chunk built on its own."""
         layout = txchain.FrameLayout(data_symbols_per_frame=data_symbols)
-        n_bits = modem.bits_per_vector(scheme, nt, order) * data_symbols * 3
-        bits = np.random.default_rng(17).integers(0, 2, n_bits).astype(np.uint8)
-        tx = txchain.build_transmission(bits, scheme, nt, c, layout, self.tx_layout)
-        ref = self.per_frame_loop(bits, scheme, nt, c, layout, self.tx_layout)
-        assert np.array_equal(tx.samples, ref.samples)
-        assert tx.sections == ref.sections
-        assert tx.symbol_scale == ref.symbol_scale
+        chain = txchain.Chain(scheme, nt, order, layout, self.tx_layout)
+        bits = np.random.default_rng(17).integers(0, 2, chain.payload_bits).astype(np.uint8)
+        tx = txchain.build_transmission(bits, chain)
+        ref = self.per_frame_loop(bits, chain)
+        assert tx.stream.shape == ref.shape
+        assert np.array_equal(whole_stream(tx), ref)
+        cuts = [0, 1, layout.frame_symbols - 1, layout.frame_symbols + 7, ref.shape[1]]
+        parts = [tx.stream.segment(a, b) for a, b in zip(cuts, cuts[1:])]
+        assert np.array_equal(np.concatenate(parts, axis=1), ref)
 
     @pytest.mark.parametrize("n_vectors", [2999, 2000, 4000])
     def test_bits_must_fill_the_frames(self, n_vectors):
-        c = modem.build_constellation(2)
         bits = np.zeros(2 * n_vectors, dtype=np.uint8)
         with pytest.raises(FramingError):
-            txchain.build_transmission(
-                bits, "sm", 2, c, txchain.FrameLayout(), self.tx_layout
-            )
+            txchain.build_transmission(bits, txchain.Chain("sm", 2, 2, txchain.FrameLayout(),
+                                                           self.tx_layout))
 
     def test_bad_bits_refused_when_built(self):
         """The transmission modulates its frames as they are read, but its
         shaping pass reads every frame once: a bit that is not 0 or 1 in the
         last frame, or a 2-D bit array, is refused by build_transmission."""
-        c = modem.build_constellation(2)
+        chain = txchain.Chain("sm", 2, 2, txchain.FrameLayout(), self.tx_layout)
         bits = np.zeros(2 * 3000, dtype=np.uint8)
         bits[-1] = 2
         with pytest.raises(FramingError, match="only contain 0 and 1"):
-            txchain.build_transmission(bits, "sm", 2, c, txchain.FrameLayout(), self.tx_layout)
+            txchain.build_transmission(bits, chain)
         with pytest.raises(DimensionError):
-            txchain.build_transmission(np.zeros((2, 3000), dtype=np.uint8), "sm", 2, c,
-                                       txchain.FrameLayout(), self.tx_layout)
+            txchain.build_transmission(np.zeros((2, 3000), dtype=np.uint8), chain)
 
     def test_unknown_scheme(self):
         c = modem.build_constellation(2)
@@ -420,16 +407,14 @@ class TestBlockSource:
     tx_layout = txchain.TransmissionLayout(n_frames=2, snr_block_symbols=200)
 
     def build(self, nt=2, tx_layout=None):
-        tx_layout = tx_layout or self.tx_layout
-        stream = random_bpsk_frames(self.layout, tx_layout, nt=nt)
-        return txchain.assemble_transmission(stream, self.layout, tx_layout)
+        return random_sm_transmission(self.layout, tx_layout or self.tx_layout, nt=nt)
 
     @staticmethod
     def reference_samples(tx):
         """The whole transmission written section by section."""
         nt, n = tx.shape
-        u = tx.frame_layout.upsample_factor
-        lay = tx.layout
+        u = tx.chain.frame_layout.upsample_factor
+        lay = tx.chain.transmission_layout
         samples = np.zeros((nt, n), dtype=complex)
         period = (1 + lay.sync_gap_symbols) * u
         samples[0, 0 : lay.sync_pulses * period : period] = 1.0
@@ -437,7 +422,7 @@ class TestBlockSource:
         sounding = samples[:, start : start + length].reshape(
             nt, nt, lay.snr_blocks, 2, lay.snr_block_symbols * u)
         sounding[np.arange(nt), np.arange(nt), :, 0] = tx.x_max
-        samples[:, tx.sections["data"][0] :] = data_section(tx, tx.symbols)
+        samples[:, tx.sections["data"][0] :] = data_section(tx, whole_stream(tx))
         return samples
 
     @pytest.mark.parametrize("nt", [1, 2, 4])
@@ -465,13 +450,13 @@ class TestBlockSource:
         """A built transmission holds its payload bits, not samples: what it
         keeps after building is the bits' copy and a few small objects, where
         its 4-frame data section alone is 1.2 MB."""
-        c = modem.build_constellation(2)
+        chain = txchain.Chain("sm", 2, 2, self.layout,
+                              txchain.TransmissionLayout(n_frames=4, snr_block_symbols=200))
         bits = np.random.default_rng(5).integers(0, 2, 8000).astype(np.uint8)
-        tx_layout = txchain.TransmissionLayout(n_frames=4, snr_block_symbols=200)
-        txchain.build_transmission(bits, "sm", 2, c, self.layout, tx_layout)  # first-call allocations
+        txchain.build_transmission(bits, chain)  # first-call allocations
         tracemalloc.start()
         try:
-            tx = txchain.build_transmission(bits, "sm", 2, c, self.layout, tx_layout)
+            tx = txchain.build_transmission(bits, chain)
             held = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
@@ -484,13 +469,13 @@ class TestBlockSource:
         blocks: the traced peak of building a transmission and propagating
         it stays within the received array plus three blocks (measured:
         2.15), with no transmit array or data section beside them."""
-        c = modem.build_constellation(2)
+        chain = txchain.Chain("sm", 2, 2, self.layout,
+                              txchain.TransmissionLayout(n_frames=1, snr_block_symbols=5000))
         bits = np.random.default_rng(5).integers(0, 2, 2000).astype(np.uint8)
-        tx_layout = txchain.TransmissionLayout(n_frames=1, snr_block_symbols=5000)
         h = np.array([[1.0 + 0.1j, 0.35 + 0.2j], [0.1 - 0.4j, 0.9 - 0.05j]])
         tracemalloc.start()
         try:
-            tx = txchain.build_transmission(bits, "sm", 2, c, self.layout, tx_layout)
+            tx = txchain.build_transmission(bits, chain)
             rx = channel.propagate_waveform(tx, h, 1e-4, (tx.symbol_scale * 0.03) ** 2,
                                             np.random.default_rng(1)).segment(0, tx.shape[1])
             peak = tracemalloc.get_traced_memory()[1]
@@ -513,19 +498,18 @@ class TestBlockSource:
 @pytest.fixture(scope="module", params=[("sm", 4, 4, 4, 40), ("smx", 2, 16, 3, 17)],
                 ids=["sm4-qpsk", "smx2-16qam-u3"])
 def built_transmission(request):
-    """({"bits": built from bits, "array": assembled from its frame stream},
-    the data section as the scaled pulse_shape of the whole stream): six
-    frames, a data section longer than one ``SAMPLE_BLOCK``."""
+    """({"bits": built from bits}, the data section as the scaled pulse_shape
+    of the whole stream, modulated and framed at once): six frames, a data
+    section longer than one ``SAMPLE_BLOCK``."""
     scheme, nt, order, u, n_taps = request.param
     layout = txchain.FrameLayout(data_symbols_per_frame=700, upsample_factor=u,
                                  rrc_num_taps=n_taps)
-    tx_layout = txchain.TransmissionLayout(n_frames=6, snr_block_symbols=100)
+    chain = txchain.Chain(scheme, nt, order, layout,
+                          txchain.TransmissionLayout(n_frames=6, snr_block_symbols=100))
     c = modem.build_constellation(order)
-    m = modem.bits_per_vector(scheme, nt, order)
-    bits = np.random.default_rng(31).integers(0, 2, m * 700 * 6).astype(np.uint8)
+    bits = np.random.default_rng(31).integers(0, 2, chain.payload_bits).astype(np.uint8)
     stream = txchain.build_frame(modem.modulate(bits, scheme, nt, c).reshape(6, 700, nt), layout)
-    sources = {"bits": txchain.build_transmission(bits, scheme, nt, c, layout, tx_layout),
-               "array": txchain.assemble_transmission(stream, layout, tx_layout)}
+    sources = {"bits": txchain.build_transmission(bits, chain)}
     return sources, data_section(sources["bits"], stream)
 
 
@@ -535,11 +519,10 @@ class TestShapedOnDemand:
     def test_scale_from_the_whole_stream_peak(self, built_transmission):
         sources, whole = built_transmission
         tx = sources["bits"]
-        assert sources["array"].symbol_scale == tx.symbol_scale
-        assert np.abs(whole).max() == pytest.approx(tx.layout.power_factor, rel=1e-15)
+        assert np.abs(whole).max() == pytest.approx(tx.x_max, rel=1e-15)
         assert whole.shape[1] == tx.sections["data"][1] > channel.SAMPLE_BLOCK
 
-    @pytest.mark.parametrize("kind", ["bits", "array"])
+    @pytest.mark.parametrize("kind", ["bits"])
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
     def test_reads_equal_the_scaled_whole_stream_shape(self, built_transmission, kind, data):
@@ -550,7 +533,7 @@ class TestShapedOnDemand:
         sources, whole = built_transmission
         tx = sources[kind]
         data_start, length = tx.sections["data"]
-        taps = tx.frame_layout.rrc_num_taps
+        taps = tx.chain.frame_layout.rrc_num_taps
         edges = [0, 1, taps - 2, taps - 1, taps, channel.SAMPLE_BLOCK - 1, channel.SAMPLE_BLOCK,
                  length - taps, length - taps + 1, length - 1, length]
         start = data.draw(st.one_of(st.integers(-100, length), st.sampled_from(edges)))
@@ -568,7 +551,7 @@ def receive_sources(tmp_path_factory):
     drawn from an equal generator, and the int16 files of a transmission."""
     layout = txchain.FrameLayout()
     tx_layout = txchain.TransmissionLayout(n_frames=1, snr_block_symbols=5000)
-    tx = txchain.assemble_transmission(random_bpsk_frames(layout, tx_layout), layout, tx_layout)
+    tx = random_sm_transmission(layout, tx_layout)
     h = np.array([[1.0 + 0.1j, 0.35 + 0.2j], [0.1 - 0.4j, 0.9 - 0.05j], [0.2, 0.3j]])
 
     def received():
@@ -729,12 +712,9 @@ class TestWaveformIo:
     def test_write_read_roundtrip(self, tmp_path):
         layout = txchain.FrameLayout()
         tx_layout = txchain.TransmissionLayout(n_frames=1, snr_block_symbols=50)
-        tx = txchain.assemble_transmission(random_bpsk_frames(layout, tx_layout), layout,
-                                           tx_layout)
-        # A sidecar carries the whole chain: the writer's caller adds the scheme and order.
-        sidecar = txchain.write_waveform(
-            tmp_path / "cap", tx,
-            extra_meta={"note": "loopback", "scheme": "sm", "modulation_order": 2})
+        tx = random_sm_transmission(layout, tx_layout)
+        # A sidecar carries the transmission's whole chain and its payload size.
+        sidecar = txchain.write_waveform(tmp_path / "cap", tx)
         assert sidecar == tmp_path / "cap_meta.json"
         assert (tmp_path / "cap_ant1.bin").exists()
         assert (tmp_path / "cap_ant2.bin").exists()
@@ -745,7 +725,7 @@ class TestWaveformIo:
         streams = captures.segment(0, captures.shape[1])
         assert meta["schema_version"] == txchain.SIDECAR_SCHEMA_VERSION
         assert meta["nt"] == 2
-        assert meta["note"] == "loopback"
+        assert meta["n_bits"] == chain.payload_bits == 2000
         assert meta["symbol_scale"] == tx.symbol_scale
         assert meta["sections"]["data"] == list(tx.sections["data"])
         assert meta["frame_layout"]["data_symbols_per_frame"] == 1000
@@ -766,8 +746,7 @@ class TestWaveformIo:
         whole row."""
         layout = txchain.FrameLayout()
         tx_layout = txchain.TransmissionLayout(n_frames=2, snr_block_symbols=5000)
-        tx = txchain.assemble_transmission(random_bpsk_frames(layout, tx_layout), layout,
-                                           tx_layout)
+        tx = random_sm_transmission(layout, tx_layout)
         txchain.write_waveform(tmp_path / "cap", tx)
         for t, row in enumerate(tx.samples):
             assert (tmp_path / f"cap_ant{t + 1}.bin").read_bytes() == \
@@ -868,11 +847,34 @@ class TestWaveformIo:
     def test_unknown_schema_rejected(self, tmp_path):
         layout = txchain.FrameLayout()
         tx_layout = txchain.TransmissionLayout(n_frames=1, snr_block_symbols=50)
-        tx = txchain.assemble_transmission(random_bpsk_frames(layout, tx_layout), layout,
-                                           tx_layout)
+        tx = random_sm_transmission(layout, tx_layout)
         sidecar = txchain.write_waveform(tmp_path / "cap", tx)
         meta = json.loads(sidecar.read_text())
         meta["schema_version"] = "0"
         sidecar.write_text(json.dumps(meta))
         with pytest.raises(ConfigurationError):
             txchain.read_sidecar(sidecar)
+
+
+def callers(name):
+    """{(module, top-level class or function)} of every call of ``name`` in the package."""
+    found = set()
+    for path in Path(txchain.__file__).parent.glob("*.py"):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and name == getattr(
+                        node.func, "attr", getattr(node.func, "id", None)):
+                    found.add((path.stem, getattr(top, "name", None)))
+    return found
+
+
+def test_one_transmission_builder_and_one_chain_check():
+    """A transmission is built only by ``build_transmission`` through
+    ``assemble_transmission``, and scheme, nt and order are checked only
+    where a link or chain is described (``Link``, ``Chain``, ``BoundConfig``)
+    and inside ``modem``: both ends of the chain take the checked ``Chain``."""
+    assert callers("TransmissionVector") == {("txchain", "assemble_transmission")}
+    assert callers("assemble_transmission") == {("txchain", "build_transmission")}
+    assert {scope for module, scope in callers("bits_per_vector") if module != "modem"} == {
+        "Link", "Chain", "BoundConfig"}
+    assert "assemble_transmission" not in txchain.__all__
