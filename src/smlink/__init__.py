@@ -4,10 +4,12 @@ modulation (SM) and spatial multiplexing (SMX) MIMO.
 Modules:
 
 * :mod:`smlink.modem`    -- bit mapping, constellations, ML detection.
+* :mod:`smlink.layout`   -- frame and transmission layouts, the ``Chain``.
 * :mod:`smlink.txchain`  -- frames, pulse shaping, transmission format.
 * :mod:`smlink.channel`  -- Rician/Rayleigh fading with power imbalance.
 * :mod:`smlink.rxchain`  -- sync, SNR/FO/channel estimation, demodulation.
 * :mod:`smlink.analysis` -- ABER union bound, Rice fitting.
+* :mod:`smlink.specfun`  -- the Rice fit's Bessel ratio and Poisson sums.
 * :mod:`smlink.harness`  -- Monte Carlo sweep (``run_simulation``, the one
   sweep entry for both fidelities), configs, CSV persistence.
 * :mod:`smlink.kernels`  -- chunked numpy ML detection kernels.

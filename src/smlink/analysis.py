@@ -21,7 +21,8 @@ from the moment estimate, inside a bisection bracket.
 
 The module needs numpy and the standard library only: the Q function
 uses ``math.erfc``, and the fit's Bessel ratio, noncentral chi-squared
-CDF and chi-squared tail are series and closed forms written here.
+CDF and chi-squared tail are series and closed forms written here and
+in :mod:`smlink.specfun`.
 """
 
 import functools
@@ -34,6 +35,7 @@ import numpy as np
 from . import channel as channel_mod
 from . import fileio, modem
 from .errors import ConfigurationError, DegenerateInputError, DimensionError
+from .specfun import bessel_ratio, chi2_sf, poisson_rows, poisson_width
 
 __all__ = [
     "BoundConfig",
@@ -313,54 +315,13 @@ def _rice_curve(k_db):
     return math.sqrt(k / (1.0 + k)), 0.5 / (1.0 + k)
 
 
-# Below this argument the Bessel ratio sums the power series of I0 and I1;
-# above it their Hankel expansions, whose terms at r = 25 fall below
-# _SUM_RTOL of the sum after 20 terms and would start to grow only after 50.
-_SERIES_LIMIT = 25.0
-_SUM_RTOL = 1e-17
-
-
-def _bessel_ratio(r):
-    """A(r) = I1(r) / I0(r), elementwise, for a float array r >= 0."""
-    out = np.empty_like(r)
-    small = r < _SERIES_LIMIT
-    out[small] = _bessel_ratio_series(r[small])
-    out[~small] = _bessel_ratio_hankel(r[~small])
-    return out
-
-
-def _bessel_ratio_series(r):
-    """A(r) from I0 = sum_k z^k / k!^2 and I1 = (r/2) sum_k z^k / (k! (k+1)!),
-    z = r^2 / 4 (Abramowitz & Stegun 9.6.10)."""
-    z = 0.25 * r * r
-    term = np.ones_like(r)
-    i0, i1 = term.copy(), term.copy()
-    k = 0
-    while (term > _SUM_RTOL * i0).any():
-        k += 1
-        term *= z / (k * k)
-        i0 += term
-        i1 += term / (k + 1)
-    return 0.5 * r * i1 / i0
-
-
-def _bessel_ratio_hankel(r):
-    """A(r) from the Hankel expansions I_nu(r) ~ e^r / sqrt(2 pi r) sum_k t_k,
-    t_k = t_{k-1} ((2k - 1)^2 - 4 nu^2) / (8 k r) (Abramowitz & Stegun 9.7.1),
-    whose common factor cancels in the ratio."""
-    y = 0.125 / r
-    t0 = np.ones_like(r)
-    t1, s0, s1 = t0.copy(), t0.copy(), t0.copy()
-    k = 0
-    # |t1| <= t0 and s1 <= s0, so this bounds both sums' last terms.
-    while (t0 > _SUM_RTOL * s1).any():
-        k += 1
-        odd = (2 * k - 1) ** 2
-        t0 *= odd / k * y
-        t1 *= (odd - 4) / k * y
-        s0 += t0
-        s1 += t1
-    return s1 / s0
+# Samples per chunk of the fit's score. The Bessel ratio's temporaries are
+# chunk-sized, so the score needs one sample-sized work array beyond the
+# samples. Each element goes through the same operations as in one pass
+# over all samples; a chunk's series stops on its own elements, and a term
+# the stopping rule drops is below 1e-17 of its sum, under half an ulp, so
+# it could not have changed the sum.
+_SCORE_CHUNK = 2**13
 
 
 def fit_rician(amplitude_samples, max_iterations=200):
@@ -400,6 +361,10 @@ def fit_rician(amplitude_samples, max_iterations=200):
     equal-probability classes of the fitted distribution, counted
     through its CDF. Raises :class:`ConfigurationError` unless
     ``max_iterations`` is an integer >= 1.
+
+    Memory: besides the samples, the fit holds about three sample-sized
+    float64 arrays at once; the score is evaluated in chunks of
+    ``_SCORE_CHUNK`` samples into the array that held u^2.
     """
     if not (isinstance(max_iterations, numbers.Integral) and not isinstance(max_iterations, bool)
             and max_iterations >= 1):
@@ -419,19 +384,6 @@ def fit_rician(amplitude_samples, max_iterations=200):
     # mean(u^4) - 1, as a variance: it does not cancel at large K.
     gamma = float(np.var(v) / np.mean(v) ** 2)
 
-    def score(k_db):
-        """s, ds/dK_dB = nu ln(10) / 10 * ((1 + nu^2) / (2 sigma^2) *
-        mean(u^2 A'(r)) - sigma^2) and nu, as c = nu / sigma^2 = 2 sqrt(K (1 + K))."""
-        nu, sigma_sq = _rice_curve(k_db)
-        c = nu / sigma_sq
-        r = u * c
-        ua = u * _bessel_ratio(r)
-        # u^2 A'(r). 1 - A/r - A^2 cancels as r grows; past r = 1e4 the series
-        # 1/(2 r^2) + 1/(4 r^3) is closer (7.5e-9 relative there, and falling).
-        v_slope = np.where(r < 1e4, v - ua * ua - ua / c, (0.5 + 0.25 / np.maximum(r, 1e4)) / c**2)
-        slope = (1.0 + nu * nu) / (2.0 * sigma_sq) * float(np.mean(v_slope)) - sigma_sq
-        return float(np.mean(ua)) - nu, nu * slope * math.log(10.0) / 10.0, nu
-
     k_db, evaluations, converged = float("-inf"), 0, True
     if gamma < 1.0:
         w = math.sqrt(1.0 - gamma)
@@ -440,7 +392,7 @@ def fit_rician(amplitude_samples, max_iterations=200):
         step, converged = hi - lo, False
         while evaluations < max_iterations and not converged:
             evaluations += 1
-            s, slope, nu = score(t)
+            s, slope, nu = _rice_score(u, v, t)  # v is its work array from here on
             lo, hi = (t, hi) if s > 0 else (lo, t)
             last, step = step, -s / slope if slope < 0 else math.inf
             # mean(u A) - nu rounds within a few ulps of nu (2.5 measured at
@@ -456,6 +408,7 @@ def fit_rician(amplitude_samples, max_iterations=200):
                                        "profile score cannot resolve it in double precision")
         if not (converged and t < _K_FLOOR_DB + stop):
             k_db = t
+    del v  # the GOF needs only u
     nu_unit, sigma_sq_unit = _rice_curve(k_db)
     sigma_unit = math.sqrt(sigma_sq_unit)
     return RicianFit(
@@ -467,6 +420,33 @@ def fit_rician(amplitude_samples, max_iterations=200):
         iterations=evaluations,
         converged=converged,
     )
+
+
+def _rice_score(u, work, k_db):
+    """The profile score of unit-RMS samples ``u`` at K dB: s, ds/dK_dB =
+    nu ln(10) / 10 * ((1 + nu^2) / (2 sigma^2) * mean(u^2 A'(r)) - sigma^2)
+    and nu, with r = u c and c = nu / sigma^2 = 2 sqrt(K (1 + K)).
+
+    Evaluated ``_SCORE_CHUNK`` samples at a time into ``work``, an array
+    like ``u`` whose contents it overwrites: it holds u A(r) for the first
+    mean, then u^2 A'(r) for the second, each mean taken over the whole
+    array.
+    """
+    nu, sigma_sq = _rice_curve(k_db)
+    c = nu / sigma_sq
+    chunks = [slice(lo, lo + _SCORE_CHUNK) for lo in range(0, u.size, _SCORE_CHUNK)]
+    for chunk in chunks:
+        work[chunk] = u[chunk] * bessel_ratio(u[chunk] * c)
+    mean_ua = float(np.mean(work))
+    for chunk in chunks:
+        x, ua = u[chunk], work[chunk]
+        r = x * c
+        # u^2 A'(r). 1 - A/r - A^2 cancels as r grows; past r = 1e4 the series
+        # 1/(2 r^2) + 1/(4 r^3) is closer (7.5e-9 relative there, and falling).
+        work[chunk] = np.where(r < 1e4, x * x - ua * ua - ua / c,
+                               (0.5 + 0.25 / np.maximum(r, 1e4)) / c**2)
+    slope = (1.0 + nu * nu) / (2.0 * sigma_sq) * float(np.mean(work)) - sigma_sq
+    return mean_ua - nu, nu * slope * math.log(10.0) / 10.0, nu
 
 
 def _rice_gof_p_value(x, nu, sigma):
@@ -481,13 +461,15 @@ def _rice_gof_p_value(x, nu, sigma):
     in log2(n) rounds of the CDF at one sample per level. Two parameters
     were estimated from the data, so the statistic has ``_GOF_BINS`` - 3
     degrees of freedom; the p-value is the closed-form chi-squared tail
-    ``_chi2_sf``.
+    ``chi2_sf``.
     """
     n = x.size
     cdf = _ncx2_cdf((nu / sigma) ** 2)
     levels = np.arange(1, _GOF_BINS) / _GOF_BINS
     lo, hi = np.zeros(levels.size, dtype=np.int64), np.full(levels.size, n)
-    y = np.sort((x / sigma) ** 2)
+    y = x / sigma  # squared and sorted in place: one sample-sized array
+    y *= y
+    y.sort()
     for _ in range(n.bit_length()):
         mid = (lo + hi) // 2
         below = cdf(y[np.minimum(mid, n - 1)]) < levels
@@ -495,7 +477,7 @@ def _rice_gof_p_value(x, nu, sigma):
     counts = np.diff(lo, prepend=0, append=n)
     expected = n / _GOF_BINS
     statistic = float(np.sum((counts - expected) ** 2) / expected)
-    return _chi2_sf(_GOF_BINS - 1 - 2, statistic)
+    return chi2_sf(_GOF_BINS - 1 - 2, statistic)
 
 
 def _ncx2_cdf(nc):
@@ -514,7 +496,7 @@ def _ncx2_cdf(nc):
     if nc > 1e6:
         shift = math.sqrt(nc) + 0.5 / math.sqrt(nc)
         return lambda y: q_function(shift - np.sqrt(y))
-    rows, starts = _poisson_rows(np.array([0.5 * nc]), _poisson_width(0.5 * nc))
+    rows, starts = poisson_rows(np.array([0.5 * nc]), poisson_width(0.5 * nc))
     lam_size, lam_start = rows.shape[1], starts[0]
     # P(Pois(nc/2) < i) at position i - lam_start.
     lam_below = np.concatenate(([0.0], np.cumsum(rows[0])))
@@ -523,71 +505,8 @@ def _ncx2_cdf(nc):
     def cdf(y):
         # y = 0 gives the point mass at 0, so F(0) = 0.
         h = np.minimum(0.5 * y, h_max)
-        rows, start = _poisson_rows(h, _poisson_width(h.max()))
+        rows, start = poisson_rows(h, poisson_width(h.max()))
         pos = start[:, None] - lam_start + np.arange(rows.shape[1])
         return (rows * lam_below[np.clip(pos, 0, lam_size)]).sum(axis=1)
 
     return cdf
-
-
-def _chi2_sf(dof, x):
-    """P(chi^2_dof > x) for an integer dof >= 1 (Abramowitz & Stegun 26.4.4-5).
-
-    With h = x/2, an even dof gives e^-h sum_{k < dof/2} h^k / k! and an
-    odd dof erfc(sqrt(h)) + e^-h sum_{k < (dof-1)/2} h^(k+1/2) / Gamma(k+3/2).
-    """
-    if x <= 0.0:
-        return 1.0
-    h = 0.5 * x
-    if dof % 2 == 0:
-        return _poisson_sum(0.0, dof // 2, h)
-    return math.erfc(math.sqrt(h)) + _poisson_sum(0.5, dof // 2, h)
-
-
-def _poisson_sum(a, count, h):
-    """e^-h sum_{k < count} h^(a+k) / Gamma(a+k+1), for h > 0.
-
-    Summed outward from the largest term, k = floor(h - a) clipped to the
-    range, with each term the last times a ratio, so nothing overflows.
-    """
-    if count == 0:
-        return 0.0
-    top = min(max(math.floor(h - a), 0), count - 1)
-    total = term = 1.0
-    for k in range(top, 0, -1):
-        term *= (a + k) / h
-        total += term
-        if term < _SUM_RTOL * total:
-            break
-    term = 1.0
-    for k in range(top + 1, count):
-        term *= h / (a + k)
-        total += term
-        if term < _SUM_RTOL * total:
-            break
-    return math.exp((a + top) * math.log(h) - h - math.lgamma(a + top + 1.0)) * total
-
-
-def _poisson_rows(mean, width):
-    """Poisson(mean) pmfs, one row per entry of ``mean`` >= 0, on the indices
-    floor(mean) - width .. floor(mean) + width; returns them and each row's
-    first index. Each row is built by the pmf's ratio recurrences outward
-    from the mode and normalised to sum 1, which holds all but about 1e-20
-    of the mass for the widths used here; entries at negative indices are 0,
-    so a zero mean gives the point mass at 0.
-    """
-    mode = np.floor(mean)[:, None]
-    mu = mean[:, None]
-    steps = np.arange(1, width + 1)
-    up = np.cumprod(mu / (mode + steps), axis=1)
-    # P(i - 1) / P(i) = i / mean, which is 0 from i = 0 down.
-    index = mode - steps + 1.0
-    down = np.cumprod(np.divide(index, mu, out=np.zeros_like(index), where=index > 0), axis=1)
-    rows = np.concatenate([down[:, ::-1], np.ones_like(mu), up], axis=1)
-    rows /= rows.sum(axis=1, keepdims=True)
-    return rows, mode[:, 0].astype(np.int64) - width
-
-
-def _poisson_width(mean):
-    """Half-width of a window that holds a Poisson(mean) law to about 1e-20."""
-    return math.ceil(10.0 * math.sqrt(mean)) + 10

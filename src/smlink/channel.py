@@ -237,8 +237,8 @@ def propagate_waveform(samples, h, fo_cycles_per_sample=0.0, noise_var=0.0, rng=
     """Mix per-antenna sample streams through a flat channel.
 
     ``samples`` is an (nt, n_samples) array, or a block source with a
-    ``shape`` (nt, n_samples) and a ``segment(start, stop)`` that builds
-    those samples (``txchain.TransmissionVector``). The (nr, n_samples)
+    ``shape`` (nt, n_samples) and a ``segment(start, stop, out=None)`` that
+    builds those samples (``txchain.TransmissionVector``). The (nr, n_samples)
     output is (H @ samples) rotated by exp(2j*pi*fo*k) -- a constant
     carrier frequency offset in cycles per sample, within [-0.5, 0.5] --
     plus complex AWGN of total variance ``noise_var`` per sample, which
@@ -250,14 +250,46 @@ def propagate_waveform(samples, h, fo_cycles_per_sample=0.0, noise_var=0.0, rng=
     return ReceivedWaveform(samples, h, fo_cycles_per_sample, noise_var, rng)
 
 
+def segment_buffer(out, shape, dtype):
+    """The array a block source's ``segment(start, stop, out)`` fills: a new
+    one of ``shape`` and ``dtype`` when ``out`` is None, else ``out`` itself,
+    which must be an array of exactly that shape and dtype
+    (:class:`DimensionError` otherwise)."""
+    if out is None:
+        return np.empty(shape, dtype=dtype)
+    if not (isinstance(out, np.ndarray) and out.shape == shape and out.dtype == dtype):
+        raise DimensionError(f"segment output must be a {np.dtype(dtype)} array of shape {shape}, "
+                             f"got {getattr(out, 'dtype', type(out).__name__)} "
+                             f"{getattr(out, 'shape', '')}")
+    return out
+
+
+def buffer_prefix(buffer, k):
+    """The first rows * k entries of a C-contiguous (rows, width) ``buffer``,
+    as a contiguous (rows, k) array: the ``out`` a reader that holds one
+    buffer passes for a run of k <= width samples."""
+    rows = buffer.shape[0]
+    return buffer.reshape(-1)[: rows * k].reshape(rows, k)
+
+
 def segment_reader(samples):
-    """``(segment, shape)`` of a block source, or of an array (a 1-D one is
-    one stream) read through slices: ``segment(start, stop)`` gives samples
-    ``start`` to ``stop`` of every stream."""
+    """``(segment, shape, dtype)`` of a block source, or of an array (a 1-D
+    one is one stream) read through slices: ``segment(start, stop, out=None)``
+    gives samples ``start`` to ``stop`` of every stream, written into ``out``
+    when one is given (:func:`segment_buffer`). A source without a ``dtype``
+    is taken to give complex128 samples."""
     if hasattr(samples, "segment"):
-        return samples.segment, samples.shape
+        return samples.segment, samples.shape, np.dtype(getattr(samples, "dtype", np.complex128))
     y = np.atleast_2d(np.asarray(samples))
-    return (lambda start, stop: y[:, start:stop]), y.shape
+
+    def segment(start, stop, out=None):
+        if out is None:
+            return y[:, start:stop]
+        out = segment_buffer(out, (y.shape[0], stop - start), y.dtype)
+        out[...] = y[:, start:stop]
+        return out
+
+    return segment, y.shape, y.dtype
 
 
 class ReceivedWaveform:
@@ -276,20 +308,24 @@ class ReceivedWaveform:
     previous one by less than a block (a filter tail) draws nothing
     twice; a forward read in stream order draws every normal exactly
     once. Other blocks that lie wholly inside a read are built straight
-    into its output.
+    into its output. A block's input lives only until H has mixed it, so
+    it is gone before the block's noise is drawn. The output is complex128
+    whatever the input and channel types, since the ramp and the noise are
+    complex.
     """
+
+    dtype = np.dtype(np.complex128)
 
     def __init__(self, samples, h, fo_cycles_per_sample=0.0, noise_var=0.0, rng=None):
         source = samples if hasattr(samples, "segment") else np.asarray(samples)
         if len(source.shape) != 2 or source.shape[0] != h.shape[1]:
             raise DimensionError("sample block must be (nt, n_samples) matching H")
-        self._input, (_, n) = segment_reader(source)
+        self._input, (_, n), _ = segment_reader(source)
         check_offset(fo_cycles_per_sample)
         check_noise_var(noise_var)
         if noise_var > 0 and rng is None:
             raise ConfigurationError("rng is required when noise_var > 0")
         self.shape = (h.shape[0], n)
-        self.dtype = np.result_type(h, self._input(0, 0))
         self._h, self._fo, self._noise_var, self._rng = h, fo_cycles_per_sample, noise_var, rng
         if fo_cycles_per_sample != 0.0:
             self._outer, self._inner = _ramp_factors(fo_cycles_per_sample, n)
@@ -303,12 +339,13 @@ class ReceivedWaveform:
     def size(self):
         return self.shape[0] * self.shape[1]
 
-    def segment(self, start, stop):
-        """Samples ``start`` to ``stop`` of every receive stream, a new (nr, stop - start) array."""
+    def segment(self, start, stop, out=None):
+        """Samples ``start`` to ``stop`` of every receive stream, written into
+        ``out`` (:func:`segment_buffer`) or a new (nr, stop - start) array."""
         nr, n = self.shape
         if not 0 <= start <= stop <= n:
             raise DimensionError(f"segment [{start}, {stop}) outside the {n}-sample output")
-        out = np.empty((nr, stop - start), dtype=self.dtype)
+        out = segment_buffer(out, (nr, stop - start), self.dtype)
         first, last = start // self._block, -(-stop // self._block) - 1
         for k in range(first, last + 1):
             a, b = k * self._block, min((k + 1) * self._block, n)

@@ -31,14 +31,14 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import modem
-from .channel import SAMPLE_BLOCK, carrier_ramp, segment_reader
+from .channel import SAMPLE_BLOCK, buffer_prefix, carrier_ramp, segment_reader
 from .errors import (
     ConfigurationError,
     DegenerateInputError,
     DimensionError,
     SyncRejection,
 )
-from .txchain import pilot_matrix, rrc_taps
+from .txchain import Chain, pilot_matrix, rrc_taps
 
 __all__ = [
     "SyncResult",
@@ -99,10 +99,10 @@ def detect_sync(capture, pulse_period_samples, n_pulses, fit_samples):
 
     ``capture`` is the (nr, n) received streams, as an array (a 1-D one
     is one antenna) or as a block source with a ``shape`` and a
-    ``segment(start, stop)``. With m the antenna-combined magnitude
-    sqrt(sum_r |y_r|^2) and P the pulse period, the transmission start is
-    the k in [0, n - ``fit_samples``] (the starts where a
-    ``fit_samples``-long transmission fits) that maximises
+    ``segment(start, stop, out=None)``. With m the antenna-combined
+    magnitude sqrt(sum_r |y_r|^2) and P the pulse period, the
+    transmission start is the k in [0, n - ``fit_samples``] (the starts
+    where a ``fit_samples``-long transmission fits) that maximises
     sum_i (m[k + i P] - m[k + i P + P//2]) over the ``n_pulses`` teeth;
     the mid-gap term cancels constant sounding blocks. Starts are
     searched one ``SAMPLE_BLOCK`` at a time, so no sample past
@@ -111,13 +111,15 @@ def detect_sync(capture, pulse_period_samples, n_pulses, fit_samples):
     mid-gap sample; otherwise, or when the capture is too short,
     :class:`SyncRejection` is raised. A NaN or infinite sample in the
     searched head, or one whose power overflows, raises
-    :class:`DegenerateInputError`; fewer than one pulse, or a period too
-    short to hold a mid-gap sample (below 2), :class:`ConfigurationError`.
+    :class:`DegenerateInputError`; fewer than one pulse, a period too
+    short to hold a mid-gap sample (below 2), a negative ``fit_samples``,
+    or a count that is not an integer (a bool or a float),
+    :class:`ConfigurationError`.
     """
-    if n_pulses < 1 or pulse_period_samples < 2:
-        raise ConfigurationError(f"sync needs n_pulses >= 1 and a pulse period >= 2, "
-                                 f"got {n_pulses} and {pulse_period_samples}")
-    segment, (_, n) = segment_reader(capture)
+    _check_count("pulse_period_samples", pulse_period_samples, 2)
+    _check_count("n_pulses", n_pulses)
+    _check_count("fit_samples", fit_samples, 0)
+    segment, (_, n), _ = segment_reader(capture)
     period, half = pulse_period_samples, pulse_period_samples // 2
     reach = (n_pulses - 1) * period + half  # the comb's last sample past its start
     n_starts = n - max(fit_samples, reach + 1) + 1
@@ -158,7 +160,7 @@ def estimate_snr(snr_section, nt, n_blocks, block_len_samples):
     """On/off power-difference SNR estimate over the sounding section.
 
     ``snr_section`` is (nr, n_samples), an array or a block source with a
-    ``shape`` and a ``segment(start, stop)``, laid out as ``nt``
+    ``shape`` and a ``segment(start, stop, out=None)``, laid out as ``nt``
     sequential per-antenna runs of ``n_blocks`` alternating on/off
     blocks. Per block, the off block's mean (per receive antenna) is
     removed from both blocks, so a receive DC offset cancels: signal
@@ -166,36 +168,38 @@ def estimate_snr(snr_section, nt, n_blocks, block_len_samples):
     receive antennas; the noise variance is the per-component variance
     of the off samples; their ratio (divided by nr) is one raw estimate.
     Estimates are averaged in the linear domain over all blocks and
-    antennas. Each block is read one ``SAMPLE_BLOCK`` segment at a time:
-    per receive row, each segment's mean and energy about that mean (one
-    BLAS dot product) are merged into the block's by the pairwise update
-    of Chan, Golub & LeVeque (Am. Stat. 1983), and the on block's energy
-    about the off block's mean is its own plus n |mean_on - mean_off|^2.
+    antennas. Each block is read one ``SAMPLE_BLOCK`` segment at a time,
+    into one buffer: per receive row, each segment's mean and energy
+    about that mean (one BLAS dot product) are merged into the block's
+    by the pairwise update of Chan, Golub & LeVeque (Am. Stat. 1983),
+    and the on block's energy about the off block's mean is its own plus
+    n |mean_on - mean_off|^2.
     So no block-sized array is formed, and no one-pass sum of x and
     |x|^2, which cancels under a large receive DC, is taken. A pair whose
     blocks are both silent (an all-zero section included) raises
     :class:`DegenerateInputError`, as does a NaN or infinite sample or
     one whose power overflows. A section with no receive row raises
     :class:`DimensionError`, and ``nt``, ``n_blocks`` or
-    ``block_len_samples`` below 1 :class:`ConfigurationError`.
+    ``block_len_samples`` that is not an integer >= 1 (a bool or a float
+    included) :class:`ConfigurationError`.
     """
-    segment, (nr, n) = segment_reader(snr_section)
+    segment, (nr, n), dtype = segment_reader(snr_section)
     if nr < 1:
         raise DimensionError("SNR section has no receive row")
-    if min(nt, n_blocks, block_len_samples) < 1:
-        raise ConfigurationError(
-            f"SNR section needs nt, n_blocks and block_len_samples >= 1, "
-            f"got {nt}, {n_blocks} and {block_len_samples}")
+    _check_count("nt", nt)
+    _check_count("n_blocks", n_blocks)
+    _check_count("block_len_samples", block_len_samples)
     block = block_len_samples
     need = nt * n_blocks * 2 * block
     if n < need:
         raise DimensionError(f"SNR section has {n} samples, layout wants {need}")
+    buffer = np.empty((nr, min(SAMPLE_BLOCK, block)), dtype=dtype)
     raw = np.empty((nt, n_blocks))
     for t in range(nt):
         for b in range(n_blocks):
             a = 2 * block * (t * n_blocks + b)
-            on_mean, on_energy = _block_moments(segment, a, a + block)
-            dc, off_energy = _block_moments(segment, a + block, a + 2 * block)
+            on_mean, on_energy = _block_moments(segment, a, a + block, buffer)
+            dc, off_energy = _block_moments(segment, a + block, a + 2 * block, buffer)
             raw[t, b] = _on_off_estimate(
                 on_energy + block * np.abs(on_mean - dc) ** 2, off_energy, block)
     mean = float(np.mean(raw))
@@ -206,15 +210,16 @@ def estimate_snr(snr_section, nt, n_blocks, block_len_samples):
     )
 
 
-def _block_moments(segment, start, stop):
+def _block_moments(segment, start, stop, buffer):
     """Per receive row, the mean of samples ``start`` to ``stop`` and their
-    energy about it, read and merged one ``SAMPLE_BLOCK`` at a time."""
+    energy about it, read into ``buffer``, (nr, min(SAMPLE_BLOCK, stop -
+    start)), and merged one ``SAMPLE_BLOCK`` at a time."""
     count, mean, energy = 0, 0.0, 0.0
     for a in range(start, stop, SAMPLE_BLOCK):
-        x = segment(a, min(a + SAMPLE_BLOCK, stop))
-        k, seg_mean = x.shape[1], x.mean(axis=1)
+        k = min(SAMPLE_BLOCK, stop - a)
+        x = segment(a, a + k, out=buffer_prefix(buffer, k))
+        seg_mean = x.mean(axis=1)
         seg_energy = np.array([_energy_about(row, m) for row, m in zip(x, seg_mean)])
-        del x  # freed before the next segment is read
         delta = seg_mean - mean
         total = count + k
         mean = mean + delta * (k / total)
@@ -252,10 +257,10 @@ def matched_filter_downsample(samples, taps, upsample_factor, n_symbols=None):
     convolution with ``taps`` at sample k*upsample_factor + len(taps)-1,
     which compensates the combined transmit+receive group delay. Streams
     are zero-extended past their end, as in the full convolution. An
-    ``upsample_factor`` that is not an integer >= 1 raises
-    :class:`ConfigurationError`.
+    ``upsample_factor`` that is not an integer >= 1 (a bool or a float
+    included) raises :class:`ConfigurationError`.
     """
-    _check_upsample_factor(upsample_factor)
+    _check_count("upsample_factor", upsample_factor)
     y = np.atleast_2d(np.asarray(samples, dtype=np.complex128))
     n_taps = len(taps)
     if y.shape[-1] < n_taps:
@@ -269,10 +274,10 @@ def matched_filter_downsample(samples, taps, upsample_factor, n_symbols=None):
     return windows[..., :n_out, :] @ np.asarray(taps, dtype=np.complex128)[::-1]
 
 
-def _check_upsample_factor(upsample_factor):
-    if not (isinstance(upsample_factor, Integral) and upsample_factor >= 1):
-        raise ConfigurationError(
-            f"upsample_factor must be an integer >= 1, got {upsample_factor!r}")
+def _check_count(name, value, minimum=1):
+    """:class:`ConfigurationError` unless ``value`` is an integer (not a bool) >= ``minimum``."""
+    if not (isinstance(value, Integral) and not isinstance(value, bool) and value >= minimum):
+        raise ConfigurationError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
 def estimate_fo(preamble):
@@ -333,12 +338,11 @@ def pulse_gain_compensation(taps, upsample_factor, n_theta, nt):
     ``n_theta`` the whole response collapses to one complex gain per
     antenna: G_t = sum_d g(d) exp(-2j*pi*t*d/n_theta). The receive chain
     derotates before filtering, so this holds at any carrier offset.
-    An ``upsample_factor`` or ``n_theta`` that is not an integer >= 1
-    raises :class:`ConfigurationError`.
+    An ``upsample_factor`` or ``n_theta`` that is not an integer >= 1 (a
+    bool or a float included) raises :class:`ConfigurationError`.
     """
-    _check_upsample_factor(upsample_factor)
-    if not (isinstance(n_theta, Integral) and n_theta >= 1):
-        raise ConfigurationError(f"n_theta must be an integer >= 1, got {n_theta!r}")
+    _check_count("upsample_factor", upsample_factor)
+    _check_count("n_theta", n_theta)
     taps = np.asarray(taps)
     gtil = np.convolve(taps, taps)
     center = len(taps) - 1
@@ -369,8 +373,11 @@ def ls_channel_estimate(pilot_block, pilots, gain=None):
         raise DimensionError(f"pilots must be a non-empty (n_theta, nt) matrix, "
                              f"got shape {theta.shape}")
     n_theta, nt = theta.shape
-    gram = theta.conj().T @ theta
-    if not np.allclose(gram, n_theta * np.eye(nt), atol=1e-9 * n_theta):
+    # np.allclose's test at atol = 1e-9 n_theta and rtol = 1e-5, without its
+    # overhead; a NaN entry fails it.
+    target = n_theta * np.eye(nt)
+    if not (np.abs(theta.conj().T @ theta - target)
+            <= 1e-9 * n_theta + 1e-5 * np.abs(target)).all():
         raise ConfigurationError("pilot columns must be orthogonal")
     y = np.atleast_2d(np.asarray(pilot_block))
     n_seq, rest = divmod(y.shape[-1], n_theta)
@@ -413,20 +420,21 @@ def decode_transmission(rx_samples, chain, symbol_scale=None):
     ``chain`` on the (nr, n) captured streams.
 
     ``rx_samples`` is an array or a block source with a ``shape`` and a
-    ``segment(start, stop)`` (:class:`smlink.channel.ReceivedWaveform`,
+    ``segment(start, stop, out=None)`` that fills a complex128 ``out``
+    (:class:`smlink.channel.ReceivedWaveform`,
     :class:`smlink.txchain.CaptureFiles`); an array is read through
     slices. The capture is read in stream order, in segments: the head
     that :func:`detect_sync` searches, the sounding section one
     ``SAMPLE_BLOCK`` segment at a time (:func:`estimate_snr`), then the
     frames a block of about ``SAMPLE_BLOCK`` samples at a time, each block
-    with the filter's reach past it. Per block of frames, each frame's
-    offset is estimated from the matched-filtered ``fo_window()`` symbols
-    of its preamble (of ``chain.frame_layout``); each frame and the
-    filter's reach past it is derotated at its offset, phase referenced
-    to the transmission start, and matched-filtered; each frame's two
-    channel estimates average the ``pilot_window()`` sequences of its two
-    pilot signals, and its data is detected. So no array the length of
-    the capture, or of its data section, is formed.
+    with the filter's reach past it, into one buffer. Per block of frames,
+    each frame's offset is estimated from the matched-filtered
+    ``fo_window()`` symbols of its preamble (of ``chain.frame_layout``);
+    each frame and the filter's reach past it is derotated at its offset,
+    phase referenced to the transmission start, and matched-filtered;
+    each frame's two channel estimates average the ``pilot_window()``
+    sequences of its two pilot signals, and its data is detected. So no
+    array the length of the capture, or of its data section, is formed.
 
     Returns a :class:`DecodeResult`. Raises :class:`SyncRejection` when
     the capture cannot hold the transmission or :func:`detect_sync` finds
@@ -439,9 +447,12 @@ def decode_transmission(rx_samples, chain, symbol_scale=None):
     ``symbol_scale``, when given (from the transmission sidecar),
     converts the reported channel estimates to the true channel's
     amplitude scale (0 leaves them unscaled); detection is unaffected.
-    One that is not None or a finite real number >= 0 (a bool is none)
-    raises :class:`ConfigurationError` before any sample is read.
+    One that is not None or a finite real number >= 0 (a bool is none),
+    or a ``chain`` that is not a ``Chain``, raises
+    :class:`ConfigurationError` before any sample is read.
     """
+    if not isinstance(chain, Chain):
+        raise ConfigurationError(f"chain must be a txchain.Chain, got {type(chain).__name__}")
     if symbol_scale is not None and (isinstance(symbol_scale, bool) or not (
             isinstance(symbol_scale, Real) and 0 <= symbol_scale < np.inf)):
         raise ConfigurationError(
@@ -476,11 +487,13 @@ def decode_transmission(rx_samples, chain, symbol_scale=None):
     bits = np.empty(n_frames * frame_bits, dtype=np.uint8)
     fo_per_frame = np.empty(n_frames)
     estimates = np.empty((n_frames, 2, nr, nt), dtype=np.complex128)
+    buffer = np.empty((nr, min(per_block, n_frames) * f_len + len(taps) - 1), dtype=capture.dtype)
     for first in range(0, n_frames, per_block):
         count = min(per_block, n_frames - first)
         these = slice(first, first + count)
         a = data_offset + first * f_len  # from the transmission start
-        block = capture.segment(start + a, start + a + count * f_len + len(taps) - 1)
+        length = count * f_len + len(taps) - 1
+        block = capture.segment(start + a, start + a + length, out=buffer_prefix(buffer, length))
         frames = block[:, : count * f_len].reshape(nr, count, f_len)
         preamble = matched_filter_downsample(
             frames[..., fo.start * u : (fo.stop - 1) * u + len(taps)], taps, u, fo.stop - fo.start)
@@ -497,6 +510,7 @@ def decode_transmission(rx_samples, chain, symbol_scale=None):
         detected = demodulate_frame(by_frame[..., sections["data"]].transpose(0, 2, 1),
                                     estimates[these], chain.scheme, constellation)
         bits[first * frame_bits : (first + count) * frame_bits] = modem.indices_to_bits(detected, m)
+        del preamble, by_frame, pilot_signals, detected  # freed before the next block is read
     capture.screen_to(n)
     return DecodeResult(
         bits=bits,
@@ -509,27 +523,34 @@ def decode_transmission(rx_samples, chain, symbol_scale=None):
 
 
 class _ScreenedCapture:
-    """A capture read through ``segment(start, stop)``, each segment as complex
-    samples screened by one BLAS dot product per row, which allocates nothing;
-    ``read_to`` is the end of the furthest segment read."""
+    """A capture read through ``segment(start, stop, out=None)``, each segment
+    as complex samples screened by one BLAS dot product per row, which
+    allocates nothing; ``read_to`` is the end of the furthest segment read.
+    A given ``out`` goes to the capture's own source, which fills it."""
+
+    dtype = np.dtype(np.complex128)
 
     def __init__(self, rx_samples):
         if not hasattr(rx_samples, "segment"):
             rx_samples = np.asarray(rx_samples, dtype=np.complex128)
-        self._segment, self.shape = segment_reader(rx_samples)
+        self._segment, self.shape, _ = segment_reader(rx_samples)
         self.read_to = 0
 
-    def segment(self, start, stop):
-        x = np.asarray(self._segment(start, stop), dtype=np.complex128)
+    def segment(self, start, stop, out=None):
+        x = np.asarray(self._segment(start, stop, out=out), dtype=np.complex128)
         if not all(np.isfinite(np.vdot(row, row)) for row in x):
             raise DegenerateInputError("capture holds NaN, infinite or overflowing samples")
         self.read_to = max(self.read_to, stop)
         return x
 
     def screen_to(self, stop):
-        """Read and screen the samples from ``read_to`` up to ``stop``, a block at a time."""
+        """Read and screen the samples from ``read_to`` up to ``stop``, a block
+        at a time, into one buffer."""
+        buffer = np.empty((self.shape[0], min(SAMPLE_BLOCK, max(stop - self.read_to, 0))),
+                          dtype=self.dtype)
         for a in range(self.read_to, stop, SAMPLE_BLOCK):
-            self.segment(a, min(a + SAMPLE_BLOCK, stop))
+            k = min(SAMPLE_BLOCK, stop - a)
+            self.segment(a, a + k, out=buffer_prefix(buffer, k))
 
 
 @dataclass(frozen=True)
@@ -539,6 +560,7 @@ class _Section:
     capture: _ScreenedCapture
     start: int
     length: int
+    dtype = _ScreenedCapture.dtype
 
     @property
     def shape(self):
@@ -548,5 +570,5 @@ class _Section:
     def size(self):
         return self.capture.shape[0] * self.length
 
-    def segment(self, start, stop):
-        return self.capture.segment(self.start + start, self.start + stop)
+    def segment(self, start, stop, out=None):
+        return self.capture.segment(self.start + start, self.start + stop, out=out)

@@ -32,6 +32,7 @@ seek, so the receiver never holds a capture-length array either.
 """
 
 import contextlib
+import functools
 import json
 import os
 from dataclasses import asdict, dataclass, fields
@@ -40,9 +41,21 @@ from pathlib import Path
 import numpy as np
 
 from . import modem
-from .channel import SAMPLE_BLOCK, segment_reader
+from .channel import SAMPLE_BLOCK, buffer_prefix, segment_buffer, segment_reader
 from .errors import ConfigurationError, DimensionError, FramingError, RangeError
-from .fileio import build, check_field_types, read_json
+from .fileio import build, read_json
+# The layouts, the Chain and the pilots live in smlink.layout; exported here too.
+from .layout import (
+    FO_EDGE_MARGIN,
+    FULL_SCALE,
+    Chain,
+    FrameLayout,
+    TransmissionLayout,
+    check_filter,
+    check_frame_duration,
+    pilot_matrix,
+    pilot_sequence,
+)
 
 __all__ = [
     "FrameLayout",
@@ -64,179 +77,33 @@ __all__ = [
     "read_sidecar",
 ]
 
-FULL_SCALE = 32767
-# Offset preamble symbols the offset estimate leaves out at each end, where the
-# filter memory mixes in the neighbouring pilot and data symbols; it needs 2 more.
-FO_EDGE_MARGIN = 12
+# Samples per run of the shaping convolution: a quarter block keeps the
+# zero-stuffed row and its convolution to about 128 KiB each.
+_SHAPE_RUN = SAMPLE_BLOCK // 4
 SIDECAR_SCHEMA_VERSION = "1"
-_COHERENCE_LIMIT_S = 7e-3
-
-
-def _check_filter(num_taps, rolloff, upsample_factor):
-    if num_taps < 2:
-        raise ConfigurationError("need at least 2 filter taps")
-    if not 0.0 < rolloff <= 1.0:
-        raise ConfigurationError("roll-off must be in (0, 1]")
-    # The shaped band reaches (1 + rolloff) / 2 cycles per symbol: one
-    # sample per symbol aliases it, and a noiseless round trip fails.
-    if upsample_factor < 2:
-        raise ConfigurationError("upsample factor must be >= 2")
-
-
-@dataclass(frozen=True)
-class FrameLayout:
-    """Symbol-domain frame sectioning and shaping parameters."""
-
-    zero_pad_len: int = 50
-    pilot_sequences_per_signal: int = 10
-    pilot_seq_len: int = 10
-    fo_seq_len: int = 1000
-    data_symbols_per_frame: int = 1000
-    upsample_factor: int = 4
-    rrc_num_taps: int = 40
-    rrc_rolloff: float = 0.75
-
-    def __post_init__(self):
-        check_field_types(self)
-        if min(self.zero_pad_len, self.fo_seq_len, self.data_symbols_per_frame) < 0:
-            raise ConfigurationError("section lengths must be nonnegative")
-        if self.pilot_sequences_per_signal < 1 or self.pilot_seq_len < 1:
-            raise ConfigurationError("pilot signal needs at least one sequence")
-        if self.fo_seq_len < 2 * FO_EDGE_MARGIN + 2:
-            raise ConfigurationError(
-                f"offset preamble needs {2 * FO_EDGE_MARGIN + 2} or more symbols, "
-                f"got fo_seq_len={self.fo_seq_len}")
-        _check_filter(self.rrc_num_taps, self.rrc_rolloff, self.upsample_factor)
-
-    @property
-    def pilot_signal_len(self):
-        return self.pilot_sequences_per_signal * self.pilot_seq_len
-
-    def pilot_signal(self, nt):
-        """The (nt, pilot_signal_len) pilot signal, each antenna's sequence repeated;
-        raises :class:`ConfigurationError` if ``pilot_seq_len`` < nt."""
-        return np.tile(pilot_matrix(nt, self.pilot_seq_len).T, (1, self.pilot_sequences_per_signal))
-
-    def pilot_window(self):
-        """The symbols of a pilot signal the LS estimate averages: with 3 or more sequences
-        the interior ones, as filter memory mixes the neighbouring sections into the outer two."""
-        edge = self.pilot_seq_len if self.pilot_sequences_per_signal >= 3 else 0
-        return slice(edge, self.pilot_signal_len - edge)
-
-    def fo_window(self):
-        """The symbols of a frame the offset estimate reads: the ``fo`` section less
-        ``FO_EDGE_MARGIN`` at each end, where filter memory mixes in its neighbours."""
-        fo = self.sections()["fo"]
-        return slice(fo.start + FO_EDGE_MARGIN, fo.stop - FO_EDGE_MARGIN)
-
-    @property
-    def frame_symbols(self):
-        """Symbols per antenna: zeros | pilot | FO | data | pilot | zeros."""
-        return (
-            2 * self.zero_pad_len
-            + 2 * self.pilot_signal_len
-            + self.fo_seq_len
-            + self.data_symbols_per_frame
-        )
-
-    def sections(self):
-        """Symbol-index slices of each frame section."""
-        z, p = self.zero_pad_len, self.pilot_signal_len
-        f, d = self.fo_seq_len, self.data_symbols_per_frame
-        bounds = np.cumsum([0, z, p, f, d, p, z])
-        names = ("zeros_head", "pilot_first", "fo", "data", "pilot_second", "zeros_tail")
-        return {n: slice(int(a), int(b)) for n, a, b in zip(names, bounds, bounds[1:])}
-
-
-@dataclass(frozen=True)
-class TransmissionLayout:
-    """Sample-domain transmission sectioning."""
-
-    n_frames: int = 50
-    sync_pulses: int = 20
-    sync_gap_symbols: int = 50
-    snr_blocks: int = 5
-    snr_block_symbols: int = 50_000
-    power_factor: float = 2896 / FULL_SCALE
-    sample_rate: float = 10e6
-
-    def __post_init__(self):
-        check_field_types(self)
-        if self.n_frames < 1:
-            raise ConfigurationError("need at least one frame")
-        if self.sync_pulses < 1 or self.sync_gap_symbols < 1:
-            raise ConfigurationError("sync section needs pulses and gaps")
-        if self.snr_blocks < 1 or self.snr_block_symbols < 1:
-            raise ConfigurationError("SNR section needs at least one on/off block")
-        if not 0 <= self.power_factor < np.inf:
-            raise ConfigurationError(
-                f"power_factor must be finite and >= 0, got {self.power_factor!r}")
-        if not 0 < self.sample_rate < np.inf:
-            raise ConfigurationError(
-                f"sample_rate must be finite and positive, got {self.sample_rate!r}")
-
-    def sections(self, nt, frame_layout):
-        """Sample map of an ``nt``-antenna transmission of ``frame_layout`` frames:
-        ``({name: (start, length)}, pulse period)`` for the sync, snr and data
-        sections, the data section with the filter tail."""
-        u = frame_layout.upsample_factor
-        period = (1 + self.sync_gap_symbols) * u
-        sync = self.sync_pulses * period
-        snr = nt * 2 * self.snr_blocks * self.snr_block_symbols * u
-        data = self.n_frames * frame_layout.frame_symbols * u + frame_layout.rrc_num_taps - 1
-        return {"sync": (0, sync), "snr": (sync, snr), "data": (sync + snr, data)}, period
-
-
-@dataclass(frozen=True)
-class Chain:
-    """One transmit chain, whose fields are the keys of an ``smlink encode`` config
-    and the chain keys of the sidecar it writes. Construction refuses a field of
-    the wrong type and what :func:`modem.bits_per_vector` refuses; both ends of
-    the link take the chain whole (:func:`build_transmission`,
-    :func:`smlink.rxchain.decode_transmission`)."""
-
-    scheme: str
-    nt: int
-    modulation_order: int
-    frame_layout: FrameLayout = FrameLayout()
-    transmission_layout: TransmissionLayout = TransmissionLayout()
-
-    def __post_init__(self):
-        check_field_types(self)
-        self.bits_per_vector
-
-    @property
-    def bits_per_vector(self):
-        return modem.bits_per_vector(self.scheme, self.nt, self.modulation_order)
-
-    @property
-    def payload_bits(self):
-        """Bits one transmission carries: ``n_frames`` frames of
-        ``data_symbols_per_frame`` vectors of ``bits_per_vector`` bits."""
-        return (self.bits_per_vector * self.frame_layout.data_symbols_per_frame
-                * self.transmission_layout.n_frames)
 
 
 @dataclass(frozen=True)
 class _FrameStream:
     """The (nt, n_frames * frame_symbols) frame stream of a payload, as a block source.
 
-    ``segment(start, stop)`` modulates (:func:`modem.modulate`) and frames
-    (:func:`build_frame`) only the frames the run touches; modulation and
-    framing act symbol by symbol, so each run equals the same slice of
-    the whole stream.
+    ``segment(start, stop, out=None)`` modulates (:func:`modem.modulate`)
+    and frames (:func:`build_frame`) only the frames the run touches;
+    modulation and framing act symbol by symbol, so each run equals the
+    same slice of the whole stream.
     """
 
     bits: np.ndarray
     chain: Chain
     constellation: modem.Constellation
+    dtype = np.dtype(np.complex128)
 
     @property
     def shape(self):
         chain = self.chain
         return chain.nt, chain.transmission_layout.n_frames * chain.frame_layout.frame_symbols
 
-    def segment(self, start, stop):
+    def segment(self, start, stop, out=None):
         chain, fl = self.chain, self.chain.frame_layout
         fs = fl.frame_symbols
         first, last = start // fs, -(-stop // fs)
@@ -245,7 +112,12 @@ class _FrameStream:
                                  chain.scheme, chain.nt, self.constellation)
         frames = build_frame(
             vectors.reshape(last - first, fl.data_symbols_per_frame, chain.nt), fl)
-        return frames[:, start - first * fs : stop - first * fs]
+        run = frames[:, start - first * fs : stop - first * fs]
+        if out is None:
+            return run
+        out = segment_buffer(out, run.shape, self.dtype)
+        out[...] = run
+        return out
 
 
 @dataclass(frozen=True)
@@ -264,10 +136,16 @@ class TransmissionVector:
 
     stream: _FrameStream
     symbol_scale: float
+    dtype = np.dtype(np.complex128)
 
     @property
     def chain(self):
         return self.stream.chain
+
+    @functools.cached_property
+    def _taps(self):
+        fl = self.chain.frame_layout
+        return rrc_taps(fl.rrc_num_taps, fl.rrc_rolloff, fl.upsample_factor)
 
     @property
     def sections(self):
@@ -292,8 +170,9 @@ class TransmissionVector:
         """The whole (nt, n) transmission as one array, built on each access."""
         return self.segment(0, self.shape[1])
 
-    def segment(self, start, stop):
-        """Samples ``start`` to ``stop`` of every antenna, a new (nt, stop - start) array.
+    def segment(self, start, stop, out=None):
+        """Samples ``start`` to ``stop`` of every antenna, written into ``out``
+        (:func:`smlink.channel.segment_buffer`) or a new (nt, stop - start) array.
 
         Data samples are the frame stream's :func:`pulse_shape` times
         ``symbol_scale``, bit for bit: only the symbols the run and the
@@ -302,9 +181,11 @@ class TransmissionVector:
         nt, n = self.shape
         if not 0 <= start <= stop <= n:
             raise DimensionError(f"segment [{start}, {stop}) outside the {n}-sample transmission")
-        out = np.zeros((nt, stop - start), dtype=np.complex128)
+        out = segment_buffer(out, (nt, stop - start), self.dtype)
         fl, layout = self.chain.frame_layout, self.chain.transmission_layout
         sections, period = layout.sections(nt, fl)
+        data_start = sections["data"][0]
+        out[:, : max(min(stop, data_start) - start, 0)] = 0.0  # the shaping writes the rest
         first_pulse = -(-start // period) * period
         out[0, np.arange(first_pulse, min(stop, sections["sync"][1]), period) - start] = 1.0
         # Antenna t's run holds blocks 2*snr_blocks*t onwards; its even blocks are on.
@@ -316,41 +197,12 @@ class TransmissionVector:
                 a = snr_start + b * block
                 out[b // (2 * layout.snr_blocks),
                     max(a, start) - start : min(a + block, stop) - start] = self.x_max
-        data_start = sections["data"][0]
         if stop > data_start:
             lo = max(start, data_start)
             data = out[:, lo - start :]
-            _shape_into(data, self.stream,
-                        rrc_taps(fl.rrc_num_taps, fl.rrc_rolloff, fl.upsample_factor),
-                        fl.upsample_factor, lo - data_start)
+            _shape_into(data, self.stream, self._taps, fl.upsample_factor, lo - data_start)
             data *= self.symbol_scale
         return out
-
-
-def pilot_sequence(n_t, n_theta):
-    """Orthogonal pilot sequence exp(2j*pi*n_t*l/n_theta), l = 0..n_theta-1."""
-    if not 1 <= n_t <= n_theta:
-        raise ConfigurationError(f"antenna index {n_t} outside 1..{n_theta}")
-    return np.exp(2j * np.pi * n_t * np.arange(n_theta) / n_theta)
-
-
-def pilot_matrix(nt, n_theta):
-    """(n_theta, nt) matrix whose column t-1 is the antenna-t sequence."""
-    if nt > n_theta:
-        raise ConfigurationError(
-            f"pilot length {n_theta} cannot separate {nt} antennas"
-        )
-    return np.stack([pilot_sequence(t, n_theta) for t in range(1, nt + 1)], axis=1)
-
-
-def check_frame_duration(frame_layout, layout):
-    """Raise :class:`ConfigurationError` when a frame of ``frame_layout``, sent
-    at ``layout.sample_rate``, lasts the channel coherence budget (7 ms) or longer."""
-    duration = frame_layout.frame_symbols * frame_layout.upsample_factor / layout.sample_rate
-    if duration >= _COHERENCE_LIMIT_S:
-        raise ConfigurationError(
-            f"frame duration {duration * 1e3:.3f} ms at {layout.sample_rate:g} samples/s "
-            f"exceeds the {_COHERENCE_LIMIT_S * 1e3:.0f} ms coherence budget")
 
 
 def rrc_taps(num_taps=40, rolloff=0.75, upsample_factor=4):
@@ -360,7 +212,7 @@ def rrc_taps(num_taps=40, rolloff=0.75, upsample_factor=4):
     singularities at t = 0 and |t| = 1/(4*rolloff) symbol durations use
     their analytic limits.
     """
-    _check_filter(num_taps, rolloff, upsample_factor)
+    check_filter(num_taps, rolloff, upsample_factor)
     beta = float(rolloff)
     t = (np.arange(num_taps) - (num_taps - 1) / 2.0) / upsample_factor
     h = np.empty(num_taps)
@@ -427,23 +279,42 @@ def _shape_into(out, symbols, taps, upsample_factor, start):
     the (nt, k) array ``out``.
 
     Only the symbols from len(taps) - 1 upsampled samples before
-    ``start`` are read. They are zero-stuffed and convolved row by row;
-    a run shorter than the filter is widened to its length, so every
-    output is the dot product over the same terms, in the same order, as
-    in one ``np.convolve`` of the whole zero-stuffed row (the partial
-    ones at either end of the stream included).
+    ``start`` are read, once. The output is then built in runs of
+    ``_SHAPE_RUN`` samples, a row at a time: each run's symbols are
+    zero-stuffed into one row buffer and convolved. A run shorter than the
+    filter is widened to its length, so every output is the dot product
+    over the same terms, in the same order, as in one ``np.convolve`` of
+    the whole zero-stuffed row (the partial ones at either end of the
+    stream included), whatever the runs.
     """
-    segment, (nt, n_symbols) = segment_reader(symbols)
-    u, n_taps = upsample_factor, len(taps)
+    segment, (_, n_symbols), _ = segment_reader(symbols)
+    u, n_taps, n = upsample_factor, len(taps), n_symbols * upsample_factor
     stop = start + out.shape[1]
-    a = max(start - n_taps + 1, 0)
-    b = min(max(stop, a + n_taps), n_symbols * u)
-    a = max(min(a, b - n_taps), 0)
+    a, b = _shaping_reach(start, stop, n_taps, n)
     first = -(-a // u)
-    up = np.zeros((nt, b - a), dtype=np.complex128)
-    up[:, first * u - a :: u] = segment(first, -(-b // u))
-    for row, shaped in zip(up, out):
-        shaped[:] = np.convolve(row, taps)[start - a : stop - a]
+    rows = segment(first, -(-b // u))
+    up = np.empty(min(b - a, _SHAPE_RUN + n_taps - 1), dtype=np.complex128)
+    for run_start in range(start, stop, _SHAPE_RUN):
+        run_stop = min(run_start + _SHAPE_RUN, stop)
+        # The runs' reaches lie within the whole one's, so their symbols were read.
+        ra, rb = _shaping_reach(run_start, run_stop, n_taps, n)
+        run_first = -(-ra // u)
+        stuffed = up[: rb - ra]
+        stuffed[:] = 0.0
+        for row, shaped in zip(rows, out):
+            stuffed[run_first * u - ra :: u] = row[run_first - first : -(-rb // u) - first]
+            shaped[run_start - start : run_stop - start] = np.convolve(stuffed, taps)[
+                run_start - ra : run_stop - ra]
+
+
+def _shaping_reach(start, stop, n_taps, n):
+    """The samples [a, b) of an ``n``-sample zero-stuffed stream that its
+    shaped outputs ``start`` to ``stop`` are convolved from: n_taps - 1
+    before ``start`` up to ``stop``, widened to n_taps samples where the
+    run is shorter, within the stream."""
+    a = max(start - n_taps + 1, 0)
+    b = min(max(stop, a + n_taps), n)
+    return max(min(a, b - n_taps), 0), b
 
 
 def assemble_transmission(stream):
@@ -493,13 +364,16 @@ def build_transmission(bits, chain):
     """Modulate bits, frame them and assemble the transmission of ``chain``:
     the one way to a :class:`TransmissionVector`.
 
-    ``bits`` must be one-dimensional and hold exactly ``chain.payload_bits``
-    bits; anything else raises :class:`DimensionError` or
-    :class:`FramingError`. The transmission keeps a copy of the bits and
-    modulates the frames as its samples are read; the shaping pass of
-    :func:`assemble_transmission` reads them all once, so a bit that is
-    not 0 or 1 is refused here.
+    ``chain`` must be a :class:`Chain` (:class:`ConfigurationError`
+    otherwise), and ``bits`` one-dimensional with exactly
+    ``chain.payload_bits`` bits; anything else raises
+    :class:`DimensionError` or :class:`FramingError`. The transmission
+    keeps a copy of the bits and modulates the frames as its samples are
+    read; the shaping pass of :func:`assemble_transmission` reads them all
+    once, so a bit that is not 0 or 1 is refused here.
     """
+    if not isinstance(chain, Chain):
+        raise ConfigurationError(f"chain must be a txchain.Chain, got {type(chain).__name__}")
     bits = np.array(bits)
     if bits.ndim != 1:
         raise DimensionError("bit array must be one-dimensional")
@@ -552,6 +426,7 @@ class CaptureFiles:
 
     paths: tuple
     n: int
+    dtype = np.dtype(np.complex128)
 
     @property
     def shape(self):
@@ -561,12 +436,13 @@ class CaptureFiles:
     def size(self):
         return len(self.paths) * self.n
 
-    def segment(self, start, stop):
-        """Samples ``start`` to ``stop`` of every file, a new (n_files, stop - start) array;
-        a file that ends before ``stop`` raises :class:`FramingError`."""
+    def segment(self, start, stop, out=None):
+        """Samples ``start`` to ``stop`` of every file, written into ``out``
+        (:func:`smlink.channel.segment_buffer`) or a new (n_files, stop - start)
+        array; a file that ends before ``stop`` raises :class:`FramingError`."""
         if not 0 <= start <= stop <= self.n:
             raise DimensionError(f"segment [{start}, {stop}) outside the {self.n}-sample captures")
-        out = np.empty((len(self.paths), stop - start), dtype=np.complex128)
+        out = segment_buffer(out, (len(self.paths), stop - start), self.dtype)
         codes = np.empty(2 * min(out.shape[1], SAMPLE_BLOCK), dtype="<i2")
         for row, path in zip(out, self.paths):
             with open(path, "rb") as fh:
@@ -606,17 +482,24 @@ def write_waveform(prefix, tx):
     Files: ``<prefix>_ant<k>.bin`` (little-endian int16, interleaved I,Q)
     and ``<prefix>_meta.json``, which holds ``tx.chain`` (the keys
     :func:`read_sidecar` builds it from), its payload size and the
-    transmission's bookkeeping. The samples are built, quantized and
-    written one ``SAMPLE_BLOCK`` at a time, to each antenna's file in turn.
+    transmission's bookkeeping. The samples are built into one buffer,
+    quantized and written one ``SAMPLE_BLOCK`` at a time, to each antenna's
+    file in turn. A ``tx`` that is not a :class:`TransmissionVector` raises
+    :class:`ConfigurationError` before anything is written.
     """
+    if not isinstance(tx, TransmissionVector):
+        raise ConfigurationError(
+            f"tx must be a txchain.TransmissionVector, got {type(tx).__name__}")
     prefix = Path(prefix)
     prefix.parent.mkdir(parents=True, exist_ok=True)
     files = [f"{prefix.name}_ant{t + 1}.bin" for t in range(tx.nt)]
     n = tx.shape[1]
+    buffer = np.empty((tx.nt, min(SAMPLE_BLOCK, n)), dtype=tx.dtype)
     with contextlib.ExitStack() as stack:
         handles = [stack.enter_context(open(prefix.parent / name, "wb")) for name in files]
         for s in range(0, n, SAMPLE_BLOCK):
-            for fh, row in zip(handles, tx.segment(s, min(s + SAMPLE_BLOCK, n))):
+            k = min(SAMPLE_BLOCK, n - s)
+            for fh, row in zip(handles, tx.segment(s, s + k, out=buffer_prefix(buffer, k))):
                 quantize_i16(row).tofile(fh)
     layout = tx.chain.transmission_layout
     meta = {

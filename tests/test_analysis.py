@@ -1,5 +1,6 @@
 """Tests for the Q function, the ABER union bound and the Rice fit."""
 
+import dataclasses
 import functools
 import json
 import math
@@ -16,7 +17,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import special, stats
 
-from smlink import analysis, channel, modem
+from smlink import analysis, channel, modem, specfun
 from smlink.errors import (ConfigurationError, DegenerateInputError, DimensionError,
                            SmlinkError)
 
@@ -447,12 +448,12 @@ class TestSpecialFunctionOracles:
     def test_bessel_ratio(self):
         """I1/I0 within 5e-15 of scipy's i1e/i0e (measured 2.7e-15), on
         both sides of the switch from power series to Hankel expansion."""
-        split = analysis._SERIES_LIMIT
+        split = specfun._SERIES_LIMIT
         near = split + np.linspace(-1.0, 1.0, 2001)
         r = np.concatenate(([0.0, np.nextafter(split, 0.0), split], np.logspace(-8, 8, 20001),
                             near))
         want = special.i1e(r) / special.i0e(r)
-        got = analysis._bessel_ratio(r)
+        got = specfun.bessel_ratio(r)
         assert got[0] == 0.0
         np.testing.assert_allclose(got[1:], want[1:], rtol=5e-15, atol=0)
 
@@ -461,9 +462,9 @@ class TestSpecialFunctionOracles:
         """Within 2e-13 of scipy's chdtrc (measured 7.8e-14; both are within
         6e-14 of 40-digit values at statistics up to 1e3)."""
         xs = np.concatenate((np.logspace(-6, 3, 181), dof * np.linspace(0.1, 5.0, 50)))
-        got = np.array([analysis._chi2_sf(dof, float(x)) for x in xs])
+        got = np.array([specfun.chi2_sf(dof, float(x)) for x in xs])
         np.testing.assert_allclose(got, special.chdtrc(dof, xs), rtol=2e-13, atol=0)
-        assert analysis._chi2_sf(dof, 0.0) == 1.0
+        assert specfun.chi2_sf(dof, 0.0) == 1.0
 
     @pytest.mark.parametrize("nc", np.logspace(-6, 6, 25))
     def test_gof_bin_edges(self, nc):
@@ -561,6 +562,20 @@ def grid_oracle_log_likelihood(x, points=17, zooms=4):
         best = max(best, ll[i])
         lo, hi = nus[max(i - 1, 0)], nus[min(i + 1, points - 1)]
     return best
+
+
+def whole_array_score(u, k_db):
+    """The fit's profile score as one pass over all samples: every Bessel
+    ratio from one series or Hankel loop over the whole array, each mean
+    over a fresh array (the form the chunked ``analysis._rice_score``
+    replaced)."""
+    nu, sigma_sq = analysis._rice_curve(k_db)
+    c = nu / sigma_sq
+    r = u * c
+    ua = u * specfun.bessel_ratio(r)
+    v_slope = np.where(r < 1e4, u * u - ua * ua - ua / c, (0.5 + 0.25 / np.maximum(r, 1e4)) / c**2)
+    slope = (1.0 + nu * nu) / (2.0 * sigma_sq) * float(np.mean(v_slope)) - sigma_sq
+    return float(np.mean(ua)) - nu, nu * slope * math.log(10.0) / 10.0, nu
 
 
 @functools.lru_cache(maxsize=None)
@@ -692,6 +707,49 @@ class TestRicianFit:
             assert fit.k_factor_db == pytest.approx(k_db, abs=0.5)
             assert fit.converged and fit.gof_p_value >= 1e-3
         assert time.perf_counter() - start < 2.0
+
+    CHUNK_EDGES = [1000, analysis._SCORE_CHUNK - 1, analysis._SCORE_CHUNK,
+                   analysis._SCORE_CHUNK + 1, 123_457]
+
+    @pytest.mark.parametrize("n", CHUNK_EDGES)
+    @pytest.mark.parametrize("k_db", [-10.0, 10.0, 33.0, 60.0])
+    def test_chunked_score_equals_the_whole_array_score(self, n, k_db):
+        """The score is bit-identical to one pass over all samples, at K dB
+        where the arguments r = u c lie below the series limit of 25 (-20 and
+        0 dB), on both sides of it (10 and 20 dB), above it (Hankel; 33 dB
+        up) and past r = 1e4, where the slope takes its asymptotic series
+        (45 dB up)."""
+        x = self.draw_amplitudes(k_db, n, 50)
+        u = x / np.sqrt(np.mean(x * x))
+        for t in (-20.0, 0.0, 10.0, 20.0, 33.0, 45.0, 60.0, 80.0):
+            chunked = analysis._rice_score(u, np.empty_like(u), t)
+            assert chunked == whole_array_score(u, t), t
+
+    @pytest.mark.parametrize("n", CHUNK_EDGES)
+    @pytest.mark.parametrize("k_db", [float("-inf"), -10.0, 10.0, 33.0, 60.0])
+    def test_fit_equals_the_whole_array_score_fit(self, monkeypatch, n, k_db):
+        """Every field of the fit equals that of a fit whose score is the
+        whole-array oracle, on both sides of each chunk edge."""
+        x = self.draw_amplitudes(k_db, n, 51)
+        chunked = analysis.fit_rician(x)
+        monkeypatch.setattr(analysis, "_rice_score",
+                            lambda u, work, t: whole_array_score(u, t))
+        assert dataclasses.asdict(analysis.fit_rician(x)) == dataclasses.asdict(chunked)
+
+    def test_working_set_is_a_few_sample_arrays(self):
+        """On the benchmark's 1e5-sample K = 33 dB set the fit holds at most
+        5 sample-sized float64 arrays at once (measured: 3.0, the score's
+        chunks included; 11.2 when the score evaluated its Bessel ratios
+        over all samples at once)."""
+        x = self.draw_amplitudes(33.0, 100_000, 7)
+        analysis.fit_rician(x)  # first-call allocations
+        tracemalloc.start()
+        try:
+            analysis.fit_rician(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5 * x.nbytes
 
     def test_evaluation_cap(self):
         x = self.draw_amplitudes(33.0, 10_000, 5)

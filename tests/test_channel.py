@@ -1,12 +1,13 @@
 """Tests for the power-imbalanced Rician channel and propagation."""
 
+import os
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from smlink import channel, rxchain
+from smlink import channel, rxchain, txchain
 from smlink.errors import ConfigurationError, DimensionError, SmlinkError
 
 
@@ -203,6 +204,19 @@ class TestPropagation:
         y = y.segment(0, 4)
         assert np.allclose(y, [[1, -1, 1, -1]])
 
+    @pytest.mark.parametrize("fo,noise_var", [(0.0, 0.0), (0.01, 0.0), (0.0, 0.1)])
+    def test_real_streams_and_channel_give_complex_output(self, fo, noise_var):
+        """Real samples through a real channel give the complex128 output the
+        offset and the noise need (a float64 output used to raise a bare
+        casting TypeError at the first read with either)."""
+        x = np.arange(20.0).reshape(2, 10)
+        y = channel.propagate_waveform(x, np.eye(2), fo, noise_var, np.random.default_rng(1))
+        assert y.dtype == np.complex128
+        block = y.segment(0, 10)
+        assert block.dtype == np.complex128
+        if not (fo or noise_var):
+            assert np.array_equal(block, x)
+
     def test_waveform_noise_needs_rng(self):
         x = np.ones((2, 10), dtype=complex)
         with pytest.raises(ConfigurationError):
@@ -278,6 +292,8 @@ class TestCarrierRamp:
             channel.propagate_waveform(np.ones((2, 10), dtype=complex), np.eye(2), delta)
 
 
+PULSE_TRAIN = (np.arange(1000) % 8 == 0).astype(float)
+
 STAGE_PROBES = {
     "matched-filter-upsample-0": lambda: rxchain.matched_filter_downsample(
         np.ones((2, 64)), np.ones(9), upsample_factor=0),
@@ -303,16 +319,40 @@ STAGE_PROBES = {
         np.ones((2, 20)), np.ones((0, 2))),
     "pulse-gain-upsample-0": lambda: rxchain.pulse_gain_compensation(np.ones(9), 0, 10, 2),
     "pulse-gain-no-pilot-symbol": lambda: rxchain.pulse_gain_compensation(np.ones(9), 4, 0, 2),
+    # A chain or transmission of another type. The prefix lies under os.devnull,
+    # a file, so no call could create a directory for it.
+    "decode-transmission-str-chain": lambda: rxchain.decode_transmission(np.zeros((2, 10)), "sm"),
+    "build-transmission-no-chain": lambda: txchain.build_transmission(
+        np.zeros(10, dtype=np.uint8), None),
+    "write-waveform-str-transmission": lambda: txchain.write_waveform(
+        os.path.join(os.devnull, "tx"), "tx"),
+    # Counts that are a bool or a float. Where the bool would pass as 1, the
+    # input is one the stage otherwise accepts: a train of pulses 8 samples
+    # apart, or an SNR section whose 1-sample blocks are not silent.
+    "estimate-snr-float-nt": lambda: rxchain.estimate_snr(np.ones((2, 100)), 2.0, 2, 10),
+    "estimate-snr-bool-nt": lambda: rxchain.estimate_snr(np.ones((2, 100)), True, 2, 10),
+    "estimate-snr-float-n-blocks": lambda: rxchain.estimate_snr(np.ones((2, 100)), 2, 2.0, 10),
+    "estimate-snr-bool-n-blocks": lambda: rxchain.estimate_snr(np.ones((2, 100)), 2, True, 10),
+    "estimate-snr-float-block-length": lambda: rxchain.estimate_snr(
+        np.ones((2, 100)), 2, 2, 10.0),
+    "estimate-snr-bool-block-length": lambda: rxchain.estimate_snr(
+        np.arange(200.0).reshape(2, 100), 2, 2, True),
+    "detect-sync-float-period": lambda: rxchain.detect_sync(PULSE_TRAIN, 8.0, 3, 100),
+    "detect-sync-float-n-pulses": lambda: rxchain.detect_sync(np.ones((2, 1000)), 8, 3.0, 100),
+    "detect-sync-bool-n-pulses": lambda: rxchain.detect_sync(PULSE_TRAIN, 8, True, 100),
+    "detect-sync-float-fit-samples": lambda: rxchain.detect_sync(PULSE_TRAIN, 8, 3, 100.0),
+    "detect-sync-bool-fit-samples": lambda: rxchain.detect_sync(PULSE_TRAIN, 8, 3, True),
 }
 
 
 @pytest.mark.parametrize("call", [pytest.param(f, id=k) for k, f in STAGE_PROBES.items()])
 def test_stage_inputs_refused_with_named_errors(call):
     """Each of these used to raise a bare ZeroDivisionError, ValueError,
-    IndexError or TypeError, to return a wrong answer (offsets of 0 for a NaN
-    preamble, a 2-D one or one with no antenna or sample) or to warn (an
-    infinite preamble entry, in the FFT; the mean of no SNR block; a pilot
-    period of 0); each now raises a SmlinkError and warns nothing first."""
+    IndexError, TypeError or AttributeError, to return a wrong answer
+    (offsets of 0 for a NaN preamble, a 2-D one or one with no antenna or
+    sample; a bool count taken as 1) or to warn (an infinite preamble entry,
+    in the FFT; the mean of no SNR block; a pilot period of 0); each now
+    raises a SmlinkError and warns nothing first."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         with pytest.raises(SmlinkError):

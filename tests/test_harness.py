@@ -563,6 +563,26 @@ class TestWaveformSim:
         extra_bits = 350 * per_frame
         assert peaks[400] - peaks[50] <= 3 * extra_bits + 16 * channel.SAMPLE_BLOCK
 
+    def test_benchmark_trial_working_set(self):
+        """One trial of the benchmark's waveform link (2x2 SM/BPSK, K = 33 dB,
+        rx_config_1, 24 dB, offset 1e-4 cycles/sample, 100 000 bits in 50
+        frames) holds at most 4.5 MiB of traced memory at once after a warm
+        trial (measured: 3.8 MiB; 5.9 MiB when the shaping zero-stuffed an
+        (nt, 32 807) array and convolved it whole, and the decoder's previous
+        frame block and its products lived on while the next block was read)."""
+        cfg = small_config(
+            fidelity="waveform", snr_grid_db=(24.0,), bits_per_trial=100_000, trials_per_snr=1,
+            k_factor_db=33.0, pi_profile="rx_config_1", fo_cycles_per_sample=1e-4)
+        harness.run_simulation(cfg)  # first-call allocations
+        tracemalloc.start()
+        try:
+            rec = harness.run_simulation(cfg)[0]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rec.bits == 100_000 and rec.rejected_vectors == 0
+        assert peak <= 4.5 * 2**20
+
     def test_snr_estimate_tracks_target(self):
         cfg = small_config(
             fidelity="waveform", snr_grid_db=(20.0,), bits_per_trial=4000,

@@ -299,8 +299,12 @@ class TestEstimateSnr:
             def __init__(self, n):
                 self.shape = (2, n)
 
-            def segment(self, start, stop):
-                return np.random.default_rng(start).standard_normal((2, stop - start)) + 1j
+            def segment(self, start, stop, out=None):
+                x = np.random.default_rng(start).standard_normal((2, stop - start)) + 1j
+                if out is None:
+                    return x
+                out[...] = x
+                return out
 
         rxchain.estimate_snr(Noise(8 * 1000), 2, 2, 1000)  # first-call allocations
         peaks = []
@@ -539,6 +543,42 @@ class TestLsChannelEstimate:
             rxchain.ls_channel_estimate(
                 np.ones((2, 10), dtype=complex), np.ones((10, 2), dtype=complex)
             )
+
+    @pytest.mark.parametrize("nt,n_theta", [(2, 10), (4, 10), (8, 16)])
+    def test_orthogonality_decisions_match_allclose(self, nt, n_theta):
+        """The pilot check accepts and refuses what np.allclose at atol =
+        1e-9 n_theta and rtol = 1e-5 does: orthogonal pilots, pilots perturbed
+        just inside and just outside that tolerance on the Gram matrix's
+        diagonal (a column scaled) and off it (one entry shifted), and pilots
+        whose Gram matrix holds a NaN."""
+        theta = txchain.pilot_matrix(nt, n_theta)
+
+        def scaled(d):
+            return theta * np.where(np.arange(nt) == 0, 1.0 + d, 1.0)
+
+        def shifted(d):
+            return theta + np.where(np.arange(theta.size) == 0, d, 0.0).reshape(theta.shape)
+
+        def allclose_accepts(p):
+            return np.allclose(p.conj().T @ p, n_theta * np.eye(nt), atol=1e-9 * n_theta)
+
+        def accepts(p):
+            try:
+                rxchain.ls_channel_estimate(np.zeros((2, n_theta), dtype=complex), p)
+            except ConfigurationError:
+                return False
+            return True
+
+        cases = [theta, shifted(np.nan)]
+        for perturb in (scaled, shifted):
+            lo, hi = 0.0, 1.0  # allclose accepts perturb(lo) and refuses perturb(hi)
+            for _ in range(80):
+                mid = 0.5 * (lo + hi)
+                lo, hi = (mid, hi) if allclose_accepts(perturb(mid)) else (lo, mid)
+            cases += [perturb(lo), perturb(hi), perturb(-lo), perturb(-hi)]
+        decisions = [accepts(p) for p in cases]
+        assert decisions == [allclose_accepts(p) for p in cases]
+        assert decisions[:2] == [True, False] and decisions[2:4] == [True, False]
 
     def test_partial_sequence_rejected(self):
         with pytest.raises(DimensionError):
