@@ -27,7 +27,6 @@ in :mod:`smlink.specfun`.
 
 import functools
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -132,16 +131,10 @@ class BoundConfig:
 
     def __post_init__(self):
         fileio.check_field_types(self)
-        if self.nr < 1:
-            raise ConfigurationError("nr must be >= 1")
-        if self.n_channels < 1:
-            raise ConfigurationError("n_channels must be >= 1")
         if self.imbalance is not None and self.imbalance.shape != (self.nr, self.nt):
             raise DimensionError(f"imbalance profile shape {self.imbalance.shape} "
                                  f"does not match ({self.nr}, {self.nt})")
         grid = channel_mod.check_snr_grid(self.snr_grid_db)
-        if list(grid) != sorted(grid):
-            raise ConfigurationError("snr_grid_db must be sorted ascending")
         object.__setattr__(self, "snr_grid_db", grid)
         modem.check_candidate_bits(
             modem.bits_per_vector(self.scheme, self.nt, self.modulation_order))
@@ -153,7 +146,7 @@ class BoundConfig:
         s_max = 1.0 if self.imbalance is None else self.imbalance.amplitude_scale().max()
         scale = self.nr * max((s_max * l1) ** 2, 0.25) / math.sin(_craig_quadrature()[0].min()) ** 2
         limit_db = 10.0 * math.log10(np.finfo(np.float64).max / scale)
-        if grid[-1] > limit_db:
+        if max(grid) > limit_db:
             raise ConfigurationError(f"snr_grid_db points {[s for s in grid if s > limit_db]} "
                                      f"exceed the {limit_db:.1f} dB the bound's quadrature holds")
 
@@ -366,9 +359,7 @@ def fit_rician(amplitude_samples, max_iterations=200):
     float64 arrays at once; the score is evaluated in chunks of
     ``_SCORE_CHUNK`` samples into the array that held u^2.
     """
-    if not (isinstance(max_iterations, numbers.Integral) and not isinstance(max_iterations, bool)
-            and max_iterations >= 1):
-        raise ConfigurationError(f"max_iterations must be an integer >= 1, got {max_iterations!r}")
+    max_iterations = fileio.check_count("max_iterations", max_iterations)
     x = np.asarray(amplitude_samples, dtype=np.float64)
     if x.ndim != 1 or x.size < 1000:
         raise DegenerateInputError("need at least 1000 one-dimensional samples")

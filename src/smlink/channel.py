@@ -13,11 +13,12 @@ relative to the reference path (0, 0).
 
 import math
 from dataclasses import dataclass
-from numbers import Integral, Real
+from numbers import Real
 
 import numpy as np
 
 from .errors import ConfigurationError, DimensionError
+from .fileio import check_count
 
 __all__ = [
     "db_to_linear",
@@ -183,9 +184,9 @@ def _interleaved_normal(rng, shape):
 
 def draw_channels(n, nr, nt, fading, imbalance=None, rng=None):
     """Draw an (n, nr, nt) stack of independent channel matrices; a size that
-    is not an integer >= 0 raises :class:`DimensionError`."""
-    if not all(isinstance(k, Integral) and k >= 0 for k in (n, nr, nt)):
-        raise DimensionError(f"channel stack sizes must be integers >= 0, got {(n, nr, nt)}")
+    is not an integer >= 0 (a bool or a float included) raises :class:`DimensionError`."""
+    n, nr, nt = (check_count(name, k, 0, DimensionError)
+                 for name, k in (("channel count", n), ("nr", nr), ("nt", nt)))
     if rng is None:
         rng = np.random.default_rng()
     if imbalance is not None and imbalance.shape != (nr, nt):
@@ -409,7 +410,6 @@ def carrier_ramp(delta, n, first_index=0):
     ``np.exp`` (4.5e-13 at 3.1e3 rad).
     """
     check_offset(delta)
-    if not (isinstance(n, Integral) and n >= 0):
-        raise DimensionError(f"ramp length must be an integer >= 0, got {n!r}")
+    n = check_count("ramp length", n, 0, DimensionError)
     outer, inner = _ramp_factors(delta, n, first_index)
     return (outer * inner).reshape(-1)[:n]

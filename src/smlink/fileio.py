@@ -1,4 +1,5 @@
-"""The one JSON reader and the one path from a JSON object to a config object."""
+"""The one integer check, the one JSON reader and the one path from a JSON
+object to a config object."""
 
 import dataclasses
 import json
@@ -8,7 +9,14 @@ from pathlib import Path
 
 from .errors import ConfigurationError
 
-_NUMBERS = {int: numbers.Integral, float: numbers.Real}
+
+def check_count(name, value, minimum=1, error=ConfigurationError):
+    """``value`` as an int; ``error`` naming ``name`` unless it is an integer
+    (numpy integers pass, a bool does not) >= ``minimum``. The package's one
+    integer check."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
+        raise error(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return int(value)
 
 
 def read_json(path, what):
@@ -24,26 +32,27 @@ def read_json(path, what):
     return data
 
 
-def check_field_types(obj):
+def check_field_types(obj, **minimum):
     """Refuse, with :class:`ConfigurationError` naming the class and the field,
     a field of dataclass ``obj`` whose value does not match its annotation: an
-    ``int`` field takes an integer (numpy integers pass) and is stored as an int,
-    a ``float`` field a real number (numpy floats pass; the class checks its
-    range), a ``str`` field a str and a class-typed field an instance. bool
-    passes no number field, an ``X | None`` field may hold None, and ``tuple``
-    fields are left to their own checks."""
+    ``int`` field takes what :func:`check_count` takes, at least 1 or the
+    field's entry in ``minimum``, and is stored as an int; a ``float`` field
+    a real number (numpy floats pass; the class checks its range), a ``str``
+    field a str and a class-typed field an instance. bool passes no number
+    field, an ``X | None`` field may hold None, and ``tuple`` fields are left
+    to their own checks."""
     for f in dataclasses.fields(obj):
         value = getattr(obj, f.name)
         kind, *optional = typing.get_args(f.type) or (f.type,)
+        what = f"{type(obj).__name__} field {f.name!r}"
         if kind is tuple or (value is None and optional):
             continue
-        number_as_bool = kind in _NUMBERS and isinstance(value, bool)
-        if number_as_bool or not isinstance(value, _NUMBERS.get(kind, kind)):
-            wanted = {int: "an integer", float: "a real number"}.get(kind, f"a {kind.__name__}")
-            raise ConfigurationError(
-                f"{type(obj).__name__} field {f.name!r} must be {wanted}, got {value!r}")
         if kind is int:
-            object.__setattr__(obj, f.name, int(value))
+            object.__setattr__(obj, f.name, check_count(what, value, minimum.get(f.name, 1)))
+        elif (kind is float and isinstance(value, bool)
+              or not isinstance(value, numbers.Real if kind is float else kind)):
+            wanted = "a real number" if kind is float else f"a {kind.__name__}"
+            raise ConfigurationError(f"{what} must be {wanted}, got {value!r}")
 
 
 def build(cls, data, what):

@@ -84,9 +84,10 @@ class Link:
     imbalance profile). The JSON keys of ``smlink bound`` are these fields.
 
     Construction refuses, with a named :class:`SmlinkError`, a field of the
-    wrong type, nr below 1, a grid :func:`channel.check_snr_grid` refuses, a
-    scheme, nt and order that :func:`modem.bits_per_vector` refuses, more
-    than ``modem.MAX_CANDIDATES`` candidate vectors, a K factor
+    wrong type, an integer field below 1 (a SimConfig's seed below 0), a
+    grid :func:`channel.check_snr_grid` refuses, a scheme, nt and order
+    that :func:`modem.bits_per_vector` refuses, more than
+    ``modem.MAX_CANDIDATES`` candidate vectors, a K factor
     :class:`channel.FadingModel` refuses and a profile of another shape.
     """
 
@@ -99,13 +100,11 @@ class Link:
     pi_profile: str = "none"
 
     def __post_init__(self):
-        fileio.check_field_types(self)
+        fileio.check_field_types(self, master_seed=0)  # a SimConfig's seed may be 0
         self._check_values()
 
     def _check_values(self):
-        """The checks after the type check; a subclass extends them."""
-        if self.nr < 1:
-            raise ConfigurationError("nr must be >= 1")
+        """The checks after the type and count check; a subclass extends them."""
         object.__setattr__(self, "snr_grid_db", channel_mod.check_snr_grid(self.snr_grid_db))
         modem.check_candidate_bits(self.bits_per_vector)
         self.fading()
@@ -138,8 +137,6 @@ class SimConfig(Link):
     snr_block_symbols: int = 50_000
 
     def _check_values(self):
-        if self.master_seed < 0:
-            raise ConfigurationError(f"master_seed must be >= 0, got {self.master_seed}")
         super()._check_values()
         if self.fidelity not in _FIDELITIES:
             raise ConfigurationError(f"fidelity must be one of {_FIDELITIES}")
@@ -147,16 +144,10 @@ class SimConfig(Link):
             raise ConfigurationError(f"csi_mode must be one of {_CSI_MODES}")
         channel_mod.check_offset(self.fo_cycles_per_sample)
         m = self.bits_per_vector
-        if self.bits_per_trial < m or self.bits_per_trial % m:
+        if self.bits_per_trial % m:
             raise ConfigurationError(
                 f"bits_per_trial must be a positive multiple of m={m}"
             )
-        if self.trials_per_snr < 1:
-            raise ConfigurationError("trials_per_snr must be >= 1")
-        if self.target_bit_errors is not None and self.target_bit_errors < 1:
-            raise ConfigurationError("target_bit_errors must be >= 1 or null")
-        if self.block_symbols < 1:
-            raise ConfigurationError("block_symbols must be >= 1")
         if self.fidelity == "waveform":
             chain = self.chain()
             if chain.payload_bits != self.bits_per_trial:

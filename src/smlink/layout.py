@@ -12,7 +12,7 @@ import numpy as np
 
 from . import modem
 from .errors import ConfigurationError
-from .fileio import check_field_types
+from .fileio import check_count, check_field_types
 
 FULL_SCALE = 32767
 # Offset preamble symbols the offset estimate leaves out at each end, where the
@@ -22,14 +22,12 @@ _COHERENCE_LIMIT_S = 7e-3
 
 
 def check_filter(num_taps, rolloff, upsample_factor):
-    if num_taps < 2:
-        raise ConfigurationError("need at least 2 filter taps")
+    check_count("filter tap count", num_taps, 2)
     if not 0.0 < rolloff <= 1.0:
         raise ConfigurationError("roll-off must be in (0, 1]")
     # The shaped band reaches (1 + rolloff) / 2 cycles per symbol: one
     # sample per symbol aliases it, and a noiseless round trip fails.
-    if upsample_factor < 2:
-        raise ConfigurationError("upsample factor must be >= 2")
+    check_count("upsample factor", upsample_factor, 2)
 
 
 @dataclass(frozen=True)
@@ -46,11 +44,9 @@ class FrameLayout:
     rrc_rolloff: float = 0.75
 
     def __post_init__(self):
-        check_field_types(self)
-        if min(self.zero_pad_len, self.fo_seq_len, self.data_symbols_per_frame) < 0:
-            raise ConfigurationError("section lengths must be nonnegative")
-        if self.pilot_sequences_per_signal < 1 or self.pilot_seq_len < 1:
-            raise ConfigurationError("pilot signal needs at least one sequence")
+        # fo_seq_len and upsample_factor are held to their own, larger minimums below.
+        check_field_types(self, zero_pad_len=0, data_symbols_per_frame=0,
+                          fo_seq_len=0, upsample_factor=0)
         if self.fo_seq_len < 2 * FO_EDGE_MARGIN + 2:
             raise ConfigurationError(
                 f"offset preamble needs {2 * FO_EDGE_MARGIN + 2} or more symbols, "
@@ -111,15 +107,9 @@ class TransmissionLayout:
 
     def __post_init__(self):
         check_field_types(self)
-        if self.n_frames < 1:
-            raise ConfigurationError("need at least one frame")
-        if self.sync_pulses < 1 or self.sync_gap_symbols < 1:
-            raise ConfigurationError("sync section needs pulses and gaps")
-        if self.snr_blocks < 1 or self.snr_block_symbols < 1:
-            raise ConfigurationError("SNR section needs at least one on/off block")
-        if not 0 <= self.power_factor < np.inf:
+        if not 0 < self.power_factor < np.inf:
             raise ConfigurationError(
-                f"power_factor must be finite and >= 0, got {self.power_factor!r}")
+                f"power_factor must be finite and positive, got {self.power_factor!r}")
         if not 0 < self.sample_rate < np.inf:
             raise ConfigurationError(
                 f"sample_rate must be finite and positive, got {self.sample_rate!r}")
@@ -167,14 +157,20 @@ class Chain:
 
 
 def pilot_sequence(n_t, n_theta):
-    """Orthogonal pilot sequence exp(2j*pi*n_t*l/n_theta), l = 0..n_theta-1."""
-    if not 1 <= n_t <= n_theta:
+    """Orthogonal pilot sequence exp(2j*pi*n_t*l/n_theta), l = 0..n_theta-1;
+    an antenna index ``n_t`` or length ``n_theta`` that is not an integer, or
+    ``n_t`` outside 1..n_theta, raises :class:`ConfigurationError`."""
+    n_theta = check_count("n_theta", n_theta)
+    n_t = check_count("antenna index", n_t)
+    if n_t > n_theta:
         raise ConfigurationError(f"antenna index {n_t} outside 1..{n_theta}")
     return np.exp(2j * np.pi * n_t * np.arange(n_theta) / n_theta)
 
 
 def pilot_matrix(nt, n_theta):
-    """(n_theta, nt) matrix whose column t-1 is the antenna-t sequence."""
+    """(n_theta, nt) matrix whose column t-1 is the antenna-t sequence; counts
+    that are not integers >= 1, or nt > n_theta, raise :class:`ConfigurationError`."""
+    nt, n_theta = check_count("nt", nt), check_count("n_theta", n_theta)
     if nt > n_theta:
         raise ConfigurationError(
             f"pilot length {n_theta} cannot separate {nt} antennas"

@@ -15,12 +15,12 @@ block (MSB first), which also defines the detector tie-break order.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from numbers import Integral
 
 import numpy as np
 
 from . import kernels
 from .errors import ConfigurationError, DimensionError, FramingError, RangeError
+from .fileio import check_count
 
 __all__ = [
     "Constellation",
@@ -80,18 +80,20 @@ def _gray_decode(g):
     return b
 
 
-def _bits_per_symbol(order):
-    """log2 of a constellation order in ``SUPPORTED_ORDERS``."""
+def _check_order(order):
+    """``order`` as an int, refused unless it is in ``SUPPORTED_ORDERS``."""
+    order = check_count("modulation_order", order)
     if order not in SUPPORTED_ORDERS:
         raise ConfigurationError(
             f"unsupported modulation order {order}; choose from {SUPPORTED_ORDERS}"
         )
-    return order.bit_length() - 1
+    return order
 
 
 def build_constellation(order):
     """Build the Gray-labelled constellation for a supported order."""
-    k = _bits_per_symbol(order)
+    order = _check_order(order)
+    k = order.bit_length() - 1
     if order == 2:
         points = np.array([1.0 + 0.0j, -1.0 + 0.0j])
     else:
@@ -115,15 +117,10 @@ def _as_bits(bits):
     return b.astype(np.uint8)
 
 
-def _check_block_size(m):
-    if not (isinstance(m, Integral) and m >= 1):
-        raise ConfigurationError(f"bit-block size must be an integer >= 1, got {m!r}")
-
-
 def bits_to_indices(bits, m):
-    """Pack a flat 0/1 array into m-bit block indices, MSB first; ``m`` below 1
-    raises :class:`ConfigurationError`."""
-    _check_block_size(m)
+    """Pack a flat 0/1 array into m-bit block indices, MSB first; ``m`` that is
+    not an integer >= 1 (a bool or a float included) raises :class:`ConfigurationError`."""
+    m = check_count("bit-block size", m)
     b = _as_bits(bits)
     if b.size % m:
         raise FramingError(f"bit count {b.size} is not a multiple of block size {m}")
@@ -133,8 +130,8 @@ def bits_to_indices(bits, m):
 
 def indices_to_bits(indices, m):
     """Inverse of :func:`bits_to_indices`; an index outside [0, 2**m) raises
-    :class:`RangeError`, and ``m`` below 1 :class:`ConfigurationError`."""
-    _check_block_size(m)
+    :class:`RangeError`, and ``m`` that is not an integer >= 1 :class:`ConfigurationError`."""
+    m = check_count("bit-block size", m)
     idx = np.asarray(indices, dtype=np.int64)
     if idx.size and not (idx.min() >= 0 and idx.max() < 1 << m):
         raise RangeError(f"bit-block indices must lie in [0, {1 << m}) for m={m}")
@@ -144,10 +141,10 @@ def indices_to_bits(indices, m):
 
 def bits_per_vector(scheme, nt, order):
     """Bits carried by one transmit vector: the one check that ``scheme``,
-    ``nt`` and the constellation ``order`` describe a link."""
-    if nt < 1 or nt & (nt - 1):
-        raise ConfigurationError(f"antenna count {nt} must be a power of two")
-    k = _bits_per_symbol(order)
+    ``nt`` and the constellation ``order`` describe a link (counts that are
+    not integers, a bool or a float included, are refused)."""
+    nt = _check_antennas(nt)
+    k = _check_order(order).bit_length() - 1
     if scheme == "sm":
         return (nt.bit_length() - 1) + k
     if scheme == "smx":
@@ -185,6 +182,7 @@ def smx_modulate(bits, nt, constellation):
 
     Each vector's bits give its per-antenna point indices, antenna 1 first.
     """
+    nt = check_count("nt", nt)
     k = constellation.bits_per_symbol
     if np.size(bits) % (nt * k):
         raise FramingError(
@@ -265,11 +263,23 @@ def _check_block_and_channel(y, h):
     return y, h
 
 
+def _check_antennas(nt):
+    """``nt`` as an int, refused unless it is a power of two."""
+    nt = check_count("nt", nt)
+    if nt & (nt - 1):
+        raise ConfigurationError(f"antenna count {nt} must be a power of two")
+    return nt
+
+
+def _check_receiver(nt, nr, bits_per_symbol):
+    """Power-of-two ``nt``, ``nr`` and ``bits_per_symbol`` (each >= 1) as ints."""
+    return (_check_antennas(nt), check_count("nr", nr),
+            check_count("bits_per_symbol", bits_per_symbol))
+
+
 def receiver_complexity(scheme, nt, nr, bits_per_symbol):
     """Real multiplications per detected symbol of the ML receiver."""
-    if nt < 1 or nt & (nt - 1) or nr < 1 or bits_per_symbol < 1:
-        raise ConfigurationError(
-            f"need power-of-two nt, nr >= 1, m >= 1; got {nt}, {nr}, {bits_per_symbol}")
+    nt, nr, bits_per_symbol = _check_receiver(nt, nr, bits_per_symbol)
     if scheme == "sm":
         return 8 * nr * 2**bits_per_symbol
     if scheme == "smx":
@@ -283,6 +293,7 @@ def complexity_report(nt, nr, bits_per_symbol):
     The relative reduction is exact rational arithmetic:
     100 * (1 - 2/(nt + 1)).
     """
+    nt, nr, bits_per_symbol = _check_receiver(nt, nr, bits_per_symbol)
     sm = receiver_complexity("sm", nt, nr, bits_per_symbol)
     smx = receiver_complexity("smx", nt, nr, bits_per_symbol)
     reduction = Fraction(100) * (1 - Fraction(sm, smx))

@@ -25,7 +25,7 @@ plateauing at the filter sidelobe level.
 """
 
 from dataclasses import dataclass
-from numbers import Integral, Real
+from numbers import Real
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -38,6 +38,7 @@ from .errors import (
     DimensionError,
     SyncRejection,
 )
+from .fileio import check_count
 from .txchain import Chain, pilot_matrix, rrc_taps
 
 __all__ = [
@@ -116,11 +117,11 @@ def detect_sync(capture, pulse_period_samples, n_pulses, fit_samples):
     or a count that is not an integer (a bool or a float),
     :class:`ConfigurationError`.
     """
-    _check_count("pulse_period_samples", pulse_period_samples, 2)
-    _check_count("n_pulses", n_pulses)
-    _check_count("fit_samples", fit_samples, 0)
+    period = check_count("pulse_period_samples", pulse_period_samples, 2)
+    n_pulses = check_count("n_pulses", n_pulses)
+    fit_samples = check_count("fit_samples", fit_samples, 0)
     segment, (_, n), _ = segment_reader(capture)
-    period, half = pulse_period_samples, pulse_period_samples // 2
+    half = period // 2
     reach = (n_pulses - 1) * period + half  # the comb's last sample past its start
     n_starts = n - max(fit_samples, reach + 1) + 1
     if n_starts < 1:
@@ -186,10 +187,9 @@ def estimate_snr(snr_section, nt, n_blocks, block_len_samples):
     segment, (nr, n), dtype = segment_reader(snr_section)
     if nr < 1:
         raise DimensionError("SNR section has no receive row")
-    _check_count("nt", nt)
-    _check_count("n_blocks", n_blocks)
-    _check_count("block_len_samples", block_len_samples)
-    block = block_len_samples
+    nt = check_count("nt", nt)
+    n_blocks = check_count("n_blocks", n_blocks)
+    block = check_count("block_len_samples", block_len_samples)
     need = nt * n_blocks * 2 * block
     if n < need:
         raise DimensionError(f"SNR section has {n} samples, layout wants {need}")
@@ -255,29 +255,24 @@ def matched_filter_downsample(samples, taps, upsample_factor, n_symbols=None):
 
     Output k of each stream (last axis of an (..., n) input) is its full
     convolution with ``taps`` at sample k*upsample_factor + len(taps)-1,
-    which compensates the combined transmit+receive group delay. Streams
-    are zero-extended past their end, as in the full convolution. An
-    ``upsample_factor`` that is not an integer >= 1 (a bool or a float
-    included) raises :class:`ConfigurationError`.
+    which compensates the combined transmit+receive group delay, for the
+    first ``n_symbols`` k (all by default). Streams are zero-extended past
+    their end, as in the full convolution. An ``upsample_factor`` that is
+    not an integer >= 1, or ``n_symbols`` that is not None or an integer
+    >= 0 (a bool or a float included in both), raises :class:`ConfigurationError`.
     """
-    _check_count("upsample_factor", upsample_factor)
+    upsample_factor = check_count("upsample_factor", upsample_factor)
     y = np.atleast_2d(np.asarray(samples, dtype=np.complex128))
     n_taps = len(taps)
     if y.shape[-1] < n_taps:
         raise DimensionError("input shorter than the receive filter")
     n_out = -(-y.shape[-1] // upsample_factor)
     if n_symbols is not None:
-        n_out = min(n_out, n_symbols)
+        n_out = min(n_out, check_count("n_symbols", n_symbols, 0))
     pad = max((n_out - 1) * upsample_factor + n_taps - y.shape[-1], 0)
     y = np.pad(y, [(0, 0)] * (y.ndim - 1) + [(0, pad)]) if pad else y
     windows = sliding_window_view(y, n_taps, axis=-1)[..., ::upsample_factor, :]
     return windows[..., :n_out, :] @ np.asarray(taps, dtype=np.complex128)[::-1]
-
-
-def _check_count(name, value, minimum=1):
-    """:class:`ConfigurationError` unless ``value`` is an integer (not a bool) >= ``minimum``."""
-    if not (isinstance(value, Integral) and not isinstance(value, bool) and value >= minimum):
-        raise ConfigurationError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
 def estimate_fo(preamble):
@@ -338,11 +333,12 @@ def pulse_gain_compensation(taps, upsample_factor, n_theta, nt):
     ``n_theta`` the whole response collapses to one complex gain per
     antenna: G_t = sum_d g(d) exp(-2j*pi*t*d/n_theta). The receive chain
     derotates before filtering, so this holds at any carrier offset.
-    An ``upsample_factor`` or ``n_theta`` that is not an integer >= 1 (a
-    bool or a float included) raises :class:`ConfigurationError`.
+    An ``upsample_factor``, ``n_theta`` or ``nt`` that is not an integer
+    >= 1 (a bool or a float included) raises :class:`ConfigurationError`.
     """
-    _check_count("upsample_factor", upsample_factor)
-    _check_count("n_theta", n_theta)
+    upsample_factor = check_count("upsample_factor", upsample_factor)
+    n_theta = check_count("n_theta", n_theta)
+    nt = check_count("nt", nt)
     taps = np.asarray(taps)
     gtil = np.convolve(taps, taps)
     center = len(taps) - 1
@@ -366,7 +362,8 @@ def ls_channel_estimate(pilot_block, pilots, gain=None):
     has variance sigma^2 / (n_seq * n_theta), before ``gain``, which
     optionally divides per transmit antenna to undo the combined
     pulse-shaping response. ``pilots`` that are not a non-empty 2-D
-    matrix raise :class:`DimensionError`.
+    matrix raise :class:`DimensionError`, and a ``gain`` with a zero or
+    non-finite entry :class:`DegenerateInputError`.
     """
     theta = np.asarray(pilots)
     if theta.ndim != 2 or not theta.size:
@@ -386,7 +383,10 @@ def ls_channel_estimate(pilot_block, pilots, gain=None):
     seqs = y.reshape(*y.shape[:-1], n_seq, n_theta)
     h_hat = seqs.mean(axis=-2) @ theta.conj() / n_theta
     if gain is not None:
-        h_hat = h_hat / np.asarray(gain)
+        gain = np.asarray(gain)
+        if not (np.isfinite(gain).all() and gain.all()):
+            raise DegenerateInputError(f"pulse gain must be finite and nonzero, got {gain}")
+        h_hat = h_hat / gain
     return h_hat
 
 
@@ -446,17 +446,17 @@ def decode_transmission(rx_samples, chain, symbol_scale=None):
     that also fails sync may raise :class:`SyncRejection` first.
     ``symbol_scale``, when given (from the transmission sidecar),
     converts the reported channel estimates to the true channel's
-    amplitude scale (0 leaves them unscaled); detection is unaffected.
-    One that is not None or a finite real number >= 0 (a bool is none),
+    amplitude scale; detection is unaffected.
+    One that is not None or a finite real number > 0 (a bool is none),
     or a ``chain`` that is not a ``Chain``, raises
     :class:`ConfigurationError` before any sample is read.
     """
     if not isinstance(chain, Chain):
         raise ConfigurationError(f"chain must be a txchain.Chain, got {type(chain).__name__}")
     if symbol_scale is not None and (isinstance(symbol_scale, bool) or not (
-            isinstance(symbol_scale, Real) and 0 <= symbol_scale < np.inf)):
+            isinstance(symbol_scale, Real) and 0 < symbol_scale < np.inf)):
         raise ConfigurationError(
-            f"symbol_scale must be None or a finite number >= 0, got {symbol_scale!r}")
+            f"symbol_scale must be None or a finite number > 0, got {symbol_scale!r}")
     frame_layout, tx_layout, nt = chain.frame_layout, chain.transmission_layout, chain.nt
     m = chain.bits_per_vector
     constellation = modem.build_constellation(chain.modulation_order)
@@ -516,9 +516,9 @@ def decode_transmission(rx_samples, chain, symbol_scale=None):
         bits=bits,
         snr=snr,
         fo_cycles_per_sample=fo_per_frame,
-        channel_estimates=estimates / symbol_scale if symbol_scale else estimates,
+        channel_estimates=estimates if symbol_scale is None else estimates / symbol_scale,
         sync=sync,
-        symbol_scale=symbol_scale if symbol_scale else 1.0,
+        symbol_scale=1.0 if symbol_scale is None else symbol_scale,
     )
 
 

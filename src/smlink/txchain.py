@@ -43,7 +43,7 @@ import numpy as np
 from . import modem
 from .channel import SAMPLE_BLOCK, buffer_prefix, segment_buffer, segment_reader
 from .errors import ConfigurationError, DimensionError, FramingError, RangeError
-from .fileio import build, read_json
+from .fileio import build, check_count, read_json
 # The layouts, the Chain and the pilots live in smlink.layout; exported here too.
 from .layout import (
     FO_EDGE_MARGIN,
@@ -263,8 +263,10 @@ def pulse_shape(symbols, taps, upsample_factor):
     samples at a time by the shaping that
     :meth:`TransmissionVector.segment` uses; every output is the dot
     product over the same terms as in one ``np.convolve`` of the whole
-    row, and the tests hold the two equal bit for bit.
+    row, and the tests hold the two equal bit for bit. An
+    ``upsample_factor`` that is not an integer >= 1 raises :class:`ConfigurationError`.
     """
+    upsample_factor = check_count("upsample_factor", upsample_factor)
     s = np.atleast_2d(np.asarray(symbols, dtype=np.complex128))
     n = s.shape[1] * upsample_factor + len(taps) - 1
     shaped = np.empty((s.shape[0], n), dtype=np.complex128)
@@ -352,7 +354,7 @@ def assemble_transmission(stream):
     symbol_scale = layout.power_factor / peak
     # The sync pulses sit at full scale and the SNR blocks at the power factor,
     # so the data section and that factor are the only places a component can
-    # exceed it. Scaling by symbol_scale >= 0 is monotone: the scaled extremes
+    # exceed it. Scaling by symbol_scale > 0 is monotone: the scaled extremes
     # are the extremes scaled.
     if not (layout.power_factor <= 1.0 and top * symbol_scale <= 1.0
             and bottom * symbol_scale <= 1.0):

@@ -222,10 +222,11 @@ class TestUnionBoundMonteCarlo:
             analysis.BoundConfig(**{**base, field: value})
 
     def test_config_validation(self):
-        with pytest.raises(ConfigurationError):
+        # The quadrature's overflow limit holds for the largest point, wherever it stands.
+        with pytest.raises(ConfigurationError, match="quadrature holds"):
             analysis.BoundConfig(
                 scheme="sm", nt=2, nr=2, modulation_order=2,
-                fading=channel.FadingModel(), snr_grid_db=(10.0, 5.0),
+                fading=channel.FadingModel(), snr_grid_db=(3050.0, 5.0),
             )
         with pytest.raises(ConfigurationError):
             analysis.BoundConfig(
@@ -244,6 +245,16 @@ class TestUnionBoundMonteCarlo:
                 scheme="smx", nt=8, nr=4, modulation_order=256,
                 fading=channel.FadingModel(), snr_grid_db=(5.0,),
             )
+
+    @pytest.mark.parametrize("scheme, order", [("sm", 4), ("smx", 16)])
+    def test_unsorted_grid_gives_the_sorted_grids_values(self, scheme, order):
+        """``smlink bound`` takes any grid ``smlink simulate`` takes; each
+        point's bound is the one the sorted grid gives it."""
+        grid = (20.0, 5.0, 10.0, -3.0)
+        bounds = [analysis.union_bound_aber(analysis.BoundConfig(
+            scheme=scheme, nt=2, nr=2, modulation_order=order,
+            fading=channel.FadingModel(10.0), snr_grid_db=g)) for g in (grid, sorted(grid))]
+        assert np.array_equal(bounds[0], bounds[1][np.argsort(np.argsort(grid))])
 
 
 def rayleigh_union_bound(candidates, nr, snr_db):

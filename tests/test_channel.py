@@ -1,13 +1,14 @@
 """Tests for the power-imbalanced Rician channel and propagation."""
 
 import os
+import pickle
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from smlink import channel, rxchain, txchain
+from smlink import analysis, channel, modem, rxchain, txchain
 from smlink.errors import ConfigurationError, DimensionError, SmlinkError
 
 
@@ -342,6 +343,40 @@ STAGE_PROBES = {
     "detect-sync-bool-n-pulses": lambda: rxchain.detect_sync(PULSE_TRAIN, 8, True, 100),
     "detect-sync-float-fit-samples": lambda: rxchain.detect_sync(PULSE_TRAIN, 8, 3, 100.0),
     "detect-sync-bool-fit-samples": lambda: rxchain.detect_sync(PULSE_TRAIN, 8, 3, True),
+    # More counts that are a bool, a float or out of range. They used to raise a
+    # bare TypeError, AttributeError or ValueError, or to give a wrong answer: a
+    # bool antenna count taken as 1 antenna, a pilot sequence for antenna 1.5
+    # that is not orthogonal to antenna 1's, or -1 symbols taken as "all but one".
+    "bits-per-vector-float-nt": lambda: modem.bits_per_vector("sm", 2.0, 2),
+    "bits-per-vector-bool-nt": lambda: modem.bits_per_vector("sm", True, 2),
+    "receiver-complexity-float-nt": lambda: modem.receiver_complexity("sm", 2.0, 2, 2),
+    "receiver-complexity-bool-nt": lambda: modem.receiver_complexity("sm", True, 2, 2),
+    "receiver-complexity-bool-nr": lambda: modem.receiver_complexity("sm", 2, True, 2),
+    "complexity-report-bool-nr": lambda: modem.complexity_report(2, True, 2),
+    "build-constellation-float-order": lambda: modem.build_constellation(4.0),
+    "bits-to-indices-bool-block": lambda: modem.bits_to_indices(np.ones(4), True),
+    "indices-to-bits-bool-block": lambda: modem.indices_to_bits(np.zeros(3, dtype=int), True),
+    "pilot-matrix-no-antenna": lambda: txchain.pilot_matrix(0, 10),
+    "pilot-matrix-float-nt": lambda: txchain.pilot_matrix(2.0, 10),
+    "pilot-sequence-float-index": lambda: txchain.pilot_sequence(1.5, 10),
+    "rrc-taps-float-count": lambda: txchain.rrc_taps(40.0, 0.75, 4),
+    "matched-filter-negative-n-symbols": lambda: rxchain.matched_filter_downsample(
+        np.ones((2, 64)), np.ones(9), 4, n_symbols=-1),
+    "matched-filter-float-n-symbols": lambda: rxchain.matched_filter_downsample(
+        np.ones((2, 64)), np.ones(9), 4, n_symbols=3.5),
+    "draw-channels-bool-count": lambda: channel.draw_channels(
+        True, 2, 2, channel.FadingModel(), rng=np.random.default_rng(0)),
+    "carrier-ramp-bool-length": lambda: channel.carrier_ramp(0.1, True),
+    "pulse-gain-bool-nt": lambda: rxchain.pulse_gain_compensation(np.ones(9), 4, 10, True),
+    "pulse-shape-bool-upsample": lambda: txchain.pulse_shape(np.ones((2, 10)), np.ones(9), True),
+    "pulse-shape-float-upsample": lambda: txchain.pulse_shape(np.ones((2, 10)), np.ones(9), 4.0),
+    "smx-modulate-bool-nt": lambda: modem.smx_modulate(np.ones(4), True, modem.build_constellation(2)),
+    # A pulse gain with a zero entry used to give -inf+nanj estimates after two
+    # RuntimeWarnings, and a NaN entry NaN estimates.
+    "ls-estimate-zero-gain": lambda: rxchain.ls_channel_estimate(
+        np.ones((2, 20)), txchain.pilot_matrix(2, 10), gain=np.zeros(2)),
+    "ls-estimate-nan-gain": lambda: rxchain.ls_channel_estimate(
+        np.ones((2, 20)), txchain.pilot_matrix(2, 10), gain=np.array([1.0, np.nan])),
 }
 
 
@@ -358,3 +393,50 @@ def test_stage_inputs_refused_with_named_errors(call):
         with pytest.raises(SmlinkError):
             call()
     assert not caught
+
+
+TAPS = txchain.rrc_taps()
+RICE = np.abs(channel.draw_channels(
+    2000, 1, 1, channel.FadingModel(10.0), rng=np.random.default_rng(5)).reshape(-1))
+
+# Calls whose counts are made by ``k``; each gives the same output for a Python
+# int and a numpy integer.
+COUNT_CALLS = {
+    "bits-per-vector": lambda k: modem.bits_per_vector("smx", k(4), k(16)),
+    "build-constellation": lambda k: modem.build_constellation(k(16)),
+    "bits-to-indices": lambda k: modem.bits_to_indices(np.arange(12) % 2, k(3)),
+    "indices-to-bits": lambda k: modem.indices_to_bits(np.arange(8), k(3)),
+    "receiver-complexity": lambda k: modem.receiver_complexity("smx", k(4), k(2), k(2)),
+    "complexity-report": lambda k: modem.complexity_report(k(4), k(2), k(2)),
+    "pilot-sequence": lambda k: txchain.pilot_sequence(k(2), k(10)),
+    "pilot-matrix": lambda k: txchain.pilot_matrix(k(2), k(10)),
+    "rrc-taps": lambda k: txchain.rrc_taps(k(40), 0.75, k(4)),
+    "matched-filter": lambda k: rxchain.matched_filter_downsample(
+        np.arange(128.0).reshape(2, 64), TAPS, k(4), k(9)),
+    "pulse-gain": lambda k: rxchain.pulse_gain_compensation(TAPS, k(4), k(10), k(2)),
+    "pulse-shape": lambda k: txchain.pulse_shape(np.arange(20.0).reshape(2, 10), TAPS, k(4)),
+    "smx-modulate": lambda k: modem.smx_modulate(
+        np.arange(8) % 3 % 2, k(2), modem.build_constellation(4)),
+    "estimate-snr": lambda k: rxchain.estimate_snr(
+        np.arange(200.0).reshape(2, 100), k(2), k(2), k(10)),
+    "detect-sync": lambda k: rxchain.detect_sync(PULSE_TRAIN, k(8), k(3), k(100)),
+    "draw-channels": lambda k: channel.draw_channels(
+        k(3), k(2), k(2), channel.FadingModel(5.0), rng=np.random.default_rng(0)),
+    "carrier-ramp": lambda k: channel.carrier_ramp(1e-3, k(100)),
+    "fit-rician": lambda k: analysis.fit_rician(RICE, max_iterations=k(5)),
+    "frame-layout": lambda k: txchain.FrameLayout(zero_pad_len=k(0), upsample_factor=k(8)),
+    "transmission-layout": lambda k: txchain.TransmissionLayout(n_frames=k(3)),
+    "chain": lambda k: txchain.Chain("sm", k(4), k(16)),
+    "bound-config": lambda k: analysis.BoundConfig(
+        "sm", k(2), k(2), k(4), channel.FadingModel(), (5.0,), n_channels=k(7)),
+}
+
+
+@pytest.mark.parametrize("numpy_int", [np.int64, np.uint8])
+@pytest.mark.parametrize("call", [pytest.param(f, id=k) for k, f in COUNT_CALLS.items()])
+def test_numpy_integer_counts_give_the_same_outputs(call, numpy_int):
+    """A numpy integer is a count wherever a Python int is, and it comes out
+    as one: the pickled outputs (types included) are equal. Some of these
+    used to raise AttributeError (numpy integers have no ``bit_length``), and
+    some overflowed in ``uint8`` arithmetic."""
+    assert pickle.dumps(call(numpy_int)) == pickle.dumps(call(int))

@@ -1,13 +1,15 @@
-"""Guards on the one JSON loader: one parser, no type table, one type check."""
+"""Guards on the one JSON loader (one parser, no type table, one type check)
+and on the one integer check."""
 
 import ast
 import dataclasses
 import typing
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from smlink import fileio, harness, txchain
+from smlink import fileio, harness, modem, rxchain, txchain
 from smlink.errors import ConfigurationError
 
 SOURCE = Path(fileio.__file__).parent
@@ -73,3 +75,29 @@ def test_every_built_class_is_probed():
     for cls in list(reached):
         reached |= {f.type for f in dataclasses.fields(cls) if dataclasses.is_dataclass(f.type)}
     assert reached == set(BUILT)
+
+
+def test_integers_are_checked_only_in_fileio():
+    """``fileio.check_count`` is the package's one integer check: no other
+    module names ``numbers.Integral``, and the helpers it replaced are gone."""
+    naming = set()
+    for path in SOURCE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = [a.name for a in node.names] if isinstance(node, ast.ImportFrom) else [
+                getattr(node, "id", getattr(node, "attr", None))]
+            if "Integral" in names:
+                naming.add(path.name)
+    assert naming == {"fileio.py"}
+    assert not hasattr(rxchain, "_check_count") and not hasattr(modem, "_check_block_size")
+
+
+@pytest.mark.parametrize("value", [0, 3, 2**70, np.int64(3), np.uint8(3)])
+def test_check_count_returns_an_int(value):
+    checked = fileio.check_count("n", value, 0)
+    assert type(checked) is int and checked == value
+
+
+@pytest.mark.parametrize("value", [True, np.bool_(True), 3.0, np.float64(3), "3", None, -1])
+def test_check_count_refuses_what_is_no_count(value):
+    with pytest.raises(ConfigurationError, match="n must be an integer >= 0"):
+        fileio.check_count("n", value, 0)

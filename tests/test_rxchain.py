@@ -736,21 +736,14 @@ class TestDecodeTransmission:
         assert np.max(np.abs(est / tx.symbol_scale - h)) <= 1e-6
         assert result.symbol_scale == 1.0
 
-    @pytest.mark.parametrize("scale", ["0.1", True, -1.0, np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("scale", ["0.1", True, -1.0, 0, np.nan, np.inf, -np.inf])
     def test_symbol_scale_checked_first(self, loopback, scale):
         """A sidecar's symbol scale is refused before any sample is read: a
-        negative one would flip the sign of every reported estimate."""
+        negative one would flip the sign of every reported estimate, and no
+        transmission has a scale of 0 (its layout refuses a power factor of 0)."""
         _, _, chain, _, _, _ = loopback
         with pytest.raises(ConfigurationError, match="symbol_scale"):
             rxchain.decode_transmission(np.zeros((2, 10), dtype=complex), chain, symbol_scale=scale)
-
-    def test_zero_symbol_scale_leaves_estimates_unscaled(self, loopback):
-        _, _, chain, bits, tx, h = loopback
-        rx = channel.propagate_waveform(tx.samples, h)
-        unscaled = rxchain.decode_transmission(rx, chain)
-        zero = rxchain.decode_transmission(rx, chain, symbol_scale=0)
-        assert np.array_equal(zero.channel_estimates, unscaled.channel_estimates)
-        assert zero.symbol_scale == 1.0
 
     def test_spike_ahead_of_the_train_decodes_at_true_start(self, loopback):
         """A copy of the strongest sync pulse 120 samples ahead of the

@@ -314,14 +314,10 @@ class TestAssembleTransmission:
         assert ratio_db == pytest.approx(20 * np.log10(32767 / 2896), abs=1e-9)
 
     def test_zero_power_factor(self):
-        tx_layout = txchain.TransmissionLayout(
-            n_frames=1, snr_block_symbols=50, power_factor=0.0
-        )
-        tx = random_sm_transmission(self.layout, tx_layout)
-        assert tx.symbol_scale == 0.0
-        assert tx.x_max == 0.0
-        start, _ = tx.sections["data"]
-        assert not tx.samples[:, start:].any()
+        """A power factor of 0 used to build a transmission whose data section
+        and sounding blocks were all zero, which no decoder could read."""
+        with pytest.raises(ConfigurationError, match="power_factor"):
+            txchain.TransmissionLayout(n_frames=1, snr_block_symbols=50, power_factor=0.0)
 
     def test_overscale_raises(self):
         tx_layout = txchain.TransmissionLayout(
