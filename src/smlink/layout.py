@@ -117,7 +117,9 @@ class TransmissionLayout:
     def sections(self, nt, frame_layout):
         """Sample map of an ``nt``-antenna transmission of ``frame_layout`` frames:
         ``({name: (start, length)}, pulse period)`` for the sync, snr and data
-        sections, the data section with the filter tail."""
+        sections, the data section with the filter tail. An ``nt`` that is not
+        an integer >= 1 raises :class:`ConfigurationError`."""
+        nt = check_count("nt", nt)
         u = frame_layout.upsample_factor
         period = (1 + self.sync_gap_symbols) * u
         sync = self.sync_pulses * period

@@ -7,7 +7,11 @@ vectors, a second pilot signal and a trailing zero pad.
 
 The frames of a transmission form one (nt, n_frames * frame_symbols)
 symbol stream, which is upsampled and root-raised-cosine shaped into
-the data section of a transmission that is prefixed by a synchronization
+the data section. Shaping is a polyphase sum: each output sample applies
+one of the filter's u real sub-filters to the symbols it reaches, never
+to a zero-stuffed row, and equals one full convolution of the
+zero-stuffed row to a few ulps of the row's peak. The data section is
+prefixed by a synchronization
 section (20 full-scale single-sample pulses on antenna 1, spaced 51
 symbol durations apart) and an SNR-estimation section (per antenna in
 turn, 5 alternating on/off constant-amplitude blocks). The shaped data
@@ -77,9 +81,6 @@ __all__ = [
     "read_sidecar",
 ]
 
-# Samples per run of the shaping convolution: a quarter block keeps the
-# zero-stuffed row and its convolution to about 128 KiB each.
-_SHAPE_RUN = SAMPLE_BLOCK // 4
 SIDECAR_SCHEMA_VERSION = "1"
 
 
@@ -175,8 +176,9 @@ class TransmissionVector:
         (:func:`smlink.channel.segment_buffer`) or a new (nt, stop - start) array.
 
         Data samples are the frame stream's :func:`pulse_shape` times
-        ``symbol_scale``, bit for bit: only the symbols the run and the
-        filter's reach before it touch are read and shaped.
+        ``symbol_scale``, bit for bit: the polyphase sum gives each sample
+        from the same terms whatever the run, and reads only the symbols
+        the run reaches, from ceil(len(taps) / u) - 1 before its first.
         """
         nt, n = self.shape
         if not 0 <= start <= stop <= n:
@@ -256,17 +258,23 @@ def build_frame(data_vectors, layout):
 
 
 def pulse_shape(symbols, taps, upsample_factor):
-    """Upsample (insert zeros) and filter; full convolution per antenna.
+    """Upsample by ``upsample_factor`` and filter with ``taps``, per antenna.
 
     Accepts an (nt, n_symbols) matrix and returns
-    (nt, n_symbols*U + len(taps) - 1), built one run of ``SAMPLE_BLOCK``
-    samples at a time by the shaping that
-    :meth:`TransmissionVector.segment` uses; every output is the dot
-    product over the same terms as in one ``np.convolve`` of the whole
-    row, and the tests hold the two equal bit for bit. An
-    ``upsample_factor`` that is not an integer >= 1 raises :class:`ConfigurationError`.
+    (nt, n_symbols*U + len(taps) - 1): the full convolution of each
+    zero-stuffed row, built one run of ``SAMPLE_BLOCK`` samples at a time
+    by the polyphase sum that :meth:`TransmissionVector.segment` uses. It
+    adds the products of one ``np.convolve`` of the zero-stuffed row in
+    another order, so the two differ by a few ulps of the row's peak (the
+    tests allow 8). An ``upsample_factor`` that is not an integer >= 1,
+    or ``taps`` that are not a nonempty 1-D array of real numbers, raise
+    :class:`ConfigurationError`.
     """
     upsample_factor = check_count("upsample_factor", upsample_factor)
+    taps = np.asarray(taps)
+    if taps.ndim != 1 or not taps.size or taps.dtype.kind not in "iuf":
+        raise ConfigurationError(
+            f"taps must be a nonempty 1-D array of real numbers, got {taps.dtype} {taps.shape}")
     s = np.atleast_2d(np.asarray(symbols, dtype=np.complex128))
     n = s.shape[1] * upsample_factor + len(taps) - 1
     shaped = np.empty((s.shape[0], n), dtype=np.complex128)
@@ -280,43 +288,43 @@ def _shape_into(out, symbols, taps, upsample_factor, start):
     (nt, n_symbols) stream ``symbols`` (an array or a block source) into
     the (nt, k) array ``out``.
 
-    Only the symbols from len(taps) - 1 upsampled samples before
-    ``start`` are read, once. The output is then built in runs of
-    ``_SHAPE_RUN`` samples, a row at a time: each run's symbols are
-    zero-stuffed into one row buffer and convolved. A run shorter than the
-    filter is widened to its length, so every output is the dot product
-    over the same terms, in the same order, as in one ``np.convolve`` of
-    the whole zero-stuffed row (the partial ones at either end of the
-    stream included), whatever the runs.
+    A polyphase sum: with u = ``upsample_factor`` and J = ceil(len(taps) / u),
+    output sample k*u + p is the J-term sum of the real sub-filter
+    ``taps[p::u]``, zero-padded to J taps, over symbols k - J + 1 ... k of
+    the zero-extended stream, taken over the real and the imaginary parts
+    apart: 1/u of the products of filtering the zero-stuffed row, and real
+    ones where those are complex. Only the symbols the run reaches are
+    read, once; each row's real and imaginary parts are copied into one
+    zero-padded buffer, and one ``np.convolve`` per phase and part writes
+    into the real or imaginary view of ``out``.
+
+    Every output is the sum of the same J terms in the same order, whatever
+    the run, so any run equals the same slice of the whole stream bit for
+    bit. One full convolution of the zero-stuffed row adds the same
+    products in another order, so the two differ by a few ulps of the
+    row's peak.
     """
     segment, (_, n_symbols), _ = segment_reader(symbols)
-    u, n_taps, n = upsample_factor, len(taps), n_symbols * upsample_factor
-    stop = start + out.shape[1]
-    a, b = _shaping_reach(start, stop, n_taps, n)
-    first = -(-a // u)
-    rows = segment(first, -(-b // u))
-    up = np.empty(min(b - a, _SHAPE_RUN + n_taps - 1), dtype=np.complex128)
-    for run_start in range(start, stop, _SHAPE_RUN):
-        run_stop = min(run_start + _SHAPE_RUN, stop)
-        # The runs' reaches lie within the whole one's, so their symbols were read.
-        ra, rb = _shaping_reach(run_start, run_stop, n_taps, n)
-        run_first = -(-ra // u)
-        stuffed = up[: rb - ra]
-        stuffed[:] = 0.0
-        for row, shaped in zip(rows, out):
-            stuffed[run_first * u - ra :: u] = row[run_first - first : -(-rb // u) - first]
-            shaped[run_start - start : run_stop - start] = np.convolve(stuffed, taps)[
-                run_start - ra : run_stop - ra]
-
-
-def _shaping_reach(start, stop, n_taps, n):
-    """The samples [a, b) of an ``n``-sample zero-stuffed stream that its
-    shaped outputs ``start`` to ``stop`` are convolved from: n_taps - 1
-    before ``start`` up to ``stop``, widened to n_taps samples where the
-    run is shorter, within the stream."""
-    a = max(start - n_taps + 1, 0)
-    b = min(max(stop, a + n_taps), n)
-    return max(min(a, b - n_taps), 0), b
+    u, stop = upsample_factor, start + out.shape[1]
+    j = -(-len(taps) // u)
+    phases = np.zeros(j * u)
+    phases[: len(taps)] = taps
+    phases = phases.reshape(j, u).T  # phases[p] is taps[p::u], zero-padded to J taps
+    k0, k1 = start // u, -(-stop // u)
+    lo = k0 - j + 1  # the first symbol output k0 reaches
+    a, b = max(lo, 0), min(k1, n_symbols)
+    rows = segment(a, b)
+    parts = np.zeros((2, k1 - lo))  # made after the read, so as not to add to its peak
+    for row, shaped in zip(rows, out):
+        parts[0, a - lo : b - lo] = row.real
+        parts[1, a - lo : b - lo] = row.imag
+        for p in range(u):
+            ka, kb = -(-(start - p) // u), -(-(stop - p) // u)
+            if ka == kb:  # a run shorter than u may hold no sample of phase p
+                continue
+            for part, component in zip(parts, (shaped.real, shaped.imag)):
+                component[ka * u + p - start :: u] = np.convolve(
+                    part[ka - k0 : kb - k0 + j - 1], phases[p], "valid")
 
 
 def assemble_transmission(stream):

@@ -370,7 +370,18 @@ STAGE_PROBES = {
     "pulse-gain-bool-nt": lambda: rxchain.pulse_gain_compensation(np.ones(9), 4, 10, True),
     "pulse-shape-bool-upsample": lambda: txchain.pulse_shape(np.ones((2, 10)), np.ones(9), True),
     "pulse-shape-float-upsample": lambda: txchain.pulse_shape(np.ones((2, 10)), np.ones(9), 4.0),
+    # The shaping sums real sub-filters: complex taps would lose their imaginary
+    # part, and no taps or a 2-D array used to raise a bare ValueError.
+    "pulse-shape-complex-taps": lambda: txchain.pulse_shape(np.ones((2, 10)), np.ones(9) * 1j, 4),
+    "pulse-shape-no-taps": lambda: txchain.pulse_shape(np.ones((2, 10)), np.ones(0), 4),
+    "pulse-shape-2d-taps": lambda: txchain.pulse_shape(np.ones((2, 10)), np.ones((3, 3)), 4),
     "smx-modulate-bool-nt": lambda: modem.smx_modulate(np.ones(4), True, modem.build_constellation(2)),
+    # A transmission's sample map used to take a bool nt as one antenna (a
+    # 2 000 000-sample SNR section), a float one as float lengths and 0 as an
+    # empty SNR section.
+    "sections-bool-nt": lambda: txchain.TransmissionLayout().sections(True, txchain.FrameLayout()),
+    "sections-float-nt": lambda: txchain.TransmissionLayout().sections(2.0, txchain.FrameLayout()),
+    "sections-no-antenna": lambda: txchain.TransmissionLayout().sections(0, txchain.FrameLayout()),
     # A pulse gain with a zero entry used to give -inf+nanj estimates after two
     # RuntimeWarnings, and a NaN entry NaN estimates.
     "ls-estimate-zero-gain": lambda: rxchain.ls_channel_estimate(

@@ -53,11 +53,11 @@ EXPECTED = {
 
 # The received samples of test_noisy_loopback_decode (its source's segment(0, n)) and the
 # files of test_encode_files.
-RX_SHA256 = "cdb1840b1472d0ec687f03e7eb37053f204c8d0c9604f580345bf0bdd9597bfb"
+RX_SHA256 = "f1e2f49a2359e14ccaa1d941ebd1f6dd239cb54fa0b65e09c0773b80d6672400"
 ENCODE_SHA256 = {
     "cap_ant1.bin": "ee04d603374dd9fb34ad80ded19e182e391166e19dc62528319d28efc11f300b",
     "cap_ant2.bin": "b3c1a6f2cf85857ccfa42346827402b238e80c07b6ecc91bc2160d2655b7fa37",
-    "cap_meta.json": "16c435aa64e3b07657c6512c67d7d24e453727f641541838d3901063ca8d8377",
+    "cap_meta.json": "5744219a4be7aa2f20e0798b5740022b1909ff061d0615790adf41585b70cf2f",
 }
 
 DECODE_ERRORS = 63
